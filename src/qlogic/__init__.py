@@ -10,6 +10,7 @@ from .errors import (
     ModelValidationError,
     NotTestable,
     ObjectOutOfRange,
+    PostconditionFailed,
     QLogicError,
     QuantumNodeInClassicalEval,
     UniverseTooSmall,

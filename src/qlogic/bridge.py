@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     ModelValidationError,
     NotTestable,
+    PostconditionFailed,
     UniverseTooSmall,
     UnknownState,
     ZeroVector,
@@ -44,7 +45,14 @@ from .gaussian import GaussianRational, parse_vector, vector_strings
 from .hilbert import Subspace, born, subspace_from_strings, subspace_to_strings
 from .hilbert import leq as subspace_leq
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
-from .models import MAX_RELATION_DEPTH, Model, PredicateInfo, SignatureSpace, eval_open
+from .models import (
+    MAX_RELATION_DEPTH,
+    Model,
+    PredicateInfo,
+    SignatureSpace,
+    eval_open,
+    read_json,
+)
 from .propositions import RelationStats, proposition_poset, testable
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -108,7 +116,7 @@ def spec_from_dict(data: Mapping) -> QMModelSpec:
         )
         universe = int(data.get("universe", 4))
         cap = int(data.get("closure_cap", DEFAULT_CLOSURE_CAP))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed spec file: {exc}") from exc
     return QMModelSpec(dim, states, properties, universe, cap)
 
@@ -129,8 +137,7 @@ def spec_to_dict(spec: QMModelSpec) -> dict:
 
 
 def load_spec(path: str | Path) -> QMModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json(path))
 
 
 def save_spec(spec: QMModelSpec, path: str | Path) -> None:
@@ -250,7 +257,10 @@ def build_model(spec: QMModelSpec) -> QuantumModel:
     model = Model(predicates, state_names, {s: n for s in state_names}, extensions)
     for name in names:  # certain truth must coincide with theta
         for s in state_names:
-            assert (model.extensions[(s, name)] == full) == (s in theta[name])
+            if (model.extensions[(s, name)] == full) != (s in theta[name]):
+                raise PostconditionFailed(
+                    f"predicate {name!r} in state {s!r}: certain truth differs from theta"
+                )
     return QuantumModel(
         spec=spec,
         model=model,

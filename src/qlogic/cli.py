@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bridge import (
     QuantumModel,
@@ -159,7 +159,8 @@ def _load_input(cfg: RunConfig) -> tuple[Model, QuantumModel | None]:
     if cfg.model:
         return load_model(cfg.model), None
     if cfg.qm_spec:
-        qm = build_model(load_spec(cfg.qm_spec))
+        spec = load_spec(cfg.qm_spec)
+        qm = build_model(replace(spec, closure_cap=min(cfg.cap, spec.closure_cap)))
         return qm.model, qm
     raise _UsageError("an input file is required (--model or --qm-spec)")
 

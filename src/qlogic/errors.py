@@ -65,3 +65,7 @@ class NotTestable(QLogicError):
 
 class MissingTheta(QLogicError):
     """Quantum evaluation requested on a model without Hilbert provenance."""
+
+
+class PostconditionFailed(QLogicError):
+    """A built object breaks a guarantee its construction promises."""

@@ -29,8 +29,10 @@ class GaussianRational:
     imag: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "real", Fraction(self.real))
-        object.__setattr__(self, "imag", Fraction(self.imag))
+        if not isinstance(self.real, Fraction):
+            object.__setattr__(self, "real", Fraction(self.real))
+        if not isinstance(self.imag, Fraction):
+            object.__setattr__(self, "imag", Fraction(self.imag))
 
     @property
     def is_zero(self) -> bool:

@@ -5,83 +5,124 @@ Gaussian rationals, so equality of subspaces is equality of
 representations.  Square roots never appear: bases are unnormalized and
 projections are computed through the exact Gram-matrix formula
 P = V (V*V)^{-1} V*.
+
+All elimination runs in one fraction-free Gauss-Jordan kernel over
+Python-int Gaussian integers: each row is cleared to one common
+denominator, kept primitive by dividing out its content after every
+step, and divided by its pivot only once, to produce the canonical basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
 
 Vector = tuple[GaussianRational, ...]
+Row = tuple[list[int], list[int]]  # real and imaginary parts of a Gaussian-integer row
 
 
-def _rref(rows: list[list[GaussianRational]]) -> list[list[GaussianRational]]:
-    """Reduced row echelon form; returns the nonzero rows (leading entries 1)."""
-    rows = [list(r) for r in rows]
+def _int_row(vec: Sequence[GaussianRational]) -> Row:
+    """A Gaussian-integer multiple of a Gaussian-rational vector."""
+    m = lcm(*(z.real.denominator for z in vec), *(z.imag.denominator for z in vec))
+    return (
+        [z.real.numerator * (m // z.real.denominator) for z in vec],
+        [z.imag.numerator * (m // z.imag.denominator) for z in vec],
+    )
+
+
+def _primitive(re: list[int], im: list[int]) -> Row:
+    """The row divided by its content, the gcd of its integer entries."""
+    g = gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [x // g for x in im]
+    return re, im
+
+
+def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
+    """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
+
+    Returns the nonzero rows of the reduced echelon form, each primitive and
+    scaled so that its pivot is a positive integer; dividing every row by
+    its pivot gives the canonical RREF.  Each row stays a nonzero multiple
+    of the row textbook elimination would hold, so the pivots are the same.
+    """
+    rows = [row for row in rows if any(row[0]) or any(row[1])]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
         if r == nrows:
             break
+        pivot = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
+        if pivot is None:
+            continue
+        pre, pim = rows[pivot]
+        rows[pivot] = rows[r]
+        p, q = pre[c], pim[c]
+        if q or p < 0:  # times the conjugate pivot, which makes it |pivot|^2 > 0
+            pre, pim = _primitive(
+                [p * x + q * y for x, y in zip(pre, pim)],
+                [p * y - q * x for x, y in zip(pre, pim)],
+            )
+            p = pre[c]
+        rows[r] = (pre, pim)
+        for i in range(nrows):
+            re, im = rows[i]
+            qr, qi = re[c], im[c]
+            if i != r and (qr or qi):  # row := p * row - q * pivot row
+                rows[i] = _primitive(
+                    [p * a - qr * x + qi * y for a, x, y in zip(re, pre, pim)],
+                    [p * b - qr * y - qi * x for b, x, y in zip(im, pre, pim)],
+                )
+        r += 1
     return rows[:r]
 
 
-def _nullspace(rows: list[list[GaussianRational]], ncols: int) -> list[list[GaussianRational]]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
-    red = _rref(rows)
-    pivot_cols = []
-    for row in red:
-        pivot_cols.append(next(c for c, x in enumerate(row) if not x.is_zero))
-    pivot_set = set(pivot_cols)
+def _lead(re: list[int]) -> int:
+    """Pivot column of a reduced row (its pivot is real, earlier entries 0)."""
+    return next(c for c, x in enumerate(re) if x)
+
+
+def _canonical(rows: list[Row]) -> tuple[Vector, ...]:
+    """The canonical RREF basis: each reduced row divided by its pivot."""
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [GR_ZERO] * ncols
-        vec[free] = GR_ONE
-        for row, pc in zip(red, pivot_cols):
-            vec[pc] = -row[free]
-        basis.append(vec)
+    for re, im in rows:
+        d = re[_lead(re)]
+        basis.append(tuple(
+            GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else GR_ZERO
+            for a, b in zip(re, im)
+        ))
+    return tuple(basis)
+
+
+def _nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """Gaussian-integer basis of {x : M x = 0}, M given in the kernel's reduced form."""
+    cols = [_lead(re) for re, _ in rows]
+    scale = lcm(*(re[c] for (re, _), c in zip(rows, cols)))
+    basis = []
+    for free in (c for c in range(ncols) if c not in cols):
+        vre = [0] * ncols
+        vim = [0] * ncols
+        vre[free] = scale
+        for (re, im), c in zip(rows, cols):
+            k = scale // re[c]
+            vre[c] = -re[free] * k
+            vim[c] = -im[free] * k
+        basis.append((vre, vim))
     return basis
 
 
-def _conj_dot(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> GaussianRational:
-    acc = GR_ZERO
-    for a, b in zip(u, v):
-        acc = acc + a.conjugate() * b
-    return acc
-
-
-def _solve(matrix: list[list[GaussianRational]], rhs: list[GaussianRational]) -> list[GaussianRational]:
-    """Solve a square nonsingular system by Gauss-Jordan on the augmented matrix."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if not aug[i][c].is_zero)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero:
-                factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+def _conj_dot(u: Row, v: Row) -> tuple[int, int]:
+    """<u|v> for Gaussian-integer vectors, as (real, imaginary)."""
+    (ur, ui), (vr, vi) = u, v
+    return (
+        sum(a * c + b * d for a, b, c, d in zip(ur, ui, vr, vi)),
+        sum(a * d - b * c for a, b, c, d in zip(ur, ui, vr, vi)),
+    )
 
 
 @dataclass(frozen=True)
@@ -90,12 +131,28 @@ class Subspace:
 
     ``basis`` rows span the subspace and are the unique reduced echelon
     basis, so two Subspace values are equal iff they are the same set of
-    vectors.  Construct through span()/zero()/full(); the constructor
-    re-canonicalizes whatever it is given.
+    vectors.  The constructor validates and canonicalizes whatever it is
+    given; results of the lattice operations come out of the kernel
+    already canonical and skip that step.
     """
 
     ambient: int
     basis: tuple[Vector, ...] = ()
+    # the kernel's reduced Gaussian-integer rows, one per basis row
+    _rows: tuple[Row, ...] = field(default=(), init=False, compare=False, hash=False, repr=False)
+    # the orthocomplement once computed; ortho is an involution, so both ends are set
+    _ortho: Subspace | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
+    # hashing the basis hashes every Fraction in it, and sets of subspaces hash often
+    _hash: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ambient, self.basis))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self):
         if self.ambient < 1:
@@ -105,8 +162,18 @@ class Subspace:
                 raise DimensionMismatch(
                     f"basis vector of length {len(vec)} in C^{self.ambient}"
                 )
-        rows = _rref([list(v) for v in self.basis])
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in rows))
+        rows = _reduce([_int_row(v) for v in self.basis], self.ambient)
+        object.__setattr__(self, "basis", _canonical(rows))
+        object.__setattr__(self, "_rows", tuple(rows))
+
+    @classmethod
+    def _from_reduced(cls, ambient: int, rows: list[Row]) -> Subspace:
+        """The subspace spanned by rows the kernel returned."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", _canonical(rows))
+        object.__setattr__(self, "_rows", tuple(rows))
+        return self
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence[GaussianRational]], ambient: int | None = None) -> Subspace:
@@ -151,27 +218,32 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 def ortho(a: Subspace) -> Subspace:
     """Orthocomplement: the exact null space of the conjugated basis."""
-    constraints = [[z.conjugate() for z in row] for row in a.basis]
-    return Subspace(a.ambient, tuple(tuple(v) for v in _nullspace(constraints, a.ambient)))
+    o = a._ortho
+    if o is None:
+        conjugated = [(re, [-y for y in im]) for re, im in a._rows]
+        o = Subspace._from_reduced(a.ambient, _reduce(_nullspace(conjugated, a.ambient), a.ambient))
+        object.__setattr__(a, "_ortho", o)
+        object.__setattr__(o, "_ortho", a)
+    return o
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the stacked orthocomplement constraints."""
+    """Intersection, as the orthocomplement of the join of the complements."""
     _check_same_space(a, b)
-    constraints = [[z.conjugate() for z in row] for row in ortho(a).basis]
-    constraints += [[z.conjugate() for z in row] for row in ortho(b).basis]
-    return Subspace(a.ambient, tuple(tuple(v) for v in _nullspace(constraints, a.ambient)))
+    return ortho(join(ortho(a), ortho(b)))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed linear span of the union."""
     _check_same_space(a, b)
-    return Subspace(a.ambient, a.basis + b.basis)
+    return Subspace._from_reduced(a.ambient, _reduce(a._rows + b._rows, a.ambient))
 
 
 def leq(a: Subspace, b: Subspace) -> bool:
+    """Inclusion: every basis vector of a is orthogonal to ortho(b)."""
     _check_same_space(a, b)
-    return meet(a, b) == a
+    perp = ortho(b)._rows
+    return not any(any(_conj_dot(w, u)) for u in a._rows for w in perp)
 
 
 def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
@@ -179,25 +251,36 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
 
     P projects onto ``a``; the value is an exact rational in [0, 1], equal
     to 1 iff psi lies in the subspace and 0 iff psi is orthogonal to it.
+    Both are computed from integer multiples of psi and of the basis,
+    which leave the value unchanged.
     """
     psi = tuple(psi)
     if len(psi) != a.ambient:
         raise DimensionMismatch(f"vector of length {len(psi)} in C^{a.ambient}")
-    norm2 = _conj_dot(psi, psi)
-    if norm2.is_zero:
+    v = _int_row(psi)
+    norm2 = _conj_dot(v, v)[0]
+    if norm2 == 0:
         raise ZeroVector("born probability of the zero vector")
     if a.dim == 0:
         return Fraction(0)
-    gram = [[_conj_dot(u, v) for v in a.basis] for u in a.basis]
-    coeffs = [_conj_dot(u, psi) for u in a.basis]
-    solved = _solve(gram, coeffs)
-    num = GR_ZERO
-    for c, y in zip(coeffs, solved):
-        num = num + c.conjugate() * y
-    value = num / norm2
-    if value.imag != 0:
+    # Gram system G y = c in one augmented matrix [G | c]; its reduced rows
+    # hold y_r = e_r / d_r with d_r the pivot and e_r the last entry
+    coeffs = [_conj_dot(u, v) for u in a._rows]
+    augmented = []
+    for u, c in zip(a._rows, coeffs):
+        entries = [_conj_dot(u, w) for w in a._rows] + [c]
+        augmented.append(([x for x, _ in entries], [y for _, y in entries]))
+    solved = _reduce(augmented, a.dim + 1)
+    scale = lcm(*(re[r] for r, (re, _) in enumerate(solved)))
+    num_re = num_im = 0
+    for r, ((cr, ci), (re, im)) in enumerate(zip(coeffs, solved)):
+        k = scale // re[r]
+        er, ei = re[-1], im[-1]
+        num_re += (cr * er + ci * ei) * k
+        num_im += (cr * ei - ci * er) * k
+    if num_im != 0:
         raise AssertionError("projection probability must be real")
-    return Fraction(value.real)
+    return Fraction(num_re, scale * norm2)
 
 
 def contains_vector(a: Subspace, v: Sequence[GaussianRational]) -> bool:

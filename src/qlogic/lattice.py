@@ -63,7 +63,6 @@ def close(
     elems.update(generators)
     overflow_check(elems)
 
-    ortho_cache: dict[Subspace, Subspace] = {}
     meet_cache: dict[tuple[Subspace, Subspace], Subspace] = {}
     join_cache: dict[tuple[Subspace, Subspace], Subspace] = {}
 
@@ -75,9 +74,7 @@ def close(
         changed = False
         current = sorted(elems, key=Subspace.sort_key)
         for a in current:
-            o = ortho_cache.get(a)
-            if o is None:
-                o = ortho_cache[a] = ortho(a)
+            o = ortho(a)
             if o not in elems:
                 elems.add(o)
                 overflow_check(elems)
@@ -103,7 +100,7 @@ def close(
 
     ordered = tuple(sorted(elems, key=Subspace.sort_key))
     index = {s: i for i, s in enumerate(ordered)}
-    ortho_row = tuple(index[ortho_cache.setdefault(s, ortho(s))] for s in ordered)
+    ortho_row = tuple(index[ortho(s)] for s in ordered)
     meet_rows = []
     join_rows = []
     for a in ordered:

@@ -156,12 +156,21 @@ class Model:
 # -- model files --------------------------------------------------------------
 
 
+def _property_flag(entry: Mapping) -> bool:
+    flag = entry.get("property", True)
+    if not isinstance(flag, bool):
+        raise ModelValidationError(
+            f"predicate {entry.get('name')!r}: property must be true or false, not {flag!r}"
+        )
+    return flag
+
+
 def model_from_dict(data: Mapping) -> Model:
     try:
         preds = tuple(
             PredicateInfo(
                 name=str(p["name"]),
-                is_property=bool(p.get("property", True)),
+                is_property=_property_flag(p),
                 ortho=p.get("ortho"),
             )
             for p in data["predicates"]
@@ -175,7 +184,7 @@ def model_from_dict(data: Mapping) -> Model:
             sizes[s] = int(entry["universe"])
             for pname, indices in entry.get("extensions", {}).items():
                 extensions[(s, str(pname))] = frozenset(int(i) for i in indices)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed model file: {exc}") from exc
     return Model(preds, tuple(states), sizes, extensions)
 
@@ -199,9 +208,20 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
+def read_json(path: str | Path):
+    """Parsed contents of a JSON input file; unreadable or malformed files
+    raise ModelValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ModelValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_model(path: str | Path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))
 
 
 def save_model(m: Model, path: str | Path) -> None:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlogic import bridge
 from qlogic.bridge import (
     QMModelSpec,
     QTruth,
@@ -26,6 +27,7 @@ from qlogic.errors import (
     DimensionMismatch,
     ModelValidationError,
     NotTestable,
+    PostconditionFailed,
     UniverseTooSmall,
     ZeroVector,
 )
@@ -195,6 +197,22 @@ def test_check_qmt_detects_full_extension_where_half(worked_qm):
     report = check_qmt(qm)
     assert not report.ok
     assert any("Sx+" in v and "Ez" in v for v in report.violations)
+
+
+def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkeypatch):
+    original = bridge._rule_extension
+    calls = []
+
+    def corrupt_first(p, n, predicate, state):
+        ext = original(p, n, predicate, state)
+        calls.append(predicate)
+        if len(calls) == 1:  # flip certain truth of one extension
+            return frozenset(range(n - 1)) if len(ext) == n else frozenset(range(n))
+        return ext
+
+    monkeypatch.setattr(bridge, "_rule_extension", corrupt_first)
+    with pytest.raises(PostconditionFailed, match="certain truth differs from theta"):
+        build_model(worked_spec)
 
 
 def test_check_qmt_detects_any_single_extension_edit(worked_spec):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from qlogic.cli import main
 
-from conftest import DATA_DIR, SPEC_DIR
+from conftest import DATA_DIR, REPO, SPEC_DIR
 
 WORKED = str(SPEC_DIR / "worked_qm.json")
 CM = str(SPEC_DIR / "cm_demo.json")
@@ -211,3 +216,64 @@ def test_parse_with_model_reports_classification(capsys):
     )
     assert code == 0
     assert json.loads(out)["classification"] == "pure-qwff"
+
+
+def test_cap_applies_to_qm_spec(capsys):
+    code, _, err = run(capsys, "check", "--qm-spec", WORKED, "--cap", "2")
+    assert code == 2
+    assert "closure overflow" in err
+
+
+@pytest.mark.parametrize("flag", ["--model", "--qm-spec"])
+@pytest.mark.parametrize(
+    "content, message", [(None, "cannot read"), ('{"dim": 2,', "is not valid JSON")]
+)
+def test_unreadable_input_is_one_error_line(tmp_path, capsys, flag, content, message):
+    path = tmp_path / "input.json"
+    if content is not None:  # otherwise the file is missing
+        path.write_text(content)
+    code, out, err = run(capsys, "check", flag, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ModelValidationError:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--model", "--qm-spec"])
+def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
+    source = CM if flag == "--model" else WORKED
+    with open(source, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if flag == "--model":
+        data["states"][0]["universe"] = "three"
+    else:
+        data["universe"] = "four"
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", flag, str(path))
+    assert code == 1
+    assert err.startswith("error: ModelValidationError: malformed")
+    assert len(err.splitlines()) == 1
+
+
+def test_property_flag_must_be_boolean(tmp_path, capsys):
+    model = {
+        "predicates": [{"name": "E", "property": "false", "ortho": None}],
+        "states": [{"name": "S1", "universe": 2, "extensions": {"E": [0]}}],
+    }
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(model))
+    code, _, err = run(capsys, "check", "--model", str(path))
+    assert code == 1
+    assert "property must be true or false" in err
+
+
+def test_check_under_python_O_matches_plain_run():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    argv = ["-m", "qlogic.cli", "check", "--qm-spec", WORKED]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=300)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == 0 and optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

@@ -9,6 +9,8 @@ from qlogic.errors import DimensionMismatch, ZeroVector
 from qlogic.gaussian import GaussianRational, gr
 from qlogic.hilbert import Subspace, born, join, leq, meet, ortho, subspace_from_strings
 
+import hilbert_reference as reference
+
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
 EX = Subspace.span([(gr(1), gr(1))])
@@ -142,3 +144,53 @@ def test_order_reversal_and_modular_dimension_identity(data):
     assert leq(a, b) == leq(ortho(b), ortho(a))
     assert a.dim + b.dim == meet(a, b).dim + join(a, b).dim
     assert ortho(meet(a, b)) == join(ortho(a), ortho(b))
+
+
+# -- differential tests against the slow Fraction-based reference ------------------
+
+_diff_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_diff_scalars = st.builds(
+    GaussianRational, _diff_fracs, st.one_of(st.just(Fraction(0)), _diff_fracs)
+)
+
+
+@st.composite
+def _diff_vectors(draw, dim, count):
+    """Up to ``count`` vectors, zero and dependent ones included."""
+    return [draw(st.tuples(*[_diff_scalars] * dim)) for _ in range(draw(st.integers(0, count)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_one_space(data):
+    dim = data.draw(st.integers(2, 5))
+    vecs = data.draw(_diff_vectors(dim, dim + 1))
+    a = Subspace.span(vecs, dim)
+    assert a.basis == reference.span(vecs)
+    assert ortho(a).basis == reference.ortho(a.basis, dim)
+    assert ortho(ortho(a)) == a
+    psi = data.draw(st.tuples(*[_diff_scalars] * dim))
+    if any(not z.is_zero for z in psi):
+        assert born(psi, a) == reference.born(psi, a.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_pairs(data):
+    dim = data.draw(st.integers(2, 5))
+    a = Subspace.span(data.draw(_diff_vectors(dim, dim)), dim)
+    b = Subspace.span(data.draw(_diff_vectors(dim, dim)), dim)
+    assert meet(a, b).basis == reference.meet(a.basis, b.basis, dim)
+    assert join(a, b).basis == reference.join(a.basis, b.basis)
+    assert leq(a, b) == reference.leq(a.basis, b.basis, dim)
+    assert leq(b, a) == reference.leq(b.basis, a.basis, dim)
+
+
+def test_ortho_is_cached_on_both_ends():
+    a = Subspace.span([(gr(1), gr(2), gr(0, 1))])
+    o = ortho(a)
+    assert ortho(a) is o and ortho(o) is a
+    # the cache is per instance and invisible to equality and hashing
+    fresh = Subspace.span([(gr(1), gr(2), gr(0, 1))])
+    assert fresh == a and hash(fresh) == hash(a)
+    assert ortho(fresh) == o and ortho(fresh) is not o
