@@ -1,0 +1,52 @@
+"""Semi-naive closure of a finite set under unary and binary operations,
+the one fixpoint behind both lattices of the package (Bancilhon &
+Ramakrishnan 1986): a round combines only what the previous round added
+with what is known, since every other combination was tried before."""
+
+from __future__ import annotations
+
+from itertools import count
+from typing import Callable, Sequence
+
+
+def fixpoint(
+    seeds: dict,
+    unary: Sequence[tuple[Callable, Callable]] = (),
+    binary: Sequence[tuple[Callable, Callable]] = (),
+    rounds: int | None = None,
+    cap: int | None = None,
+    overflow: Exception | None = None,
+) -> dict:
+    """The seeds closed under ``unary`` and ``binary``, lists of (operation,
+    make) pairs; each element maps to the representative ``make`` built from
+    its operands' representatives when the element first appeared.  Unary
+    operations run first, then binary ones over ordered pairs, left-major,
+    so elements get the representatives and order of rounds over all pairs.
+    ``rounds`` bounds the rounds (None: to the fixpoint); the insertion
+    that takes the count above ``cap`` raises ``overflow``."""
+    found = dict(seeds)
+    lo = 0  # found's items from lo on were added by the previous round
+
+    def add(element, rep) -> None:
+        found[element] = rep
+        if cap is not None and len(found) > cap:
+            raise overflow
+
+    for _ in count() if rounds is None else range(rounds):
+        current = list(found.items())
+        added = current[lo:]
+        for key, rep in added:
+            for op, make in unary:
+                out = op(key)
+                if out not in found:
+                    add(out, make(rep))
+        for i, (k1, r1) in enumerate(current):
+            for k2, r2 in added if i < lo else current:
+                for op, make in binary:
+                    out = op(k1, k2)
+                    if out not in found:
+                        add(out, make(r1, r2))
+        if len(found) == len(current):
+            break
+        lo = len(current)
+    return found

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
+from ._fixpoint import fixpoint
 from .errors import (
     DepthLimitExceeded,
     DimensionMismatch,
@@ -423,28 +424,19 @@ def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
     """Lattice elements denoted by qwffs over the input properties up to
     max_depth, with one representative qwff each."""
     lat = qm.lattice
-    reach: dict[int, Formula] = {}
+    seeds: dict[int, Formula] = {}
     for name, _ in qm.spec.properties:
-        reach.setdefault(qm.element_index[name], Pred(name))
-    for _ in range(max_depth):
-        current = list(reach.items())
-        fresh: dict[int, Formula] = {}
-
-        def see(idx: int, f: Formula) -> None:
-            if idx not in reach and idx not in fresh:
-                fresh[idx] = f
-
-        for i, fi in current:
-            see(lat.ortho[i], QNot(fi))
-        for i, fi in current:
-            for j, fj in current:
-                see(lat.meet[i][j], QAnd(fi, fj))
-                see(lat.join[i][j], QOr(fi, fj))
-                see(lat.join[lat.ortho[i]][lat.meet[i][j]], QImp(fi, fj))
-        if not fresh:
-            break
-        reach.update(fresh)
-    return reach
+        seeds.setdefault(qm.element_index[name], Pred(name))
+    return fixpoint(
+        seeds,
+        unary=[(lat.ortho.__getitem__, QNot)],
+        binary=[
+            (lambda i, j: lat.meet[i][j], QAnd),
+            (lambda i, j: lat.join[i][j], QOr),
+            (lambda i, j: lat.join[lat.ortho[i]][lat.meet[i][j]], QImp),
+        ],
+        rounds=max_depth,
+    )
 
 
 @dataclass

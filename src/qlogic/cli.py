@@ -28,11 +28,13 @@ from .bridge import (
 )
 from .errors import (
     ClosureOverflow,
+    DepthLimitExceeded,
     MissingTheta,
     NotTestable,
     QLogicError,
 )
 from .formulas import (
+    MAX_ENUM_DEPTH,
     And,
     Formula,
     Not,
@@ -65,7 +67,7 @@ from .models import (
     quotient_boolean,
     truth_collapse_violations,
 )
-from .propositions import check_connective_relations
+from .propositions import check_connective_relations, cover_edges
 
 MAX_SEED = 2**64 - 1
 
@@ -108,7 +110,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--qm-spec", dest="qm_spec", help="Hilbert spec file (JSON)")
         if formula:
             p.add_argument("--formula", help="formula text")
-        p.add_argument("--depth", type=int, default=3, help="enumeration depth cap")
+        p.add_argument("--depth", type=int, default=3, help="enumeration depth cap, 0 to 4")
         p.add_argument("--seed", type=int, default=0, help="generator seed (64-bit unsigned)")
         p.add_argument(
             "--format", dest="fmt", choices=("text", "json", "dot"), default="text"
@@ -147,6 +149,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, name, getattr(args, name))
     if not 0 <= cfg.seed <= MAX_SEED:
         raise _UsageError("seed must fit in 64 unsigned bits")
+    if cfg.depth < 0:
+        raise _UsageError("depth must be nonnegative")
     return cfg
 
 
@@ -504,16 +508,7 @@ def _lattice_nodes_edges(cfg: RunConfig, model: Model, qm: QuantumModel | None):
                     "states": sorted(qm.theta[name]),
                 }
             )
-        edges = []
-        n = len(lat)
-        for i in range(n):
-            for j in range(n):
-                if i == j or not lat.leq(i, j):
-                    continue
-                if any(k not in (i, j) and lat.leq(i, k) and lat.leq(k, j) for k in range(n)):
-                    continue
-                edges.append((i, j))
-        return nodes, edges
+        return nodes, cover_edges(len(lat), lambda i, j: i != j and lat.leq(i, j))
     space = SignatureSpace(model)
     classes = space.closed_classes(model.predicate_names(), max_elements=4096)
     props: list[frozenset[str]] = []
@@ -532,22 +527,10 @@ def _lattice_nodes_edges(cfg: RunConfig, model: Model, qm: QuantumModel | None):
         literal = "{" + ",".join(sorted(prop)) + "}"
         label = literal if not names else f"{literal} {'/'.join(names)}"
         nodes.append({"id": i, "label": label, "predicates": names, "states": sorted(prop)})
-    edges = []
-    for i, a in enumerate(props):
-        for j, b in enumerate(props):
-            if i == j or not a < b:
-                continue
-            if any(a < c < b for c in props):
-                continue
-            edges.append((i, j))
-    return nodes, edges
+    return nodes, cover_edges(len(props), lambda i, j: props[i] < props[j])
 
 
 def cmd_lattice(cfg: RunConfig) -> int:
-    if cfg.depth > 4:
-        from .errors import DepthLimitExceeded
-
-        raise DepthLimitExceeded(f"depth {cfg.depth} exceeds cap 4")
     model, qm = _load_input(cfg)
     nodes, edges = _lattice_nodes_edges(cfg, model, qm)
     if cfg.fmt == "json":
@@ -605,6 +588,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        if cfg.depth > MAX_ENUM_DEPTH:
+            raise DepthLimitExceeded(f"depth {cfg.depth} exceeds cap {MAX_ENUM_DEPTH}")
         return _COMMANDS[cfg.command](cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

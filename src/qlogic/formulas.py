@@ -12,6 +12,9 @@ Concrete grammar (ASCII, whitespace between tokens is insignificant):
 
 Unary connectives bind tightest, then the conjunctions, then the
 disjunctions, then "->q"; binary connectives associate to the left.
+Formulas nest at most MAX_NESTING (100) levels deep: more enclosing
+parentheses, more stacked prefix operators or a taller syntax tree is a
+FormulaSyntaxError at the token that crosses the limit.
 Operator tokens are matched by maximal munch, so "E&qF" is a quantum
 conjunction of E and F; write "E & qF" to apply the classical connective
 to a predicate whose name starts with "q".
@@ -30,6 +33,7 @@ from typing import Iterable, Iterator
 from .errors import DepthLimitExceeded, FormulaSyntaxError
 
 MAX_ENUM_DEPTH = 4
+MAX_NESTING = 100  # parentheses, prefix operators and tree height, each
 
 
 class Formula:
@@ -205,10 +209,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+_BINARY_LEVELS = (  # loosest first; every level is left-associative
+    {"->q": QImp},
+    {"|": Or, "|q": QOr},
+    {"&": And, "&q": QAnd},
+)
+_PREFIX = {"~": Not, "~q": QNot}
+
+
 class _Parser:
+    """Recursive descent; each rule returns a subtree and its height."""
+
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0
+        self._open = 0  # parentheses and prefix operators around the parse point
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -218,56 +233,54 @@ class _Parser:
         self._i += 1
         return tok
 
+    def _limit(self, levels: int, tok: _Token) -> None:
+        if levels > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", tok.pos)
+
     def parse(self) -> Formula:
-        f = self._imp()
+        f, _ = self._binary(0)
         tok = self._peek()
         if tok.kind != "EOF":
             raise FormulaSyntaxError(f"unexpected {tok.text or tok.kind!r}", tok.pos)
         return f
 
-    def _imp(self) -> Formula:
-        left = self._or()
-        while self._peek().kind == "->q":
-            self._advance()
-            left = QImp(left, self._or())
-        return left
+    def _binary(self, level: int) -> tuple[Formula, int]:
+        if level == len(_BINARY_LEVELS):
+            return self._unary()
+        ops = _BINARY_LEVELS[level]
+        left, height = self._binary(level + 1)
+        while self._peek().kind in ops:
+            tok = self._advance()
+            right, right_height = self._binary(level + 1)
+            left, height = ops[tok.kind](left, right), 1 + max(height, right_height)
+            self._limit(height, tok)
+        return left, height
 
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._peek().kind in ("|", "|q"):
-            quantum = self._advance().kind == "|q"
-            right = self._and()
-            left = QOr(left, right) if quantum else Or(left, right)
-        return left
-
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._peek().kind in ("&", "&q"):
-            quantum = self._advance().kind == "&q"
-            right = self._unary()
-            left = QAnd(left, right) if quantum else And(left, right)
-        return left
-
-    def _unary(self) -> Formula:
+    def _unary(self) -> tuple[Formula, int]:
         tok = self._peek()
-        if tok.kind == "~":
-            self._advance()
-            return Not(self._unary())
-        if tok.kind == "~q":
-            self._advance()
-            return QNot(self._unary())
-        return self._atom()
+        if tok.kind not in _PREFIX:
+            return self._atom()
+        self._advance()
+        self._open += 1
+        self._limit(self._open, tok)
+        child, height = self._unary()
+        self._open -= 1
+        self._limit(height + 1, tok)
+        return _PREFIX[tok.kind](child), height + 1
 
-    def _atom(self) -> Formula:
+    def _atom(self) -> tuple[Formula, int]:
         tok = self._advance()
         if tok.kind == "IDENT":
-            return Pred(tok.text)
+            return Pred(tok.text), 0
         if tok.kind == "(":
-            f = self._imp()
+            self._open += 1
+            self._limit(self._open, tok)
+            inner = self._binary(0)
+            self._open -= 1
             closing = self._advance()
             if closing.kind != ")":
                 raise FormulaSyntaxError("expected ')'", closing.pos)
-            return f
+            return inner
         what = tok.text or tok.kind
         raise FormulaSyntaxError(f"expected predicate or '(', got {what!r}", tok.pos)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fixpoint import fixpoint
 from .errors import ClosureOverflow, DimensionMismatch
 from .hilbert import Subspace, join, meet, ortho
 
@@ -53,71 +54,42 @@ def close(
         if g.ambient != dim:
             raise DimensionMismatch(f"generator in C^{g.ambient}, lattice in C^{dim}")
 
-    def overflow_check(elems: set) -> None:
-        if len(elems) > cap:
-            raise ClosureOverflow(
-                f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators)
-            )
+    overflow = ClosureOverflow(
+        f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators)
+    )
+    seeds = dict.fromkeys([Subspace.zero(dim), Subspace.full(dim), *generators])
+    if len(seeds) > cap:
+        raise overflow
 
-    elems: set[Subspace] = {Subspace.zero(dim), Subspace.full(dim)}
-    elems.update(generators)
-    overflow_check(elems)
+    pairs: dict[tuple[Subspace, Subspace], tuple[Subspace, Subspace]] = {}
 
-    meet_cache: dict[tuple[Subspace, Subspace], Subspace] = {}
-    join_cache: dict[tuple[Subspace, Subspace], Subspace] = {}
+    def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+        """Meet and join of a and b, computed once per unordered pair."""
+        got = pairs.get((a, b)) or pairs.get((b, a))
+        if got is None:
+            got = pairs[(a, b)] = (meet(a, b), join(a, b))
+        return got
 
-    def pair_key(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-        return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
+    found = fixpoint(
+        seeds,
+        unary=[(ortho, lambda _: None)],
+        binary=[
+            (lambda a, b: meet_join(a, b)[0], lambda *_: None),
+            (lambda a, b: meet_join(a, b)[1], lambda *_: None),
+        ],
+        cap=cap,
+        overflow=overflow,
+    )
 
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(elems, key=Subspace.sort_key)
-        for a in current:
-            o = ortho(a)
-            if o not in elems:
-                elems.add(o)
-                overflow_check(elems)
-                changed = True
-        current = sorted(elems, key=Subspace.sort_key)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                key = pair_key(a, b)
-                m = meet_cache.get(key)
-                if m is None:
-                    m = meet_cache[key] = meet(a, b)
-                if m not in elems:
-                    elems.add(m)
-                    overflow_check(elems)
-                    changed = True
-                j = join_cache.get(key)
-                if j is None:
-                    j = join_cache[key] = join(a, b)
-                if j not in elems:
-                    elems.add(j)
-                    overflow_check(elems)
-                    changed = True
-
-    ordered = tuple(sorted(elems, key=Subspace.sort_key))
+    ordered = tuple(sorted(found, key=Subspace.sort_key))
     index = {s: i for i, s in enumerate(ordered)}
-    ortho_row = tuple(index[ortho(s)] for s in ordered)
-    meet_rows = []
-    join_rows = []
-    for a in ordered:
-        mrow = []
-        jrow = []
-        for b in ordered:
-            key = pair_key(a, b)
-            mrow.append(index[meet_cache.setdefault(key, meet(a, b))])
-            jrow.append(index[join_cache.setdefault(key, join(a, b))])
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
+    cells = [[meet_join(a, b) for b in ordered] for a in ordered]
     return QLattice(
         dim=dim,
         elements=ordered,
-        ortho=ortho_row,
-        meet=tuple(meet_rows),
-        join=tuple(join_rows),
+        ortho=tuple(index[ortho(s)] for s in ordered),
+        meet=tuple(tuple(index[m] for m, _ in row) for row in cells),
+        join=tuple(tuple(index[j] for _, j in row) for row in cells),
         zero_index=index[Subspace.zero(dim)],
         full_index=index[Subspace.full(dim)],
         index=index,

@@ -9,6 +9,7 @@ predicates gives the stricter notion used by the quantum bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DepthLimitExceeded
 from .formulas import Formula, render
@@ -76,19 +77,18 @@ class PropositionPoset:
 
     def cover_edges(self) -> list[tuple[int, int]]:
         """Hasse edges: i covered by j with nothing strictly between."""
-        n = len(self.elements)
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.elements[i] < self.elements[j]:
-                    continue
-                if any(
-                    self.elements[i] < self.elements[k] < self.elements[j]
-                    for k in range(n)
-                ):
-                    continue
-                edges.append((i, j))
-        return edges
+        return cover_edges(len(self.elements), lambda i, j: self.elements[i] < self.elements[j])
+
+
+def cover_edges(n: int, less: Callable[[int, int], bool]) -> list[tuple[int, int]]:
+    """Hasse edges (i, j) of the strict order ``less`` on range(n): i < j
+    with no k strictly between, in (i, j) lexicographic order."""
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if less(i, j) and not any(less(i, k) and less(k, j) for k in range(n))
+    ]
 
 
 def _bound_index(

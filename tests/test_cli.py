@@ -137,6 +137,29 @@ def test_lattice_depth_guard(capsys):
     assert "DepthLimitExceeded" in err
 
 
+@pytest.mark.parametrize("depth,message", [("-1", "usage error:"), ("9", "DepthLimitExceeded")])
+def test_check_depth_range(capsys, depth, message):
+    code, out, err = run(capsys, "check", "--qm-spec", WORKED, "--depth", depth)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("formula", ["(" * 3000 + "E" + ")" * 3000, "~" * 5000 + "E"])
+def test_parse_nesting_limit_is_one_error_line(formula):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlogic.cli", "parse", "--formula", formula],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: FormulaSyntaxError: formula nested deeper than 100 levels (position 101)"
+    ]
+
+
 def test_lattice_dot_format(capsys):
     code, out, _ = run(capsys, "lattice", "--qm-spec", WORKED, "--format", "dot")
     assert code == 0

@@ -1,0 +1,138 @@
+"""Differential tests: the semi-naive closures against the all-pairs loops
+of ``closure_reference``."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qlogic._fixpoint import fixpoint
+from qlogic.bridge import _reachable_elements, build_model
+from qlogic.errors import ClosureOverflow
+from qlogic.gaussian import GaussianRational
+from qlogic.generate import random_qm_spec
+from qlogic.hilbert import Subspace
+from qlogic.lattice import close
+from qlogic.models import Model, PredicateInfo, SignatureSpace
+
+import closure_reference as reference
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the message and generators of its overflow."""
+    try:
+        return fn(*args)
+    except ClosureOverflow as exc:
+        return ("overflow", str(exc), exc.generators)
+
+
+def _all_pairs(seeds, unary, binary, rounds):
+    """Rounds that apply every operation to every element and ordered pair."""
+    found = dict(seeds)
+    for _ in range(rounds):
+        current = list(found.items())
+        fresh = {}
+        for key, rep in current:
+            for op, make in unary:
+                fresh.setdefault(op(key), make(rep))
+        for k1, r1 in current:
+            for k2, r2 in current:
+                for op, make in binary:
+                    fresh.setdefault(op(k1, k2), make(r1, r2))
+        fresh = {k: v for k, v in fresh.items() if k not in found}
+        if not fresh:
+            break
+        found.update(fresh)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
+    """Random operation tables on range(n), neither commutative nor
+    idempotent; representatives record how each element was first made."""
+    n = data.draw(st.integers(1, 12))
+    element = st.integers(0, n - 1)
+    negate = data.draw(st.lists(element, min_size=n, max_size=n))
+    row = st.lists(element, min_size=n, max_size=n)
+    tables = data.draw(st.lists(st.lists(row, min_size=n, max_size=n), min_size=1, max_size=2))
+    seeds = {k: str(k) for k in data.draw(st.lists(element, min_size=1, max_size=3))}
+    unary = [(negate.__getitem__, lambda r: f"~{r}")]
+    binary = [
+        (lambda a, b, t=t: t[a][b], lambda r1, r2, i=i: f"({r1} {i} {r2})")
+        for i, t in enumerate(tables)
+    ]
+    rounds = data.draw(st.integers(0, 5))
+    got = fixpoint(seeds, unary, binary, rounds=rounds)
+    assert list(got.items()) == list(_all_pairs(seeds, unary, binary, rounds).items())
+    assert list(fixpoint(seeds, unary, binary).items()) == list(
+        _all_pairs(seeds, unary, binary, n).items()
+    )
+
+
+@st.composite
+def _models(draw):
+    states = tuple(f"S{i}" for i in range(draw(st.integers(1, 2))))
+    names = tuple(f"P{i}" for i in range(draw(st.integers(1, 3))))
+    sizes = {s: draw(st.integers(1, 3)) for s in states}
+    extensions = {
+        (s, name): frozenset(draw(st.sets(st.integers(0, sizes[s] - 1))))
+        for s in states
+        for name in names
+    }
+    return Model(tuple(PredicateInfo(n) for n in names), states, sizes, extensions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_models(), st.integers(0, 4), st.data())
+def test_signature_classes_match_reference(model, depth, data):
+    space = SignatureSpace(model)
+    names = data.draw(st.permutations(model.predicate_names()))
+    got = space.reachable_classes(names, depth)
+    assert list(got.items()) == list(reference.reachable_classes(space, names, depth).items())
+    cap = data.draw(st.none() | st.integers(0, 70))
+    got = _outcome(space.closed_classes, names, cap)
+    want = _outcome(reference.closed_classes, space, names, cap)
+    assert got == want
+    if isinstance(got, dict):
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_reachable_elements_match_reference(dim, properties, seed):
+    spec, _ = random_qm_spec(seed, dim, properties)
+    qm = build_model(spec)
+    for depth in range(4):
+        got = _reachable_elements(qm, depth)
+        assert list(got.items()) == list(reference.reachable_elements(qm, depth).items())
+
+
+_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_scalars = st.builds(GaussianRational, _fracs, _fracs)
+
+
+@st.composite
+def _generators(draw):
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[_scalars] * dim).filter(lambda v: any(not z.is_zero for z in v))
+    spaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        vectors = draw(st.lists(vector, min_size=1, max_size=dim - 1))
+        spaces.append(Subspace.span(vectors, dim))
+    return dim, spaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generators(), st.integers(1, 40))
+def test_close_matches_reference(generated, cap):
+    dim, generators = generated
+    got = _outcome(close, generators, cap, dim)
+    want = _outcome(reference.close, generators, cap, dim)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.elements == want.elements
+    assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
+    assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from qlogic.errors import DepthLimitExceeded, FormulaSyntaxError
 from qlogic.formulas import (
+    MAX_NESTING,
     And,
     LanguageTag,
     Not,
@@ -157,3 +158,18 @@ def _formulas(names=("E", "F", "Gx", "q2")):
 @given(_formulas())
 def test_round_trip_property(f):
     assert parse(render(f)) == f
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        lambda n: "(" * n + "E" + ")" * n,
+        lambda n: "~q" * n + "E",
+        lambda n: " &q ".join(["E"] * (n + 1)),  # left-nested: tree height n
+        lambda n: "~(" + " | ".join(["E"] * n) + ")",
+    ],
+)
+def test_nesting_limit(template):
+    parse(template(MAX_NESTING))
+    with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+        parse(template(MAX_NESTING + 1))

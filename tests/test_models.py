@@ -17,6 +17,7 @@ from qlogic.generate import random_classical_model
 from qlogic.models import (
     Model,
     PredicateInfo,
+    QuotientAlgebra,
     SignatureSpace,
     boolean_law_violations,
     build_cm_model,
@@ -136,6 +137,33 @@ def test_quotient_boolean_cm_two_state():
     alg = quotient_boolean(m, predicates=["E"], max_depth=3)
     assert len(alg.elements) == 4
     assert not boolean_law_violations(alg)
+
+
+def _carrier(*element_bits: int) -> QuotientAlgebra:
+    """Algebra over three pairs of state S whose elements are given as
+    bitmasks (bit u set when object u is in the signature)."""
+    omega = frozenset(("S", u) for u in range(3))
+    elements = frozenset(
+        frozenset(("S", u) for u in range(3) if bits >> u & 1) for bits in element_bits
+    )
+    return QuotientAlgebra(omega, elements, {})
+
+
+def test_boolean_law_violations_negative_controls():
+    assert boolean_law_violations(_carrier(0b000, 0b001, 0b110, 0b111)) == []
+    assert boolean_law_violations(_carrier(0b000, 0b001, 0b110)) == [
+        "top (full signature) missing",
+        "complement of element 0x0 not in carrier",
+        "carrier not closed for pair (0x1, 0x6)",
+        "carrier not closed for pair (0x6, 0x1)",
+    ]
+    assert boolean_law_violations(_carrier(0b000, 0b001, 0b111)) == [
+        "complement of element 0x1 not in carrier",
+    ]
+    # complements all present, but {0,1} ^ {1,2} = {1} is not
+    lacks_meet = boolean_law_violations(_carrier(0b000, 0b001, 0b011, 0b100, 0b110, 0b111))
+    assert "carrier not closed for pair (0x3, 0x6)" in lacks_meet
+    assert not any("complement" in line or "missing" in line for line in lacks_meet)
 
 
 def test_quotient_boolean_no_predicates():
