@@ -54,7 +54,7 @@ from .models import (
     eval_open,
     read_json,
 )
-from .propositions import RelationStats, proposition_poset, testable
+from .propositions import RelationStats, proposition_poset
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -275,22 +275,23 @@ def build_model(spec: QMModelSpec) -> QuantumModel:
 # -- quantum evaluation ---------------------------------------------------------
 
 
-def _reduce_element(qm: QuantumModel, f: Formula) -> int:
+def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
+    """Lattice element of the qwff, with leaves witnessed in the caller's space."""
     if not has_quantum(f):
-        witness = testable(qm.model, f, scope="properties")
+        witness = space.witnesses().get(space.mask_of(f, {}))
         if witness is None:
             raise NotTestable(f"no property predicate has the signature of {render(f)}")
         return qm.element_index[witness]
     lat = qm.lattice
     if isinstance(f, QNot):
-        return lat.ortho[_reduce_element(qm, f.child)]
-    if isinstance(f, QAnd):
-        return lat.meet[_reduce_element(qm, f.left)][_reduce_element(qm, f.right)]
-    if isinstance(f, QOr):
-        return lat.join[_reduce_element(qm, f.left)][_reduce_element(qm, f.right)]
-    if isinstance(f, QImp):
-        a = _reduce_element(qm, f.left)
-        b = _reduce_element(qm, f.right)
+        return lat.ortho[_reduce_element(qm, space, f.child)]
+    if isinstance(f, (QAnd, QOr, QImp)):
+        a = _reduce_element(qm, space, f.left)
+        b = _reduce_element(qm, space, f.right)
+        if isinstance(f, QAnd):
+            return lat.meet[a][b]
+        if isinstance(f, QOr):
+            return lat.join[a][b]
         return lat.join[lat.ortho[a]][lat.meet[a][b]]
     raise NotTestable(f"classical connective above a quantum subformula in {render(f)}")
 
@@ -302,7 +303,7 @@ def reduce_qwff(qm: QuantumModel, f: Formula) -> str:
     witness; quantum negation, meet, join and implication map to the
     lattice operations (implication as the orthocomplement-join form).
     """
-    return qm.predicate_names[_reduce_element(qm, f)]
+    return qm.predicate_names[_reduce_element(qm, SignatureSpace(qm.model), f)]
 
 
 def tau_eval(qm: QuantumModel, f: Formula, state: str, obj: int) -> bool:
@@ -321,12 +322,13 @@ def q_truth(qm: QuantumModel, f: Formula, state: str) -> str:
     """Trivalent verdict: certainly true, certainly false, or neither."""
     if state not in qm.model.states:
         raise UnknownState(state)
-    element = _reduce_element(qm, f)
-    name = qm.predicate_names[element]
-    partner = qm.predicate_names[qm.lattice.ortho[element]]
-    if state in qm.theta[name]:
+    return _verdict(qm, _reduce_element(qm, SignatureSpace(qm.model), f), state)
+
+
+def _verdict(qm: QuantumModel, element: int, state: str) -> str:
+    if state in qm.theta[qm.predicate_names[element]]:
         return QTruth.TRUE
-    if state in qm.theta[partner]:
+    if state in qm.theta[qm.predicate_names[qm.lattice.ortho[element]]]:
         return QTruth.FALSE
     return QTruth.INDETERMINATE
 
@@ -403,10 +405,7 @@ def check_equiv_coincidence(qm: QuantumModel, max_depth: int = 3) -> EquivCoinci
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     space = SignatureSpace(qm.model)
-    class_rep: dict[int, str] = {}
-    for name in qm.model.property_names():
-        class_rep.setdefault(space.pred_masks[name], name)
-    reps = list(class_rep.items())
+    reps = list(space.witnesses().items())
     violations = []
     checked = 0
     for a, (mask_a, name_a) in enumerate(reps):
@@ -494,21 +493,18 @@ def check_quantum_equivalences(qm: QuantumModel, max_depth: int = 3) -> QuantumE
     for i, fi in reach:
         for j, fj in reach:
             demorgan.checked += 1
-            lhs = _reduce_element(qm, QOr(fi, fj))
-            rhs = _reduce_element(qm, QNot(QAnd(QNot(fi), QNot(fj))))
+            lhs = _reduce_element(qm, space, QOr(fi, fj))
+            rhs = _reduce_element(qm, space, QNot(QAnd(QNot(fi), QNot(fj))))
             if sig_of_element(lhs) != sig_of_element(rhs):
                 demorgan.violations.append(f"{render(fi)} / {render(fj)}")
             sasaki.checked += 1
-            lhs = _reduce_element(qm, QImp(fi, fj))
-            rhs = _reduce_element(qm, QOr(QNot(fi), QAnd(fi, fj)))
+            lhs = _reduce_element(qm, space, QImp(fi, fj))
+            rhs = _reduce_element(qm, space, QOr(QNot(fi), QAnd(fi, fj)))
             if sig_of_element(lhs) != sig_of_element(rhs):
                 sasaki.violations.append(f"{render(fi)} / {render(fj)}")
 
     # testable classical classes are exactly the predicate signature classes
-    class_rep: dict[int, str] = {}
-    for name in qm.model.property_names():
-        class_rep.setdefault(space.pred_masks[name], name)
-    reps = [(mask, name) for mask, name in class_rep.items()]
+    reps = list(space.witnesses().items())
 
     conj = RelationStats("conjunction-footnote", 0, [], 0)
     gap_witnesses: list[str] = []
@@ -580,25 +576,28 @@ def check_q_trichotomy(qm: QuantumModel, max_depth: int = 2) -> QTrichotomyRepor
     formula coincides with certain truth of its quantum negation."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
+    space = SignatureSpace(qm.model)
     reach = list(_reachable_elements(qm, max_depth).items())
     violations = []
     checked = 0
     for idx, f in reach:
         name = qm.predicate_names[idx]
         partner = qm.predicate_names[qm.lattice.ortho[idx]]
+        element = _reduce_element(qm, space, f)
+        negation = _reduce_element(qm, space, QNot(f))
         for state in qm.model.states:
             checked += 1
             true_here = state in qm.theta[name]
             false_here = state in qm.theta[partner]
             if true_here and false_here:
                 violations.append(f"{render(f)} both certain in {state}")
-            verdict = q_truth(qm, f, state)
+            verdict = _verdict(qm, element, state)
             expected = (
                 QTruth.TRUE if true_here else QTruth.FALSE if false_here else QTruth.INDETERMINATE
             )
             if verdict != expected:
                 violations.append(f"{render(f)} in {state}: got {verdict}")
-            negated = q_truth(qm, QNot(f), state)
+            negated = _verdict(qm, negation, state)
             if (verdict == QTruth.FALSE) != (negated == QTruth.TRUE):
                 violations.append(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"

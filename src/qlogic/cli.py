@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -590,7 +591,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if cfg.depth > MAX_ENUM_DEPTH:
             raise DepthLimitExceeded(f"depth {cfg.depth} exceeds cap {MAX_ENUM_DEPTH}")
-        return _COMMANDS[cfg.command](cfg)
+        status = _COMMANDS[cfg.command](cfg)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader closed stdout; silence the exit flush too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: BrokenPipeError: standard output was closed", file=sys.stderr)
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -92,11 +92,6 @@ class QImp(Formula):
 
 _QUANTUM_TYPES = (QNot, QAnd, QOr, QImp)
 _UNARY_TYPES = (Not, QNot)
-_BINARY_TYPES = (And, Or, QAnd, QOr, QImp)
-
-
-def is_quantum_node(f: Formula) -> bool:
-    return isinstance(f, _QUANTUM_TYPES)
 
 
 def has_quantum(f: Formula) -> bool:

@@ -130,9 +130,6 @@ class Model:
                 return p
         raise UnknownPredicate(name)
 
-    def has_predicate(self, name: str) -> bool:
-        return any(p.name == name for p in self.predicates)
-
     def predicate_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.predicates)
 
@@ -283,12 +280,25 @@ class SignatureSpace:
                 mask |= 1 << self.position[(s, u)]
             self.state_masks[s] = mask
         self.pred_masks: dict[str, int] = {}
+        self._witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
         for p in m.predicates:
             mask = 0
             for s in m.states:
                 for u in m.extensions[(s, p.name)]:
                     mask |= 1 << self.position[(s, u)]
             self.pred_masks[p.name] = mask
+            self._witnesses["effects"].setdefault(mask, p.name)
+            if p.is_property:
+                self._witnesses["properties"].setdefault(mask, p.name)
+
+    def witnesses(self, scope: str = "properties") -> dict[int, str]:
+        """Each predicate signature mapped to the first predicate, in table
+        order, that carries it, among the property predicates (scope
+        "properties") or all of them ("effects"): a formula is testable
+        exactly when its mask is a key."""
+        if scope not in self._witnesses:
+            raise ValueError(f"scope must be 'effects' or 'properties', got {scope!r}")
+        return self._witnesses[scope]
 
     def mask_of(self, f: Formula, cache: dict[Formula, int] | None = None) -> int:
         if cache is not None and f in cache:
@@ -544,11 +554,9 @@ def check_cmt(
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     space = SignatureSpace(m)
-    property_names = m.property_names()
-    classes = space.reachable_classes(predicates or property_names, max_depth)
-    testable_masks = {space.pred_masks[name] for name in property_names}
+    classes = space.reachable_classes(predicates or m.property_names(), max_depth)
     for mask, rep in classes.items():
-        if mask not in testable_masks:
+        if mask not in space.witnesses():
             return CmtReport(False, rep, len(classes))
     return CmtReport(True, None, len(classes))
 

@@ -43,16 +43,8 @@ def testable(m: Model, f: Formula, scope: str = "properties") -> str | None:
     scope="effects" searches every predicate, scope="properties" only the
     property predicates; returns None when no witness exists.
     """
-    if scope not in ("effects", "properties"):
-        raise ValueError(f"scope must be 'effects' or 'properties', got {scope!r}")
     space = SignatureSpace(m)
-    target = space.mask_of(f, {})
-    for p in m.predicates:
-        if scope == "properties" and not p.is_property:
-            continue
-        if space.pred_masks[p.name] == target:
-            return p.name
-    return None
+    return space.witnesses(scope).get(space.mask_of(f, {}))
 
 
 @dataclass
@@ -165,13 +157,6 @@ class ConnectiveRelationsReport:
 
     def as_dicts(self) -> list[dict]:
         return [e.as_dict() for e in self.entries]
-
-    def text_lines(self) -> list[str]:
-        return [
-            f"relation {e.relation}: checked={e.checked} "
-            f"violations={len(e.violations)} strict={e.strict}"
-            for e in self.entries
-        ]
 
 
 def check_connective_relations(

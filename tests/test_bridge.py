@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from qlogic.bridge import (
     check_q_trichotomy,
     check_qmt,
     check_quantum_equivalences,
+    load_spec,
     lt_quotient_check,
     q_truth,
     reduce_qwff,
@@ -31,12 +34,14 @@ from qlogic.errors import (
     UniverseTooSmall,
     ZeroVector,
 )
-from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr
+from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, render
 from qlogic.gaussian import gr
-from qlogic.hilbert import Subspace, born, leq
+from qlogic.hilbert import Subspace, born, join, leq, meet, ortho
 from qlogic.models import SignatureSpace, eval_open, signature
 from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
+
+from conftest import DATA_DIR
 
 
 def test_worked_build_theta_and_extensions(worked_qm):
@@ -341,3 +346,62 @@ def test_quantum_reachable_elements_match_literal_enumeration(worked_qm):
             literal.add(worked_qm.element_index[reduce_qwff(worked_qm, f)])
         layered = set(_reachable_elements(worked_qm, depth_cap))
         assert layered == literal
+
+
+def test_reduce_qwff_matches_direct_subspace_operations():
+    # each qwff's subspace computed on the spec's own subspaces, no lattice tables
+    spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
+    qm = build_model(spec)
+    direct = {Pred(name): sub for name, sub in spec.properties}
+
+    def subspace_of(f):
+        if f not in direct:
+            if isinstance(f, QNot):
+                direct[f] = ortho(subspace_of(f.child))
+            else:
+                a, b = subspace_of(f.left), subspace_of(f.right)
+                if isinstance(f, QAnd):
+                    direct[f] = meet(a, b)
+                elif isinstance(f, QOr):
+                    direct[f] = join(a, b)
+                else:
+                    direct[f] = join(ortho(a), meet(a, b))
+        return direct[f]
+
+    names = [name for name, _ in spec.properties]
+    reached = set()
+    for f in enumerate_formulas(names, 2, "quantum"):
+        element = qm.element_index[reduce_qwff(qm, f)]
+        assert qm.lattice.elements[element] == subspace_of(f), render(f)
+        reached.add(element)
+    assert len(reached) > len(names) + 2
+
+
+def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
+    rng = random.Random("trichotomy-control")
+    certain = [
+        (name, s) for name in worked_qm.predicate_names for s in sorted(worked_qm.theta[name])
+    ]
+    for name, state in rng.sample(certain, 4):
+        partner = worked_qm.predicate_names[worked_qm.lattice.ortho[worked_qm.element_index[name]]]
+        theta = dict(worked_qm.theta)
+        theta[partner] = theta[partner] | {state}
+        report = check_q_trichotomy(replace(worked_qm, theta=theta), 2)
+        assert not report.ok
+        assert any(v.endswith(f"both certain in {state}") for v in report.violations)
+    assert check_q_trichotomy(worked_qm, 2).ok
+
+
+def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
+    rng = random.Random("meet-control")
+    lat = worked_qm.lattice
+    for _ in range(4):
+        a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
+        rows = [list(row) for row in lat.meet]
+        rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.meet[a][b]])
+        corrupted = replace(lat, meet=tuple(tuple(row) for row in rows))
+        report = check_quantum_equivalences(replace(worked_qm, lattice=corrupted), 3)
+        assert not report.ok
+        names = worked_qm.predicate_names
+        assert f"{names[a]} / {names[b]}" in report.meet_relation.violations
+    assert check_quantum_equivalences(worked_qm, 3).ok

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from qlogic.cli import main
+from qlogic.models import SignatureSpace
 
 from conftest import DATA_DIR, REPO, SPEC_DIR
 
@@ -300,3 +301,41 @@ def test_check_under_python_O_matches_plain_run():
     )
     assert plain.returncode == 0 and optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [["lattice", "--qm-spec", WORKED], ["parse", "--formula", "E"]], ids=["lattice", "parse"]
+)
+def test_closed_stdout_is_one_error_line(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlogic.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    proc.stdout.close()  # before the command writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: BrokenPipeError: standard output was closed"]
+
+
+def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, monkeypatch):
+    built = []
+    init = SignatureSpace.__init__
+
+    def counting_init(self, m):
+        built.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(SignatureSpace, "__init__", counting_init)
+    counts = []
+    for depth in ("1", "3"):
+        built.clear()
+        code, _, _ = run(capsys, "check", "--qm-spec", str(DATA_DIR / "gen_qm_seed11.json"),
+                         "--depth", depth)
+        assert code == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0

@@ -4,7 +4,7 @@ import pytest
 
 from qlogic.errors import DepthLimitExceeded
 from qlogic.formulas import And, Not, Or, Pred, enumerate_formulas
-from qlogic.models import Model, PredicateInfo, build_cm_model, eval_universal
+from qlogic.models import Model, PredicateInfo, build_cm_model, eval_universal, signature
 from qlogic.propositions import (
     check_connective_relations,
     physical_proposition,
@@ -86,6 +86,43 @@ def test_testable_scope_validation():
     m = build_cm_model(["S1"], ["E"], {("S1", "E"): True}, 2)
     with pytest.raises(ValueError):
         find_witness(m, Pred("E"), scope="anything")
+
+
+def test_testable_matches_brute_force_witness_search():
+    # the effect N shares E's extension and comes first in the table; the
+    # properties F and G share one signature, the complement of E's
+    m = Model(
+        predicates=(
+            PredicateInfo("N", False),
+            PredicateInfo("E", True),
+            PredicateInfo("F", True),
+            PredicateInfo("G", True),
+        ),
+        states=("S1", "S2"),
+        universe_sizes={"S1": 2, "S2": 3},
+        extensions={
+            ("S1", "N"): {0}, ("S2", "N"): {1, 2},
+            ("S1", "E"): {0}, ("S2", "E"): {1, 2},
+            ("S1", "F"): {1}, ("S2", "F"): {0},
+            ("S1", "G"): {1}, ("S2", "G"): {0},
+        },
+    )
+
+    def first_carrier(f, scope):
+        target = signature(m, f)
+        for p in m.predicates:
+            if scope == "effects" or p.is_property:
+                if signature(m, Pred(p.name)) == target:
+                    return p.name
+        return None
+
+    found = {"effects": set(), "properties": set()}
+    for f in enumerate_formulas(m.predicate_names(), 2):
+        for scope in found:
+            expected = first_carrier(f, scope)
+            assert find_witness(m, f, scope) == expected, (f, scope)
+            found[scope].add(expected)
+    assert found == {"effects": {"N", "F", None}, "properties": {"E", "F", None}}
 
 
 def test_poset_boolean_for_independent_cm_predicates(cm_two_states):
