@@ -221,7 +221,13 @@ def build_model(spec: QMModelSpec) -> QuantumModel:
     contains), and paired predicates have complementary extensions in
     every state.
     """
-    lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+    return _model_from_lattice(
+        spec, close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+    )
+
+
+def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
+    """build_model on the closure of the spec's properties, already computed."""
     input_names = {sub: name for name, sub in spec.properties}
     taken = set(input_names.values())
     names: list[str] = []

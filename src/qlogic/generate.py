@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 
-from .bridge import QMModelSpec, build_model, check_qmt, states_separate
+from .bridge import QMModelSpec, _model_from_lattice, check_qmt, states_separate
 from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
 from .hilbert import Subspace, join
@@ -150,8 +150,8 @@ def random_qm_spec(
                     universe_size=universe,
                     closure_cap=closure_cap,
                 )
-                qm = build_model(spec)
-            except (ClosureOverflow, ModelValidationError):
+                qm = _model_from_lattice(spec, lat)
+            except ModelValidationError:
                 continue
             if states_separate(qm) and check_qmt(qm).ok:
                 return spec, attempt

@@ -1,10 +1,10 @@
 """Closed subspaces of C^d in exact arithmetic.
 
-Subspaces are represented by a canonical reduced-echelon basis over the
-Gaussian rationals, so equality of subspaces is equality of
-representations.  Square roots never appear: bases are unnormalized and
-projections are computed through the exact Gram-matrix formula
-P = V (V*V)^{-1} V*.
+Subspaces are represented by canonical reduced Gaussian-integer rows, so
+equality of subspaces is equality of representations; the reduced-echelon
+basis over the Gaussian rationals is built from them when read.  Square
+roots never appear: bases are unnormalized and projections are computed
+through the exact Gram-matrix formula P = V (V*V)^{-1} V*.
 
 All elimination runs in one fraction-free Gauss-Jordan kernel over
 Python-int Gaussian integers: each row is cleared to one common
@@ -14,7 +14,7 @@ step, and divided by its pivot only once, to produce the canonical basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, ModelValidationError, ZeroVector
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
 
 Vector = tuple[GaussianRational, ...]
-Row = tuple[list[int], list[int]]  # real and imaginary parts of a Gaussian-integer row
+Row = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
 
 
 def _int_row(vec: Sequence[GaussianRational]) -> Row:
@@ -64,11 +64,12 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
         rows[pivot] = rows[r]
         p, q = pre[c], pim[c]
         if q or p < 0:  # times the conjugate pivot, which makes it |pivot|^2 > 0
-            pre, pim = _primitive(
+            pre, pim = (
                 [p * x + q * y for x, y in zip(pre, pim)],
                 [p * y - q * x for x, y in zip(pre, pim)],
             )
-            p = pre[c]
+        pre, pim = _primitive(pre, pim)
+        p = pre[c]
         rows[r] = (pre, pim)
         for i in range(nrows):
             re, im = rows[i]
@@ -85,18 +86,6 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
 def _lead(re: list[int]) -> int:
     """Pivot column of a reduced row (its pivot is real, earlier entries 0)."""
     return next(c for c, x in enumerate(re) if x)
-
-
-def _canonical(rows: list[Row]) -> tuple[Vector, ...]:
-    """The canonical RREF basis: each reduced row divided by its pivot."""
-    basis = []
-    for re, im in rows:
-        d = re[_lead(re)]
-        basis.append(tuple(
-            GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else GR_ZERO
-            for a, b in zip(re, im)
-        ))
-    return tuple(basis)
 
 
 def _nullspace(rows: list[Row], ncols: int) -> list[Row]:
@@ -125,55 +114,64 @@ def _conj_dot(u: Row, v: Row) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A closed subspace of C^ambient with a canonical echelon basis.
+    """A closed subspace of C^ambient, identified by its canonical integer rows.
 
-    ``basis`` rows span the subspace and are the unique reduced echelon
-    basis, so two Subspace values are equal iff they are the same set of
-    vectors.  The constructor validates and canonicalizes whatever it is
-    given; results of the lattice operations come out of the kernel
-    already canonical and skip that step.
+    ``_rows`` are the kernel's reduced rows, each primitive with a positive
+    integer pivot, a form unique to each subspace; equality and hashing
+    compare ``(ambient, _rows)``.  The canonical echelon ``basis`` is built
+    from them on first read.  The constructor validates and reduces what it
+    is given; kernel results are built already reduced.  Immutable.
     """
 
-    ambient: int
-    basis: tuple[Vector, ...] = ()
-    # the kernel's reduced Gaussian-integer rows, one per basis row
-    _rows: tuple[Row, ...] = field(default=(), init=False, compare=False, hash=False, repr=False)
-    # the orthocomplement once computed; ortho is an involution, so both ends are set
-    _ortho: Subspace | None = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
-    # hashing the basis hashes every Fraction in it, and sets of subspaces hash often
-    _hash: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
+    # _basis is None until first read; _ortho, once computed, is set on both ends
+    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_ortho")
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ambient, self.basis))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, ambient: int, basis: Iterable[Sequence[GaussianRational]] = ()):
+        object.__setattr__(self, "ambient", ambient)
+        self.__post_init__(tuple(basis))
 
-    def __post_init__(self):
+    # kept as a separate hook on the class: perfbench's tracer wraps it by name
+    def __post_init__(self, basis: tuple[Sequence[GaussianRational], ...]):
         if self.ambient < 1:
             raise ModelValidationError("ambient dimension must be positive")
-        for vec in self.basis:
+        for vec in basis:
             if len(vec) != self.ambient:
                 raise DimensionMismatch(
                     f"basis vector of length {len(vec)} in C^{self.ambient}"
                 )
-        rows = _reduce([_int_row(v) for v in self.basis], self.ambient)
-        object.__setattr__(self, "basis", _canonical(rows))
-        object.__setattr__(self, "_rows", tuple(rows))
+        self._set_rows(_reduce([_int_row(v) for v in basis], self.ambient))
 
     @classmethod
     def _from_reduced(cls, ambient: int, rows: list[Row]) -> Subspace:
         """The subspace spanned by rows the kernel returned."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", _canonical(rows))
-        object.__setattr__(self, "_rows", tuple(rows))
+        self._set_rows(rows)
         return self
+
+    def _set_rows(self, rows: list[Row]) -> None:
+        rows = tuple((tuple(re), tuple(im)) for re, im in rows)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_hash", hash((self.ambient, rows)))
+        object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_ortho", None)
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild from the rows, not through setattr
+        return Subspace._from_reduced, (self.ambient, self._rows)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace) and self._rows == other._rows and self.ambient == other.ambient
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence[GaussianRational]], ambient: int | None = None) -> Subspace:
@@ -197,8 +195,22 @@ class Subspace:
         return cls(ambient, rows)
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The canonical RREF basis: each reduced row divided by its pivot."""
+        if self._basis is None:
+            basis = []
+            for re, im in self._rows:
+                d = re[_lead(re)]
+                basis.append(tuple(
+                    GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else GR_ZERO
+                    for a, b in zip(re, im)
+                ))
+            object.__setattr__(self, "_basis", tuple(basis))
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def sort_key(self):
         return (

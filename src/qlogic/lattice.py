@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._fixpoint import fixpoint
 from .errors import ClosureOverflow, DimensionMismatch
 from .hilbert import Subspace, join, meet, ortho
@@ -116,6 +114,8 @@ def find_distributivity_failure(
     lat: QLattice,
 ) -> tuple[Subspace, Subspace, Subspace] | None:
     """First triple with A ^ (B v C) != (A ^ B) v (A ^ C), or None."""
+    import numpy as np  # only this sweep needs it, and it dominates start-up
+
     n = len(lat)
     meet_arr = np.array(lat.meet, dtype=np.intp)
     join_arr = np.array(lat.join, dtype=np.intp)

@@ -339,3 +339,23 @@ def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, monkeypatch)
         assert code == 0
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
+
+
+def test_start_up_and_parse_leave_numpy_unimported():
+    # only lattice.find_distributivity_failure needs numpy, and importing
+    # it is most of the start-up time
+    code = (
+        "import sys\n"
+        "from qlogic.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import qlogic.cli'\n"
+        "assert main(['parse', '--formula', 'E']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'qlogic parse'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "E\n"

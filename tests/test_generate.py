@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import qlogic.bridge
+import qlogic.generate
 from qlogic.bridge import build_model, check_qmt, spec_from_dict, states_separate
 from qlogic.generate import (
     classical_model_bytes,
@@ -55,3 +59,29 @@ def test_qm_generator_dim3_within_cap():
     assert len(qm.lattice) <= 64
     assert states_separate(qm)
     assert attempts >= 1
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [((11, 3, 3, 3, 64), "gen_qm_seed11.json"), ((0, 3, 3, 3, 12), "gen_qm_seed0_cap12.json")],
+    ids=["seed11", "seed0-cap12"],
+)
+def test_qm_generator_matches_golden_file(args, golden):
+    # seed 0 at cap 12 needs 29 attempts, so it runs the overflow-retry path
+    assert qm_spec_bytes(*args) == (DATA_DIR / golden).read_bytes()
+
+
+def test_qm_generator_closes_the_lattice_once_per_attempt(monkeypatch):
+    closes = []
+    close = qlogic.generate.close
+
+    def counting_close(*args, **kwargs):
+        closes.append(close(*args, **kwargs))
+        return closes[-1]
+
+    for module in (qlogic.generate, qlogic.bridge):
+        monkeypatch.setattr(module, "close", counting_close)
+    spec, attempts = random_qm_spec(11, dim=3, n_properties=3, universe=3, closure_cap=64)
+    assert attempts == 1
+    assert len(closes) == 1
+    assert build_model(spec).lattice.elements == closes[0].elements

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from qlogic.errors import DimensionMismatch, ZeroVector
 from qlogic.gaussian import GaussianRational, gr
-from qlogic.hilbert import Subspace, born, join, leq, meet, ortho, subspace_from_strings
+from qlogic.hilbert import (
+    Subspace,
+    born,
+    join,
+    leq,
+    meet,
+    ortho,
+    subspace_from_strings,
+    subspace_to_strings,
+)
 
 import hilbert_reference as reference
 
@@ -194,3 +206,65 @@ def test_ortho_is_cached_on_both_ends():
     fresh = Subspace.span([(gr(1), gr(2), gr(0, 1))])
     assert fresh == a and hash(fresh) == hash(a)
     assert ortho(fresh) == o and ortho(fresh) is not o
+
+
+# -- identity: equality and hashing compare the canonical integer rows --------------
+
+
+def test_identity_ignores_scaling_and_spanning_set():
+    assert Subspace.span([(gr(1), gr(0))]) == Subspace.span([(gr(2), gr(0))])
+    assert hash(Subspace.span([(gr(1), gr(0))])) == hash(Subspace.span([(gr(2), gr(0))]))
+    assert Subspace.span([(gr(1), gr(0))]) != Subspace.span([(gr(0), gr(1))])
+    assert Subspace.span([(gr(2), gr(4))]) == Subspace.span([(gr(Fraction(1, 3)), gr(Fraction(2, 3)))])
+    assert Subspace.span([(gr(1, 1), gr(0, 2))]) == Subspace.span([(gr(1), gr(1, 1))])
+    assert Subspace.span([(gr(-3), gr(0)), (gr(0), gr(2))]) == Subspace.full(2)
+    assert Subspace.span([(gr(0), gr(0))], 2) == Subspace.zero(2)
+    assert Subspace.zero(2) != Subspace.zero(3)
+
+
+def test_subspace_is_immutable():
+    a = Subspace.span([(gr(1), gr(2))])
+    for name, value in (("ambient", 3), ("basis", ()), ("colour", "red")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, name, value)
+    with pytest.raises(FrozenInstanceError):
+        del a.ambient
+    assert a == Subspace.span([(gr(1), gr(2))])
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a) and twin.basis == a.basis
+
+
+@st.composite
+def _built_spaces(draw, dim):
+    """Subspaces built every way, each with its reference basis computed
+    from the same inputs by the Fraction reference."""
+    vecs = draw(_diff_vectors(dim, dim))
+    scales = [draw(_diff_scalars.filter(lambda z: not z.is_zero)) for _ in vecs]
+    rescaled = [tuple(k * x for x in v) for k, v in zip(scales, vecs)]
+    dependent = [tuple(x + y for x, y in zip(vecs[0], vecs[-1]))] if vecs else []
+    a = Subspace.span(vecs, dim)
+    ref = reference.span(vecs)
+    other = draw(_diff_vectors(dim, dim))
+    b, ref_b = Subspace.span(other, dim), reference.span(other)
+    return [
+        (a, ref),
+        (Subspace.span(rescaled + dependent, dim), ref),
+        (subspace_from_strings(subspace_to_strings(a), dim), ref),
+        (ortho(a), reference.ortho(ref, dim)),
+        (meet(a, b), reference.meet(ref, ref_b, dim)),
+        (join(a, b), reference.join(ref, ref_b)),
+        (Subspace.zero(dim), ()),
+        (Subspace.full(dim), reference.span([[gr(int(i == j)) for j in range(dim)] for i in range(dim)])),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equality_and_hash_agree_with_reference_bases(data):
+    dim = data.draw(st.integers(2, 3))
+    pool = data.draw(_built_spaces(dim)) + data.draw(_built_spaces(dim))
+    for a, ref_a in pool:
+        for b, ref_b in pool:
+            assert (a == b) == (ref_a == ref_b)
+            if a == b:
+                assert hash(a) == hash(b)
