@@ -357,6 +357,17 @@ class SignatureSpace:
         )
         return self._closure(names, cap=max_elements, overflow=overflow)
 
+    def atoms(self, generator_names: Iterable[str]) -> list[int]:
+        """Masks of the cells of bits lying in exactly the same generators.
+        The generators close to the unions of these atoms (Givant & Halmos),
+        2**len(atoms) elements."""
+        masks = [self.mask_of(Pred(name)) for name in generator_names]
+        cells: dict[tuple[int, ...], int] = {}
+        for i in range(len(self.pairs)):
+            key = tuple(mask >> i & 1 for mask in masks)
+            cells[key] = cells.get(key, 0) | 1 << i
+        return list(cells.values())
+
     def _closure(self, generator_names: Iterable[str], **limits) -> dict[int, Formula]:
         seeds: dict[int, Formula] = {}
         for name in generator_names:
@@ -393,23 +404,11 @@ def physical_leq(m: Model, f: Formula, g: Formula) -> bool:
 
 @dataclass
 class QuotientAlgebra:
-    """Signature classes with the set operations relative to omega."""
+    """Signature classes: subsets of omega, closed under the set operations."""
 
     omega: Signature
     elements: frozenset
     generators: dict[str, Signature]
-
-    def complement(self, a: Signature) -> Signature:
-        return self.omega - a
-
-    def meet(self, a: Signature, b: Signature) -> Signature:
-        return a & b
-
-    def join(self, a: Signature, b: Signature) -> Signature:
-        return a | b
-
-    def leq(self, a: Signature, b: Signature) -> bool:
-        return a <= b
 
 
 def quotient_boolean(
@@ -418,26 +417,40 @@ def quotient_boolean(
     max_depth: int = 3,
     max_elements: int = 512,
 ) -> QuotientAlgebra:
-    """The algebra of signatures of classical formulas over the predicates.
+    """The algebra of signatures of classical formulas over the predicates:
+    the unions of their atoms, a Boolean subalgebra by construction.  Errors
+    are those of ``quotient_size``."""
+    names = tuple(predicates) if predicates is not None else m.predicate_names()
+    quotient_size(m, names, max_depth, max_elements)
+    space = SignatureSpace(m)
+    unions = [0] if names else []
+    for atom in space.atoms(names):
+        unions += [union | atom for union in unions]
+    return QuotientAlgebra(
+        omega=space.to_signature(space.omega),
+        elements=frozenset(space.to_signature(mask) for mask in unions),
+        generators={name: space.to_signature(space.pred_masks[name]) for name in names},
+    )
 
-    The generated family is closed to its (finite) fixpoint so the result
-    satisfies the closure invariants regardless of the enumeration cap;
-    every element is the signature of some enumerable formula.  Exceeding
-    max_elements (beyond which exhaustive law sweeps stop being feasible)
-    raises ClosureOverflow.
-    """
+
+def quotient_size(
+    m: Model,
+    predicates: Iterable[str] | None = None,
+    max_depth: int = 3,
+    max_elements: int | None = 512,
+) -> int:
+    """Element count of ``quotient_boolean``'s carrier without building it:
+    2**atoms, 0 for an empty alphabet; above max_elements (where exhaustive
+    law sweeps stop being feasible) it raises ClosureOverflow."""
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     names = tuple(predicates) if predicates is not None else m.predicate_names()
-    space = SignatureSpace(m)
-    if not names:
-        return QuotientAlgebra(space.to_signature(space.omega), frozenset(), {})
-    classes = space.closed_classes(names, max_elements)
-    return QuotientAlgebra(
-        omega=space.to_signature(space.omega),
-        elements=frozenset(space.to_signature(mask) for mask in classes),
-        generators={name: space.to_signature(space.pred_masks[name]) for name in names},
-    )
+    size = 2 ** len(SignatureSpace(m).atoms(names)) if names else 0
+    if max_elements is not None and size > max_elements:
+        raise ClosureOverflow(
+            f"signature algebra exceeded {max_elements} elements", generators=names
+        )
+    return size
 
 
 def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[str]:
@@ -453,14 +466,7 @@ def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[
         return []
     pairs = sorted(alg.omega)
     position = {p: i for i, p in enumerate(pairs)}
-
-    def mask(sig: Signature) -> int:
-        out = 0
-        for p in sig:
-            out |= 1 << position[p]
-        return out
-
-    masks = sorted(mask(s) for s in alg.elements)
+    masks = sorted(sum(1 << position[p] for p in sig) for sig in alg.elements)
     element_set = set(masks)
     omega_mask = (1 << len(pairs)) - 1
     out: list[str] = []
@@ -554,7 +560,8 @@ def check_cmt(
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     space = SignatureSpace(m)
-    classes = space.reachable_classes(predicates or m.property_names(), max_depth)
+    names = m.property_names() if predicates is None else predicates
+    classes = space.reachable_classes(names, max_depth)
     for mask, rep in classes.items():
         if mask not in space.witnesses():
             return CmtReport(False, rep, len(classes))
@@ -572,7 +579,8 @@ def truth_collapse_violations(
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     space = SignatureSpace(m)
-    classes = space.reachable_classes(predicates or m.property_names(), max_depth)
+    names = m.property_names() if predicates is None else predicates
+    classes = space.reachable_classes(names, max_depth)
     out = []
     for mask, rep in classes.items():
         for s in m.states:

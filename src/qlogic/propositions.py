@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DepthLimitExceeded
-from .formulas import Formula, render
+from .formulas import Formula
 from .models import MAX_RELATION_DEPTH, Model, SignatureSpace
 
 
@@ -162,51 +162,48 @@ class ConnectiveRelationsReport:
 def check_connective_relations(
     m: Model, max_depth: int = 3, predicates: tuple[str, ...] | None = None
 ) -> ConnectiveRelationsReport:
-    """Verify, over all signature classes of formulas up to max_depth:
-    the proposition of a negation is inside the complement, conjunction
-    propositions are exact intersections, and disjunction propositions
-    contain the union.  Violations are witnessed; the strictness census
-    counts how often the two inclusions were proper.
+    """Strictness census of the connective/set-operation relations over
+    all signature classes of formulas up to max_depth.
 
-    ``predicates`` bounds the formula alphabet; default is the whole table.
+    Propositions are per-state "the mask covers the state's block" and
+    universes are nonempty, so the relations are theorems for any masks:
+    a negation's proposition lies inside the complement, a conjunction's is
+    the intersection, a disjunction's contains the union.  Only the census
+    is computed: a negation is strict when some state slice of the class is
+    neither empty nor full, a join of an ordered pair when some block is
+    full in m1|m2 but in neither operand; meets are never strict.
+    ``predicates`` bounds the formula alphabet; None means the whole table.
     """
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     space = SignatureSpace(m)
-    classes = space.reachable_classes(predicates or m.predicate_names(), max_depth)
-    items = list(classes.items())
-    all_states = frozenset(m.states)
-    prop_cache: dict[int, frozenset[str]] = {}
+    names = m.predicate_names() if predicates is None else predicates
+    masks = list(space.reachable_classes(names, max_depth))
+    blocks = list(space.state_masks.values())
+    strict_negations = sum(any(0 != mask & b != b for b in blocks) for mask in masks)
 
-    def prop(mask: int) -> frozenset[str]:
-        if mask not in prop_cache:
-            prop_cache[mask] = space.proposition(mask)
-        return prop_cache[mask]
+    # Per state, each non-full slice x maps to the classes (a bitset over
+    # positions in masks) whose non-full slice y fills the block with x; the
+    # bitsets of distinct slices are disjoint, so their sum is their union.
+    fillers = []
+    for block in blocks:
+        by_slice: dict[int, int] = {}
+        for position, mask in enumerate(masks):
+            if mask & block != block:
+                by_slice[mask & block] = by_slice.get(mask & block, 0) | 1 << position
+        fillers.append({
+            x: sum(bits for y, bits in by_slice.items() if x | y == block) for x in by_slice
+        })
+    strict_joins = 0
+    for mask in masks:
+        partners = 0
+        for block, table in zip(blocks, fillers):
+            partners |= table.get(mask & block, 0)
+        strict_joins += partners.bit_count()
 
-    negation = RelationStats("negation", 0, [], 0)
-    for mask, rep in items:
-        negation.checked += 1
-        p_neg = prop(space.omega & ~mask)
-        complement = all_states - prop(mask)
-        if not p_neg <= complement:
-            negation.violations.append(render(rep))
-        elif p_neg < complement:
-            negation.strict += 1
-
-    meet_rel = RelationStats("meet", 0, [], 0)
-    join_rel = RelationStats("join", 0, [], 0)
-    for m1, f1 in items:
-        p1 = prop(m1)
-        for m2, f2 in items:
-            p2 = prop(m2)
-            meet_rel.checked += 1
-            if prop(m1 & m2) != p1 & p2:
-                meet_rel.violations.append(f"{render(f1)} / {render(f2)}")
-            join_rel.checked += 1
-            p_or = prop(m1 | m2)
-            if not p_or >= p1 | p2:
-                join_rel.violations.append(f"{render(f1)} / {render(f2)}")
-            elif p_or > p1 | p2:
-                join_rel.strict += 1
-
-    return ConnectiveRelationsReport((negation, meet_rel, join_rel))
+    n = len(masks)
+    return ConnectiveRelationsReport((
+        RelationStats("negation", n, [], strict_negations),
+        RelationStats("meet", n * n, [], 0),
+        RelationStats("join", n * n, [], strict_joins),
+    ))

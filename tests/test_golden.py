@@ -4,7 +4,11 @@ The goldens under ``tests/data/golden`` are ``qlogic check`` and ``qlogic
 lattice`` outputs, text and JSON, recorded before the closures shared one
 engine.  Inputs are the two shipped specs, a seeded ``gen --kind qm``
 spec (seed 11, dim 3, 3 properties, cap 64) and a seeded classical model
-(seed 7, 3 states, 3 predicates, universe 3).
+(seed 7, 3 states, 3 predicates, universe 3).  Two more seeded classical
+models (3 states, 4 predicates, universe 4) pin the signature-algebra cap
+of ``boolean-quotient``: seed 0 has 10 atoms, 1024 elements, and must end in
+exit status 2 with the overflow message; seed 1 has 9 atoms, exactly 512
+elements, and must pass.
 """
 
 from __future__ import annotations
@@ -38,4 +42,20 @@ def test_cli_output_matches_golden(flag, path, command, fmt, capsys, monkeypatch
     assert main([command, flag, path, "--format", fmt]) == 0
     stem = path.rsplit("/", 1)[1][: -len(".json")]
     golden = DATA_DIR / "golden" / f"{stem}.{command}.{fmt}"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_check_overflow_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["check", "--model", "tests/data/gen_classical_p4_seed0.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    golden = DATA_DIR / "golden" / "gen_classical_p4_seed0.check.stderr"
+    assert captured.err.encode() == golden.read_bytes()
+
+
+def test_check_at_the_cap_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["check", "--model", "tests/data/gen_classical_p4_seed1.json"]) == 0
+    golden = DATA_DIR / "golden" / "gen_classical_p4_seed1.check.text"
     assert capsys.readouterr().out.encode() == golden.read_bytes()

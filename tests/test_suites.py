@@ -1,0 +1,148 @@
+"""Differential tests: the classical and quantum suites that ``check`` decides
+from atoms, state bitmasks and table lookups, against the enumerating loops
+of ``suite_reference``, on random classical models and generated specs."""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qlogic.bridge import _reachable_elements, build_model, check_quantum_equivalences
+from qlogic.cli import main
+from qlogic.errors import ClosureOverflow
+from qlogic.formulas import render
+from qlogic.generate import random_qm_spec
+from qlogic.models import (
+    Model,
+    PredicateInfo,
+    SignatureSpace,
+    check_cmt,
+    quotient_boolean,
+    quotient_size,
+    truth_collapse_violations,
+)
+from qlogic.propositions import check_connective_relations
+
+import suite_reference as reference
+from conftest import SPEC_DIR
+
+
+def _stats(entries):
+    return [(e.relation, e.checked, e.violations, e.strict) for e in entries]
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the message and generators of its overflow."""
+    try:
+        return fn(*args)
+    except ClosureOverflow as exc:
+        return ("overflow", str(exc), exc.generators)
+
+
+@st.composite
+def _models(draw):
+    states = tuple(f"S{i}" for i in range(draw(st.integers(1, 3))))
+    names = tuple(f"P{i}" for i in range(draw(st.integers(1, 3))))
+    sizes = {s: draw(st.integers(1, 3)) for s in states}
+    extensions = {
+        (s, name): frozenset(draw(st.sets(st.integers(0, sizes[s] - 1))))
+        for s in states
+        for name in names
+    }
+    return Model(tuple(PredicateInfo(n) for n in names), states, sizes, extensions)
+
+
+def _alphabets(model):
+    """None (the whole table) or a permutation of a subset, possibly empty."""
+    subsets = st.lists(st.sampled_from(model.predicate_names()), unique=True)
+    return st.none() | subsets.map(tuple)
+
+
+def _check_quotient(model, names):
+    """quotient_boolean and quotient_size agree with the fixpoint quotient,
+    at caps one below, at and one above the carrier's size."""
+    size = len(reference.quotient_elements(model, names, None))
+    for cap in (max(size - 1, 0), size, size + 1):  # caps count elements
+        want = _outcome(reference.quotient_elements, model, names, cap)
+        got = _outcome(lambda *args: quotient_boolean(*args).elements, model, names, 3, cap)
+        count = _outcome(quotient_size, model, names, 3, cap)
+        if isinstance(want, frozenset) and len(want) > cap:
+            # The fixpoint counts only the elements it adds against its cap,
+            # so generators that already form the whole algebra pass any cap.
+            space = SignatureSpace(model)
+            assert len({space.pred_masks[name] for name in names}) == len(want)
+            want = ("overflow", f"signature algebra exceeded {cap} elements", tuple(names))
+        assert got == want
+        assert count == (want if isinstance(want, tuple) else len(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models(), st.integers(0, 3), st.data())
+def test_classical_suites_match_reference_on_random_models(model, depth, data):
+    names = data.draw(_alphabets(model))
+    got = check_connective_relations(model, depth, predicates=names)
+    assert _stats(got.entries) == _stats(reference.connective_relations(model, depth, names))
+    _check_quotient(model, names if names is not None else model.predicate_names())
+
+
+@pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_suites_match_reference_on_generated_specs(dim, properties, seed):
+    qm = build_model(random_qm_spec(seed, dim, properties)[0])
+    generators = tuple(name for name, _ in qm.spec.properties)
+    _check_quotient(qm.model, generators)
+    for depth in (1, 2, 3):
+        got = check_connective_relations(qm.model, depth, predicates=generators)
+        want = reference.connective_relations(qm.model, depth, generators)
+        assert _stats(got.entries) == _stats(want)
+        report = check_quantum_equivalences(qm, depth)
+        want = reference.demorgan_and_implication(qm, depth)
+        assert _stats([report.demorgan, report.sasaki]) == _stats(want)
+
+
+def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
+    """A join entry changed on a copy of the worked model shows as a De Morgan
+    violation on the pair of representatives of its row and column."""
+    rng = random.Random("join-control")
+    lat = worked_qm.lattice
+    for _ in range(4):
+        a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
+        rows = [list(row) for row in lat.join]
+        rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.join[a][b]])
+        corrupted = replace(worked_qm, lattice=replace(lat, join=tuple(map(tuple, rows))))
+        report = check_quantum_equivalences(corrupted, 3)
+        assert not report.ok
+        reach = _reachable_elements(corrupted, 3)
+        assert f"{render(reach[a])} / {render(reach[b])}" in report.demorgan.violations
+        want = reference.demorgan_and_implication(corrupted, 3)
+        assert _stats([report.demorgan, report.sasaki]) == _stats(want)
+    assert not check_quantum_equivalences(worked_qm, 3).demorgan.violations
+
+
+def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
+    """A spec with no properties gives every classical suite the empty
+    alphabet, the one boolean-quotient already used, not the closure's
+    generated predicates."""
+    data = json.loads((SPEC_DIR / "worked_qm.json").read_text())
+    data["properties"] = []
+    path = tmp_path / "no_properties.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--qm-spec", str(path), "--format", "json"]) == 0
+    suites = {s["suite"]: s for s in json.loads(capsys.readouterr().out)["suites"]}
+    for name in ("negation", "meet", "join"):
+        assert suites[f"connective-relation-{name}"]["checked"] == 0
+    assert suites["boolean-quotient"]["info"] == {"elements": 0}
+    assert suites["cm-testability"]["checked"] == 0
+    assert suites["truth-certainty-collapse"]["checked"] == 0
+
+    model = build_model(replace(random_qm_spec(0)[0], properties=())).model
+    assert len(model.predicates) == 2  # the closure's zero and full subspaces
+    assert check_cmt(model, 3, predicates=()).checked_classes == 0
+    assert truth_collapse_violations(model, 3, predicates=()) == []
+    relations = check_connective_relations(model, 3, predicates=())
+    assert all(e.checked == 0 for e in relations.entries)
