@@ -22,8 +22,11 @@ def fixpoint(
     its operands' representatives when the element first appeared.  Unary
     operations run first, then binary ones over ordered pairs, left-major,
     so elements get the representatives and order of rounds over all pairs.
-    ``rounds`` bounds the rounds (None: to the fixpoint); the insertion
-    that takes the count above ``cap`` raises ``overflow``."""
+    ``rounds`` bounds the rounds (None: to the fixpoint); more than ``cap``
+    seeds, or the insertion that takes the count above ``cap``, raises
+    ``overflow``."""
+    if cap is not None and len(seeds) > cap:
+        raise overflow
     found = dict(seeds)
     lo = 0  # found's items from lo on were added by the previous round
 

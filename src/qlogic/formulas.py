@@ -37,54 +37,80 @@ MAX_NESTING = 100  # parentheses, prefix operators and tree height, each
 
 
 class Formula:
-    """Base class for all AST nodes; instances are immutable and hashable."""
+    """Base class for all AST nodes; instances are immutable and hashable.
 
-    __slots__ = ()
+    Each node hashes its class name and fields once, at construction, into
+    ``_hash``, a slot that equality ignores, so dict lookups keyed by
+    formulas do not rehash whole trees; the class name keeps connectives
+    over the same children (``E & F``, ``E | F``) from colliding.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *self._fields())))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle rebuild the node, which rehashes it
+        return type(self), self._fields()
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen slotted dataclass node keeping Formula's cached ``__hash__``,
+    which the dataclass would replace by one that rehashes the fields."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Pred(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QNot(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QAnd(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QOr(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QImp(Formula):
     left: Formula
     right: Formula

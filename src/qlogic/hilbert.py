@@ -275,6 +275,10 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
         raise ZeroVector("born probability of the zero vector")
     if a.dim == 0:
         return Fraction(0)
+    if a.dim == 1:  # a line through u: |<u|psi>|^2 / (<u|u> <psi|psi>)
+        (u,) = a._rows
+        cr, ci = _conj_dot(u, v)
+        return Fraction(cr * cr + ci * ci, _conj_dot(u, u)[0] * norm2)
     # Gram system G y = c in one augmented matrix [G | c]; its reduced rows
     # hold y_r = e_r / d_r with d_r the pivot and e_r the last entry
     coeffs = [_conj_dot(u, v) for u in a._rows]

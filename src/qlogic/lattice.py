@@ -55,17 +55,35 @@ def close(
     overflow = ClosureOverflow(
         f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators)
     )
-    seeds = dict.fromkeys([Subspace.zero(dim), Subspace.full(dim), *generators])
-    if len(seeds) > cap:
-        raise overflow
+    zero = Subspace.zero(dim)
+    seeds = dict.fromkeys([zero, Subspace.full(dim), *generators])
 
     pairs: dict[tuple[Subspace, Subspace], tuple[Subspace, Subspace]] = {}
 
     def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-        """Meet and join of a and b, computed once per unordered pair."""
+        """Meet and join of a and b, computed once per unordered pair.
+
+        The join comes first; the subspace lattice of C^dim is modular, so
+        dim(a ^ b) = dim a + dim b - dim(a v b) (Grassmann), and the meet is
+        0, a or b whenever that dimension is 0, dim a or dim b."""
         got = pairs.get((a, b)) or pairs.get((b, a))
         if got is None:
-            got = pairs[(a, b)] = (meet(a, b), join(a, b))
+            if a == b or b.dim == 0 or a.dim == dim:  # b lies in a
+                got = (b, a)
+            elif a.dim == 0 or b.dim == dim:  # a lies in b
+                got = (a, b)
+            else:
+                j = join(a, b)
+                d = a.dim + b.dim - j.dim
+                if d == 0:
+                    got = (zero, j)
+                elif d == a.dim:
+                    got = (a, j)
+                elif d == b.dim:
+                    got = (b, j)
+                else:
+                    got = (meet(a, b), j)
+            pairs[(a, b)] = got
         return got
 
     found = fixpoint(

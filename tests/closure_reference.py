@@ -36,13 +36,14 @@ def closed_classes(
     classes: dict[int, Formula] = {}
     for name in generator_names:
         classes.setdefault(space.mask_of(Pred(name)), Pred(name))
-    while _grow(space, classes):
+    while True:
         if max_elements is not None and len(classes) > max_elements:
             raise ClosureOverflow(
                 f"signature algebra exceeded {max_elements} elements",
                 generators=tuple(generator_names),
             )
-    return classes
+        if not _grow(space, classes):
+            return classes
 
 
 def _grow(space, classes: dict[int, Formula]) -> bool:

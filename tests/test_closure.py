@@ -98,6 +98,22 @@ def test_signature_classes_match_reference(model, depth, data):
         assert list(got.items()) == list(want.items())
 
 
+def test_closed_classes_count_seeds_against_the_cap():
+    """Generators that already form the whole algebra still overflow a cap
+    below their number: one state, one object, P empty and Q full."""
+    model = Model(
+        (PredicateInfo("P"), PredicateInfo("Q")),
+        ("S0",),
+        {"S0": 1},
+        {("S0", "P"): frozenset(), ("S0", "Q"): frozenset({0})},
+    )
+    space = SignatureSpace(model)
+    overflow = ("overflow", "signature algebra exceeded 1 elements", ("P", "Q"))
+    assert _outcome(space.closed_classes, ("P", "Q"), 1) == overflow
+    assert _outcome(reference.closed_classes, space, ("P", "Q"), 1) == overflow
+    assert len(space.closed_classes(("P", "Q"), 2)) == 2
+
+
 @pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**16))

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,3 +177,20 @@ def test_nesting_limit(template):
     parse(template(MAX_NESTING))
     with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
         parse(template(MAX_NESTING + 1))
+
+
+def test_hash_is_cached_and_copies_recompute_it():
+    """Each node hashes once; equality ignores the cached value, connectives
+    over the same children hash apart, and copy and pickle rebuild the
+    node, so a stale value never travels with it."""
+    f = QImp(And(Pred("E"), Not(Pred("F"))), QOr(Pred("G"), QNot(Pred("E"))))
+    fresh = parse(render(f))
+    assert fresh == f and fresh is not f and hash(fresh) == hash(f)
+    assert len({hash(op(f, fresh)) for op in (And, Or, QAnd, QOr, QImp)}) == 5
+    assert hash(Not(f)) != hash(QNot(f))
+    with pytest.raises(FrozenInstanceError):
+        f.left = Pred("E")
+    object.__setattr__(f, "_hash", hash(f) + 1)  # as if hashed under another seed
+    assert f == fresh
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and hash(twin) == hash(fresh)

@@ -188,6 +188,18 @@ def test_kernel_matches_reference_on_one_space(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_born_on_lines_matches_reference(data):
+    """Every example is a line, so born takes its rank-one closed form."""
+    dim = data.draw(st.integers(2, 5))
+    vector = st.tuples(*[_diff_scalars] * dim).filter(lambda v: any(not z.is_zero for z in v))
+    line = Subspace.span([data.draw(vector)], dim)
+    psi = data.draw(vector)
+    assert line.dim == 1
+    assert born(psi, line) == reference.born(psi, line.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_kernel_matches_reference_on_pairs(data):
     dim = data.draw(st.integers(2, 5))
     a = Subspace.span(data.draw(_diff_vectors(dim, dim)), dim)

@@ -16,6 +16,8 @@ from qlogic.lattice import (
     orthomodularity_witness,
 )
 
+import closure_reference as reference
+
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
 EX = Subspace.span([(gr(1), gr(1))])
@@ -130,3 +132,60 @@ def test_close_rejects_mixed_dimensions():
 
     with _pytest.raises(DimensionMismatch):
         close([E1, Subspace.span([(gr(1), gr(0), gr(0))])])
+
+
+# -- MO_k x MO_k: a closed-form scale corpus ------------------------------------------
+
+
+def _mo_squared(k: int) -> list[Subspace]:
+    """k orthonormal bases of lines (1, t), (-t, 1), t = 0..k-1, in each C^2
+    block of C^4 = C^2 + C^2; they close to MO_k x MO_k (Kalmbach 1983)."""
+    zero = gr(0)
+    lines = []
+    for t in map(gr, range(k)):
+        for u, v in ((gr(1), t), (-t, gr(1))):
+            lines.append(Subspace.span([(u, v, zero, zero)]))
+            lines.append(Subspace.span([(zero, zero, u, v)]))
+    return lines
+
+
+def _first_distributivity_failure(lat):
+    n = range(len(lat))
+    return next(
+        (
+            (a, b, c)
+            for a in n
+            for b in n
+            for c in n
+            if lat.meet[a][lat.join[b][c]] != lat.join[lat.meet[a][b]][lat.meet[a][c]]
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_mo_k_squared_has_its_closed_form_shape(k):
+    """(2k+2)^2 elements, 4k atoms, orthomodular, distributive iff k = 1:
+    facts of MO_k x MO_k, read off the tables by loops of their own."""
+    lat = close(_mo_squared(k), dim=4)
+    n = len(lat)
+    assert n == (2 * k + 2) ** 2
+    below = [[j for j in range(n) if lat.meet[j][i] == j] for i in range(n)]
+    atoms = [i for i in range(n) if len(below[i]) == 2]  # only zero and itself
+    assert len(atoms) == 4 * k
+    assert all(lat.elements[i].dim == 1 for i in atoms)
+    assert all(
+        lat.join[i][lat.meet[j][lat.ortho[i]]] == j for j in range(n) for i in below[j]
+    )
+    assert (_first_distributivity_failure(lat) is None) == (k == 1)
+    assert is_orthomodular(lat)
+    assert (find_distributivity_failure(lat) is None) == (k == 1)
+
+
+def test_mo_2_squared_tables_match_reference():
+    generators = _mo_squared(2)
+    got, want = close(generators, dim=4), reference.close(generators, dim=4)
+    assert len(got) == 36
+    assert got.elements == want.elements
+    assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
+    assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)
