@@ -44,7 +44,6 @@ from .formulas import (
 )
 from .gaussian import GaussianRational, parse_vector, vector_strings
 from .hilbert import Subspace, born, subspace_from_strings, subspace_to_strings
-from .hilbert import leq as subspace_leq
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     MAX_RELATION_DEPTH,
@@ -52,6 +51,7 @@ from .models import (
     PredicateInfo,
     SignatureSpace,
     eval_open,
+    expect_json,
     read_json,
 )
 from .propositions import RelationStats, proposition_poset
@@ -107,19 +107,26 @@ class QMModelSpec:
 
 def spec_from_dict(data: Mapping) -> QMModelSpec:
     try:
-        dim = int(data["dim"])
-        states = tuple(
-            (str(s["name"]), parse_vector(list(s["vector"]))) for s in data["states"]
-        )
-        properties = tuple(
-            (str(p["name"]), subspace_from_strings([list(r) for r in p["basis"]], dim))
-            for p in data["properties"]
-        )
-        universe = int(data.get("universe", 4))
-        cap = int(data.get("closure_cap", DEFAULT_CLOSURE_CAP))
+        data = expect_json(data, dict, "a spec")
+        dim = expect_json(data["dim"], int, "dim")
+        states = []
+        for s in expect_json(data["states"], list, "states"):
+            s = expect_json(s, dict, "a state")
+            name = expect_json(s["name"], str, "a state name")
+            vector = expect_json(s["vector"], list, f"the vector of {name!r}")
+            states.append((name, parse_vector(vector)))
+        properties = []
+        for p in expect_json(data["properties"], list, "properties"):
+            p = expect_json(p, dict, "a property")
+            name = expect_json(p["name"], str, "a property name")
+            basis = expect_json(p["basis"], list, f"the basis of {name!r}")
+            rows = [expect_json(r, list, f"a basis vector of {name!r}") for r in basis]
+            properties.append((name, subspace_from_strings(rows, dim)))
+        universe = expect_json(data.get("universe", 4), int, "universe")
+        cap = expect_json(data.get("closure_cap", DEFAULT_CLOSURE_CAP), int, "closure_cap")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed spec file: {exc}") from exc
-    return QMModelSpec(dim, states, properties, universe, cap)
+    return QMModelSpec(dim, tuple(states), tuple(properties), universe, cap)
 
 
 def spec_to_dict(spec: QMModelSpec) -> dict:
@@ -184,7 +191,7 @@ def _table_order(spec: QMModelSpec, lat: QLattice, element_index: dict[str, int]
     return order
 
 
-def _primary_pairs(spec: QMModelSpec, lat: QLattice, order: list[int]) -> list[tuple[int, int]]:
+def _primary_pairs(lat: QLattice, order: list[int]) -> list[tuple[int, int]]:
     """Ortho pairs as (primary, partner): the primary is the first member
     in table order and is the one the probability rule applies to; its
     partner always receives the set complement."""
@@ -240,23 +247,22 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
     element_index = {name: i for i, name in enumerate(names)}
 
     state_names = tuple(name for name, _ in spec.states)
-    atoms = {name: Subspace.span([vec]) for name, vec in spec.states}
-    theta = {
-        names[i]: frozenset(
-            s for s in state_names if subspace_leq(atoms[s], lat.elements[i])
-        )
-        for i in range(len(lat))
-    }
-
     n = spec.universe_size
     full = frozenset(range(n))
     order = _table_order(spec, lat, element_index)
+    inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
-    for i, j in _primary_pairs(spec, lat, order):
+    for i, j in _primary_pairs(lat, order):
         for sname, vec in spec.states:
-            ext = _rule_extension(born(vec, lat.elements[i]), n, names[i], sname)
+            p = born(vec, lat.elements[i])  # the atom lies in i at 1, in j at 0
+            if p == 1:
+                inside[i].append(sname)
+            elif p == 0:
+                inside[j].append(sname)
+            ext = _rule_extension(p, n, names[i], sname)
             extensions[(sname, names[i])] = ext
             extensions[(sname, names[j])] = full - ext
+    theta = {name: frozenset(states) for name, states in zip(names, inside)}
 
     predicates = tuple(
         PredicateInfo(names[i], True, names[lat.ortho[i]]) for i in order
@@ -372,7 +378,7 @@ def check_qmt(qm: QuantumModel) -> QmtReport:
     n = qm.spec.universe_size
     full = frozenset(range(n))
     order = _table_order(qm.spec, qm.lattice, qm.element_index)
-    for i, j in _primary_pairs(qm.spec, qm.lattice, order):
+    for i, j in _primary_pairs(qm.lattice, order):
         name_i, name_j = qm.predicate_names[i], qm.predicate_names[j]
         for sname, vec in qm.spec.states:
             ext_i = model.extensions[(sname, name_i)]

@@ -95,6 +95,8 @@ def gr(real: RationalLike = 0, imag: RationalLike = 0) -> GaussianRational:
 
 def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal: "1", "-1/2", "0+1i", "3/4-1/4i", "2i"."""
+    if not isinstance(text, str):
+        raise ModelValidationError(f"scalar literal {text!r:.40} is not a string")
     s = text.strip()
     m = _RE_BOTH.match(s)
     if m:

@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 
-from .bridge import QMModelSpec, _model_from_lattice, check_qmt, states_separate
+from .bridge import QMModelSpec, _model_from_lattice, states_separate
 from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
 from .hilbert import Subspace, join
@@ -153,7 +153,7 @@ def random_qm_spec(
                 qm = _model_from_lattice(spec, lat)
             except ModelValidationError:
                 continue
-            if states_separate(qm) and check_qmt(qm).ok:
+            if states_separate(qm):
                 return spec, attempt
     raise ClosureOverflow(
         f"no adequate spec found for seed {seed} within {max_attempts} attempts"

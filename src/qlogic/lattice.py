@@ -131,20 +131,15 @@ def is_orthomodular(lat: QLattice) -> bool:
 def find_distributivity_failure(
     lat: QLattice,
 ) -> tuple[Subspace, Subspace, Subspace] | None:
-    """First triple with A ^ (B v C) != (A ^ B) v (A ^ C), or None."""
-    import numpy as np  # only this sweep needs it, and it dominates start-up
-
-    n = len(lat)
-    meet_arr = np.array(lat.meet, dtype=np.intp)
-    join_arr = np.array(lat.join, dtype=np.intp)
-    for a in range(n):
-        lhs = meet_arr[a][join_arr]  # lhs[b, c] = a ^ (b v c)
-        ma = meet_arr[a]
-        rhs = join_arr[ma[:, None], ma[None, :]]  # rhs[b, c] = (a^b) v (a^c)
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            b, c = map(int, bad[0])
-            return (lat.elements[a], lat.elements[b], lat.elements[c])
+    """First triple, in lexicographic index order, with
+    A ^ (B v C) != (A ^ B) v (A ^ C), or None."""
+    join = lat.join
+    for a, meet_a in enumerate(lat.meet):
+        for b, join_b in enumerate(join):
+            join_ab = join[meet_a[b]]
+            for c, bc in enumerate(join_b):
+                if meet_a[bc] != join_ab[meet_a[c]]:
+                    return (lat.elements[a], lat.elements[b], lat.elements[c])
     return None
 
 

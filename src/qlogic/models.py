@@ -153,6 +153,18 @@ class Model:
 # -- model files --------------------------------------------------------------
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def expect_json(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (dict, list, str or int,
+    never a boolean); otherwise TypeError, which the loaders report as a
+    malformed file."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, not {value!r:.40}")
+    return value
+
+
 def _property_flag(entry: Mapping) -> bool:
     flag = entry.get("property", True)
     if not isinstance(flag, bool):
@@ -164,26 +176,33 @@ def _property_flag(entry: Mapping) -> bool:
 
 def model_from_dict(data: Mapping) -> Model:
     try:
-        preds = tuple(
-            PredicateInfo(
-                name=str(p["name"]),
-                is_property=_property_flag(p),
-                ortho=p.get("ortho"),
-            )
-            for p in data["predicates"]
-        )
+        data = expect_json(data, dict, "a model")
+        preds = []
+        for p in expect_json(data["predicates"], list, "predicates"):
+            p = expect_json(p, dict, "a predicate")
+            name = expect_json(p["name"], str, "a predicate name")
+            ortho = p.get("ortho")
+            if ortho is not None:
+                expect_json(ortho, str, f"the ortho of {name!r}")
+            preds.append(PredicateInfo(name, _property_flag(p), ortho))
         states = []
         sizes: dict[str, int] = {}
         extensions: dict[tuple[str, str], frozenset[int]] = {}
-        for entry in data["states"]:
-            s = str(entry["name"])
+        for entry in expect_json(data["states"], list, "states"):
+            entry = expect_json(entry, dict, "a state")
+            s = expect_json(entry["name"], str, "a state name")
             states.append(s)
-            sizes[s] = int(entry["universe"])
-            for pname, indices in entry.get("extensions", {}).items():
-                extensions[(s, str(pname))] = frozenset(int(i) for i in indices)
+            sizes[s] = expect_json(entry["universe"], int, f"the universe of {s!r}")
+            exts = expect_json(entry.get("extensions", {}), dict, f"the extensions of {s!r}")
+            for pname, indices in exts.items():
+                what = f"the extension of {pname!r} in {s!r}"
+                extensions[(s, pname)] = frozenset(
+                    expect_json(i, int, f"an index in {what}")
+                    for i in expect_json(indices, list, what)
+                )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed model file: {exc}") from exc
-    return Model(preds, tuple(states), sizes, extensions)
+    return Model(tuple(preds), tuple(states), sizes, extensions)
 
 
 def model_to_dict(m: Model) -> dict:
@@ -213,7 +232,7 @@ def read_json(path: str | Path):
             return json.load(fh)
     except OSError as exc:
         raise ModelValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8, digit limit, nesting
         raise ModelValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

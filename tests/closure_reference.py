@@ -5,7 +5,8 @@ closures shared one semi-naive engine: the signature classes of a
 ``SignatureSpace``, the lattice elements reachable by qwffs, and the
 subspace lattice of ``lattice.close``.  The differential tests require the
 engine to give the same keys, representatives, order and overflow as
-these loops.
+these loops.  The vectorized distributivity sweep the package ran on
+numpy before its plain scan closes the module.
 """
 
 from __future__ import annotations
@@ -179,3 +180,26 @@ def close(
         full_index=index[Subspace.full(dim)],
         index=index,
     )
+
+
+# -- distributivity ---------------------------------------------------------------
+
+
+def find_distributivity_failure(
+    lat: QLattice,
+) -> tuple[Subspace, Subspace, Subspace] | None:
+    """First triple with A ^ (B v C) != (A ^ B) v (A ^ C), or None."""
+    import numpy as np  # the tests' dependency, not the package's
+
+    n = len(lat)
+    meet_arr = np.array(lat.meet, dtype=np.intp)
+    join_arr = np.array(lat.join, dtype=np.intp)
+    for a in range(n):
+        lhs = meet_arr[a][join_arr]  # lhs[b, c] = a ^ (b v c)
+        ma = meet_arr[a]
+        rhs = join_arr[ma[:, None], ma[None, :]]  # rhs[b, c] = (a^b) v (a^c)
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            b, c = map(int, bad[0])
+            return (lat.elements[a], lat.elements[b], lat.elements[c])
+    return None

@@ -359,3 +359,67 @@ def test_start_up_and_parse_leave_numpy_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "E\n"
+
+
+@pytest.mark.parametrize(
+    "flag, path, value, message",
+    [
+        ("--model", ["states", 0, "extensions"], [], "extensions of 'S1' must be an object"),
+        ("--model", ["states", 0, "universe"], "1e400", "universe of 'S1' must be an integer"),
+        ("--model", ["states", 0, "extensions", "Hot"], "012", "must be an array"),
+        ("--model", ["states", 0, "name"], None, "state name must be a string"),
+        ("--model", ["predicates", 0, "ortho"], ["Hot_perp"], "ortho of 'Hot'"),
+        ("--qm-spec", ["properties", 0, "basis"], [[1, 0]], "scalar literal 1 is not"),
+        ("--qm-spec", ["states", 0, "vector"], "10", "vector of 'Sz+' must be an array"),
+        ("--qm-spec", ["properties", 0, "basis"], ["10"], "basis vector of 'Ez' must be"),
+        ("--qm-spec", ["dim"], 2.5, "dim must be an integer"),
+    ],
+    ids=[
+        "extensions-list", "universe-1e400", "extension-string", "state-name-null",
+        "ortho-list", "basis-numbers", "vector-string", "basis-row-string", "dim-float",
+    ],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, flag, path, value, message):
+    with open(CM if flag == "--model" else WORKED, encoding="utf-8") as fh:
+        data = json.load(fh)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / "input.json"
+    # a bare 1e400 is valid JSON that json.dumps cannot write
+    target.write_text(json.dumps(data).replace('"1e400"', "1e400"))
+    code, out, err = run(capsys, "check", flag, str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ModelValidationError:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "check", "--model", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ModelValidationError:") and "is not valid JSON" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "lattice"])
+@pytest.mark.parametrize("path", ["specs/worked_qm.json", "tests/data/gen_qm_seed11.json"])
+def test_reports_need_no_numpy(command, path):
+    # None in sys.modules makes every later `import numpy` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qlogic.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--qm-spec", path],
+        capture_output=True,
+        cwd=REPO,  # the check report echoes the input path as given
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    stem = path.rsplit("/", 1)[1][: -len(".json")]
+    assert proc.stdout == (DATA_DIR / "golden" / f"{stem}.{command}.text").read_bytes()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import gr
+from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, join, meet, ortho
 from qlogic.lattice import (
     close,
@@ -189,3 +191,49 @@ def test_mo_2_squared_tables_match_reference():
     assert got.elements == want.elements
     assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
     assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)
+
+
+# -- distributivity scan against the numpy sweep ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def differential_lattices():
+    """Closures of generated specs (five (dim, properties) shapes, seeds 0-3) and
+    MO_k x MO_k for k = 1, 2, 3."""
+    lattices = []
+    for dim, properties in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
+        for seed in range(4):
+            spec, _ = random_qm_spec(seed, dim, properties, closure_cap=128)
+            lattices.append(close([sub for _, sub in spec.properties], dim=dim))
+    lattices.extend(close(_mo_squared(k), dim=4) for k in (1, 2, 3))
+    return lattices
+
+
+def _corrupted(lat, rng):
+    """A copy with one to three random meet, join or ortho entries rewritten."""
+    n = len(lat)
+    tables = {name: [list(row) for row in getattr(lat, name)] for name in ("meet", "join")}
+    ortho = list(lat.ortho)
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(["meet", "join", "ortho"])
+        if name == "ortho":
+            ortho[rng.randrange(n)] = rng.randrange(n)
+        else:
+            tables[name][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return dataclasses.replace(
+        lat,
+        ortho=tuple(ortho),
+        **{name: tuple(map(tuple, rows)) for name, rows in tables.items()},
+    )
+
+
+def test_distributivity_scan_matches_numpy_reference(differential_lattices):
+    witnesses = []
+    for lat in differential_lattices:
+        witnesses.append(find_distributivity_failure(lat))
+        assert witnesses[-1] == reference.find_distributivity_failure(lat)
+    assert None in witnesses and any(witnesses)  # both outcomes occur
+    rng = random.Random(8)
+    for _ in range(300):
+        lat = _corrupted(rng.choice(differential_lattices), rng)
+        assert find_distributivity_failure(lat) == reference.find_distributivity_failure(lat)
