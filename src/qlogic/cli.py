@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: parse, eval, check, lattice, gen.  Exit status is 0 when all
-requested checks pass, 1 on input or usage errors, 2 when a lattice
+requested checks pass, 1 on input or usage errors, 2 when a subspace
 closure exceeds its cap.  Reports are deterministic for fixed inputs and
 seed; machine-readable output carries no timestamps.
 """
@@ -501,26 +501,26 @@ def _lattice_nodes_edges(cfg: RunConfig, model: Model, qm: QuantumModel | None):
                     "states": sorted(qm.theta[name]),
                 }
             )
-        return nodes, cover_edges(len(lat), lambda i, j: i != j and lat.leq(i, j))
+        ups = [sum(1 << j for j, m in enumerate(row) if m == i) for i, row in enumerate(lat.meet)]
+        return nodes, cover_edges(ups)
+    # A union of atoms holds in exactly the states whose block misses every
+    # atom it leaves out, so the propositions are all states and every
+    # intersection of the per-atom sets of such states.
     space = SignatureSpace(model)
-    classes = space.closed_classes(model.predicate_names(), max_elements=4096)
-    props: list[frozenset[str]] = []
-    for mask in classes:
-        prop = space.proposition(mask)
-        if prop not in props:
-            props.append(prop)
-    props.sort(key=lambda s: (len(s), sorted(s)))
+    alphabet = model.predicate_names()
+    found = {frozenset(model.states)} if alphabet else set()
+    for atom in space.atoms(alphabet):
+        missed = frozenset(s for s in model.states if not space.state_masks[s] & atom)
+        found |= {prop & missed for prop in found}
+    props = sorted(found, key=lambda s: (len(s), sorted(s)))
+    held = {p.name: space.proposition(space.pred_masks[p.name]) for p in model.predicates}
     nodes = []
     for i, prop in enumerate(props):
-        names = [
-            p.name
-            for p in model.predicates
-            if space.proposition(space.pred_masks[p.name]) == prop
-        ]
+        names = [name for name, states in held.items() if states == prop]
         literal = "{" + ",".join(sorted(prop)) + "}"
         label = literal if not names else f"{literal} {'/'.join(names)}"
         nodes.append({"id": i, "label": label, "predicates": names, "states": sorted(prop)})
-    return nodes, cover_edges(len(props), lambda i, j: props[i] < props[j])
+    return nodes, cover_edges([sum(1 << j for j, q in enumerate(props) if p <= q) for p in props])
 
 
 def cmd_lattice(cfg: RunConfig) -> int:

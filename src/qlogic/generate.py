@@ -133,10 +133,10 @@ def random_qm_spec(
         except ClosureOverflow:
             continue
         states = []
-        for element in lat.elements:
+        for i, element in enumerate(lat.elements):
             if element.dim == 0:
                 continue
-            avoid = [a for a in lat.elements if not subspace_leq(element, a)]
+            avoid = [a for k, a in enumerate(lat.elements) if not lat.leq(i, k)]
             vec = _vector_inside(rng, element, avoid)
             if vec is None:
                 break

@@ -437,10 +437,14 @@ def quotient_boolean(
     max_elements: int = 512,
 ) -> QuotientAlgebra:
     """The algebra of signatures of classical formulas over the predicates:
-    the unions of their atoms, a Boolean subalgebra by construction.  Errors
-    are those of ``quotient_size``."""
+    the unions of their atoms, a Boolean subalgebra by construction.  A
+    carrier above max_elements raises ClosureOverflow instead of being
+    built."""
     names = tuple(predicates) if predicates is not None else m.predicate_names()
-    quotient_size(m, names, max_depth, max_elements)
+    if quotient_size(m, names, max_depth) > max_elements:
+        raise ClosureOverflow(
+            f"signature algebra exceeded {max_elements} elements", generators=names
+        )
     space = SignatureSpace(m)
     unions = [0] if names else []
     for atom in space.atoms(names):
@@ -453,23 +457,14 @@ def quotient_boolean(
 
 
 def quotient_size(
-    m: Model,
-    predicates: Iterable[str] | None = None,
-    max_depth: int = 3,
-    max_elements: int | None = 512,
+    m: Model, predicates: Iterable[str] | None = None, max_depth: int = 3
 ) -> int:
     """Element count of ``quotient_boolean``'s carrier without building it:
-    2**atoms, 0 for an empty alphabet; above max_elements (where exhaustive
-    law sweeps stop being feasible) it raises ClosureOverflow."""
+    2**atoms, 0 for an empty alphabet."""
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     names = tuple(predicates) if predicates is not None else m.predicate_names()
-    size = 2 ** len(SignatureSpace(m).atoms(names)) if names else 0
-    if max_elements is not None and size > max_elements:
-        raise ClosureOverflow(
-            f"signature algebra exceeded {max_elements} elements", generators=names
-        )
-    return size
+    return 2 ** len(SignatureSpace(m).atoms(names)) if names else 0
 
 
 def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[str]:

@@ -9,7 +9,7 @@ predicates gives the stricter notion used by the quantum bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 from .errors import DepthLimitExceeded
 from .formulas import Formula
@@ -64,60 +64,54 @@ class PropositionPoset:
     is_lattice: bool
     orthocomplement: dict[int, int] | None = None
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.elements[i] <= self.elements[j]
-
     def cover_edges(self) -> list[tuple[int, int]]:
         """Hasse edges: i covered by j with nothing strictly between."""
-        return cover_edges(len(self.elements), lambda i, j: self.elements[i] < self.elements[j])
+        n = len(self.elements)
+        return cover_edges(
+            [sum(1 << j for j in range(n) if self.meets[(i, j)] == i) for i in range(n)]
+        )
 
 
-def cover_edges(n: int, less: Callable[[int, int], bool]) -> list[tuple[int, int]]:
-    """Hasse edges (i, j) of the strict order ``less`` on range(n): i < j
-    with no k strictly between, in (i, j) lexicographic order."""
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if less(i, j) and not any(less(i, k) and less(k, j) for k in range(n))
-    ]
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _bound_index(
-    elements: tuple[frozenset[str], ...], i: int, j: int, lower: bool
-) -> int | None:
-    if lower:
-        candidates = [
-            k for k, e in enumerate(elements) if e <= elements[i] and e <= elements[j]
-        ]
-        best = [k for k in candidates if all(elements[c] <= elements[k] for c in candidates)]
-    else:
-        candidates = [
-            k for k, e in enumerate(elements) if e >= elements[i] and e >= elements[j]
-        ]
-        best = [k for k in candidates if all(elements[c] >= elements[k] for c in candidates)]
-    return best[0] if best else None
+def cover_edges(ups: Sequence[int]) -> list[tuple[int, int]]:
+    """Hasse edges (i, j) of a finite order on range(len(ups)), where bit j
+    of ups[i] is set when i <= j: j covers i when it lies strictly above i
+    and strictly above nothing else that does.  In (i, j) lexicographic
+    order."""
+    strict = [up & ~(1 << i) for i, up in enumerate(ups)]
+    edges = []
+    for i, above in enumerate(strict):
+        beyond = 0
+        for k in _bits(above):
+            beyond |= strict[k]
+        edges += [(i, j) for j in _bits(above & ~beyond)]
+    return edges
 
 
 def proposition_poset(m: Model, formulas: list[Formula]) -> PropositionPoset:
-    """Poset of the distinct physical propositions of the given formulas."""
+    """Poset of the distinct physical propositions of the given formulas.
+
+    Bounds come from bitmask down-sets and up-sets: the glb of i and j is
+    the element whose down-set is down[i] & down[j], the one with exactly
+    their common lower bounds, and dually for the lub."""
     space = SignatureSpace(m)
     cache: dict[Formula, int] = {}
-    seen: list[frozenset[str]] = []
-    for f in formulas:
-        prop = space.proposition(space.mask_of(f, cache))
-        if prop not in seen:
-            seen.append(prop)
+    seen = dict.fromkeys(space.proposition(space.mask_of(f, cache)) for f in formulas)
     elements = tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
-    meets: dict[tuple[int, int], int | None] = {}
-    joins: dict[tuple[int, int], int | None] = {}
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            meets[(i, j)] = _bound_index(elements, i, j, lower=True)
-            joins[(i, j)] = _bound_index(elements, i, j, lower=False)
-    is_lattice = all(v is not None for v in meets.values()) and all(
-        v is not None for v in joins.values()
-    )
+    downs = [sum(1 << k for k, q in enumerate(elements) if q <= p) for p in elements]
+    ups = [sum(1 << k for k, q in enumerate(elements) if p <= q) for p in elements]
+    by_down = {d: i for i, d in enumerate(downs)}
+    by_up = {u: i for i, u in enumerate(ups)}
+    pairs = [(i, j) for i in range(len(elements)) for j in range(len(elements))]
+    meets = {(i, j): by_down.get(downs[i] & downs[j]) for i, j in pairs}
+    joins = {(i, j): by_up.get(ups[i] & ups[j]) for i, j in pairs}
+    is_lattice = None not in meets.values() and None not in joins.values()
     return PropositionPoset(elements, meets, joins, is_lattice)
 
 
