@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 from .bridge import (
     QuantumModel,
+    _reduce_element,
+    _verdict,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -23,8 +25,6 @@ from .bridge import (
     check_quantum_equivalences,
     load_spec,
     lt_quotient_check,
-    q_truth,
-    reduce_qwff,
     states_separate,
 )
 from .errors import (
@@ -65,7 +65,6 @@ from .models import (
     eval_open,
     load_model,
     quotient_size,
-    truth_collapse_violations,
 )
 from .propositions import check_connective_relations, cover_edges
 
@@ -81,40 +80,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None = None
-    qm_spec: str | None = None
-    formula: str | None = None
-    depth: int = 3
-    seed: int = 0
-    fmt: str = "text"
-    cap: int = 512
-    out: str | None = None
-    kind: str = "classical"
-    gen_states: int = 2
-    gen_predicates: int = 2
-    gen_universe: int = 3
-    gen_dim: int = 2
-    gen_properties: int = 2
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, formula=False):
+    def add_common(p, model=True, formula=False, formats=("text", "json")):
         if model:
             p.add_argument("--model", help="finite model file (JSON)")
             p.add_argument("--qm-spec", dest="qm_spec", help="Hilbert spec file (JSON)")
         if formula:
             p.add_argument("--formula", help="formula text")
         p.add_argument("--depth", type=int, default=3, help="enumeration depth cap, 0 to 4")
-        p.add_argument("--seed", type=int, default=0, help="generator seed (64-bit unsigned)")
-        p.add_argument(
-            "--format", dest="fmt", choices=("text", "json", "dot"), default="text"
-        )
+        if formats:
+            p.add_argument("--format", dest="fmt", choices=formats, default="text")
         p.add_argument("--cap", type=int, default=512, help="closure element cap")
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
@@ -127,11 +105,12 @@ def _build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
-    add_common(p)
+    add_common(p, formats=("text", "json", "dot"))
     p.add_argument("--out", help="write the artifact here instead of stdout")
 
     p = sub.add_parser("gen", help="emit a seeded random model or spec file")
-    add_common(p, model=False)
+    add_common(p, model=False, formats=())
+    p.add_argument("--seed", type=int, default=0, help="generator seed (64-bit unsigned)")
     p.add_argument("--kind", choices=("classical", "qm"), default="classical")
     p.add_argument("--states", dest="gen_states", type=int, default=2)
     p.add_argument("--predicates", dest="gen_predicates", type=int, default=2)
@@ -142,29 +121,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if not 0 <= cfg.seed <= MAX_SEED:
-        raise _UsageError("seed must fit in 64 unsigned bits")
-    if cfg.depth < 0:
-        raise _UsageError("depth must be nonnegative")
-    return cfg
+_PARSER = _build_parser()
 
 
 # -- shared helpers ----------------------------------------------------------
 
 
-def _load_input(cfg: RunConfig) -> tuple[Model, QuantumModel | None]:
-    if cfg.model and cfg.qm_spec:
+def _load_input(args: argparse.Namespace) -> tuple[Model, QuantumModel | None]:
+    if args.model and args.qm_spec:
         raise _UsageError("give either --model or --qm-spec, not both")
-    if cfg.model:
-        return load_model(cfg.model), None
-    if cfg.qm_spec:
-        spec = load_spec(cfg.qm_spec)
-        qm = build_model(replace(spec, closure_cap=min(cfg.cap, spec.closure_cap)))
+    if args.model:
+        return load_model(args.model), None
+    if args.qm_spec:
+        spec = load_spec(args.qm_spec)
+        qm = build_model(replace(spec, closure_cap=min(args.cap, spec.closure_cap)))
         return qm.model, qm
     raise _UsageError("an input file is required (--model or --qm-spec)")
 
@@ -179,9 +149,9 @@ def _ast_dict(f: Formula) -> dict:
     return {"node": kind, "left": _ast_dict(f.left), "right": _ast_dict(f.right)}
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -190,15 +160,15 @@ def _emit(cfg: RunConfig, text: str) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_parse(cfg: RunConfig) -> int:
-    if not cfg.formula:
+def cmd_parse(args: argparse.Namespace) -> int:
+    if not args.formula:
         raise _UsageError("--formula is required")
-    f = parse(cfg.formula)
+    f = parse(args.formula)
     tag = None
-    if cfg.model or cfg.qm_spec:
-        model, _ = _load_input(cfg)
+    if args.model or args.qm_spec:
+        model, _ = _load_input(args)
         tag = classify(f, model.property_names()).value
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {"render": render(f), "ast": _ast_dict(f)}
         if tag:
             payload["classification"] = tag
@@ -210,34 +180,32 @@ def cmd_parse(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if not cfg.formula:
+def cmd_eval(args: argparse.Namespace) -> int:
+    if not args.formula:
         raise _UsageError("--formula is required")
-    model, qm = _load_input(cfg)
-    f = parse(cfg.formula)
+    model, qm = _load_input(args)
+    f = parse(args.formula)
     quantum = has_quantum(f)
     if quantum and qm is None:
         raise MissingTheta("quantum connectives need a Hilbert-backed model (--qm-spec)")
 
-    reduced: str | None = None
+    element: int | None = None
     if qm is not None:
         try:
-            reduced = reduce_qwff(qm, f)
+            element = _reduce_element(qm, SignatureSpace(model), f)
         except NotTestable:
             if quantum:
                 raise
+    reduced = None if element is None else qm.predicate_names[element]
+    target = f if reduced is None else Pred(reduced)
     rows = []
     for state in model.states:
         n = model.universe_sizes[state]
-        if reduced is not None:
-            values = [eval_open(model, Pred(reduced), state, u) for u in range(n)]
-        else:
-            values = [eval_open(model, f, state, u) for u in range(n)]
-        universal = all(values)
-        verdict = q_truth(qm, f, state) if (qm is not None and reduced is not None) else None
-        rows.append((state, n, values, universal, verdict))
+        values = [eval_open(model, target, state, u) for u in range(n)]
+        verdict = None if element is None else _verdict(qm, element, state)
+        rows.append((state, n, values, all(values), verdict))
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "formula": render(f),
             "reduced_predicate": reduced,
@@ -340,15 +308,10 @@ def _classical_suites(
         )
     )
     if cms:
-        collapse = truth_collapse_violations(model, min(depth, 4), predicates=generators)
-        suites.append(
-            SuiteResult(
-                suite="truth-certainty-collapse",
-                checked=cmt.checked_classes,
-                violations=len(collapse),
-                witnesses=collapse[:5],
-            )
-        )
+        # The alphabet is property predicates, each full or empty in every
+        # state, so every Boolean combination of them is too: truth and
+        # certain truth coincide and no class can be object-dependent.
+        suites.append(SuiteResult(suite="truth-certainty-collapse", checked=cmt.checked_classes))
     else:
         suites.append(SuiteResult(suite="truth-certainty-collapse", applicable=False))
     return suites
@@ -462,20 +425,20 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
     return suites
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    model, qm = _load_input(cfg)
+def cmd_check(args: argparse.Namespace) -> int:
+    model, qm = _load_input(args)
     generators = None
     if qm is not None:
         generators = tuple(name for name, _ in qm.spec.properties)
-    suites = _classical_suites(model, cfg.depth, generators)
+    suites = _classical_suites(model, args.depth, generators)
     if qm is not None:
-        suites.extend(_quantum_suites(qm, cfg.depth))
+        suites.extend(_quantum_suites(qm, args.depth))
     total = sum(s.violations for s in suites)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "input": cfg.model or cfg.qm_spec,
+            "input": args.model or args.qm_spec,
             "kind": "qm-spec" if qm is not None else "model",
-            "depth": cfg.depth,
+            "depth": args.depth,
             "suites": [s.as_dict() for s in suites],
             "violations": total,
         }
@@ -487,7 +450,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if total == 0 else 1
 
 
-def _lattice_nodes_edges(cfg: RunConfig, model: Model, qm: QuantumModel | None):
+def _lattice_nodes_edges(model: Model, qm: QuantumModel | None):
     if qm is not None:
         lat = qm.lattice
         nodes = []
@@ -523,12 +486,12 @@ def _lattice_nodes_edges(cfg: RunConfig, model: Model, qm: QuantumModel | None):
     return nodes, cover_edges([sum(1 << j for j, q in enumerate(props) if p <= q) for p in props])
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
-    model, qm = _load_input(cfg)
-    nodes, edges = _lattice_nodes_edges(cfg, model, qm)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True))
-    elif cfg.fmt == "dot":
+def cmd_lattice(args: argparse.Namespace) -> int:
+    model, qm = _load_input(args)
+    nodes, edges = _lattice_nodes_edges(model, qm)
+    if args.fmt == "json":
+        _emit(args, json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True))
+    elif args.fmt == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
         for node in nodes:
             label = node["label"].replace('"', "'")
@@ -536,27 +499,27 @@ def cmd_lattice(cfg: RunConfig) -> int:
         for i, j in edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     else:
         lines = [f"nodes: {len(nodes)}"]
         lines += [f"  [{node['id']}] {node['label']}" for node in nodes]
         lines.append(f"cover edges: {len(edges)}")
         lines += [f"  {i} -> {j}" for i, j in edges]
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.kind == "classical":
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.kind == "classical":
         data = classical_model_bytes(
-            cfg.seed, cfg.gen_states, cfg.gen_predicates, cfg.gen_universe
+            args.seed, args.gen_states, args.gen_predicates, args.gen_universe
         )
     else:
         data = qm_spec_bytes(
-            cfg.seed, cfg.gen_dim, cfg.gen_properties, cfg.gen_universe, cfg.cap
+            args.seed, args.gen_dim, args.gen_properties, args.gen_universe, args.cap
         )
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
@@ -573,17 +536,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        args = _PARSER.parse_args(argv)
+        if "seed" in args and not 0 <= args.seed <= MAX_SEED:
+            raise _UsageError("seed must fit in 64 unsigned bits")
+        if args.depth < 0:
+            raise _UsageError("depth must be nonnegative")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if cfg.depth > MAX_ENUM_DEPTH:
-            raise DepthLimitExceeded(f"depth {cfg.depth} exceeds cap {MAX_ENUM_DEPTH}")
-        status = _COMMANDS[cfg.command](cfg)
+        if args.depth > MAX_ENUM_DEPTH:
+            raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
+        status = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:  # the reader closed stdout; silence the exit flush too

@@ -297,6 +297,15 @@ def test_lt_quotient_isomorphic_on_worked_spec(worked_qm):
     assert lt_quotient_check(worked_qm).status == "isomorphic"
 
 
+def test_lt_quotient_reports_an_edited_extension(worked_spec):
+    qm = build_model(worked_spec)
+    original = qm.model.extensions[("Sx+", "Ex_perp")]
+    qm.model.extensions[("Sx+", "Ex_perp")] = original | {3}
+    report = lt_quotient_check(qm)
+    assert report.status == "mismatch"
+    assert report.detail[0].startswith("ortho at ")
+
+
 def test_lt_quotient_degenerate_when_signatures_collide():
     # one state, two distinct non-orthogonal lines with equal projection
     # probability: the rounding rule gives both the same extensions

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qlogic import cli
 from qlogic.cli import main
 from qlogic.models import SignatureSpace
 
@@ -322,7 +323,9 @@ def test_closed_stdout_is_one_error_line(argv):
     assert err.splitlines() == ["error: BrokenPipeError: standard output was closed"]
 
 
-def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, monkeypatch):
+@pytest.fixture
+def built_spaces(monkeypatch):
+    """The models of the SignatureSpaces built while the test runs."""
     built = []
     init = SignatureSpace.__init__
 
@@ -331,19 +334,58 @@ def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, monkeypatch)
         init(self, m)
 
     monkeypatch.setattr(SignatureSpace, "__init__", counting_init)
+    return built
+
+
+def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, built_spaces):
     counts = []
     for depth in ("1", "3"):
-        built.clear()
+        built_spaces.clear()
         code, _, _ = run(capsys, "check", "--qm-spec", str(DATA_DIR / "gen_qm_seed11.json"),
                          "--depth", depth)
         assert code == 0
-        counts.append(len(built))
+        counts.append(len(built_spaces))
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize(
+    "path,formula",
+    [(WORKED, "Ez &q Ex"), (str(DATA_DIR / "gen_qm_seed11.json"), "E1 |q E2")],
+    ids=["worked", "seed11"],
+)
+def test_eval_builds_one_signature_space(capsys, built_spaces, path, formula):
+    assert run(capsys, "eval", "--qm-spec", path, "--formula", formula)[0] == 0
+    assert len(built_spaces) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--qm-spec", WORKED, "--seed", "1"],
+        ["check", "--qm-spec", WORKED, "--format", "dot"],
+        ["eval", "--qm-spec", WORKED, "--formula", "Ez", "--format", "dot"],
+        ["gen", "--format", "json"],
+    ],
+    ids=["check-seed", "check-dot", "eval-dot", "gen-format"],
+)
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    assert run(capsys, "parse", "--formula", "E")[0] == 0
+    assert run(capsys, "gen", "--seed", "0")[0] == 0
+
+
 def test_start_up_and_parse_leave_numpy_unimported():
-    # only lattice.find_distributivity_failure needs numpy, and importing
-    # it is most of the start-up time
+    # nothing at run time needs numpy, and importing it would be most of
+    # the start-up time
     code = (
         "import sys\n"
         "from qlogic.cli import main\n"

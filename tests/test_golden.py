@@ -12,6 +12,11 @@ of the code that capped this suite at 512 elements, run with the cap
 lifted; its lattice goldens were recorded before the propositions were
 computed from atoms.  The only cap left, the subspace closure's, is pinned
 by ``test_cap_applies_to_qm_spec`` in ``tests/test_cli.py``.
+
+The ``qlogic eval`` goldens were recorded while eval still reduced the
+formula once per state.  They cover a quantum formula with a verdict per
+state, a classical conjunction that is not testable and falls back to
+classical evaluation with no verdict, and a plain classical model.
 """
 
 from __future__ import annotations
@@ -69,3 +74,20 @@ def test_check_at_the_cap_matches_golden(capsys, monkeypatch):
     assert main(["check", "--model", "tests/data/gen_classical_p4_seed1.json"]) == 0
     golden = DATA_DIR / "golden" / "gen_classical_p4_seed1.check.text"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+EVAL_CASES = [
+    ("--qm-spec", "specs/worked_qm.json", "Ez &q Ex", "worked_qm.eval_qand"),
+    ("--qm-spec", "specs/worked_qm.json", "Ez & Ex", "worked_qm.eval_and"),
+    ("--model", "specs/cm_demo.json", "Hot | Heavy", "cm_demo.eval"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "flag,path,formula,stem", EVAL_CASES, ids=[stem for *_, stem in EVAL_CASES]
+)
+def test_eval_matches_golden(flag, path, formula, stem, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["eval", flag, path, "--formula", formula, "--format", fmt]) == 0
+    assert capsys.readouterr().out.encode() == (DATA_DIR / "golden" / f"{stem}.{fmt}").read_bytes()

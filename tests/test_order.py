@@ -69,7 +69,7 @@ def test_order_matches_reference_on_generated_lattices(dim, properties):
         qm = build_model(random_qm_spec(seed, dim, properties)[0])
         lat = qm.lattice
         want = reference.cover_edges(len(lat), lambda i, j: i != j and lat.leq(i, j))
-        assert _lattice_nodes_edges(None, qm.model, qm)[1] == want
+        assert _lattice_nodes_edges(qm.model, qm)[1] == want
         _check_poset(induced_poset(qm))
 
 
