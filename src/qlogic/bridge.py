@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,6 +163,8 @@ class QuantumModel:
     theta: dict[str, frozenset[str]]
     predicate_names: tuple[str, ...]  # aligned with lattice.elements
     element_index: dict[str, int]  # predicate name -> element index
+    # (state, primary predicate) -> projection probability the build read
+    probabilities: dict[tuple[str, str], Fraction]
 
 
 def _generated_name(sub: Subspace, taken: set[str]) -> str:
@@ -176,10 +177,6 @@ def _generated_name(sub: Subspace, taken: set[str]) -> str:
         if name not in taken:
             return name
     raise ModelValidationError("could not derive a fresh predicate name")
-
-
-def _round_half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
 
 
 def _table_order(spec: QMModelSpec, lat: QLattice, element_index: dict[str, int]) -> list[int]:
@@ -216,7 +213,8 @@ def _rule_extension(p: Fraction, n: int, predicate: str, state: str) -> frozense
             f"universe size {n} cannot host a proper extension for "
             f"predicate {predicate!r} in state {state!r}"
         )
-    k = min(max(_round_half_up(n * p), 1), n - 1)
+    # floor(n p + 1/2) in integers
+    k = min(max((2 * n * p.numerator + p.denominator) // (2 * p.denominator), 1), n - 1)
     return frozenset(range(k))
 
 
@@ -252,9 +250,11 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
     order = _table_order(spec, lat, element_index)
     inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
+    probabilities: dict[tuple[str, str], Fraction] = {}
     for i, j in _primary_pairs(lat, order):
         for sname, vec in spec.states:
             p = born(vec, lat.elements[i])  # the atom lies in i at 1, in j at 0
+            probabilities[(sname, names[i])] = p
             if p == 1:
                 inside[i].append(sname)
             elif p == 0:
@@ -281,6 +281,7 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
         theta=theta,
         predicate_names=tuple(names),
         element_index=element_index,
+        probabilities=probabilities,
     )
 
 
@@ -359,10 +360,11 @@ def check_qmt(qm: QuantumModel) -> QmtReport:
     """Re-verify the build postconditions against the model as it stands.
 
     Checks, per predicate and state: the proposition of the predicate is
-    its theta set; paired extensions are complements; and each extension
-    matches the probability rule (full at 1, empty at 0, clamped rounded
-    prefix otherwise).  A single corrupted extension always trips at
-    least one of the three.
+    its theta set; paired extensions are complements; and each primary's
+    extension matches the probability rule (full at 1, empty at 0, clamped
+    rounded prefix otherwise) applied to the projection probability the
+    build recorded, so no Born probability is computed twice.  A single
+    corrupted extension always trips at least one of the three.
     """
     model = qm.model
     space = SignatureSpace(model)
@@ -380,7 +382,7 @@ def check_qmt(qm: QuantumModel) -> QmtReport:
     order = _table_order(qm.spec, qm.lattice, qm.element_index)
     for i, j in _primary_pairs(qm.lattice, order):
         name_i, name_j = qm.predicate_names[i], qm.predicate_names[j]
-        for sname, vec in qm.spec.states:
+        for sname, _ in qm.spec.states:
             ext_i = model.extensions[(sname, name_i)]
             ext_j = model.extensions[(sname, name_j)]
             if ext_j != full - ext_i:
@@ -389,7 +391,7 @@ def check_qmt(qm: QuantumModel) -> QmtReport:
                     f"complement of its partner {name_i}"
                 )
             checked += 1
-            expected = _rule_extension(born(vec, qm.lattice.elements[i]), n, name_i, sname)
+            expected = _rule_extension(qm.probabilities[(sname, name_i)], n, name_i, sname)
             if ext_i != expected:
                 violations.append(
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "

@@ -3,8 +3,10 @@
 Everything is driven by Python's Mersenne generator on a string-derived
 seed, so a given seed always produces the same bytes.  Hilbert specs are
 rebuilt with a derived sub-seed whenever the closure overflows its cap or
-the drawn states fail to separate the closure elements; the number of
-attempts is recorded in the emitted file header.
+a draw is degenerate (too few distinct lines, or no state vector found
+inside an element and outside those not above it); the states separate
+the closure elements by construction, so the spec's model is never
+built.  The number of attempts is recorded in the emitted file header.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import random
 from fractions import Fraction
 
-from .bridge import QMModelSpec, _model_from_lattice, states_separate
+from .bridge import QMModelSpec, _model_from_lattice
 from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
 from .hilbert import Subspace, join
@@ -97,11 +99,13 @@ def random_qm_spec(
 
     Adequate means the closure fits the cap and the states separate the
     closure elements.  Separation is arranged the way the intended
-    semantics expects atoms to be represented: one state is placed inside
-    every nonzero closure element, avoiding all elements that do not
-    contain it, so distinct elements get distinct theta sets.  Each failed
-    attempt (overflow, degenerate draw) moves to a derived sub-seed; the
-    attempt count is returned for the file header.
+    semantics expects atoms to be represented: a state W_i is placed
+    inside every nonzero closure element e_i and outside every element
+    not above it, so W_i lies in e_k exactly when e_i <= e_k.  Distinct
+    elements then get distinct theta sets, and distinct signatures, since
+    an extension is full exactly at probability 1.  Each failed attempt
+    (overflow, degenerate draw) moves to a derived sub-seed; the attempt
+    count is returned for the file header.
     """
     for attempt in range(1, max_attempts + 1):
         rng = random.Random(f"qm:{seed}:{attempt}")
@@ -150,11 +154,11 @@ def random_qm_spec(
                     universe_size=universe,
                     closure_cap=closure_cap,
                 )
-                qm = _model_from_lattice(spec, lat)
             except ModelValidationError:
                 continue
-            if states_separate(qm):
-                return spec, attempt
+            if universe < 2:  # raises UniverseTooSmall where some 0 < p < 1, as build would
+                _model_from_lattice(spec, lat)
+            return spec, attempt
     raise ClosureOverflow(
         f"no adequate spec found for seed {seed} within {max_attempts} attempts"
     )

@@ -14,6 +14,7 @@ step, and divided by its pivot only once, to produce the canonical basis.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
@@ -124,8 +125,9 @@ class Subspace:
     is given; kernel results are built already reduced.  Immutable.
     """
 
-    # _basis is None until first read; _ortho, once computed, is set on both ends
-    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_ortho")
+    # _basis is None until first read; _ortho, once computed, is a weak
+    # reference set on both ends, so a subspace and its complement form no cycle
+    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_ortho", "__weakref__")
 
     def __init__(self, ambient: int, basis: Iterable[Sequence[GaussianRational]] = ()):
         object.__setattr__(self, "ambient", ambient)
@@ -230,12 +232,12 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 def ortho(a: Subspace) -> Subspace:
     """Orthocomplement: the exact null space of the conjugated basis."""
-    o = a._ortho
+    o = a._ortho() if a._ortho is not None else None
     if o is None:
         conjugated = [(re, [-y for y in im]) for re, im in a._rows]
         o = Subspace._from_reduced(a.ambient, _reduce(_nullspace(conjugated, a.ambient), a.ambient))
-        object.__setattr__(a, "_ortho", o)
-        object.__setattr__(o, "_ortho", a)
+        object.__setattr__(a, "_ortho", weakref.ref(o))
+        object.__setattr__(o, "_ortho", weakref.ref(a))
     return o
 
 

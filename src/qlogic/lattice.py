@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ._fixpoint import fixpoint
 from .errors import ClosureOverflow, DimensionMismatch
-from .hilbert import Subspace, join, meet, ortho
+from .hilbert import Subspace, join, leq, meet, ortho
 
 DEFAULT_CLOSURE_CAP = 512
 
@@ -55,60 +55,76 @@ def close(
     overflow = ClosureOverflow(
         f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators)
     )
-    zero = Subspace.zero(dim)
-    seeds = dict.fromkeys([zero, Subspace.full(dim), *generators])
+    zero, full = Subspace.zero(dim), Subspace.full(dim)
+    elements: list[Subspace] = []  # by id, in the order first found
+    ids: dict[Subspace, int] = {}
 
-    pairs: dict[tuple[Subspace, Subspace], tuple[Subspace, Subspace]] = {}
+    def intern(s: Subspace) -> int:
+        i = ids.get(s)
+        if i is None:
+            i = ids[s] = len(elements)
+            elements.append(s)
+        return i
 
-    def meet_join(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-        """Meet and join of a and b, computed once per unordered pair.
+    def complement(i: int) -> int:
+        o = ortho(elements[i])
+        k = intern(o)
+        # o may equal an element found earlier; keep o, which carries the
+        # (weak) ortho link to elements[i], so later ortho calls hit the cache
+        elements[k] = o
+        return k
 
-        The join comes first; the subspace lattice of C^dim is modular, so
-        dim(a ^ b) = dim a + dim b - dim(a v b) (Grassmann), and the meet is
-        0, a or b whenever that dimension is 0, dim a or dim b."""
-        got = pairs.get((a, b)) or pairs.get((b, a))
+    seeds = dict.fromkeys(intern(s) for s in [zero, full, *generators])
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def meet_join(i: int, j: int) -> tuple[int, int]:
+        """Ids of the meet and join of elements i and j, computed once per
+        unordered pair.
+
+        A join absorbs an operand inside the other, and a hyperplane joined
+        with anything outside it spans C^dim; only other joins reach the
+        kernel.  The subspace lattice is modular, so then
+        dim(a ^ b) = dim a + dim b - dim(a v b) (Grassmann), and the meet of
+        incomparable operands is the zero seed when that dimension is 0."""
+        key = (i, j) if i <= j else (j, i)
+        got = pairs.get(key)
         if got is None:
-            if a == b or b.dim == 0 or a.dim == dim:  # b lies in a
-                got = (b, a)
-            elif a.dim == 0 or b.dim == dim:  # a lies in b
-                got = (a, b)
+            if elements[i].dim > elements[j].dim:
+                i, j = j, i
+            a, b = elements[i], elements[j]  # dim a <= dim b
+            # equal dimensions with a != b are incomparable
+            if i == j or (a.dim < b.dim and leq(a, b)):
+                got = (i, j)
             else:
-                j = join(a, b)
-                d = a.dim + b.dim - j.dim
-                if d == 0:
-                    got = (zero, j)
-                elif d == a.dim:
-                    got = (a, j)
-                elif d == b.dim:
-                    got = (b, j)
-                else:
-                    got = (meet(a, b), j)
-            pairs[(a, b)] = got
+                joined = full if b.dim == dim - 1 else join(a, b)
+                m = zero if a.dim + b.dim == joined.dim else meet(a, b)
+                got = (intern(m), intern(joined))
+            pairs[key] = got
         return got
 
     found = fixpoint(
         seeds,
-        unary=[(ortho, lambda _: None)],
+        unary=[(complement, lambda _: None)],
         binary=[
-            (lambda a, b: meet_join(a, b)[0], lambda *_: None),
-            (lambda a, b: meet_join(a, b)[1], lambda *_: None),
+            (lambda i, j: meet_join(i, j)[0], lambda *_: None),
+            (lambda i, j: meet_join(i, j)[1], lambda *_: None),
         ],
         cap=cap,
         overflow=overflow,
     )
 
-    ordered = tuple(sorted(found, key=Subspace.sort_key))
-    index = {s: i for i, s in enumerate(ordered)}
-    cells = [[meet_join(a, b) for b in ordered] for a in ordered]
+    ordered = sorted(found, key=lambda i: elements[i].sort_key())
+    position = {i: p for p, i in enumerate(ordered)}
+    cells = [[meet_join(i, j) for j in ordered] for i in ordered]
     return QLattice(
         dim=dim,
-        elements=ordered,
-        ortho=tuple(index[ortho(s)] for s in ordered),
-        meet=tuple(tuple(index[m] for m, _ in row) for row in cells),
-        join=tuple(tuple(index[j] for _, j in row) for row in cells),
-        zero_index=index[Subspace.zero(dim)],
-        full_index=index[Subspace.full(dim)],
-        index=index,
+        elements=tuple(elements[i] for i in ordered),
+        ortho=tuple(position[ids[ortho(elements[i])]] for i in ordered),
+        meet=tuple(tuple(position[m] for m, _ in row) for row in cells),
+        join=tuple(tuple(position[j] for _, j in row) for row in cells),
+        zero_index=position[ids[zero]],
+        full_index=position[ids[full]],
+        index={elements[i]: p for p, i in enumerate(ordered)},
     )
 
 

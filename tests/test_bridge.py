@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -99,6 +100,23 @@ def test_universe_too_small_only_when_fraction_needed():
     )
     with pytest.raises(UniverseTooSmall):
         build_model(bad)
+
+
+def test_rule_extension_rounds_half_up_exactly():
+    """floor(n p + 1/2), clamped to [1, n - 1], for every n <= 8 and every
+    p = a/b with 0 <= a <= b <= 12, against Fraction arithmetic."""
+    for n in range(1, 9):
+        for b in range(1, 13):
+            for a in range(b + 1):
+                p = Fraction(a, b)
+                if p in (0, 1):
+                    assert bridge._rule_extension(p, n, "E", "S") == frozenset(range(int(n * p)))
+                elif n < 2:
+                    with pytest.raises(UniverseTooSmall):
+                        bridge._rule_extension(p, n, "E", "S")
+                else:
+                    k = min(max(math.floor(n * p + Fraction(1, 2)), 1), n - 1)
+                    assert bridge._rule_extension(p, n, "E", "S") == frozenset(range(k))
 
 
 def test_spec_validation():

@@ -197,6 +197,17 @@ def test_gen_qm_roundtrip(tmp_path, capsys):
     assert "total violations: 0" in out
 
 
+def test_gen_qm_universe_one_is_too_small(capsys):
+    # the state placed in C^d lies in no proper element, so some probability
+    # is strictly between 0 and 1 on the first attempt
+    code, out, err = run(capsys, "gen", "--kind", "qm", "--universe", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: UniverseTooSmall: universe size 1 cannot host a proper extension "
+        "for predicate 'E1' in state 'W1'\n"
+    )
+
+
 def test_usage_error_exits_one(capsys):
     assert run(capsys, "eval", "--formula", "E")[0] == 1  # no input file
     assert run(capsys, "check")[0] == 1

@@ -11,7 +11,7 @@ from qlogic.bridge import _reachable_elements, build_model
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import GaussianRational
 from qlogic.generate import random_qm_spec
-from qlogic.hilbert import Subspace
+from qlogic.hilbert import Subspace, ortho
 from qlogic.lattice import close
 from qlogic.models import Model, PredicateInfo, SignatureSpace
 
@@ -131,16 +131,31 @@ _scalars = st.builds(GaussianRational, _fracs, _fracs)
 
 @st.composite
 def _generators(draw):
-    dim = draw(st.integers(2, 3))
+    """Generators in C^2..C^4: random spans, spans nested inside an earlier
+    generator, and hyperplanes, so that close meets the inclusion and the
+    hyperplane shortcuts as well as joins that need the kernel."""
+    dim = draw(st.integers(2, 4))
     vector = st.tuples(*[_scalars] * dim).filter(lambda v: any(not z.is_zero for z in v))
     spaces = []
     for _ in range(draw(st.integers(1, 3))):
-        vectors = draw(st.lists(vector, min_size=1, max_size=dim - 1))
-        spaces.append(Subspace.span(vectors, dim))
+        kind = draw(st.sampled_from(("span", "nested", "hyperplane")))
+        if kind == "hyperplane":
+            spaces.append(ortho(Subspace.span([draw(vector)], dim)))
+        elif kind == "nested" and spaces:
+            outer = draw(st.sampled_from(spaces))
+            combos = st.lists(_scalars, min_size=outer.dim, max_size=outer.dim)
+            vectors = [
+                [sum((c * x for c, x in zip(coeffs, column)), GaussianRational())
+                 for column in zip(*outer.basis)]
+                for coeffs in draw(st.lists(combos, min_size=1, max_size=max(outer.dim - 1, 1)))
+            ]
+            spaces.append(Subspace.span(vectors, dim))
+        else:
+            spaces.append(Subspace.span(draw(st.lists(vector, min_size=1, max_size=dim - 1)), dim))
     return dim, spaces
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_generators(), st.integers(1, 40))
 def test_close_matches_reference(generated, cap):
     dim, generators = generated

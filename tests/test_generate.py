@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlogic.bridge
 import qlogic.generate
 from qlogic.bridge import build_model, check_qmt, spec_from_dict, states_separate
+from qlogic.errors import QLogicError
 from qlogic.generate import (
     classical_model_bytes,
     qm_spec_bytes,
     random_classical_model,
     random_qm_spec,
 )
+from qlogic.hilbert import leq
 from qlogic.models import model_from_dict
 
 from conftest import DATA_DIR
@@ -85,3 +89,47 @@ def test_qm_generator_closes_the_lattice_once_per_attempt(monkeypatch):
     assert attempts == 1
     assert len(closes) == 1
     assert build_model(spec).lattice.elements == closes[0].elements
+
+
+# sha256 over qm_spec_bytes on the grid below, recorded when gen still built
+# each spec's model to confirm that its states separate the closure
+QM_GRID_SHA256 = "05a33e7e0d7d001d3c77ad77f8e08a9e9d56d2da8a8a4f449867f47588c25619"
+
+
+def test_qm_generator_grid_matches_recorded_digest():
+    """dim 2-4, 1-3 properties, universe 1-4, seeds 0-11 (0-3 for dim 4
+    with 3 properties); a cell that raises feeds its error line instead,
+    so universe 1 pins the UniverseTooSmall message too."""
+    digest = hashlib.sha256()
+    for dim in (2, 3, 4):
+        for props in (1, 2, 3):
+            for universe in (1, 2, 3, 4):
+                for seed in range(4 if (dim, props) == (4, 3) else 12):
+                    try:
+                        digest.update(qm_spec_bytes(seed, dim, props, universe))
+                    except QLogicError as exc:
+                        digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+    assert digest.hexdigest() == QM_GRID_SHA256
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]),
+    universe=st.integers(2, 4),
+)
+def test_qm_generator_states_separate_by_construction(seed, shape, universe):
+    """State W_i lies in closure element e_k exactly when e_i <= e_k, so
+    theta and the signatures separate the elements without a check."""
+    dim, props = shape
+    spec, _ = random_qm_spec(seed, dim, props, universe)
+    qm = build_model(spec)
+    elements = qm.lattice.elements
+    holders = [i for i, e in enumerate(elements) if e.dim > 0]  # W1, W2, ... in order
+    assert len(holders) == len(spec.states)
+    for k, e_k in enumerate(elements):
+        expected = {
+            name for (name, _), i in zip(spec.states, holders) if leq(elements[i], e_k)
+        }
+        assert qm.theta[qm.predicate_names[k]] == expected
+    assert states_separate(qm)

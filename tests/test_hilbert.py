@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -218,6 +220,19 @@ def test_ortho_is_cached_on_both_ends():
     fresh = Subspace.span([(gr(1), gr(2), gr(0, 1))])
     assert fresh == a and hash(fresh) == hash(a)
     assert ortho(fresh) == o and ortho(fresh) is not o
+
+
+def test_ortho_cache_leaves_no_reference_cycle():
+    """Both ends of the cache are weak, so a subspace and its complement
+    are freed by reference counting alone."""
+    gc.disable()
+    try:
+        a = Subspace.span([(gr(1), gr(2), gr(0, 1))])
+        refs = weakref.ref(a), weakref.ref(ortho(a))
+        del a
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- identity: equality and hashing compare the canonical integer rows --------------

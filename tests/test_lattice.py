@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import qlogic.lattice
+from qlogic.bridge import load_spec
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
-from qlogic.hilbert import Subspace, join, meet, ortho
+from qlogic.hilbert import Subspace, join, leq, meet, ortho
 from qlogic.lattice import (
     close,
     demorgan_violations,
@@ -19,6 +21,7 @@ from qlogic.lattice import (
 )
 
 import closure_reference as reference
+from conftest import DATA_DIR
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
@@ -56,6 +59,27 @@ def test_closure_overflow_on_generic_triple():
     with pytest.raises(ClosureOverflow) as err:
         close(generic, cap=16, dim=3)
     assert len(err.value.generators) == 3
+
+
+def test_close_sends_few_joins_to_the_kernel(monkeypatch):
+    """Joins of nested operands and of a hyperplane with anything outside it
+    need no elimination.  On this 16-element closure, close asked the
+    kernel for 91 joins when only equal, zero and full operands were
+    settled without it."""
+    spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
+    calls = []
+
+    def counting_join(a, b):
+        calls.append((a, b))
+        return join(a, b)
+
+    monkeypatch.setattr(qlogic.lattice, "join", counting_join)
+    lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+    assert len(lat) == 16
+    assert len(calls) <= 25
+    for a, b in calls:  # what reaches the kernel is incomparable, hyperplane-free
+        assert not leq(a, b) and not leq(b, a)
+        assert spec.dim - 1 not in (a.dim, b.dim)
 
 
 def test_orthomodularity_of_closures():
