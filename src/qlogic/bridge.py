@@ -42,7 +42,7 @@ from .formulas import (
     render,
 )
 from .gaussian import GaussianRational, parse_vector, vector_strings
-from .hilbert import Subspace, born, subspace_from_strings, subspace_to_strings
+from .hilbert import Subspace, _born_row, _state_row, subspace_from_strings, subspace_to_strings
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     MAX_RELATION_DEPTH,
@@ -251,9 +251,10 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
     inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
     probabilities: dict[tuple[str, str], Fraction] = {}
+    rows = [(sname, *_state_row(vec, spec.dim)) for sname, vec in spec.states]
     for i, j in _primary_pairs(lat, order):
-        for sname, vec in spec.states:
-            p = born(vec, lat.elements[i])  # the atom lies in i at 1, in j at 0
+        for sname, v, norm2 in rows:
+            p = _born_row(v, norm2, lat.elements[i])  # the atom lies in i at 1, in j at 0
             probabilities[(sname, names[i])] = p
             if p == 1:
                 inside[i].append(sname)
@@ -516,7 +517,7 @@ def check_quantum_equivalences(qm: QuantumModel, max_depth: int = 3) -> QuantumE
     sasaki = RelationStats("quantum-implication", len(reach) ** 2, [], 0)
 
     # testable classical classes are exactly the predicate signature classes
-    reps = list(space.witnesses().items())
+    reps = [(mask, name, space.proposition(mask)) for mask, name in space.witnesses().items()]
 
     conj = RelationStats("conjunction-footnote", 0, [], 0)
     gap_witnesses: list[str] = []
@@ -525,18 +526,16 @@ def check_quantum_equivalences(qm: QuantumModel, max_depth: int = 3) -> QuantumE
     join_rel = RelationStats("join-image", 0, [], 0)
     all_states = frozenset(qm.model.states)
     preorder_ok = True
-    for mask_a, name_a in reps:
+    for mask_a, name_a, prop_a in reps:
         a = qm.element_index[name_a]
-        prop_a = space.proposition(mask_a)
         ortho_rel.checked += 1
         ortho_image = qm.theta[qm.predicate_names[lat.ortho[a]]]
         if not ortho_image <= all_states - prop_a:
             ortho_rel.violations.append(name_a)
         elif ortho_image < all_states - prop_a:
             ortho_rel.strict += 1
-        for mask_b, name_b in reps:
+        for mask_b, name_b, prop_b in reps:
             b = qm.element_index[name_b]
-            prop_b = space.proposition(mask_b)
 
             conj.checked += 1
             classical_mask = mask_a & mask_b

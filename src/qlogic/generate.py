@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 from .bridge import QMModelSpec, _model_from_lattice
 from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
-from .hilbert import Subspace, join
-from .hilbert import leq as subspace_leq
+from .hilbert import Subspace, _lead, _orthogonal, join, ortho
 from .lattice import close
 from .models import Model, PredicateInfo, model_to_dict
 
@@ -70,20 +70,19 @@ def _vector_inside(
     none of the ``avoid`` subspaces; None after bounded retries."""
     if element.dim == 1:
         return element.basis[0]
-    zero = GaussianRational()
+    perps = [ortho(a)._rows for a in avoid]
+    den = 6 * lcm(*(re[_lead(re)] for re, _ in element._rows))
     for _ in range(40):
-        coeffs = [
-            GaussianRational(_random_fraction(rng), _random_fraction(rng))
-            for _ in range(element.dim)
-        ]
-        vec = [zero] * element.ambient
-        for c, row in zip(coeffs, element.basis):
-            vec = [acc + c * x for acc, x in zip(vec, row)]
-        if all(z.is_zero for z in vec):
-            continue
-        atom = Subspace.span([tuple(vec)])
-        if all(not subspace_leq(atom, a) for a in avoid):
-            return tuple(vec)
+        vre, vim = [0] * element.ambient, [0] * element.ambient
+        for re, im in element._rows:  # basis row re/pivot times a _random_fraction pair, in 1/den
+            k = den // (6 * re[_lead(re)])  # each draw times 6 is an integer
+            cr = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * k
+            ci = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * k
+            for c, (x, y) in enumerate(zip(re, im)):
+                vre[c] += cr * x - ci * y
+                vim[c] += cr * y + ci * x
+        if (any(vre) or any(vim)) and not any(_orthogonal(p, (vre, vim)) for p in perps):
+            return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(vre, vim))
     return None
 
 

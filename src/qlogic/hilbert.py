@@ -253,11 +253,27 @@ def join(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._from_reduced(a.ambient, _reduce(a._rows + b._rows, a.ambient))
 
 
+def _orthogonal(rows: Iterable[Row], v: Row) -> bool:
+    """Whether the integer row v is orthogonal to every one of ``rows``."""
+    return not any(any(_conj_dot(w, v)) for w in rows)
+
+
 def leq(a: Subspace, b: Subspace) -> bool:
     """Inclusion: every basis vector of a is orthogonal to ortho(b)."""
     _check_same_space(a, b)
     perp = ortho(b)._rows
-    return not any(any(_conj_dot(w, u)) for u in a._rows for w in perp)
+    return all(_orthogonal(perp, u) for u in a._rows)
+
+
+def _state_row(psi: Sequence[GaussianRational], ambient: int) -> tuple[Row, int]:
+    """A state vector's Gaussian-integer row and its squared norm."""
+    if len(psi) != ambient:
+        raise DimensionMismatch(f"vector of length {len(psi)} in C^{ambient}")
+    v = _int_row(psi)
+    norm2 = _conj_dot(v, v)[0]
+    if norm2 == 0:
+        raise ZeroVector("born probability of the zero vector")
+    return v, norm2
 
 
 def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
@@ -268,13 +284,11 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
     Both are computed from integer multiples of psi and of the basis,
     which leave the value unchanged.
     """
-    psi = tuple(psi)
-    if len(psi) != a.ambient:
-        raise DimensionMismatch(f"vector of length {len(psi)} in C^{a.ambient}")
-    v = _int_row(psi)
-    norm2 = _conj_dot(v, v)[0]
-    if norm2 == 0:
-        raise ZeroVector("born probability of the zero vector")
+    return _born_row(*_state_row(tuple(psi), a.ambient), a)
+
+
+def _born_row(v: Row, norm2: int, a: Subspace) -> Fraction:
+    """born from the state's integer row v and its squared norm."""
     if a.dim == 0:
         return Fraction(0)
     if a.dim == 1:  # a line through u: |<u|psi>|^2 / (<u|u> <psi|psi>)
@@ -302,9 +316,10 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
 
 
 def contains_vector(a: Subspace, v: Sequence[GaussianRational]) -> bool:
-    return Subspace.span([tuple(v)], a.ambient).dim == 0 or join(
-        a, Subspace.span([tuple(v)], a.ambient)
-    ) == a
+    """Whether v lies in a: its integer row is orthogonal to ortho(a)'s rows."""
+    if len(v) != a.ambient:
+        raise DimensionMismatch(f"vector of length {len(v)} in C^{a.ambient}")
+    return _orthogonal(ortho(a)._rows, _int_row(v))
 
 
 def subspace_from_strings(rows: list[list[str]], ambient: int) -> Subspace:

@@ -37,12 +37,14 @@ from qlogic.errors import (
 )
 from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, render
 from qlogic.gaussian import gr
+from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, born, join, leq, meet, ortho
 from qlogic.models import SignatureSpace, eval_open, signature
 from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
 
-from conftest import DATA_DIR
+import hilbert_reference as reference
+from conftest import DATA_DIR, SPEC_DIR
 
 
 def test_worked_build_theta_and_extensions(worked_qm):
@@ -432,3 +434,26 @@ def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
         names = worked_qm.predicate_names
         assert f"{names[a]} / {names[b]}" in report.meet_relation.violations
     assert check_quantum_equivalences(worked_qm, 3).ok
+
+
+@pytest.mark.parametrize(
+    "source",
+    [SPEC_DIR / "worked_qm.json", DATA_DIR / "gen_qm_seed11.json", (3, 2), (3, 3), (4, 2)],
+    ids=["worked_qm", "gen_qm_seed11", "gen-3-2", "gen-3-3", "gen-4-2"],
+)
+def test_recorded_probabilities_match_born(source):
+    """The build reads each state's integer row once and shares born's row
+    kernel; what it records must equal the public born and the slow
+    Fraction-based reference, for every primary predicate and state."""
+    if isinstance(source, tuple):
+        specs = [random_qm_spec(seed, *source, 3)[0] for seed in range(4)]
+    else:
+        specs = [load_spec(source)]
+    for spec in specs:
+        qm = build_model(spec)
+        vectors = dict(spec.states)
+        assert len(qm.probabilities) == len(spec.states) * len(qm.lattice) // 2
+        for (state, name), p in qm.probabilities.items():
+            element = qm.lattice.elements[qm.element_index[name]]
+            assert p == born(vectors[state], element)
+            assert p == reference.born(vectors[state], element.basis)

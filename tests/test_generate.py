@@ -133,3 +133,18 @@ def test_qm_generator_states_separate_by_construction(seed, shape, universe):
         }
         assert qm.theta[qm.predicate_names[k]] == expected
     assert states_separate(qm)
+
+
+# sha256 over qm_spec_bytes(seed, dim, props, 3, 64) on the shapes below,
+# recorded before state placement stopped building a Subspace per candidate
+QM_PLACEMENT_SHA256 = "00f0a9add2cd9da0273e24fc716476fc83bdd2b66f32f41cd252a6cd4e07a4fa"
+
+
+def test_qm_generator_placement_matches_recorded_digest():
+    """Seeds 0-19 of the acceptance-corpus shapes, whose 2-dim closure
+    elements send each state through the random-combination path."""
+    digest = hashlib.sha256()
+    for dim, props in ((3, 2), (3, 3), (4, 2)):
+        for seed in range(20):
+            digest.update(qm_spec_bytes(seed, dim, props, 3, 64))
+    assert digest.hexdigest() == QM_PLACEMENT_SHA256

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+import qlogic.hilbert
 import qlogic.lattice
 from qlogic.bridge import load_spec
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, join, leq, meet, ortho
+from qlogic.hilbert import _nullspace as nullspace
 from qlogic.lattice import (
     close,
     demorgan_violations,
@@ -21,7 +23,7 @@ from qlogic.lattice import (
 )
 
 import closure_reference as reference
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SPEC_DIR
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
@@ -42,12 +44,25 @@ def test_two_skew_lines_give_six_elements():
 
 
 def test_tables_match_direct_operations():
-    lat = close([E1, EX])
-    for i, a in enumerate(lat.elements):
-        assert lat.elements[lat.ortho[i]] == ortho(a)
-        for j, b in enumerate(lat.elements):
-            assert lat.elements[lat.meet[i][j]] == meet(a, b)
-            assert lat.elements[lat.join[i][j]] == join(a, b)
+    """The meet table is read through De Morgan from the join and ortho
+    tables; every entry must still equal the kernel's own meet, on two
+    lines in C^2, the worked spec, and closures in C^3 and C^4."""
+    specs = [
+        load_spec(SPEC_DIR / "worked_qm.json"),
+        load_spec(DATA_DIR / "gen_qm_seed11.json"),
+        random_qm_spec(0, dim=4, n_properties=2, universe=3)[0],
+    ]
+    closures = [close([E1, EX])] + [
+        close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+        for spec in specs
+    ]
+    assert [len(lat) for lat in closures] == [6, 6, 16, 12]
+    for lat in closures:
+        for i, a in enumerate(lat.elements):
+            assert lat.elements[lat.ortho[i]] == ortho(a)
+            for j, b in enumerate(lat.elements):
+                assert lat.elements[lat.meet[i][j]] == meet(a, b)
+                assert lat.elements[lat.join[i][j]] == join(a, b)
 
 
 def test_closure_overflow_on_generic_triple():
@@ -65,18 +80,35 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     """Joins of nested operands and of a hyperplane with anything outside it
     need no elimination.  On this 16-element closure, close asked the
     kernel for 91 joins when only equal, zero and full operands were
-    settled without it."""
+    settled without it.  Meets come from De Morgan, so close computes no
+    meet and one null space per complement pair (it once took 29)."""
     spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
     calls = []
+    meets = []
+    nullspaces = []
 
     def counting_join(a, b):
         calls.append((a, b))
         return join(a, b)
 
+    def counting_meet(a, b):
+        meets.append((a, b))
+        return meet(a, b)
+
+    def counting_nullspace(*args):
+        nullspaces.append(args)
+        return nullspace(*args)
+
     monkeypatch.setattr(qlogic.lattice, "join", counting_join)
+    for module in (qlogic.hilbert, qlogic.lattice):
+        if hasattr(module, "meet"):
+            monkeypatch.setattr(module, "meet", counting_meet)
+    monkeypatch.setattr(qlogic.hilbert, "_nullspace", counting_nullspace)
     lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
     assert len(lat) == 16
     assert len(calls) <= 25
+    assert len(meets) == 0
+    assert len(nullspaces) == len(lat) // 2
     for a, b in calls:  # what reaches the kernel is incomparable, hyperplane-free
         assert not leq(a, b) and not leq(b, a)
         assert spec.dim - 1 not in (a.dim, b.dim)
