@@ -348,6 +348,7 @@ def _verdict(qm: QuantumModel, element: int, state: str) -> str:
 
 
 # -- conformance checks -----------------------------------------------------------
+# Each suite reads the masks of a SignatureSpace of qm.model that its caller built.
 
 
 @dataclass
@@ -357,7 +358,7 @@ class QmtReport:
     violations: list[str]
 
 
-def check_qmt(qm: QuantumModel) -> QmtReport:
+def check_qmt(qm: QuantumModel, space: SignatureSpace) -> QmtReport:
     """Re-verify the build postconditions against the model as it stands.
 
     Checks, per predicate and state: the proposition of the predicate is
@@ -368,11 +369,9 @@ def check_qmt(qm: QuantumModel) -> QmtReport:
     corrupted extension always trips at least one of the three.
     """
     model = qm.model
-    space = SignatureSpace(model)
     violations: list[str] = []
-    checked = 0
-    for i, name in enumerate(qm.predicate_names):
-        checked += 1
+    checked = len(qm.predicate_names)
+    for name in qm.predicate_names:
         prop = space.proposition(space.pred_masks[name])
         if prop != qm.theta[name]:
             violations.append(
@@ -408,7 +407,7 @@ class EquivCoincidenceReport:
     violations: list[str]
 
 
-def check_equiv_coincidence(qm: QuantumModel, max_depth: int = 3) -> EquivCoincidenceReport:
+def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> EquivCoincidenceReport:
     """Equal propositions iff equal signatures, over testable formulas.
 
     A formula is p-testable exactly when its signature is some property
@@ -417,17 +416,13 @@ def check_equiv_coincidence(qm: QuantumModel, max_depth: int = 3) -> EquivCoinci
     classes; the nontrivial direction is that distinct classes keep
     distinct propositions.
     """
-    if max_depth > MAX_RELATION_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
-    space = SignatureSpace(qm.model)
-    reps = list(space.witnesses().items())
+    reps = [(name, space.proposition(mask)) for mask, name in space.witnesses().items()]
     violations = []
     checked = 0
-    for a, (mask_a, name_a) in enumerate(reps):
-        prop_a = space.proposition(mask_a)
-        for mask_b, name_b in reps[a + 1 :]:
+    for a, (name_a, prop_a) in enumerate(reps):
+        for name_b, prop_b in reps[a + 1 :]:
             checked += 1
-            if space.proposition(mask_b) == prop_a:
+            if prop_b == prop_a:
                 violations.append(
                     f"{name_a} and {name_b}: equal propositions, distinct signatures"
                 )
@@ -489,7 +484,9 @@ class QuantumEquivalencesReport:
         ]
 
 
-def check_quantum_equivalences(qm: QuantumModel, max_depth: int = 3) -> QuantumEquivalencesReport:
+def check_quantum_equivalences(
+    qm: QuantumModel, space: SignatureSpace, max_depth: int = 3
+) -> QuantumEquivalencesReport:
     """Quantum De Morgan and implication identities over reachable qwffs,
     the conjunction footnote (classical and quantum conjunction share a
     proposition while signatures may differ), and the relations between
@@ -503,7 +500,6 @@ def check_quantum_equivalences(qm: QuantumModel, max_depth: int = 3) -> QuantumE
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     lat = qm.lattice
-    space = SignatureSpace(qm.model)
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
     reach = [
         (_reduce_element(qm, space, f), f) for f in _reachable_elements(qm, max_depth).values()
@@ -582,12 +578,13 @@ class QTrichotomyReport:
     violations: list[str]
 
 
-def check_q_trichotomy(qm: QuantumModel, max_depth: int = 2) -> QTrichotomyReport:
+def check_q_trichotomy(
+    qm: QuantumModel, space: SignatureSpace, max_depth: int = 2
+) -> QTrichotomyReport:
     """Exactly one verdict per (qwff, state), and certain falsehood of a
     formula coincides with certain truth of its quantum negation."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
-    space = SignatureSpace(qm.model)
     reach = list(_reachable_elements(qm, max_depth).items())
     violations = []
     checked = 0
@@ -616,7 +613,7 @@ def check_q_trichotomy(qm: QuantumModel, max_depth: int = 2) -> QTrichotomyRepor
     return QTrichotomyReport(not violations, checked, violations)
 
 
-def states_separate(qm: QuantumModel) -> bool:
+def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:
     """True when the represented states distinguish every pair of lattice
     elements, both through theta and through extension profiles.
 
@@ -624,7 +621,6 @@ def states_separate(qm: QuantumModel) -> bool:
     models, equal propositions imply equal signatures on all testable
     formulas, and the qwff quotient is isomorphic to the lattice.
     """
-    space = SignatureSpace(qm.model)
     thetas = [qm.theta[name] for name in qm.predicate_names]
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
     return len(set(thetas)) == len(thetas) and len(set(sigs)) == len(sigs)
@@ -640,7 +636,7 @@ class LtQuotientReport:
         return self.status != "mismatch"
 
 
-def lt_quotient_check(qm: QuantumModel) -> LtQuotientReport:
+def lt_quotient_check(qm: QuantumModel, space: SignatureSpace) -> LtQuotientReport:
     """Compare the quotient of qwffs under signature equality with the
     built lattice.
 
@@ -654,7 +650,6 @@ def lt_quotient_check(qm: QuantumModel) -> LtQuotientReport:
     Faults in the tables themselves are caught by the table-demorgan and
     orthomodularity suites.
     """
-    space = SignatureSpace(qm.model)
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
     by_sig: dict[int, list[int]] = {}
     for i, s in enumerate(sigs):

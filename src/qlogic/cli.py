@@ -80,6 +80,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(least: int):
+    """argparse type of an integer no smaller than ``least``."""
+    def count(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return int(text)
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,11 +121,11 @@ def _build_parser() -> _Parser:
     add_common(p, model=False, formats=())
     p.add_argument("--seed", type=int, default=0, help="generator seed (64-bit unsigned)")
     p.add_argument("--kind", choices=("classical", "qm"), default="classical")
-    p.add_argument("--states", dest="gen_states", type=int, default=2)
-    p.add_argument("--predicates", dest="gen_predicates", type=int, default=2)
-    p.add_argument("--universe", dest="gen_universe", type=int, default=3)
-    p.add_argument("--dim", dest="gen_dim", type=int, default=2)
-    p.add_argument("--properties", dest="gen_properties", type=int, default=2)
+    p.add_argument("--states", dest="gen_states", type=_at_least(1), default=2)
+    p.add_argument("--predicates", dest="gen_predicates", type=_at_least(0), default=2)
+    p.add_argument("--universe", dest="gen_universe", type=_at_least(1), default=3)
+    p.add_argument("--dim", dest="gen_dim", type=_at_least(1), default=2)
+    p.add_argument("--properties", dest="gen_properties", type=_at_least(0), default=2)
     p.add_argument("--out", help="write the file here instead of stdout")
     return parser
 
@@ -275,14 +284,15 @@ class SuiteResult:
 
 
 def _classical_suites(
-    model: Model, depth: int, generators: tuple[str, ...] | None = None
+    space: SignatureSpace, depth: int, generators: tuple[str, ...] | None = None
 ) -> list[SuiteResult]:
     """Classical conformance suites; ``generators`` bounds the formula
     alphabet (the user-named properties for Hilbert-backed inputs, whose
-    full closure table would make the sweeps combinatorially infeasible)."""
+    full closure table would make the sweeps combinatorially infeasible).
+    The census and cm-testability read one class sweep at depth 3 or less."""
+    model = space.model
     suites = []
-    rel_depth = min(depth, 3)
-    rel = check_connective_relations(model, rel_depth, predicates=generators)
+    rel = check_connective_relations(space, min(depth, 3), predicates=generators)
     for entry in rel.entries:
         suites.append(
             SuiteResult(
@@ -293,13 +303,13 @@ def _classical_suites(
                 info={"strict": entry.strict},
             )
         )
-    elements = quotient_size(model, predicates=generators, max_depth=min(depth, 4))
+    elements = quotient_size(space, predicates=generators)
     suites.append(
         SuiteResult(suite="boolean-quotient", checked=elements, info={"elements": elements})
     )
     cms = check_cms(model)
     suites.append(SuiteResult(suite="cm-full-or-empty", checked=len(model.predicates), info={"holds": cms}))
-    cmt = check_cmt(model, min(depth, 4), predicates=generators)
+    cmt = check_cmt(space, min(depth, 4), predicates=generators)
     suites.append(
         SuiteResult(
             suite="cm-testability",
@@ -317,7 +327,7 @@ def _classical_suites(
     return suites
 
 
-def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
+def _quantum_suites(qm: QuantumModel, space: SignatureSpace, depth: int) -> list[SuiteResult]:
     suites = []
     lat = qm.lattice
     inv = ortho_involution_violations(lat)
@@ -355,7 +365,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
             },
         )
     )
-    qmt = check_qmt(qm)
+    qmt = check_qmt(qm, space)
     suites.append(
         SuiteResult(
             suite="proposition-theta-agreement",
@@ -364,8 +374,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
             witnesses=qmt.violations[:5],
         )
     )
-    rel_depth = min(depth, 3)
-    equiv = check_equiv_coincidence(qm, rel_depth)
+    equiv = check_equiv_coincidence(qm, space)
     suites.append(
         SuiteResult(
             suite="equivalence-coincidence",
@@ -374,7 +383,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
             witnesses=equiv.violations[:5],
         )
     )
-    qe = check_quantum_equivalences(qm, rel_depth)
+    qe = check_quantum_equivalences(qm, space, min(depth, 3))
     for entry in qe.entries():
         suites.append(
             SuiteResult(
@@ -399,7 +408,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
             },
         )
     )
-    tri = check_q_trichotomy(qm, min(depth, 2))
+    tri = check_q_trichotomy(qm, space, min(depth, 2))
     suites.append(
         SuiteResult(
             suite="q-truth-trichotomy",
@@ -408,7 +417,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
             witnesses=tri.violations[:5],
         )
     )
-    lt = lt_quotient_check(qm)
+    lt = lt_quotient_check(qm, space)
     suites.append(
         SuiteResult(
             suite="qwff-quotient-isomorphism",
@@ -422,7 +431,7 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
         SuiteResult(
             suite="state-separation",
             checked=len(lat),
-            info={"separating": states_separate(qm), "preorder-coincides": qe.preorder_coincides},
+            info={"separating": states_separate(qm, space), "preorder-coincides": qe.preorder_coincides},
         )
     )
     return suites
@@ -430,12 +439,11 @@ def _quantum_suites(qm: QuantumModel, depth: int) -> list[SuiteResult]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     model, qm = _load_input(args)
-    generators = None
+    space = SignatureSpace(model)
+    generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
+    suites = _classical_suites(space, args.depth, generators)
     if qm is not None:
-        generators = tuple(name for name, _ in qm.spec.properties)
-    suites = _classical_suites(model, args.depth, generators)
-    if qm is not None:
-        suites.extend(_quantum_suites(qm, args.depth))
+        suites.extend(_quantum_suites(qm, space, args.depth))
     total = sum(s.violations for s in suites)
     if args.fmt == "json":
         payload = {

@@ -282,7 +282,7 @@ class SignatureSpace:
 
     Signatures are manipulated as integer bitmasks internally; the public
     API converts to frozensets of pairs.  Shared by the sweep-style checks
-    so predicate masks are computed once.
+    so predicate masks are computed once, and so is each class sweep.
     """
 
     def __init__(self, m: Model):
@@ -309,6 +309,7 @@ class SignatureSpace:
             self._witnesses["effects"].setdefault(mask, p.name)
             if p.is_property:
                 self._witnesses["properties"].setdefault(mask, p.name)
+        self._classes: dict[tuple[tuple[str, ...], int], dict[int, Formula]] = {}
 
     def witnesses(self, scope: str = "properties") -> dict[int, str]:
         """Each predicate signature mapped to the first predicate, in table
@@ -357,9 +358,13 @@ class SignatureSpace:
         Signatures compose (the mask of a connective node is a set
         operation on the children's masks), so layering over class
         representatives enumerates exactly the signatures of the full
-        formula enumeration without materializing it.
+        formula enumeration without materializing it.  Each sweep runs once
+        per space, and its callers share the dict, which none may change.
         """
-        return self._closure(generator_names, rounds=max_depth)
+        key = (tuple(generator_names), max_depth)
+        if key not in self._classes:
+            self._classes[key] = self._closure(key[0], rounds=max_depth)
+        return self._classes[key]
 
     def closed_classes(
         self, generator_names: Iterable[str], max_elements: int | None = None
@@ -431,23 +436,21 @@ class QuotientAlgebra:
 
 
 def quotient_boolean(
-    m: Model,
-    predicates: Iterable[str] | None = None,
-    max_depth: int = 3,
-    max_elements: int = 512,
+    m: Model, predicates: Iterable[str] | None = None, max_elements: int = 512
 ) -> QuotientAlgebra:
     """The algebra of signatures of classical formulas over the predicates:
     the unions of their atoms, a Boolean subalgebra by construction.  A
     carrier above max_elements raises ClosureOverflow instead of being
     built."""
+    space = SignatureSpace(m)
     names = tuple(predicates) if predicates is not None else m.predicate_names()
-    if quotient_size(m, names, max_depth) > max_elements:
+    atoms = space.atoms(names)
+    if names and 2 ** len(atoms) > max_elements:
         raise ClosureOverflow(
             f"signature algebra exceeded {max_elements} elements", generators=names
         )
-    space = SignatureSpace(m)
     unions = [0] if names else []
-    for atom in space.atoms(names):
+    for atom in atoms:
         unions += [union | atom for union in unions]
     return QuotientAlgebra(
         omega=space.to_signature(space.omega),
@@ -456,15 +459,11 @@ def quotient_boolean(
     )
 
 
-def quotient_size(
-    m: Model, predicates: Iterable[str] | None = None, max_depth: int = 3
-) -> int:
+def quotient_size(space: SignatureSpace, predicates: Iterable[str] | None = None) -> int:
     """Element count of ``quotient_boolean``'s carrier without building it:
     2**atoms, 0 for an empty alphabet."""
-    if max_depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
-    names = tuple(predicates) if predicates is not None else m.predicate_names()
-    return 2 ** len(SignatureSpace(m).atoms(names)) if names else 0
+    names = tuple(predicates) if predicates is not None else space.model.predicate_names()
+    return 2 ** len(space.atoms(names)) if names else 0
 
 
 def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[str]:
@@ -562,7 +561,7 @@ class CmtReport:
 
 
 def check_cmt(
-    m: Model, max_depth: int = 3, predicates: tuple[str, ...] | None = None
+    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
 ) -> CmtReport:
     """Every property-wff up to max_depth has a property predicate with its
     signature; on failure the witness is a formula with no such predicate.
@@ -573,8 +572,7 @@ def check_cmt(
     """
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
-    space = SignatureSpace(m)
-    names = m.property_names() if predicates is None else predicates
+    names = space.model.property_names() if predicates is None else predicates
     classes = space.reachable_classes(names, max_depth)
     for mask, rep in classes.items():
         if mask not in space.witnesses():
@@ -583,7 +581,7 @@ def check_cmt(
 
 
 def truth_collapse_violations(
-    m: Model, max_depth: int = 3, predicates: tuple[str, ...] | None = None
+    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
 ) -> list[str]:
     """Property-wffs whose truth at some state depends on the object.
 
@@ -592,14 +590,13 @@ def truth_collapse_violations(
     """
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
-    space = SignatureSpace(m)
-    names = m.property_names() if predicates is None else predicates
+    names = space.model.property_names() if predicates is None else predicates
     classes = space.reachable_classes(names, max_depth)
     out = []
     for mask, rep in classes.items():
-        for s in m.states:
-            slice_ = mask & space.state_masks[s]
-            if slice_ and slice_ != space.state_masks[s]:
+        for s, block in space.state_masks.items():
+            slice_ = mask & block
+            if slice_ and slice_ != block:
                 out.append(f"{render(rep)} is object-dependent in state {s}")
                 break
     return out

@@ -154,7 +154,7 @@ class ConnectiveRelationsReport:
 
 
 def check_connective_relations(
-    m: Model, max_depth: int = 3, predicates: tuple[str, ...] | None = None
+    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
 ) -> ConnectiveRelationsReport:
     """Strictness census of the connective/set-operation relations over
     all signature classes of formulas up to max_depth.
@@ -170,8 +170,7 @@ def check_connective_relations(
     """
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
-    space = SignatureSpace(m)
-    names = m.predicate_names() if predicates is None else predicates
+    names = space.model.predicate_names() if predicates is None else predicates
     masks = list(space.reachable_classes(names, max_depth))
     blocks = list(space.state_masks.values())
     strict_negations = sum(any(0 != mask & b != b for b in blocks) for mask in masks)

@@ -36,6 +36,20 @@ def closed_cm_model(states: tuple[str, ...], universe: int = 3) -> Model:
     return build_cm_model(states, names, truth, universe)
 
 
+def mo_squared_spec(k: int) -> dict:
+    """Spec whose properties close to MO_k x MO_k (Kalmbach 1983): in each
+    C^2 block of C^4 the lines (1, t) and (-t, 1), t = 0..k-1, each a named
+    property with one state on it, universe 4."""
+    states, properties = [], []
+    for t in range(k):
+        for i, (u, v) in enumerate(((1, t), (-t, 1))):
+            for block, vector in (("a", (u, v, 0, 0)), ("b", (0, 0, u, v))):
+                strings = [str(x) for x in vector]
+                properties.append({"name": f"P{block}{t}_{i}", "basis": [strings]})
+                states.append({"name": f"S{block}{t}_{i}", "vector": strings})
+    return {"dim": 4, "universe": 4, "states": states, "properties": properties}
+
+
 @pytest.fixture()
 def cm_two_states() -> Model:
     return closed_cm_model(("S1", "S2"), universe=3)

@@ -87,7 +87,7 @@ def test_criterion_1_boolean_classical_quotient(classical_corpus):
     started = time.perf_counter()
     violations = []
     for i, model in enumerate(classical_corpus):
-        algebra = quotient_boolean(model, max_depth=3)
+        algebra = quotient_boolean(model)
         violations += [f"model {i}: {v}" for v in boolean_law_violations(algebra)]
     elapsed = time.perf_counter() - started
     _report(
@@ -103,7 +103,7 @@ def test_criterion_2_connective_relations(classical_corpus):
     violations = []
     both_strict = 0
     for i, model in enumerate(classical_corpus):
-        report = check_connective_relations(model, 3)
+        report = check_connective_relations(SignatureSpace(model), 3)
         for entry in report.entries:
             violations += [f"model {i}: {w}" for w in entry.violations]
         if report.entry("negation").strict > 0 and report.entry("join").strict > 0:
@@ -128,12 +128,12 @@ def test_criterion_3_cm_collapse():
     for i, model in enumerate(models):
         if not check_cms(model):
             problems.append(f"model {i}: full-or-empty profile fails")
-        report = check_cmt(model, 3)
+        space = SignatureSpace(model)
+        report = check_cmt(space, 3)
         if not report.ok:
             problems.append(f"model {i}: testability fails")
-        if truth_collapse_violations(model, 3):
+        if truth_collapse_violations(space, 3):
             problems.append(f"model {i}: truth differs from certain truth")
-        space = SignatureSpace(model)
         classes = space.closed_classes(model.predicate_names(), 4096)
         props = frozenset(space.proposition(mask) for mask in classes)
         algebra = QuotientAlgebra(frozenset(model.states), props, {})
@@ -184,7 +184,7 @@ def test_criterion_5_qmt_and_mutation_detection(qm_corpus):
     detected = 0
     injected = 0
     for i, qm in enumerate(qm_corpus):
-        if not check_qmt(qm).ok:
+        if not check_qmt(qm, SignatureSpace(qm.model)).ok:
             problems.append(f"model {i}: construction postconditions fail")
         fresh = build_model(qm.spec)
         rng = random.Random(f"mutate:{i}")
@@ -196,7 +196,7 @@ def test_criterion_5_qmt_and_mutation_detection(qm_corpus):
             corrupted = frozenset({0}) if original != frozenset({0}) else frozenset({1})
             fresh.model.extensions[(state, pred)] = corrupted
             injected += 1
-            if not check_qmt(fresh).ok:
+            if not check_qmt(fresh, SignatureSpace(fresh.model)).ok:
                 detected += 1
             fresh.model.extensions[(state, pred)] = original
     elapsed = time.perf_counter() - started
@@ -212,7 +212,7 @@ def test_criterion_6_equivalence_coincidence(qm_corpus):
     started = time.perf_counter()
     violations = []
     for i, qm in enumerate(qm_corpus):
-        report = check_equiv_coincidence(qm, 3)
+        report = check_equiv_coincidence(qm, SignatureSpace(qm.model))
         violations += [f"model {i}: {v}" for v in report.violations]
     elapsed = time.perf_counter() - started
     _report(
@@ -228,7 +228,7 @@ def test_criterion_7_quantum_equivalences(worked_qm, qm_corpus):
     violations = []
     gap_witnesses = 0
     for i, qm in enumerate([worked_qm] + qm_corpus):
-        report = check_quantum_equivalences(qm, 3)
+        report = check_quantum_equivalences(qm, SignatureSpace(qm.model), 3)
         for entry in (report.demorgan, report.sasaki, report.conjunction_propositions):
             violations += [f"model {i}: {entry.relation}: {w}" for w in entry.violations]
         gap_witnesses += len(report.signature_gap_witnesses)
@@ -246,7 +246,7 @@ def test_criterion_8_q_truth_trichotomy(worked_qm, qm_corpus):
     started = time.perf_counter()
     violations = []
     for i, qm in enumerate([worked_qm] + qm_corpus):
-        report = check_q_trichotomy(qm, 2)
+        report = check_q_trichotomy(qm, SignatureSpace(qm.model), 2)
         violations += [f"model {i}: {v}" for v in report.violations]
     worked_ok = q_truth(worked_qm, Pred("Ez"), "Sx+") == QTruth.INDETERMINATE
     elapsed = time.perf_counter() - started

@@ -78,7 +78,7 @@ def test_qmt_holds_by_construction(worked_qm):
     for name in worked_qm.predicate_names:
         prop = physical_proposition(worked_qm.model, Pred(name)).states
         assert prop == worked_qm.theta[name]
-    assert check_qmt(worked_qm).ok
+    assert check_qmt(worked_qm, SignatureSpace(worked_qm.model)).ok
 
 
 def test_universe_too_small_only_when_fraction_needed():
@@ -219,7 +219,7 @@ def test_qmn_signature_complement(worked_qm):
 def test_check_qmt_detects_full_extension_where_half(worked_qm):
     qm = build_model(worked_qm.spec)  # fresh copy to mutate
     qm.model.extensions[("Sx+", "Ez")] = frozenset(range(4))
-    report = check_qmt(qm)
+    report = check_qmt(qm, SignatureSpace(qm.model))
     assert not report.ok
     assert any("Sx+" in v and "Ez" in v for v in report.violations)
 
@@ -244,11 +244,11 @@ def test_check_qmt_detects_any_single_extension_edit(worked_spec):
     qm = build_model(worked_spec)
     original = qm.model.extensions[("Sx+", "Ex_perp")]
     qm.model.extensions[("Sx+", "Ex_perp")] = original | {3}
-    assert not check_qmt(qm).ok
+    assert not check_qmt(qm, SignatureSpace(qm.model)).ok
 
 
 def test_equiv_coincidence_on_worked_spec(worked_qm):
-    report = check_equiv_coincidence(worked_qm, 3)
+    report = check_equiv_coincidence(worked_qm, SignatureSpace(worked_qm.model))
     assert report.ok and report.checked_pairs == 15
 
 
@@ -262,14 +262,15 @@ def test_equiv_coincidence_fails_without_separating_states(worked_spec):
         universe_size=4,
     )
     qm = build_model(spec)
-    assert not states_separate(qm)
-    report = check_equiv_coincidence(qm, 3)
+    space = SignatureSpace(qm.model)
+    assert not states_separate(qm, space)
+    report = check_equiv_coincidence(qm, space)
     assert not report.ok
-    assert lt_quotient_check(qm).status == "isomorphic"  # signatures still separate
+    assert lt_quotient_check(qm, space).status == "isomorphic"  # signatures still separate
 
 
 def test_quantum_equivalences_on_worked_spec(worked_qm):
-    report = check_quantum_equivalences(worked_qm, 3)
+    report = check_quantum_equivalences(worked_qm, SignatureSpace(worked_qm.model), 3)
     assert report.ok
     assert report.demorgan.checked == 36 and not report.demorgan.violations
     assert report.sasaki.checked == 36 and not report.sasaki.violations
@@ -300,7 +301,7 @@ def test_conjunction_footnote_values(worked_qm):
 
 
 def test_trichotomy_on_worked_spec(worked_qm):
-    report = check_q_trichotomy(worked_qm, 2)
+    report = check_q_trichotomy(worked_qm, SignatureSpace(worked_qm.model), 2)
     assert report.ok
     assert report.checked > 0
 
@@ -314,14 +315,14 @@ def test_monotonicity_of_theta(worked_qm):
 
 
 def test_lt_quotient_isomorphic_on_worked_spec(worked_qm):
-    assert lt_quotient_check(worked_qm).status == "isomorphic"
+    assert lt_quotient_check(worked_qm, SignatureSpace(worked_qm.model)).status == "isomorphic"
 
 
 def test_lt_quotient_reports_an_edited_extension(worked_spec):
     qm = build_model(worked_spec)
     original = qm.model.extensions[("Sx+", "Ex_perp")]
     qm.model.extensions[("Sx+", "Ex_perp")] = original | {3}
-    report = lt_quotient_check(qm)
+    report = lt_quotient_check(qm, SignatureSpace(qm.model))
     assert report.status == "mismatch"
     assert report.detail[0].startswith("ortho at ")
 
@@ -339,7 +340,7 @@ def test_lt_quotient_degenerate_when_signatures_collide():
         universe_size=4,
     )
     qm = build_model(spec)
-    report = lt_quotient_check(qm)
+    report = lt_quotient_check(qm, SignatureSpace(qm.model))
     assert report.status == "degenerate"
     assert report.detail
 
@@ -352,7 +353,7 @@ def test_testable_proposition_poset_orthocomplement(worked_qm):
 
 
 def test_states_separate_worked_spec(worked_qm):
-    assert states_separate(worked_qm)
+    assert states_separate(worked_qm, SignatureSpace(worked_qm.model))
 
 
 def test_tau_agrees_on_composite_testable_formula(worked_qm):
@@ -408,6 +409,7 @@ def test_reduce_qwff_matches_direct_subspace_operations():
 
 def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
     rng = random.Random("trichotomy-control")
+    space = SignatureSpace(worked_qm.model)
     certain = [
         (name, s) for name in worked_qm.predicate_names for s in sorted(worked_qm.theta[name])
     ]
@@ -415,25 +417,26 @@ def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
         partner = worked_qm.predicate_names[worked_qm.lattice.ortho[worked_qm.element_index[name]]]
         theta = dict(worked_qm.theta)
         theta[partner] = theta[partner] | {state}
-        report = check_q_trichotomy(replace(worked_qm, theta=theta), 2)
+        report = check_q_trichotomy(replace(worked_qm, theta=theta), space, 2)
         assert not report.ok
         assert any(v.endswith(f"both certain in {state}") for v in report.violations)
-    assert check_q_trichotomy(worked_qm, 2).ok
+    assert check_q_trichotomy(worked_qm, space, 2).ok
 
 
 def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
     rng = random.Random("meet-control")
     lat = worked_qm.lattice
+    space = SignatureSpace(worked_qm.model)
     for _ in range(4):
         a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
         rows = [list(row) for row in lat.meet]
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.meet[a][b]])
         corrupted = replace(lat, meet=tuple(tuple(row) for row in rows))
-        report = check_quantum_equivalences(replace(worked_qm, lattice=corrupted), 3)
+        report = check_quantum_equivalences(replace(worked_qm, lattice=corrupted), space, 3)
         assert not report.ok
         names = worked_qm.predicate_names
         assert f"{names[a]} / {names[b]}" in report.meet_relation.violations
-    assert check_quantum_equivalences(worked_qm, 3).ok
+    assert check_quantum_equivalences(worked_qm, space, 3).ok
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,41 @@ def test_gen_qm_universe_one_is_too_small(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "qm", "--dim", "0"],
+        ["--kind", "qm", "--dim", "-2"],
+        ["--kind", "qm", "--universe", "0"],
+        ["--kind", "qm", "--properties", "-1"],
+        ["--states", "0"],
+        ["--predicates", "-1"],
+        ["--universe", "-1"],
+    ],
+)
+def test_gen_rejects_an_impossible_shape(argv):
+    # a subprocess with a timeout, since no nonzero vector exists in C^0
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlogic.cli", "gen", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [(["--predicates", "0"], "predicates"), (["--kind", "qm", "--properties", "0"], "properties")],
+)
+def test_gen_accepts_an_empty_alphabet(capsys, argv, field):
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert json.loads(out)["generator"][field] == 0
+
+
 def test_usage_error_exits_one(capsys):
     assert run(capsys, "eval", "--formula", "E")[0] == 1  # no input file
     assert run(capsys, "check")[0] == 1
@@ -348,15 +383,31 @@ def built_spaces(monkeypatch):
     return built
 
 
-def test_check_builds_as_many_signature_spaces_at_any_depth(capsys, built_spaces):
-    counts = []
-    for depth in ("1", "3"):
-        built_spaces.clear()
-        code, _, _ = run(capsys, "check", "--qm-spec", str(DATA_DIR / "gen_qm_seed11.json"),
-                         "--depth", depth)
-        assert code == 0
-        counts.append(len(built_spaces))
-    assert counts[0] == counts[1] > 0
+@pytest.mark.parametrize("depth", [1, 3, 4])
+@pytest.mark.parametrize(
+    "flag,path",
+    [
+        ("--qm-spec", WORKED),
+        ("--qm-spec", str(DATA_DIR / "gen_qm_seed11.json")),
+        ("--model", CM),
+        ("--model", str(DATA_DIR / "gen_classical_seed7.json")),
+    ],
+    ids=["worked", "seed11", "cm_demo", "classical_seed7"],
+)
+def test_check_builds_one_signature_space(capsys, monkeypatch, built_spaces, flag, path, depth):
+    """Every suite reads one space, and the census and cm-testability read
+    one class sweep up to depth 3; at depth 4 cm-testability sweeps deeper."""
+    sweeps = []
+    closure = SignatureSpace._closure
+
+    def counting_closure(self, *args, **limits):
+        sweeps.append(limits)
+        return closure(self, *args, **limits)
+
+    monkeypatch.setattr(SignatureSpace, "_closure", counting_closure)
+    assert run(capsys, "check", flag, path, "--depth", str(depth))[0] == 0
+    assert len(built_spaces) == 1
+    assert len(sweeps) == (1 if depth <= 3 else 2)
 
 
 @pytest.mark.parametrize(

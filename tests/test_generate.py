@@ -17,7 +17,7 @@ from qlogic.generate import (
     random_qm_spec,
 )
 from qlogic.hilbert import leq
-from qlogic.models import model_from_dict
+from qlogic.models import SignatureSpace, model_from_dict
 
 from conftest import DATA_DIR
 
@@ -54,14 +54,14 @@ def test_qm_generator_bytes_deterministic_and_loadable():
     assert data["generator"]["attempts"] >= 1
     spec = spec_from_dict(data)
     qm = build_model(spec)
-    assert check_qmt(qm).ok
+    assert check_qmt(qm, SignatureSpace(qm.model)).ok
 
 
 def test_qm_generator_dim3_within_cap():
     spec, attempts = random_qm_spec(1, dim=3, n_properties=3, closure_cap=64)
     qm = build_model(spec)
     assert len(qm.lattice) <= 64
-    assert states_separate(qm)
+    assert states_separate(qm, SignatureSpace(qm.model))
     assert attempts >= 1
 
 
@@ -132,7 +132,7 @@ def test_qm_generator_states_separate_by_construction(seed, shape, universe):
             name for (name, _), i in zip(spec.states, holders) if leq(elements[i], e_k)
         }
         assert qm.theta[qm.predicate_names[k]] == expected
-    assert states_separate(qm)
+    assert states_separate(qm, SignatureSpace(qm.model))
 
 
 # sha256 over qm_spec_bytes(seed, dim, props, 3, 64) on the shapes below,

@@ -13,6 +13,11 @@ lifted; its lattice goldens were recorded before the propositions were
 computed from atoms.  The only cap left, the subspace closure's, is pinned
 by ``test_cap_applies_to_qm_spec`` in ``tests/test_cli.py``.
 
+The depth-0, 2 and 4 ``check`` goldens of the two seeded inputs were
+recorded while every suite still built its own signature space.  They pin
+the depths where the suites' caps part: the census stops at 3,
+cm-testability at 4 and the trichotomy at 2.
+
 The ``qlogic eval`` goldens were recorded while eval still reduced the
 formula once per state.  They cover a quantum formula with a verdict per
 state, a classical conjunction that is not testable and falls back to
@@ -73,6 +78,26 @@ def test_check_at_the_cap_matches_golden(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(["check", "--model", "tests/data/gen_classical_p4_seed1.json"]) == 0
     golden = DATA_DIR / "golden" / "gen_classical_p4_seed1.check.text"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+DEPTH_CASES = [
+    (flag, path, depth)
+    for flag, path in INPUTS[2:]
+    for depth in (0, 2, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "flag,path,depth",
+    DEPTH_CASES,
+    ids=[f"{path.rsplit('/', 1)[1][:-5]}-depth{depth}" for _, path, depth in DEPTH_CASES],
+)
+def test_check_at_other_depths_matches_golden(flag, path, depth, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    assert main(["check", flag, path, "--depth", str(depth)]) == 0
+    stem = path.rsplit("/", 1)[1][: -len(".json")]
+    golden = DATA_DIR / "golden" / f"{stem}.check_depth{depth}.text"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

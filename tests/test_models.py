@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic.errors import (
-    DepthLimitExceeded,
     ModelValidationError,
     ObjectOutOfRange,
     QuantumNodeInClassicalEval,
@@ -125,7 +124,7 @@ def test_logical_implies_physical(seed, pick):
 
 def test_quotient_boolean_single_proper_predicate():
     m = tiny_model()
-    alg = quotient_boolean(m, predicates=["E"], max_depth=3)
+    alg = quotient_boolean(m, predicates=["E"])
     sig = signature(m, Pred("E"))
     omega = frozenset({("S", u) for u in range(3)})
     assert alg.elements == frozenset({frozenset(), sig, omega - sig, omega})
@@ -134,7 +133,7 @@ def test_quotient_boolean_single_proper_predicate():
 
 def test_quotient_boolean_cm_two_state():
     m = build_cm_model(["S1", "S2"], ["E"], {("S1", "E"): True, ("S2", "E"): False}, 2)
-    alg = quotient_boolean(m, predicates=["E"], max_depth=3)
+    alg = quotient_boolean(m, predicates=["E"])
     assert len(alg.elements) == 4
     assert not boolean_law_violations(alg)
 
@@ -168,18 +167,13 @@ def test_boolean_law_violations_negative_controls():
 
 def test_quotient_boolean_no_predicates():
     m = tiny_model()
-    alg = quotient_boolean(m, predicates=[], max_depth=3)
+    alg = quotient_boolean(m, predicates=[])
     assert alg.elements == frozenset()
-
-
-def test_quotient_boolean_depth_guard():
-    with pytest.raises(DepthLimitExceeded):
-        quotient_boolean(tiny_model(), max_depth=5)
 
 
 def test_quotient_matches_literal_enumeration():
     m = tiny_model()
-    alg = quotient_boolean(m, max_depth=3)
+    alg = quotient_boolean(m)
     enumerated = {signature(m, f) for f in enumerate_formulas(["E", "F"], 2)}
     assert enumerated <= alg.elements
 
@@ -202,7 +196,7 @@ def test_cm_truth_is_object_independent():
         {("S1", "E"): True, ("S2", "E"): False, ("S1", "F"): False, ("S2", "F"): True},
         4,
     )
-    assert not truth_collapse_violations(m, 3)
+    assert not truth_collapse_violations(SignatureSpace(m), 3)
     for f in enumerate_formulas(["E", "F"], 2):
         for s in m.states:
             values = {eval_open(m, f, s, u) for u in range(4)}
@@ -212,7 +206,7 @@ def test_cm_truth_is_object_independent():
 
 def test_cmt_holds_on_closed_table(cm_two_states):
     assert check_cms(cm_two_states)
-    report = check_cmt(cm_two_states, 3)
+    report = check_cmt(SignatureSpace(cm_two_states), 3)
     assert report.ok and report.witness is None
 
 
@@ -231,10 +225,10 @@ def test_cmt_fails_without_conjunction_witness():
         },
         2,
     )
-    report = check_cmt(m, 3)
+    space = SignatureSpace(m)
+    report = check_cmt(space, 3)
     assert not report.ok
     assert report.witness is not None
-    space = SignatureSpace(m)
     witness_mask = space.mask_of(report.witness, {})
     assert witness_mask not in {space.pred_masks[p] for p in m.property_names()}
 

@@ -4,7 +4,14 @@ import pytest
 
 from qlogic.errors import DepthLimitExceeded
 from qlogic.formulas import And, Not, Or, Pred, enumerate_formulas
-from qlogic.models import Model, PredicateInfo, build_cm_model, eval_universal, signature
+from qlogic.models import (
+    Model,
+    PredicateInfo,
+    SignatureSpace,
+    build_cm_model,
+    eval_universal,
+    signature,
+)
 from qlogic.propositions import (
     check_connective_relations,
     physical_proposition,
@@ -168,7 +175,7 @@ def test_cover_edges_of_diamond(cm_two_states):
 
 
 def test_connective_relations_hold_on_cm(cm_two_states):
-    report = check_connective_relations(cm_two_states, 3)
+    report = check_connective_relations(SignatureSpace(cm_two_states), 3)
     assert report.ok
     assert report.entry("meet").strict == 0
     assert report.entry("negation").strict == 0  # CM collapse: all equalities
@@ -176,7 +183,7 @@ def test_connective_relations_hold_on_cm(cm_two_states):
 
 
 def test_connective_relations_strict_on_worked_spec(worked_qm):
-    report = check_connective_relations(worked_qm.model, 2)
+    report = check_connective_relations(SignatureSpace(worked_qm.model), 2)
     assert report.ok
     assert report.entry("join").strict > 0
     assert report.entry("negation").strict > 0
@@ -199,20 +206,19 @@ def test_join_strictness_witness_values(worked_qm):
 
 def test_connective_relations_depth_guard(cm_two_states):
     with pytest.raises(DepthLimitExceeded):
-        check_connective_relations(cm_two_states, 4)
+        check_connective_relations(SignatureSpace(cm_two_states), 4)
 
 
 def test_relations_agree_with_literal_enumeration():
     # class-level relation checking must reach the verdicts of a direct
     # sweep over enumerated formula pairs
     from qlogic.generate import random_classical_model
-    from qlogic.models import SignatureSpace
 
     for seed in (0, 3, 5):
         m = random_classical_model(seed, n_states=2, n_predicates=2, universe=3)
-        report = check_connective_relations(m, 2)
-        assert report.ok
         space = SignatureSpace(m)
+        report = check_connective_relations(space, 2)
+        assert report.ok
         cache = {}
         states = frozenset(m.states)
         strict_join = 0

@@ -1,0 +1,77 @@
+"""``check`` and ``lattice`` on MO_k x MO_k specs in C^4, against the
+closed form of the product of two k-block orthomodular lattices
+(Kalmbach, *Orthomodular Lattices*, 1983): (2k+2)^2 elements, 4k atoms,
+orthomodular, distributive exactly when k = 1.  The order facts are read
+off the ``lattice`` report by loops of the test's own."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from qlogic.cli import main
+
+from conftest import mo_squared_spec
+
+
+def _run_json(capsys, *argv) -> dict:
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _first_distributivity_failure(n: int, edges: list) -> tuple | None:
+    """First triple, in lexicographic order, where a & (b | c) differs
+    from (a & b) | (a & c), with bounds read from the cover order."""
+    ups = [1 << i for i in range(n)]
+    changed = True
+    while changed:  # up-sets as the transitive closure of the covers
+        changed = False
+        for i, j in edges:
+            if ups[i] | ups[j] != ups[i]:
+                ups[i] |= ups[j]
+                changed = True
+    downs = [sum(1 << i for i in range(n) if ups[i] >> j & 1) for j in range(n)]
+    by_up = {up: i for i, up in enumerate(ups)}
+    by_down = {down: i for i, down in enumerate(downs)}
+    join = [[by_up[ups[a] & ups[b]] for b in range(n)] for a in range(n)]
+    meet = [[by_down[downs[a] & downs[b]] for b in range(n)] for a in range(n)]
+    return next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize("k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (2, 3)])
+def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
+    spec = mo_squared_spec(k)
+    path = tmp_path / f"mo{k}_squared.json"
+    path.write_text(json.dumps(spec))
+
+    lattice = _run_json(capsys, "lattice", "--qm-spec", str(path))
+    nodes, edges = lattice["nodes"], lattice["edges"]
+    n = len(nodes)
+    assert n == (2 * k + 2) ** 2
+    covering = {j for _, j in edges}
+    (bottom,) = [i for i in range(n) if i not in covering]
+    atoms = [j for i, j in edges if i == bottom]
+    assert len(atoms) == 4 * k
+    assert all(len(nodes[j]["states"]) == 1 for j in atoms)  # one state on each line
+    assert sorted(s for j in atoms for s in nodes[j]["states"]) == sorted(
+        state["name"] for state in spec["states"]
+    )
+    assert (_first_distributivity_failure(n, edges) is None) == (k == 1)
+
+    report = _run_json(capsys, "check", "--qm-spec", str(path), "--depth", str(depth))
+    suites = {suite["suite"]: suite for suite in report["suites"]}
+    assert report["violations"] == 0
+    assert suites["orthomodularity"]["violations"] == 0
+    assert suites["distributivity-witness"]["info"]["expected-nondistributive"] == (k >= 2)
+    assert suites["qwff-quotient-isomorphism"]["info"]["status"] == "isomorphic"
+    assert suites["state-separation"]["info"]["separating"]

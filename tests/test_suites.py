@@ -19,6 +19,7 @@ from qlogic.generate import random_qm_spec
 from qlogic.models import (
     Model,
     PredicateInfo,
+    SignatureSpace,
     check_cmt,
     quotient_boolean,
     quotient_size,
@@ -65,10 +66,10 @@ def _check_quotient(model, names):
     """quotient_size counts the fixpoint quotient, and quotient_boolean
     agrees with it at caps one below, at and one above the carrier's size."""
     size = len(reference.quotient_elements(model, names, None))
-    assert quotient_size(model, names, 3) == size
+    assert quotient_size(SignatureSpace(model), names) == size
     for cap in (max(size - 1, 0), size, size + 1):  # caps count elements
         want = _outcome(reference.quotient_elements, model, names, cap)
-        got = _outcome(lambda *args: quotient_boolean(*args).elements, model, names, 3, cap)
+        got = _outcome(lambda *args: quotient_boolean(*args).elements, model, names, cap)
         assert got == want
 
 
@@ -76,7 +77,7 @@ def _check_quotient(model, names):
 @given(_models(), st.integers(0, 3), st.data())
 def test_classical_suites_match_reference_on_random_models(model, depth, data):
     names = data.draw(_alphabets(model))
-    got = check_connective_relations(model, depth, predicates=names)
+    got = check_connective_relations(SignatureSpace(model), depth, predicates=names)
     assert _stats(got.entries) == _stats(reference.connective_relations(model, depth, names))
     _check_quotient(model, names if names is not None else model.predicate_names())
 
@@ -88,11 +89,12 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     qm = build_model(random_qm_spec(seed, dim, properties)[0])
     generators = tuple(name for name, _ in qm.spec.properties)
     _check_quotient(qm.model, generators)
+    space = SignatureSpace(qm.model)
     for depth in (1, 2, 3):
-        got = check_connective_relations(qm.model, depth, predicates=generators)
+        got = check_connective_relations(space, depth, predicates=generators)
         want = reference.connective_relations(qm.model, depth, generators)
         assert _stats(got.entries) == _stats(want)
-        report = check_quantum_equivalences(qm, depth)
+        report = check_quantum_equivalences(qm, space, depth)
         want = reference.demorgan_and_implication(qm, depth)
         assert _stats([report.demorgan, report.sasaki]) == _stats(want)
 
@@ -102,18 +104,19 @@ def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
     violation on the pair of representatives of its row and column."""
     rng = random.Random("join-control")
     lat = worked_qm.lattice
+    space = SignatureSpace(worked_qm.model)
     for _ in range(4):
         a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
         rows = [list(row) for row in lat.join]
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.join[a][b]])
         corrupted = replace(worked_qm, lattice=replace(lat, join=tuple(map(tuple, rows))))
-        report = check_quantum_equivalences(corrupted, 3)
+        report = check_quantum_equivalences(corrupted, space, 3)
         assert not report.ok
         reach = _reachable_elements(corrupted, 3)
         assert f"{render(reach[a])} / {render(reach[b])}" in report.demorgan.violations
         want = reference.demorgan_and_implication(corrupted, 3)
         assert _stats([report.demorgan, report.sasaki]) == _stats(want)
-    assert not check_quantum_equivalences(worked_qm, 3).demorgan.violations
+    assert not check_quantum_equivalences(worked_qm, space, 3).demorgan.violations
 
 
 def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
@@ -134,7 +137,8 @@ def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
 
     model = build_model(replace(random_qm_spec(0)[0], properties=())).model
     assert len(model.predicates) == 2  # the closure's zero and full subspaces
-    assert check_cmt(model, 3, predicates=()).checked_classes == 0
-    assert truth_collapse_violations(model, 3, predicates=()) == []
-    relations = check_connective_relations(model, 3, predicates=())
+    space = SignatureSpace(model)
+    assert check_cmt(space, 3, predicates=()).checked_classes == 0
+    assert truth_collapse_violations(space, 3, predicates=()) == []
+    relations = check_connective_relations(space, 3, predicates=())
     assert all(e.checked == 0 for e in relations.entries)
