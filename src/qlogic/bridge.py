@@ -153,7 +153,7 @@ def save_spec(spec: QMModelSpec, path: str | Path) -> None:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumModel:
     """A built model together with its Hilbert provenance."""
 

@@ -526,9 +526,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
             args.seed, args.gen_states, args.gen_predicates, args.gen_universe
         )
     else:
-        data = qm_spec_bytes(
-            args.seed, args.gen_dim, args.gen_properties, args.gen_universe, args.cap
-        )
+        try:
+            data = qm_spec_bytes(
+                args.seed, args.gen_dim, args.gen_properties, args.gen_universe, args.cap
+            )
+        except ValueError as exc:  # a shape no draw can fill
+            raise _UsageError(str(exc)) from None
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)

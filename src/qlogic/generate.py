@@ -104,8 +104,13 @@ def random_qm_spec(
     elements then get distinct theta sets, and distinct signatures, since
     an extension is full exactly at probability 1.  Each failed attempt
     (overflow, degenerate draw) moves to a derived sub-seed; the attempt
-    count is returned for the file header.
+    count is returned for the file header.  A dimension below 1, or more
+    than one property line in C^1, raises ValueError before any draw.
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, not {dim}")
+    if dim == 1 and n_properties > 1:
+        raise ValueError(f"C^1 has one line, so {n_properties} property lines cannot be distinct")
     for attempt in range(1, max_attempts + 1):
         rng = random.Random(f"qm:{seed}:{attempt}")
         lines: list[Subspace] = []

@@ -16,6 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._fixpoint import fixpoint
@@ -52,23 +53,26 @@ class PredicateInfo:
     ortho: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """Immutable-by-convention finite structure.
+    """Frozen finite structure that owns its signature index.
 
     ``extensions`` maps (state, predicate name) to a frozenset of object
     indices; missing entries are treated as empty during normalization.
     Paired predicates must have complementary extensions in every state.
+    Both mappings are read-only copies of the caller's, and construction
+    ends by laying out the index every ``SignatureSpace`` view reads.
     """
 
     predicates: tuple[PredicateInfo, ...]
     states: tuple[str, ...]
-    universe_sizes: dict[str, int]
-    extensions: dict[tuple[str, str], frozenset[int]]
+    universe_sizes: Mapping[str, int]
+    extensions: Mapping[tuple[str, str], frozenset[int]]
 
     def __post_init__(self):
-        self.predicates = tuple(self.predicates)
-        self.states = tuple(self.states)
+        object.__setattr__(self, "predicates", tuple(self.predicates))
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "universe_sizes", MappingProxyType(dict(self.universe_sizes)))
         names = [p.name for p in self.predicates]
         if len(set(names)) != len(names):
             raise ModelValidationError("duplicate predicate names")
@@ -101,7 +105,7 @@ class Model:
         for s in self.states:
             for p in self.predicates:
                 normalized.setdefault((s, p.name), frozenset())
-        self.extensions = normalized
+        object.__setattr__(self, "extensions", MappingProxyType(normalized))
         for p in self.predicates:
             if p.ortho is None:
                 continue
@@ -121,6 +125,41 @@ class Model:
                         f"state {s!r}, predicate {p.name!r}: extension is not the "
                         f"complement of its partner {p.ortho!r}"
                     )
+        self._index()
+
+    def _index(self) -> None:
+        """Lay out the bit index every SignatureSpace of the model reads:
+        one bit per (state, object) pair, the state and predicate masks,
+        and per scope the first predicate carrying each mask."""
+        pairs = tuple((s, u) for s in self.states for u in range(self.universe_sizes[s]))
+        position = {pair: i for i, pair in enumerate(pairs)}
+        state_masks = {
+            s: sum(1 << position[(s, u)] for u in range(self.universe_sizes[s]))
+            for s in self.states
+        }
+        pred_masks: dict[str, int] = {}
+        witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
+        for p in self.predicates:
+            mask = 0
+            for s in self.states:
+                for u in self.extensions[(s, p.name)]:
+                    mask |= 1 << position[(s, u)]
+            pred_masks[p.name] = mask
+            witnesses["effects"].setdefault(mask, p.name)
+            if p.is_property:
+                witnesses["properties"].setdefault(mask, p.name)
+        vars(self).update(
+            pairs=pairs,
+            position=MappingProxyType(position),
+            omega=(1 << len(pairs)) - 1,
+            state_masks=MappingProxyType(state_masks),
+            pred_masks=MappingProxyType(pred_masks),
+            witnesses=MappingProxyType({k: MappingProxyType(w) for k, w in witnesses.items()}),
+        )
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, index and all
+        fields = (self.predicates, self.states, dict(self.universe_sizes), dict(self.extensions))
+        return Model, fields
 
     # -- lookups ------------------------------------------------------------
 
@@ -278,40 +317,22 @@ def eval_universal(m: Model, f: Formula, state: str) -> bool:
 
 
 class SignatureSpace:
-    """Bit layout of all (state, object) pairs of a model.
+    """View of a model's bit layout of all (state, object) pairs.
 
     Signatures are manipulated as integer bitmasks internally; the public
-    API converts to frozensets of pairs.  Shared by the sweep-style checks
-    so predicate masks are computed once, and so is each class sweep.
+    API converts to frozensets of pairs.  The masks and witness maps are
+    the model's own, laid out once at its construction, so a space costs
+    a few references; what a space adds is the memo of its class sweeps.
     """
 
     def __init__(self, m: Model):
         self.model = m
-        self.pairs: list[tuple[str, int]] = [
-            (s, u) for s in m.states for u in range(m.universe_sizes[s])
-        ]
-        self.position = {pair: i for i, pair in enumerate(self.pairs)}
-        self.omega = (1 << len(self.pairs)) - 1
-        self.state_masks: dict[str, int] = {}
-        for s in m.states:
-            mask = 0
-            for u in range(m.universe_sizes[s]):
-                mask |= 1 << self.position[(s, u)]
-            self.state_masks[s] = mask
-        self.pred_masks: dict[str, int] = {}
-        self._witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
-        for p in m.predicates:
-            mask = 0
-            for s in m.states:
-                for u in m.extensions[(s, p.name)]:
-                    mask |= 1 << self.position[(s, u)]
-            self.pred_masks[p.name] = mask
-            self._witnesses["effects"].setdefault(mask, p.name)
-            if p.is_property:
-                self._witnesses["properties"].setdefault(mask, p.name)
+        self.pairs, self.position, self.omega = m.pairs, m.position, m.omega
+        self.state_masks, self.pred_masks = m.state_masks, m.pred_masks
+        self._witnesses = m.witnesses
         self._classes: dict[tuple[tuple[str, ...], int], dict[int, Formula]] = {}
 
-    def witnesses(self, scope: str = "properties") -> dict[int, str]:
+    def witnesses(self, scope: str = "properties") -> Mapping[int, str]:
         """Each predicate signature mapped to the first predicate, in table
         order, that carries it, among the property predicates (scope
         "properties") or all of them ("effects"): a formula is testable

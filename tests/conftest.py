@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -20,6 +23,20 @@ def worked_spec():
 @pytest.fixture(scope="session")
 def worked_qm(worked_spec) -> QuantumModel:
     return build_model(worked_spec)
+
+
+def with_extension(qm: QuantumModel, state: str, pred: str, ext) -> QuantumModel:
+    """A copy of ``qm`` whose model has the extension of ``pred`` in
+    ``state`` replaced and an index laid out from the edited extensions;
+    ``qm`` itself is untouched.  Such an edit usually breaks the pairing
+    invariant that constructing a Model enforces, and the conformance
+    checks are tested on exactly that, so the copy skips validation."""
+    model = copy.copy(qm.model)
+    extensions = dict(model.extensions)
+    extensions[(state, pred)] = frozenset(ext)
+    object.__setattr__(model, "extensions", MappingProxyType(extensions))
+    model._index()
+    return dataclasses.replace(qm, model=model)
 
 
 def closed_cm_model(states: tuple[str, ...], universe: int = 3) -> Model:

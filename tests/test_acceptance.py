@@ -46,7 +46,7 @@ from qlogic.models import (
 )
 from qlogic.propositions import check_connective_relations
 
-from conftest import closed_cm_model
+from conftest import closed_cm_model, with_extension
 
 N_SEEDS = 20
 
@@ -186,19 +186,16 @@ def test_criterion_5_qmt_and_mutation_detection(qm_corpus):
     for i, qm in enumerate(qm_corpus):
         if not check_qmt(qm, SignatureSpace(qm.model)).ok:
             problems.append(f"model {i}: construction postconditions fail")
-        fresh = build_model(qm.spec)
         rng = random.Random(f"mutate:{i}")
         for _ in range(3):
-            state = rng.choice(fresh.model.states)
-            pred = rng.choice(fresh.predicate_names)
-            n = fresh.spec.universe_size
-            original = fresh.model.extensions[(state, pred)]
+            state = rng.choice(qm.model.states)
+            pred = rng.choice(qm.predicate_names)
+            original = qm.model.extensions[(state, pred)]
             corrupted = frozenset({0}) if original != frozenset({0}) else frozenset({1})
-            fresh.model.extensions[(state, pred)] = corrupted
+            edited = with_extension(qm, state, pred, corrupted)
             injected += 1
-            if not check_qmt(fresh, SignatureSpace(fresh.model)).ok:
+            if not check_qmt(edited, SignatureSpace(edited.model)).ok:
                 detected += 1
-            fresh.model.extensions[(state, pred)] = original
     elapsed = time.perf_counter() - started
     _report(
         5,

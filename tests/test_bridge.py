@@ -44,7 +44,7 @@ from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
 
 import hilbert_reference as reference
-from conftest import DATA_DIR, SPEC_DIR
+from conftest import DATA_DIR, SPEC_DIR, with_extension
 
 
 def test_worked_build_theta_and_extensions(worked_qm):
@@ -217,8 +217,7 @@ def test_qmn_signature_complement(worked_qm):
 
 
 def test_check_qmt_detects_full_extension_where_half(worked_qm):
-    qm = build_model(worked_qm.spec)  # fresh copy to mutate
-    qm.model.extensions[("Sx+", "Ez")] = frozenset(range(4))
+    qm = with_extension(worked_qm, "Sx+", "Ez", range(4))
     report = check_qmt(qm, SignatureSpace(qm.model))
     assert not report.ok
     assert any("Sx+" in v and "Ez" in v for v in report.violations)
@@ -240,10 +239,9 @@ def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkey
         build_model(worked_spec)
 
 
-def test_check_qmt_detects_any_single_extension_edit(worked_spec):
-    qm = build_model(worked_spec)
-    original = qm.model.extensions[("Sx+", "Ex_perp")]
-    qm.model.extensions[("Sx+", "Ex_perp")] = original | {3}
+def test_check_qmt_detects_any_single_extension_edit(worked_qm):
+    original = worked_qm.model.extensions[("Sx+", "Ex_perp")]
+    qm = with_extension(worked_qm, "Sx+", "Ex_perp", original | {3})
     assert not check_qmt(qm, SignatureSpace(qm.model)).ok
 
 
@@ -318,10 +316,9 @@ def test_lt_quotient_isomorphic_on_worked_spec(worked_qm):
     assert lt_quotient_check(worked_qm, SignatureSpace(worked_qm.model)).status == "isomorphic"
 
 
-def test_lt_quotient_reports_an_edited_extension(worked_spec):
-    qm = build_model(worked_spec)
-    original = qm.model.extensions[("Sx+", "Ex_perp")]
-    qm.model.extensions[("Sx+", "Ex_perp")] = original | {3}
+def test_lt_quotient_reports_an_edited_extension(worked_qm):
+    original = worked_qm.model.extensions[("Sx+", "Ex_perp")]
+    qm = with_extension(worked_qm, "Sx+", "Ex_perp", original | {3})
     report = lt_quotient_check(qm, SignatureSpace(qm.model))
     assert report.status == "mismatch"
     assert report.detail[0].startswith("ortho at ")

@@ -213,6 +213,8 @@ def test_gen_qm_universe_one_is_too_small(capsys):
     [
         ["--kind", "qm", "--dim", "0"],
         ["--kind", "qm", "--dim", "-2"],
+        ["--kind", "qm", "--dim", "1"],
+        ["--kind", "qm", "--dim", "1", "--properties", "3"],
         ["--kind", "qm", "--universe", "0"],
         ["--kind", "qm", "--properties", "-1"],
         ["--states", "0"],
@@ -221,7 +223,8 @@ def test_gen_qm_universe_one_is_too_small(capsys):
     ],
 )
 def test_gen_rejects_an_impossible_shape(argv):
-    # a subprocess with a timeout, since no nonzero vector exists in C^0
+    # a subprocess with a timeout, since no nonzero vector exists in C^0;
+    # C^1 has one line, so two distinct property lines are never drawn
     proc = subprocess.run(
         [sys.executable, "-m", "qlogic.cli", "gen", *argv],
         capture_output=True,
@@ -241,6 +244,16 @@ def test_gen_accepts_an_empty_alphabet(capsys, argv, field):
     code, out, _ = run(capsys, "gen", *argv)
     assert code == 0
     assert json.loads(out)["generator"][field] == 0
+
+
+@pytest.mark.parametrize("properties", ["0", "1"])
+def test_gen_qm_in_one_dimension(tmp_path, capsys, properties):
+    target = tmp_path / "spec.json"
+    argv = ["--kind", "qm", "--dim", "1", "--properties", properties, "--out", str(target)]
+    assert run(capsys, "gen", *argv)[0] == 0
+    code, out, _ = run(capsys, "check", "--qm-spec", str(target))
+    assert code == 0
+    assert "total violations: 0" in out
 
 
 def test_usage_error_exits_one(capsys):

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,7 @@ from qlogic.generate import (
 from qlogic.hilbert import leq
 from qlogic.models import SignatureSpace, model_from_dict
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO
 
 
 def test_classical_generator_matches_golden_file():
@@ -148,3 +151,20 @@ def test_qm_generator_placement_matches_recorded_digest():
         for seed in range(20):
             digest.update(qm_spec_bytes(seed, dim, props, 3, 64))
     assert digest.hexdigest() == QM_PLACEMENT_SHA256
+
+
+@pytest.mark.parametrize(
+    "call", ["random_qm_spec(0, dim=0)", "random_qm_spec(0, dim=-3)", "random_qm_spec(0, dim=1)"]
+)
+def test_qm_generator_rejects_a_shape_no_draw_fills(call):
+    # a subprocess with a timeout: no nonzero vector exists in C^0, and C^1
+    # has one line, so the default two distinct property lines never come
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from qlogic.generate import random_qm_spec; {call}"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: ")

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import copy
+import gc
 import json
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogic.bridge import build_model, load_spec
 from qlogic.errors import (
     ModelValidationError,
     ObjectOutOfRange,
@@ -33,6 +39,8 @@ from qlogic.models import (
     signature,
     truth_collapse_violations,
 )
+
+from conftest import DATA_DIR, SPEC_DIR
 
 
 def tiny_model() -> Model:
@@ -316,3 +324,143 @@ def test_signature_classes_equal_literal_enumeration_classes():
             }
             layered = set(space.reachable_classes(names, depth_cap))
             assert layered == literal
+
+
+# -- the frozen model and its signature index ---------------------------------------
+
+
+def test_model_is_frozen(worked_qm):
+    m = tiny_model()
+    for name in ("predicates", "states", "universe_sizes", "extensions", "pred_masks", "colour"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del m.extensions
+    for mapping, key, value in (
+        (m.extensions, ("S", "E"), frozenset()),
+        (m.universe_sizes, "S", 5),
+        (m.pred_masks, "E", 0),
+        (m.state_masks, "S", 0),
+        (SignatureSpace(m).witnesses(), 0, "F"),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    for name in ("model", "theta", "lattice"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(worked_qm, name, None)
+
+
+def test_copy_and_pickle_rebuild_a_frozen_model(worked_qm):
+    for twin in (copy.deepcopy(worked_qm), pickle.loads(pickle.dumps(worked_qm))):
+        assert twin == worked_qm and twin.model is not worked_qm.model
+        assert twin.model.pred_masks == worked_qm.model.pred_masks
+        assert twin.model.witnesses == worked_qm.model.witnesses
+
+
+def test_model_copies_the_mappings_it_is_given():
+    sizes = {"S": 3}
+    extensions = {("S", "E"): frozenset({0, 2})}
+    m = Model((PredicateInfo("E"),), ("S",), sizes, extensions)
+    sizes["S"] = 9
+    extensions[("S", "E")] = frozenset({1})
+    assert m.universe_sizes == {"S": 3}
+    assert m.extensions == {("S", "E"): frozenset({0, 2})}
+    assert SignatureSpace(m).to_signature(m.pred_masks["E"]) == {("S", 0), ("S", 2)}
+
+
+def test_spaces_of_a_model_share_its_index(worked_qm):
+    a, b = SignatureSpace(worked_qm.model), SignatureSpace(worked_qm.model)
+    assert a.pred_masks is b.pred_masks is worked_qm.model.pred_masks
+    assert a.state_masks is b.state_masks is worked_qm.model.state_masks
+    assert a.witnesses("effects") is b.witnesses("effects")
+    # the sweep memo is the space's own
+    assert a.reachable_classes(("Ez", "Ex"), 1) is a.reachable_classes(("Ez", "Ex"), 1)
+    assert a.reachable_classes(("Ez", "Ex"), 1) is not b.reachable_classes(("Ez", "Ex"), 1)
+
+
+def test_a_dropped_model_is_freed_by_reference_counting(worked_spec):
+    """The model holds no reference to a space, so neither a model nor its
+    quantum bundle sits in a reference cycle."""
+    gc.disable()
+    try:
+        m = tiny_model()
+        qm = build_model(worked_spec)
+        space = SignatureSpace(qm.model)
+        refs = weakref.ref(m), weakref.ref(qm), weakref.ref(qm.model), weakref.ref(space)
+        del m, qm, space
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
+def reference_index(predicates, states, sizes, extensions):
+    """Per predicate and per state the set of (state, object) pairs, and
+    per scope each predicate pair set mapped to the first predicate in
+    table order carrying it, by a plain loop over the extension table
+    (missing entries read as empty)."""
+    blocks = {s: {(s, u) for u in range(sizes[s])} for s in states}
+    signatures = {}
+    for p in predicates:
+        pairs = set()
+        for s in states:
+            for u in extensions.get((s, p.name), ()):
+                pairs.add((s, u))
+        signatures[p.name] = pairs
+    witnesses = {"effects": {}, "properties": {}}
+    for p in predicates:
+        key = frozenset(signatures[p.name])
+        if key not in witnesses["effects"]:
+            witnesses["effects"][key] = p.name
+        if p.is_property and key not in witnesses["properties"]:
+            witnesses["properties"][key] = p.name
+    return blocks, signatures, witnesses
+
+
+def assert_index_matches(m: Model, predicates, states, sizes, extensions):
+    blocks, signatures, witnesses = reference_index(predicates, states, sizes, extensions)
+    space = SignatureSpace(m)
+    assert list(space.pairs) == [pair for s in states for pair in sorted(blocks[s])]
+    assert all(space.position[pair] == i for i, pair in enumerate(space.pairs))
+    assert space.to_signature(space.omega) == set().union(*blocks.values())
+    assert {s: space.to_signature(mask) for s, mask in space.state_masks.items()} == blocks
+    assert {p: space.to_signature(mask) for p, mask in space.pred_masks.items()} == signatures
+    for scope, expected in witnesses.items():
+        got = {space.to_signature(mask): name for mask, name in space.witnesses(scope).items()}
+        assert got == expected
+
+
+@st.composite
+def model_tables(draw):
+    """A table of 1-3 states with universes of 1-3 objects and 1-3 base
+    predicates, each maybe paired with a complementary partner, maybe not
+    a property, and with empty extensions maybe left out."""
+    states = tuple(f"S{i}" for i in range(draw(st.integers(1, 3))))
+    sizes = {s: draw(st.integers(1, 3)) for s in states}
+    predicates, extensions = [], {}
+    for i in range(draw(st.integers(1, 3))):
+        name, partner = f"E{i}", f"E{i}_perp"
+        paired = draw(st.booleans())
+        predicates.append(PredicateInfo(name, draw(st.booleans()), partner if paired else None))
+        if paired:
+            predicates.append(PredicateInfo(partner, draw(st.booleans()), name))
+        for s in states:
+            ext = frozenset(draw(st.sets(st.integers(0, sizes[s] - 1))))
+            if ext or draw(st.booleans()):
+                extensions[(s, name)] = ext
+            if paired:
+                extensions[(s, partner)] = frozenset(range(sizes[s])) - ext
+    return tuple(predicates), states, sizes, extensions
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_tables())
+def test_index_matches_a_reference_on_random_tables(table):
+    assert_index_matches(Model(*table), *table)
+
+
+@pytest.mark.parametrize(
+    "path", [SPEC_DIR / "worked_qm.json", DATA_DIR / "gen_qm_seed11.json"], ids=lambda p: p.stem
+)
+def test_index_matches_a_reference_on_built_models(path):
+    m = build_model(load_spec(path)).model
+    assert_index_matches(m, m.predicates, m.states, m.universe_sizes, m.extensions)
