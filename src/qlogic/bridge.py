@@ -15,10 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
+from weakref import WeakKeyDictionary
 
 from ._fixpoint import fixpoint
 from .errors import (
@@ -155,16 +157,35 @@ def save_spec(spec: QMModelSpec, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """A built model together with its Hilbert provenance."""
+    """A built model together with its Hilbert provenance.
+
+    Frozen like its model: the mappings are read-only copies of the
+    caller's.  It also keeps the lattice element each formula reduces to,
+    keyed weakly by the formula, so the read path reduces a formula once
+    per model however many states ask about it; ``replace``, copy and
+    pickle start an empty memo.
+    """
 
     spec: QMModelSpec
     model: Model
     lattice: QLattice
-    theta: dict[str, frozenset[str]]
+    theta: Mapping[str, frozenset[str]]
     predicate_names: tuple[str, ...]  # aligned with lattice.elements
-    element_index: dict[str, int]  # predicate name -> element index
+    element_index: Mapping[str, int]  # predicate name -> element index
     # (state, primary predicate) -> projection probability the build read
-    probabilities: dict[tuple[str, str], Fraction]
+    probabilities: Mapping[tuple[str, str], Fraction]
+    _elements: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        for name in ("theta", "element_index", "probabilities"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, memo empty
+        fields = (self.spec, self.model, self.lattice, dict(self.theta), self.predicate_names,
+                  dict(self.element_index), dict(self.probabilities))
+        return QuantumModel, fields
 
 
 def _generated_name(sub: Subspace, taken: set[str]) -> str:
@@ -310,6 +331,15 @@ def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
     raise NotTestable(f"classical connective above a quantum subformula in {render(f)}")
 
 
+def _element(qm: QuantumModel, f: Formula) -> int:
+    """The lattice element of the qwff, reduced once per (model, formula);
+    a formula that is not testable raises every time and is not kept."""
+    element = qm._elements.get(f)
+    if element is None:
+        element = qm._elements[f] = _reduce_element(qm, SignatureSpace(qm.model), f)
+    return element
+
+
 def reduce_qwff(qm: QuantumModel, f: Formula) -> str:
     """Predicate of the subspace the formula denotes.
 
@@ -317,7 +347,7 @@ def reduce_qwff(qm: QuantumModel, f: Formula) -> str:
     witness; quantum negation, meet, join and implication map to the
     lattice operations (implication as the orthocomplement-join form).
     """
-    return qm.predicate_names[_reduce_element(qm, SignatureSpace(qm.model), f)]
+    return qm.predicate_names[_element(qm, f)]
 
 
 def tau_eval(qm: QuantumModel, f: Formula, state: str, obj: int) -> bool:
@@ -336,7 +366,7 @@ def q_truth(qm: QuantumModel, f: Formula, state: str) -> str:
     """Trivalent verdict: certainly true, certainly false, or neither."""
     if state not in qm.model.states:
         raise UnknownState(state)
-    return _verdict(qm, _reduce_element(qm, SignatureSpace(qm.model), f), state)
+    return _verdict(qm, _element(qm, f), state)
 
 
 def _verdict(qm: QuantumModel, element: int, state: str) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .bridge import (
     QuantumModel,
-    _reduce_element,
+    _element,
     _verdict,
     build_model,
     check_equiv_coincidence,
@@ -201,7 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     element: int | None = None
     if qm is not None:
         try:
-            element = _reduce_element(qm, SignatureSpace(model), f)
+            element = _element(qm, f)
         except NotTestable:
             if quantum:
                 raise

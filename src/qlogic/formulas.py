@@ -27,6 +27,7 @@ model-level operation, never a token.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,21 +43,32 @@ class Formula:
     Each node hashes its class name and fields once, at construction, into
     ``_hash``, a slot that equality ignores, so dict lookups keyed by
     formulas do not rehash whole trees; the class name keeps connectives
-    over the same children (``E & F``, ``E | F``) from colliding.
+    over the same children (``E & F``, ``E | F``) from colliding.  Next to
+    it, ``_quantum`` records whether the subtree holds a quantum
+    connective, read off the children's flags, so no question about the
+    whole tree walks it again.  Nodes can be weakly referenced, so caches
+    keyed by formulas need not keep them alive.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_quantum", "__weakref__")
+    _quantum_connective = False  # class-level: True on the quantum node types
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *self._fields())))
+        fields = self._fields()
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
+        quantum = self._quantum_connective
+        for child in fields:
+            if isinstance(child, Formula) and child._quantum:
+                quantum = True
+        object.__setattr__(self, "_quantum", quantum)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
+        return tuple(map(self.__getattribute__, self.__match_args__))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):  # copy and pickle rebuild the node, which rehashes it
+    def __reduce__(self):  # copy and pickle rebuild the node, which recomputes its slots
         return type(self), self._fields()
 
     def __str__(self) -> str:
@@ -95,40 +107,37 @@ class Or(Formula):
 
 @_node
 class QNot(Formula):
+    _quantum_connective = True
     child: Formula
 
 
 @_node
 class QAnd(Formula):
+    _quantum_connective = True
     left: Formula
     right: Formula
 
 
 @_node
 class QOr(Formula):
+    _quantum_connective = True
     left: Formula
     right: Formula
 
 
 @_node
 class QImp(Formula):
+    _quantum_connective = True
     left: Formula
     right: Formula
 
 
-_QUANTUM_TYPES = (QNot, QAnd, QOr, QImp)
 _UNARY_TYPES = (Not, QNot)
 
 
 def has_quantum(f: Formula) -> bool:
     """True when any node of the tree is a quantum connective."""
-    if isinstance(f, Pred):
-        return False
-    if isinstance(f, _QUANTUM_TYPES):
-        return True
-    if isinstance(f, Not):
-        return has_quantum(f.child)
-    return has_quantum(f.left) or has_quantum(f.right)
+    return f._quantum
 
 
 def depth(f: Formula) -> int:
@@ -167,143 +176,124 @@ def classify(f: Formula, property_names: Iterable[str]) -> LanguageTag:
     again at evaluation time.
     """
     props = set(property_names)
-    all_prop_leaves = all(name in props for name in leaf_names(f))
-    if not has_quantum(f):
-        return LanguageTag.PROPERTY_WFF if all_prop_leaves else LanguageTag.EFFECT_WFF
-    if all_prop_leaves and _internal_all_quantum(f):
-        return LanguageTag.PURE_QWFF
-    return LanguageTag.MIXED
+    if not f._quantum:
+        if all(name in props for name in leaf_names(f)):
+            return LanguageTag.PROPERTY_WFF
+        return LanguageTag.EFFECT_WFF
+    return LanguageTag.PURE_QWFF if _pure_qwff(f, props) else LanguageTag.MIXED
 
 
-def _internal_all_quantum(f: Formula) -> bool:
+def _pure_qwff(f: Formula, props: set[str]) -> bool:
+    """Every internal node quantum and every leaf a property predicate."""
     if isinstance(f, Pred):
-        return True
-    if not isinstance(f, _QUANTUM_TYPES):
+        return f.name in props
+    if not f._quantum_connective:
         return False
     if isinstance(f, QNot):
-        return _internal_all_quantum(f.child)
-    return _internal_all_quantum(f.left) and _internal_all_quantum(f.right)
+        return _pure_qwff(f.child, props)
+    return _pure_qwff(f.left, props) and _pure_qwff(f.right, props)
 
 
 # --- parsing ---------------------------------------------------------------
 
-_OPERATORS = ("->q", "~q", "&q", "|q", "~", "&", "|", "(", ")")
+# One token per match: leading whitespace (what str.isspace accepts, which
+# is what \s matches), then an operator by maximal munch, an identifier, or
+# any other non-space character, which is an error.  Trailing whitespace
+# matches nothing.
+_TOKEN_RE = re.compile(r"\s*(?:(->q|~q|&q|\|q|[~&|()])|([A-Za-z][A-Za-z0-9_]*)|(\S))")
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # an operator literal, "IDENT" or "EOF"
-    pos: int  # 1-based character position
-    text: str = ""
-
-
-def _ident_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z"
-
-
-def _ident_char(c: str) -> bool:
-    return _ident_start(c) or "0" <= c <= "9" or c == "_"
+_Token = tuple[str, int, str]  # kind (an operator literal, "IDENT" or "EOF"), 1-based position, text
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        op = next((op for op in _OPERATORS if text.startswith(op, i)), None)
-        if op is not None:
-            tokens.append(_Token(op, i + 1))
-            i += len(op)
-            continue
-        if _ident_start(c):
-            j = i + 1
-            while j < n and _ident_char(text[j]):
-                j += 1
-            tokens.append(_Token("IDENT", i + 1, text[i:j]))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unknown token {c!r}", i + 1)
-    tokens.append(_Token("EOF", n + 1))
+    for m in _TOKEN_RE.finditer(text):
+        op, ident, stray = m.groups()
+        if op:
+            tokens.append((op, m.start(1) + 1, ""))
+        elif ident:
+            tokens.append(("IDENT", m.start(2) + 1, ident))
+        else:
+            raise FormulaSyntaxError(f"unknown token {stray!r}", m.start(3) + 1)
+    tokens.append(("EOF", len(text) + 1, ""))
     return tokens
 
 
-_BINARY_LEVELS = (  # loosest first; every level is left-associative
-    {"->q": QImp},
-    {"|": Or, "|q": QOr},
-    {"&": And, "&q": QAnd},
-)
+_BINARY = {  # operator -> (binding level, loosest first; all left-associative), node
+    "->q": (0, QImp),
+    "|": (1, Or),
+    "|q": (1, QOr),
+    "&": (2, And),
+    "&q": (2, QAnd),
+}
 _PREFIX = {"~": Not, "~q": QNot}
 
 
+def _limit(levels: int, pos: int) -> None:
+    if levels > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+
+
 class _Parser:
-    """Recursive descent; each rule returns a subtree and its height."""
+    """Precedence climbing; each rule returns a subtree and its height."""
 
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._i = 0
         self._open = 0  # parentheses and prefix operators around the parse point
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
-
     def _advance(self) -> _Token:
         tok = self._tokens[self._i]
         self._i += 1
         return tok
 
-    def _limit(self, levels: int, tok: _Token) -> None:
-        if levels > MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", tok.pos)
-
     def parse(self) -> Formula:
         f, _ = self._binary(0)
-        tok = self._peek()
-        if tok.kind != "EOF":
-            raise FormulaSyntaxError(f"unexpected {tok.text or tok.kind!r}", tok.pos)
+        kind, pos, text = self._tokens[self._i]
+        if kind != "EOF":
+            raise FormulaSyntaxError(f"unexpected {text or kind!r}", pos)
         return f
 
-    def _binary(self, level: int) -> tuple[Formula, int]:
-        if level == len(_BINARY_LEVELS):
-            return self._unary()
-        ops = _BINARY_LEVELS[level]
-        left, height = self._binary(level + 1)
-        while self._peek().kind in ops:
-            tok = self._advance()
-            right, right_height = self._binary(level + 1)
-            left, height = ops[tok.kind](left, right), 1 + max(height, right_height)
-            self._limit(height, tok)
-        return left, height
+    def _binary(self, min_level: int) -> tuple[Formula, int]:
+        """Operands joined by binary operators binding at least as tightly
+        as ``min_level``; each right operand takes the tighter ones."""
+        left, height = self._unary()
+        while True:
+            kind, pos, _ = self._tokens[self._i]
+            op = _BINARY.get(kind)
+            if op is None or op[0] < min_level:
+                return left, height
+            self._i += 1
+            right, right_height = self._binary(op[0] + 1)
+            left, height = op[1](left, right), 1 + max(height, right_height)
+            _limit(height, pos)
 
     def _unary(self) -> tuple[Formula, int]:
-        tok = self._peek()
-        if tok.kind not in _PREFIX:
+        kind, pos, _ = self._tokens[self._i]
+        if kind not in _PREFIX:
             return self._atom()
-        self._advance()
+        self._i += 1
         self._open += 1
-        self._limit(self._open, tok)
+        _limit(self._open, pos)
         child, height = self._unary()
         self._open -= 1
-        self._limit(height + 1, tok)
-        return _PREFIX[tok.kind](child), height + 1
+        _limit(height + 1, pos)
+        return _PREFIX[kind](child), height + 1
 
     def _atom(self) -> tuple[Formula, int]:
-        tok = self._advance()
-        if tok.kind == "IDENT":
-            return Pred(tok.text), 0
-        if tok.kind == "(":
+        kind, pos, text = self._advance()
+        if kind == "IDENT":
+            return Pred(text), 0
+        if kind == "(":
             self._open += 1
-            self._limit(self._open, tok)
+            _limit(self._open, pos)
             inner = self._binary(0)
             self._open -= 1
-            closing = self._advance()
-            if closing.kind != ")":
-                raise FormulaSyntaxError("expected ')'", closing.pos)
+            closing, closing_pos, _ = self._advance()
+            if closing != ")":
+                raise FormulaSyntaxError("expected ')'", closing_pos)
             return inner
-        what = tok.text or tok.kind
-        raise FormulaSyntaxError(f"expected predicate or '(', got {what!r}", tok.pos)
+        raise FormulaSyntaxError(f"expected predicate or '(', got {text or kind!r}", pos)
 
 
 def parse(text: str) -> Formula:

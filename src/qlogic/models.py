@@ -297,8 +297,11 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
 
 
 def _eval(m: Model, f: Formula, state: str, obj: int) -> bool:
-    if isinstance(f, Pred):
-        return obj in m.extension(state, f.name)
+    if isinstance(f, Pred):  # eval_open has checked the state
+        try:
+            return obj in m.extensions[(state, f.name)]
+        except KeyError:
+            raise UnknownPredicate(f.name) from None
     if isinstance(f, Not):
         return not _eval(m, f.child, state, obj)
     if isinstance(f, And):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
+import gc
 import json
 import math
+import pickle
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +16,7 @@ from qlogic import bridge
 from qlogic.bridge import (
     QMModelSpec,
     QTruth,
+    QuantumModel,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -35,11 +40,11 @@ from qlogic.errors import (
     UniverseTooSmall,
     ZeroVector,
 )
-from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, render
+from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, parse, render
 from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, born, join, leq, meet, ortho
-from qlogic.models import SignatureSpace, eval_open, signature
+from qlogic.models import Model, SignatureSpace, eval_open, signature
 from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
 
@@ -457,3 +462,103 @@ def test_recorded_probabilities_match_born(source):
             element = qm.lattice.elements[qm.element_index[name]]
             assert p == born(vectors[state], element)
             assert p == reference.born(vectors[state], element.basis)
+
+
+# -- one reduction per (model, formula) -------------------------------------------
+
+
+def test_a_formula_is_reduced_once_per_model(monkeypatch):
+    qm = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
+    f = QImp(QAnd(Pred("E1"), QNot(Pred("E2"))), QOr(Pred("E3"), And(Pred("E1"), Pred("E1"))))
+    reduce = bridge._reduce_element
+    roots = []
+
+    def counting(qm, space, g):
+        if g == f:
+            roots.append(g)
+        return reduce(qm, space, g)
+
+    monkeypatch.setattr(bridge, "_reduce_element", counting)
+    verdicts = [q_truth(qm, f, s) for s in qm.model.states]
+    name = reduce_qwff(qm, f)
+    assert len(verdicts) == 15 and len(roots) == 1
+    # an equal formula parsed afresh, and tau_eval, read the same entry
+    assert reduce_qwff(qm, parse(render(f))) == name
+    assert tau_eval(qm, f, "W1", 0) == eval_open(qm.model, Pred(name), "W1", 0)
+    assert len(roots) == 1
+
+
+def test_the_memo_keeps_no_formula_alive(worked_spec):
+    qm = build_model(worked_spec)
+    gc.disable()
+    try:
+        f = QOr(Pred("Ez"), QNot(Pred("Ex")))
+        q_truth(qm, f, "Sz+")
+        assert len(qm._elements) == 1
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None and len(qm._elements) == 0
+    finally:
+        gc.enable()
+
+
+def _rebuilt(qm: QuantumModel, extensions) -> QuantumModel:
+    """A model built fresh from ``qm``'s parts and the given extension table."""
+    m = qm.model
+    return QuantumModel(
+        qm.spec,
+        Model(m.predicates, m.states, dict(m.universe_sizes), extensions),
+        qm.lattice,
+        dict(qm.theta),
+        qm.predicate_names,
+        dict(qm.element_index),
+        dict(qm.probabilities),
+    )
+
+
+def test_copies_reduce_against_their_own_model(worked_qm):
+    """A reduction kept for one model never answers for another: copies made
+    after the original reduced ~q Ex start an empty memo and answer as a
+    model built fresh from their own table."""
+    f = QNot(Pred("Ex"))
+    states = worked_qm.model.states
+    original = [q_truth(worked_qm, f, s) for s in states]
+    assert f in worked_qm._elements
+    for twin in (copy.copy(worked_qm), copy.deepcopy(worked_qm), pickle.loads(pickle.dumps(worked_qm))):
+        assert twin == worked_qm and len(twin._elements) == 0
+        assert [q_truth(twin, f, s) for s in states] == original
+
+    # with_extension: with a full Ex in Sz+, Ex & Ex_perp is no longer empty
+    # there, so no property has its signature and ~q(Ex & Ex_perp) is not
+    # testable in the copy, though the original holds it Q-true everywhere
+    g = QNot(And(Pred("Ex"), Pred("Ex_perp")))
+    assert {q_truth(worked_qm, g, s) for s in states} == {QTruth.TRUE}
+    edited = with_extension(worked_qm, "Sz+", "Ex", range(4))
+    assert len(edited._elements) == 0
+    with pytest.raises(NotTestable):
+        q_truth(edited, g, "Sz-")
+
+    # Ex and Ex_perp take the extensions of Ez and Ez_perp: ~q Ex reduces
+    # through Ez's witness, so its verdicts become those of Ez_perp
+    extensions = dict(worked_qm.model.extensions)
+    for s in states:
+        for target, source in (("Ex", "Ez"), ("Ex_perp", "Ez_perp")):
+            extensions[(s, target)] = extensions[(s, source)]
+    swapped = replace(worked_qm, model=_rebuilt(worked_qm, extensions).model)
+    expected = [q_truth(_rebuilt(worked_qm, extensions), f, s) for s in states]
+    assert expected == [q_truth(worked_qm, QNot(Pred("Ez")), s) for s in states] != original
+    for qm in (swapped, copy.deepcopy(swapped), pickle.loads(pickle.dumps(swapped))):
+        assert len(qm._elements) == 0
+        assert [q_truth(qm, f, s) for s in states] == expected
+
+
+def test_an_untestable_formula_raises_on_every_call(worked_qm):
+    f = QNot(And(Pred("Ez"), Pred("Ex")))
+    for _ in range(3):
+        with pytest.raises(NotTestable):
+            reduce_qwff(worked_qm, f)
+        with pytest.raises(NotTestable):
+            q_truth(worked_qm, f, "Sz+")
+        with pytest.raises(NotTestable):
+            tau_eval(worked_qm, f, "Sz+", 0)
+    assert f not in worked_qm._elements

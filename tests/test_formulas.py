@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qlogic.errors import DepthLimitExceeded, FormulaSyntaxError
 from qlogic.formulas import (
@@ -19,12 +21,16 @@ from qlogic.formulas import (
     QImp,
     QNot,
     QOr,
+    _tokenize,
     classify,
     depth,
     enumerate_formulas,
+    has_quantum,
     parse,
     render,
 )
+
+import formula_reference as reference
 
 
 def test_parse_classical():
@@ -194,3 +200,97 @@ def test_hash_is_cached_and_copies_recompute_it():
     assert f == fresh
     for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert twin == f and hash(twin) == hash(fresh)
+
+
+def test_quantum_flag_is_cached_and_copies_recompute_it():
+    """Each node records at construction whether its subtree holds a quantum
+    connective; copy and pickle rebuild the node, so the flag is recomputed,
+    as the cached hash is."""
+    classical = And(Pred("E"), Not(Pred("F")))
+    f = QImp(classical, Or(Pred("G"), Pred("E")))
+    assert (has_quantum(f), has_quantum(classical), has_quantum(f.right)) == (True, False, False)
+    for node, flag in ((f, True), (classical, False)):
+        object.__setattr__(node, "_quantum", not flag)  # a stale flag
+        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert twin == node and has_quantum(twin) is flag
+
+
+def _nodes(f):
+    yield f
+    for child in f._fields():
+        if not isinstance(child, str):
+            yield from _nodes(child)
+
+
+@given(_formulas())
+def test_quantum_flag_and_classify_match_tree_walks(f):
+    for node in _nodes(f):
+        assert has_quantum(node) is reference.has_quantum(node)
+    for props in ({"E", "F"}, {"E", "F", "Gx", "q2"}, set()):
+        assert classify(f, props) is reference.classify(f, props)
+
+
+# Text pieces the tokenizer treats differently: every operator and its
+# prefixes, identifier and digit runs, ASCII and Unicode whitespace
+# (no-break space, information separator, em space, ideographic space),
+# and characters that are no token (a zero-width space is not whitespace).
+_PIECES = (
+    "->q", "~q", "&q", "|q", "~", "&", "|", "(", ")", "-", "->", ">", "q",
+    "E", "Fx", "g_1", "Q2q", "7", "_", "08",
+    " ", "\t", "\n", "\r", "\u00a0", "\x1c", "\u2003", "\u3000", "\u0085",
+    "+", "\u00e9", "\u200b", "\u2167", "!", "\x00",
+)
+
+
+def _texts():
+    piece = st.one_of(st.sampled_from(_PIECES), st.characters())
+    return st.lists(piece, max_size=30).map("".join)
+
+
+def _outcome(scan, text):
+    try:
+        return scan(text)
+    except FormulaSyntaxError as err:
+        return "error", str(err), err.position
+
+
+@given(_texts())
+@example(" ")  # trailing whitespace is no token
+@example("E &\u00a0F\x1c")
+def test_tokenizer_matches_the_character_loop(text):
+    expected = _outcome(
+        lambda t: [(tok.kind, tok.pos, tok.text) for tok in reference.tokenize(t)], text
+    )
+    assert _outcome(_tokenize, text) == expected
+
+
+@given(_texts())
+@example(" ")
+@example("(E |q ~F) ")
+def test_parser_matches_recursive_descent(text):
+    assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+@pytest.mark.parametrize("n", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize(
+    "template",
+    [
+        lambda n: "(" * n + "E" + ")" * n,
+        lambda n: "~(" * (n // 2) + "E" + ")" * (n // 2),
+        lambda n: "~q" * n + "(E",
+        lambda n: "E ->q " * n + "F &q ~G",
+        lambda n: "(E | " * n + "F" + ")" * (n - 1),
+        lambda n: " &q ".join(["E"] * n) + " | ~" + "~q" * n + "F",
+    ],
+)
+def test_parser_matches_recursive_descent_at_the_nesting_limit(template, n):
+    text = template(n)
+    assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+def test_regex_whitespace_is_str_isspace():
+    """The tokenizer skips what ``\\s`` matches; the character loop skipped
+    what ``str.isspace`` accepts.  They agree on every code point."""
+    space = re.compile(r"\s")
+    code_points = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in code_points if c.isspace() != bool(space.match(c))] == []

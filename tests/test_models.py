@@ -16,8 +16,9 @@ from qlogic.errors import (
     ObjectOutOfRange,
     QuantumNodeInClassicalEval,
     UnknownPredicate,
+    UnknownState,
 )
-from qlogic.formulas import And, Not, Or, Pred, QAnd, enumerate_formulas, parse
+from qlogic.formulas import And, Not, Or, Pred, QAnd, QNot, QOr, enumerate_formulas, parse
 from qlogic.generate import random_classical_model
 from qlogic.models import (
     Model,
@@ -58,6 +59,33 @@ def test_eval_open_membership():
     assert eval_open(m, Not(Pred("E")), "S", 1) is True
     for u in range(3):
         assert eval_open(m, And(Pred("E"), Not(Pred("E"))), "S", u) is False
+
+
+@pytest.mark.parametrize(
+    "f,state,obj,outcome",
+    [
+        # connectives short-circuit, so an unknown leaf on the unread side is never looked up
+        (Or(Pred("E"), Pred("Unknown")), "S", 0, True),
+        (And(Pred("F"), Pred("Unknown")), "S", 0, False),
+        (And(Pred("F"), QNot(Pred("Unknown"))), "S", 0, False),
+        (Or(Pred("F"), Pred("Unknown")), "S", 0, (UnknownPredicate, "Unknown")),
+        # the state and then the object are checked before any leaf
+        (Pred("Unknown"), "T", 0, (UnknownState, "T")),
+        (Pred("Unknown"), "S", 3, (ObjectOutOfRange, "object 3 outside universe of size 3 in 'S'")),
+        (Pred("E"), "S", -1, (ObjectOutOfRange, "object -1 outside universe of size 3 in 'S'")),
+        (And(Pred("E"), QNot(Pred("Unknown"))), "S", 0, (QuantumNodeInClassicalEval, "~qUnknown")),
+        (Not(QOr(Pred("E"), Pred("F"))), "S", 1, (QuantumNodeInClassicalEval, "E |q F")),
+    ],
+)
+def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, outcome):
+    m = tiny_model()
+    if isinstance(outcome, bool):
+        assert eval_open(m, f, state, obj) is outcome
+        return
+    error, message = outcome
+    with pytest.raises(error) as err:
+        eval_open(m, f, state, obj)
+    assert str(err.value) == message
 
 
 def test_eval_open_errors():
@@ -345,9 +373,18 @@ def test_model_is_frozen(worked_qm):
     ):
         with pytest.raises(TypeError):
             mapping[key] = value
-    for name in ("model", "theta", "lattice"):
+    for name in ("model", "theta", "lattice", "_elements"):
         with pytest.raises(FrozenInstanceError):
             setattr(worked_qm, name, None)
+    for mapping, key in (
+        (worked_qm.theta, "Ez"),
+        (worked_qm.element_index, "Ez"),
+        (worked_qm.probabilities, ("Sz+", "Ez")),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
 
 
 def test_copy_and_pickle_rebuild_a_frozen_model(worked_qm):
