@@ -83,7 +83,6 @@ from .bridge import (
     lt_quotient_check,
     q_truth,
     reduce_qwff,
-    save_spec,
     spec_from_dict,
     spec_to_dict,
     states_separate,

@@ -13,7 +13,6 @@ construction, never rounded independently.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -147,12 +146,6 @@ def spec_to_dict(spec: QMModelSpec) -> dict:
 
 def load_spec(path: str | Path) -> QMModelSpec:
     return spec_from_dict(read_json(path))
-
-
-def save_spec(spec: QMModelSpec, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 @dataclass(frozen=True)
@@ -381,14 +374,7 @@ def _verdict(qm: QuantumModel, element: int, state: str) -> str:
 # Each suite reads the masks of a SignatureSpace of qm.model that its caller built.
 
 
-@dataclass
-class QmtReport:
-    ok: bool
-    checked: int
-    violations: list[str]
-
-
-def check_qmt(qm: QuantumModel, space: SignatureSpace) -> QmtReport:
+def check_qmt(qm: QuantumModel, space: SignatureSpace) -> RelationStats:
     """Re-verify the build postconditions against the model as it stands.
 
     Checks, per predicate and state: the proposition of the predicate is
@@ -427,17 +413,10 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> QmtReport:
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "
                     f"does not match its projection probability"
                 )
-    return QmtReport(not violations, checked, violations)
+    return RelationStats("proposition-theta-agreement", checked, violations, 0)
 
 
-@dataclass
-class EquivCoincidenceReport:
-    ok: bool
-    checked_pairs: int
-    violations: list[str]
-
-
-def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> EquivCoincidenceReport:
+def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> RelationStats:
     """Equal propositions iff equal signatures, over testable formulas.
 
     A formula is p-testable exactly when its signature is some property
@@ -456,7 +435,7 @@ def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> EquivCoi
                 violations.append(
                     f"{name_a} and {name_b}: equal propositions, distinct signatures"
                 )
-    return EquivCoincidenceReport(not violations, checked, violations)
+    return RelationStats("equivalence-coincidence", checked, violations, 0)
 
 
 def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
@@ -491,17 +470,7 @@ class QuantumEquivalencesReport:
 
     @property
     def ok(self) -> bool:
-        return all(
-            not stats.violations
-            for stats in (
-                self.demorgan,
-                self.sasaki,
-                self.conjunction_propositions,
-                self.ortho_relation,
-                self.meet_relation,
-                self.join_relation,
-            )
-        )
+        return all(stats.ok for stats in self.entries())
 
     def entries(self) -> list[RelationStats]:
         return [
@@ -601,16 +570,9 @@ def check_quantum_equivalences(
     )
 
 
-@dataclass
-class QTrichotomyReport:
-    ok: bool
-    checked: int
-    violations: list[str]
-
-
 def check_q_trichotomy(
     qm: QuantumModel, space: SignatureSpace, max_depth: int = 2
-) -> QTrichotomyReport:
+) -> RelationStats:
     """Exactly one verdict per (qwff, state), and certain falsehood of a
     formula coincides with certain truth of its quantum negation."""
     if max_depth > MAX_RELATION_DEPTH:
@@ -640,7 +602,7 @@ def check_q_trichotomy(
                 violations.append(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"
                 )
-    return QTrichotomyReport(not violations, checked, violations)
+    return RelationStats("q-truth-trichotomy", checked, violations, 0)
 
 
 def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:

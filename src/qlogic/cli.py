@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 from .bridge import (
     QuantumModel,
-    _element,
-    _verdict,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -25,6 +23,8 @@ from .bridge import (
     check_quantum_equivalences,
     load_spec,
     lt_quotient_check,
+    q_truth,
+    reduce_qwff,
     states_separate,
 )
 from .errors import (
@@ -66,7 +66,7 @@ from .models import (
     load_model,
     quotient_size,
 )
-from .propositions import check_connective_relations, cover_edges
+from .propositions import RelationStats, check_connective_relations, cover_edges
 
 MAX_SEED = 2**64 - 1
 
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--qm-spec", dest="qm_spec", help="Hilbert spec file (JSON)")
         if formula:
             p.add_argument("--formula", help="formula text")
-        p.add_argument("--depth", type=int, default=3, help="enumeration depth cap, 0 to 4")
         if formats:
             p.add_argument("--format", dest="fmt", choices=formats, default="text")
         p.add_argument("--cap", type=int, default=512, help="closure element cap")
@@ -112,6 +111,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run every applicable conformance suite")
     add_common(p)
+    p.add_argument("--depth", type=int, default=3, help="enumeration depth cap, 0 to 4")
 
     p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
     add_common(p, formats=("text", "json", "dot"))
@@ -198,20 +198,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if quantum and qm is None:
         raise MissingTheta("quantum connectives need a Hilbert-backed model (--qm-spec)")
 
-    element: int | None = None
+    reduced = None
     if qm is not None:
         try:
-            element = _element(qm, f)
+            reduced = reduce_qwff(qm, f)
         except NotTestable:
             if quantum:
                 raise
-    reduced = None if element is None else qm.predicate_names[element]
     target = f if reduced is None else Pred(reduced)
     rows = []
     for state in model.states:
         n = model.universe_sizes[state]
         values = [eval_open(model, target, state, u) for u in range(n)]
-        verdict = None if element is None else _verdict(qm, element, state)
+        verdict = None if reduced is None else q_truth(qm, f, state)
         rows.append((state, n, values, all(values), verdict))
 
     if args.fmt == "json":
@@ -283,6 +282,18 @@ class SuiteResult:
         return line
 
 
+def _relation_suite(stats: RelationStats, census: bool = False) -> SuiteResult:
+    """The result of a suite that returns RelationStats: a census reports
+    its strict count even at 0, the other suites only when it is not 0."""
+    return SuiteResult(
+        suite=stats.relation,
+        checked=stats.checked,
+        violations=len(stats.violations),
+        witnesses=stats.violations[:5],
+        info={"strict": stats.strict} if census or stats.strict else None,
+    )
+
+
 def _classical_suites(
     space: SignatureSpace, depth: int, generators: tuple[str, ...] | None = None
 ) -> list[SuiteResult]:
@@ -291,18 +302,10 @@ def _classical_suites(
     full closure table would make the sweeps combinatorially infeasible).
     The census and cm-testability read one class sweep at depth 3 or less."""
     model = space.model
-    suites = []
-    rel = check_connective_relations(space, min(depth, 3), predicates=generators)
-    for entry in rel.entries:
-        suites.append(
-            SuiteResult(
-                suite=f"connective-relation-{entry.relation}",
-                checked=entry.checked,
-                violations=len(entry.violations),
-                witnesses=entry.violations[:5],
-                info={"strict": entry.strict},
-            )
-        )
+    suites = [
+        _relation_suite(stats, census=True)
+        for stats in check_connective_relations(space, min(depth, 3), predicates=generators)
+    ]
     elements = quotient_size(space, predicates=generators)
     suites.append(
         SuiteResult(suite="boolean-quotient", checked=elements, info={"elements": elements})
@@ -365,35 +368,9 @@ def _quantum_suites(qm: QuantumModel, space: SignatureSpace, depth: int) -> list
             },
         )
     )
-    qmt = check_qmt(qm, space)
-    suites.append(
-        SuiteResult(
-            suite="proposition-theta-agreement",
-            checked=qmt.checked,
-            violations=len(qmt.violations),
-            witnesses=qmt.violations[:5],
-        )
-    )
-    equiv = check_equiv_coincidence(qm, space)
-    suites.append(
-        SuiteResult(
-            suite="equivalence-coincidence",
-            checked=equiv.checked_pairs,
-            violations=len(equiv.violations),
-            witnesses=equiv.violations[:5],
-        )
-    )
+    relations = [check_qmt(qm, space), check_equiv_coincidence(qm, space)]
     qe = check_quantum_equivalences(qm, space, min(depth, 3))
-    for entry in qe.entries():
-        suites.append(
-            SuiteResult(
-                suite=entry.relation,
-                checked=entry.checked,
-                violations=len(entry.violations),
-                witnesses=entry.violations[:5],
-                info={"strict": entry.strict} if entry.strict else None,
-            )
-        )
+    suites += [_relation_suite(stats) for stats in relations + qe.entries()]
     suites.append(
         SuiteResult(
             suite="conjunction-signature-gap",
@@ -408,15 +385,7 @@ def _quantum_suites(qm: QuantumModel, space: SignatureSpace, depth: int) -> list
             },
         )
     )
-    tri = check_q_trichotomy(qm, space, min(depth, 2))
-    suites.append(
-        SuiteResult(
-            suite="q-truth-trichotomy",
-            checked=tri.checked,
-            violations=len(tri.violations),
-            witnesses=tri.violations[:5],
-        )
-    )
+    suites.append(_relation_suite(check_q_trichotomy(qm, space, min(depth, 2))))
     lt = lt_quotient_check(qm, space)
     suites.append(
         SuiteResult(
@@ -438,6 +407,10 @@ def _quantum_suites(qm: QuantumModel, space: SignatureSpace, depth: int) -> list
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.depth < 0:
+        raise _UsageError("depth must be nonnegative")
+    if args.depth > MAX_ENUM_DEPTH:
+        raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
     model, qm = _load_input(args)
     space = SignatureSpace(model)
     generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
@@ -554,14 +527,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
         if "seed" in args and not 0 <= args.seed <= MAX_SEED:
             raise _UsageError("seed must fit in 64 unsigned bits")
-        if args.depth < 0:
-            raise _UsageError("depth must be nonnegative")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.depth > MAX_ENUM_DEPTH:
-            raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
         status = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return status

@@ -181,13 +181,6 @@ class Model:
         except KeyError:
             raise UnknownState(state) from None
 
-    def extension(self, state: str, predicate: str) -> frozenset[int]:
-        self.universe_size(state)
-        try:
-            return self.extensions[(state, predicate)]
-        except KeyError:
-            raise UnknownPredicate(predicate) from None
-
 
 # -- model files --------------------------------------------------------------
 
@@ -406,15 +399,16 @@ class SignatureSpace:
         return self._closure(names, cap=max_elements, overflow=overflow)
 
     def atoms(self, generator_names: Iterable[str]) -> list[int]:
-        """Masks of the cells of bits lying in exactly the same generators.
+        """Masks of the cells of bits lying in exactly the same generators,
+        refined one generator at a time by splitting each cell into its
+        part inside and its part outside the generator; in no set order.
         The generators close to the unions of these atoms (Givant & Halmos),
         2**len(atoms) elements."""
-        masks = [self.mask_of(Pred(name)) for name in generator_names]
-        cells: dict[tuple[int, ...], int] = {}
-        for i in range(len(self.pairs)):
-            key = tuple(mask >> i & 1 for mask in masks)
-            cells[key] = cells.get(key, 0) | 1 << i
-        return list(cells.values())
+        cells = [self.omega] if self.omega else []
+        for name in generator_names:
+            mask = self.mask_of(Pred(name))
+            cells = [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
+        return cells
 
     def _closure(self, generator_names: Iterable[str], **limits) -> dict[int, Formula]:
         seeds: dict[int, Formula] = {}
@@ -579,9 +573,6 @@ class CmtReport:
     ok: bool
     witness: Formula | None
     checked_classes: int
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_cmt(

@@ -120,42 +120,23 @@ def proposition_poset(m: Model, formulas: list[Formula]) -> PropositionPoset:
 
 @dataclass
 class RelationStats:
+    """Outcome of one conformance suite, named as ``check`` reports it:
+    how many cases it checked, one witness per violation, and how many
+    cases held strictly (0 for suites that are equalities)."""
+
     relation: str
     checked: int
     violations: list[str]
     strict: int
 
-    def as_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "checked": self.checked,
-            "violations": len(self.violations),
-            "strict": self.strict,
-            **({"witnesses": self.violations} if self.violations else {}),
-        }
-
-
-@dataclass
-class ConnectiveRelationsReport:
-    entries: tuple[RelationStats, ...]
-
     @property
     def ok(self) -> bool:
-        return all(not e.violations for e in self.entries)
-
-    def entry(self, relation: str) -> RelationStats:
-        for e in self.entries:
-            if e.relation == relation:
-                return e
-        raise KeyError(relation)
-
-    def as_dicts(self) -> list[dict]:
-        return [e.as_dict() for e in self.entries]
+        return not self.violations
 
 
 def check_connective_relations(
     space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
-) -> ConnectiveRelationsReport:
+) -> tuple[RelationStats, RelationStats, RelationStats]:
     """Strictness census of the connective/set-operation relations over
     all signature classes of formulas up to max_depth.
 
@@ -167,6 +148,7 @@ def check_connective_relations(
     neither empty nor full, a join of an ordered pair when some block is
     full in m1|m2 but in neither operand; meets are never strict.
     ``predicates`` bounds the formula alphabet; None means the whole table.
+    Returns the negation, meet and join stats, in that order.
     """
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
@@ -195,8 +177,8 @@ def check_connective_relations(
         strict_joins += partners.bit_count()
 
     n = len(masks)
-    return ConnectiveRelationsReport((
-        RelationStats("negation", n, [], strict_negations),
-        RelationStats("meet", n * n, [], 0),
-        RelationStats("join", n * n, [], strict_joins),
-    ))
+    return (
+        RelationStats("connective-relation-negation", n, [], strict_negations),
+        RelationStats("connective-relation-meet", n * n, [], 0),
+        RelationStats("connective-relation-join", n * n, [], strict_joins),
+    )

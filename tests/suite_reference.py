@@ -32,7 +32,7 @@ def connective_relations(m, max_depth: int, predicates=None) -> tuple[RelationSt
             prop_cache[mask] = space.proposition(mask)
         return prop_cache[mask]
 
-    negation = RelationStats("negation", 0, [], 0)
+    negation = RelationStats("connective-relation-negation", 0, [], 0)
     for mask, rep in items:
         negation.checked += 1
         p_neg = prop(space.omega & ~mask)
@@ -42,8 +42,8 @@ def connective_relations(m, max_depth: int, predicates=None) -> tuple[RelationSt
         elif p_neg < complement:
             negation.strict += 1
 
-    meet_rel = RelationStats("meet", 0, [], 0)
-    join_rel = RelationStats("join", 0, [], 0)
+    meet_rel = RelationStats("connective-relation-meet", 0, [], 0)
+    join_rel = RelationStats("connective-relation-join", 0, [], 0)
     for m1, f1 in items:
         p1 = prop(m1)
         for m2, f2 in items:

@@ -252,7 +252,7 @@ def test_check_qmt_detects_any_single_extension_edit(worked_qm):
 
 def test_equiv_coincidence_on_worked_spec(worked_qm):
     report = check_equiv_coincidence(worked_qm, SignatureSpace(worked_qm.model))
-    assert report.ok and report.checked_pairs == 15
+    assert report.ok and report.checked == 15
 
 
 def test_equiv_coincidence_fails_without_separating_states(worked_spec):

@@ -134,9 +134,25 @@ def test_lattice_cm_single_predicate_diamond(tmp_path, capsys):
 
 
 def test_lattice_depth_guard(capsys):
-    code, _, err = run(capsys, "lattice", "--qm-spec", WORKED, "--depth", "9")
-    assert code == 1
-    assert "DepthLimitExceeded" in err
+    code, out, err = run(capsys, "lattice", "--qm-spec", WORKED, "--depth", "9")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--formula", "E"],
+        ["eval", "--qm-spec", WORKED, "--formula", "Ez"],
+        ["lattice", "--qm-spec", WORKED],
+        ["gen", "--seed", "0"],
+    ],
+    ids=["parse", "eval", "lattice", "gen"],
+)
+def test_only_check_takes_depth(capsys, argv):
+    code, out, err = run(capsys, *argv, "--depth", "1")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
 
 
 @pytest.mark.parametrize("depth,message", [("-1", "usage error:"), ("9", "DepthLimitExceeded")])

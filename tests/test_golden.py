@@ -26,6 +26,8 @@ classical evaluation with no verdict, and a plain classical model.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import DATA_DIR, REPO
@@ -116,3 +118,25 @@ def test_eval_matches_golden(flag, path, formula, stem, fmt, capsys, monkeypatch
     monkeypatch.chdir(REPO)
     assert main(["eval", flag, path, "--formula", formula, "--format", fmt]) == 0
     assert capsys.readouterr().out.encode() == (DATA_DIR / "golden" / f"{stem}.{fmt}").read_bytes()
+
+
+# sha256 over the exit statuses and outputs below, recorded before the
+# suites shared one outcome record
+QM_CORPUS_SHA256 = "9c5156da4721b43f0a122d650f037dda6a5990a3d61bf8bfc61723a1a6fabdc9"
+
+
+def test_seeded_qm_corpus_matches_recorded_digest(tmp_path, capsys, monkeypatch):
+    """``gen --kind qm`` then ``check`` in text and JSON, on seeds 0-3 of
+    the acceptance-corpus shapes; every step feeds its exit status and
+    standard output, so one changed byte of any report changes the digest."""
+    monkeypatch.chdir(tmp_path)  # the JSON report echoes the input path as given
+    digest = hashlib.sha256()
+    for dim, props in ((3, 2), (3, 3), (4, 2)):
+        for seed in range(4):
+            gen = ["gen", "--kind", "qm", "--seed", str(seed), "--dim", str(dim),
+                   "--properties", str(props), "--cap", "64", "--out", "spec.json"]
+            digest.update(f"{main(gen)}\n".encode() + (tmp_path / "spec.json").read_bytes())
+            for fmt in ("text", "json"):
+                code = main(["check", "--qm-spec", "spec.json", "--format", fmt])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == QM_CORPUS_SHA256

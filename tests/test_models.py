@@ -464,6 +464,14 @@ def assert_index_matches(m: Model, predicates, states, sizes, extensions):
     for scope, expected in witnesses.items():
         got = {space.to_signature(mask): name for mask, name in space.witnesses(scope).items()}
         assert got == expected
+    # the atoms of each prefix of the table: the pairs grouped by which of its predicates hold
+    names = [p.name for p in predicates]
+    for k in range(len(names) + 1):
+        cells: dict[tuple[bool, ...], set] = {}
+        for pair in set().union(*blocks.values()):
+            cells.setdefault(tuple(pair in signatures[n] for n in names[:k]), set()).add(pair)
+        atoms = [space.to_signature(mask) for mask in space.atoms(names[:k])]
+        assert len(atoms) == len(cells) and set(atoms) == set(map(frozenset, cells.values()))
 
 
 @st.composite

@@ -175,21 +175,21 @@ def test_cover_edges_of_diamond(cm_two_states):
 
 
 def test_connective_relations_hold_on_cm(cm_two_states):
-    report = check_connective_relations(SignatureSpace(cm_two_states), 3)
-    assert report.ok
-    assert report.entry("meet").strict == 0
-    assert report.entry("negation").strict == 0  # CM collapse: all equalities
-    assert report.entry("join").strict == 0
+    negation, meet, join = check_connective_relations(SignatureSpace(cm_two_states), 3)
+    assert negation.ok and meet.ok and join.ok
+    assert meet.strict == 0
+    assert negation.strict == 0  # CM collapse: all equalities
+    assert join.strict == 0
 
 
 def test_connective_relations_strict_on_worked_spec(worked_qm):
-    report = check_connective_relations(SignatureSpace(worked_qm.model), 2)
-    assert report.ok
-    assert report.entry("join").strict > 0
-    assert report.entry("negation").strict > 0
-    data = report.as_dicts()
-    join_entry = next(d for d in data if d["relation"] == "join")
-    assert join_entry["violations"] == 0 and join_entry["strict"] > 0
+    negation, meet, join = check_connective_relations(SignatureSpace(worked_qm.model), 2)
+    assert negation.ok and meet.ok and join.ok
+    assert join.strict > 0
+    assert negation.strict > 0
+    assert [s.relation for s in (negation, meet, join)] == [
+        "connective-relation-negation", "connective-relation-meet", "connective-relation-join"
+    ]
 
 
 def test_join_strictness_witness_values(worked_qm):
@@ -217,8 +217,8 @@ def test_relations_agree_with_literal_enumeration():
     for seed in (0, 3, 5):
         m = random_classical_model(seed, n_states=2, n_predicates=2, universe=3)
         space = SignatureSpace(m)
-        report = check_connective_relations(space, 2)
-        assert report.ok
+        negation, meet, join = check_connective_relations(space, 2)
+        assert negation.ok and meet.ok and join.ok
         cache = {}
         states = frozenset(m.states)
         strict_join = 0
@@ -235,4 +235,4 @@ def test_relations_agree_with_literal_enumeration():
                 assert p_or >= pf | pg
                 if p_or > pf | pg:
                     strict_join += 1
-        assert (strict_join > 0) == (report.entry("join").strict > 0)
+        assert (strict_join > 0) == (join.strict > 0)

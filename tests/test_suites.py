@@ -78,7 +78,7 @@ def _check_quotient(model, names):
 def test_classical_suites_match_reference_on_random_models(model, depth, data):
     names = data.draw(_alphabets(model))
     got = check_connective_relations(SignatureSpace(model), depth, predicates=names)
-    assert _stats(got.entries) == _stats(reference.connective_relations(model, depth, names))
+    assert _stats(got) == _stats(reference.connective_relations(model, depth, names))
     _check_quotient(model, names if names is not None else model.predicate_names())
 
 
@@ -93,7 +93,7 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     for depth in (1, 2, 3):
         got = check_connective_relations(space, depth, predicates=generators)
         want = reference.connective_relations(qm.model, depth, generators)
-        assert _stats(got.entries) == _stats(want)
+        assert _stats(got) == _stats(want)
         report = check_quantum_equivalences(qm, space, depth)
         want = reference.demorgan_and_implication(qm, depth)
         assert _stats([report.demorgan, report.sasaki]) == _stats(want)
@@ -141,4 +141,4 @@ def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
     assert check_cmt(space, 3, predicates=()).checked_classes == 0
     assert truth_collapse_violations(space, 3, predicates=()) == []
     relations = check_connective_relations(space, 3, predicates=())
-    assert all(e.checked == 0 for e in relations.entries)
+    assert all(e.checked == 0 for e in relations)
