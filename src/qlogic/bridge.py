@@ -42,8 +42,15 @@ from .formulas import (
     has_quantum,
     render,
 )
-from .gaussian import GaussianRational, parse_vector, vector_strings
-from .hilbert import Subspace, _born_row, _state_row, subspace_from_strings, subspace_to_strings
+from .gaussian import GaussianRational, format_parts, parse_vector, vector_strings
+from .hilbert import (
+    Subspace,
+    _basis_parts,
+    _born_of,
+    _state_row,
+    subspace_from_strings,
+    subspace_to_strings,
+)
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     MAX_RELATION_DEPTH,
@@ -182,8 +189,10 @@ class QuantumModel:
 
 
 def _generated_name(sub: Subspace, taken: set[str]) -> str:
+    """Q_ and a prefix of the sha256 of the canonical basis as literals,
+    written from the rows without building the basis."""
     payload = f"{sub.ambient};" + "|".join(
-        ",".join(str(z) for z in row) for row in sub.basis
+        ",".join(format_parts(*part) for part in row) for row in _basis_parts(sub)
     )
     digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
     for length in range(10, len(digest) + 1):
@@ -267,8 +276,9 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
     probabilities: dict[tuple[str, str], Fraction] = {}
     rows = [(sname, *_state_row(vec, spec.dim)) for sname, vec in spec.states]
     for i, j in _primary_pairs(lat, order):
+        born = _born_of(lat.elements[i], lat.elements[j])
         for sname, v, norm2 in rows:
-            p = _born_row(v, norm2, lat.elements[i])  # the atom lies in i at 1, in j at 0
+            p = born(v, norm2)  # the atom lies in i at 1, in j at 0
             probabilities[(sname, names[i])] = p
             if p == 1:
                 inside[i].append(sname)
@@ -495,7 +505,12 @@ def check_quantum_equivalences(
     operands is one table lookup, so De Morgan compares ``join[a][b]`` with
     ``ortho[meet[ortho a][ortho b]]`` and catches a corrupted entry.  The two
     sides of quantum implication, a→b and ¬a∨(a∧b), are the same table
-    expression ``join[ortho a][meet a b]``: that suite only counts pairs."""
+    expression ``join[ortho a][meet a b]``: that suite only counts pairs.
+
+    The proposition of the classical conjunction is ``prop_a & prop_b``
+    (``SignatureSpace.proposition`` maps ``&`` of masks to ``&`` of
+    propositions), so conjunction-footnote and meet-image compare the same
+    two sets and flag exactly the same pairs: neither can fail alone."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     lat = qm.lattice
@@ -532,21 +547,19 @@ def check_quantum_equivalences(
         for mask_b, name_b, prop_b in reps:
             b = qm.element_index[name_b]
 
-            conj.checked += 1
-            classical_mask = mask_a & mask_b
             quantum_element = lat.meet[a][b]
-            quantum_mask = sigs[quantum_element]
-            prop_classical = space.proposition(classical_mask)
             prop_quantum = qm.theta[qm.predicate_names[quantum_element]]
-            if prop_classical != prop_quantum:
+            agree = prop_a & prop_b == prop_quantum
+            conj.checked += 1
+            if not agree:
                 conj.violations.append(f"{name_a} & {name_b}")
-            elif classical_mask != quantum_mask and len(gap_witnesses) < 5:
+            elif mask_a & mask_b != sigs[quantum_element] and len(gap_witnesses) < 5:
                 gap_witnesses.append(
                     f"{name_a} & {name_b}: same proposition, different signatures"
                 )
 
             meet_rel.checked += 1
-            if prop_a & prop_b != prop_quantum:
+            if not agree:
                 meet_rel.violations.append(f"{name_a} / {name_b}")
             join_rel.checked += 1
             join_image = qm.theta[qm.predicate_names[lat.join[a][b]]]

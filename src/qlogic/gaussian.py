@@ -110,16 +110,19 @@ def parse_scalar(text: str) -> GaussianRational:
     raise ModelValidationError(f"malformed scalar literal {text!r}")
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Canonical literal; parse_scalar(format_scalar(z)) == z."""
-    if z.imag == 0:
-        return _frac_str(z.real)
-    sign = "+" if z.imag > 0 else "-"
-    return f"{_frac_str(z.real)}{sign}{_frac_str(abs(z.imag))}i"
+    return format_parts(*z.sort_key())
+
+
+def format_parts(re_num: int, re_den: int, im_num: int, im_den: int) -> str:
+    """format_scalar of the scalar with these lowest-terms parts, its sort_key."""
+    text = str(re_num) if re_den == 1 else f"{re_num}/{re_den}"
+    if im_num == 0:
+        return text
+    sign = "+" if im_num > 0 else "-"
+    im_num = abs(im_num)
+    return f"{text}{sign}{im_num}i" if im_den == 1 else f"{text}{sign}{im_num}/{im_den}i"
 
 
 def parse_vector(parts: list[str]) -> tuple[GaussianRational, ...]:

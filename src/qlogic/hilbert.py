@@ -3,8 +3,8 @@
 Subspaces are represented by canonical reduced Gaussian-integer rows, so
 equality of subspaces is equality of representations; the reduced-echelon
 basis over the Gaussian rationals is built from them when read.  Square
-roots never appear: bases are unnormalized and projections are computed
-through the exact Gram-matrix formula P = V (V*V)^{-1} V*.
+roots never appear: bases are unnormalized, and projection probabilities
+come from a fraction-free orthogonal basis computed once per subspace.
 
 All elimination runs in one fraction-free Gauss-Jordan kernel over
 Python-int Gaussian integers: each row is cleared to one common
@@ -18,7 +18,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
@@ -107,12 +107,12 @@ def _nullspace(rows: list[Row], ncols: int) -> list[Row]:
 
 
 def _conj_dot(u: Row, v: Row) -> tuple[int, int]:
-    """<u|v> for Gaussian-integer vectors, as (real, imaginary)."""
-    (ur, ui), (vr, vi) = u, v
-    return (
-        sum(a * c + b * d for a, b, c, d in zip(ur, ui, vr, vi)),
-        sum(a * d - b * c for a, b, c, d in zip(ur, ui, vr, vi)),
-    )
+    """<u|v> for Gaussian-integer vectors, as (real, imaginary), in one pass."""
+    re = im = 0
+    for a, b, c, d in zip(*u, *v):
+        re += a * c + b * d
+        im += a * d - b * c
+    return re, im
 
 
 class Subspace:
@@ -215,14 +215,29 @@ class Subspace:
         return len(self._rows)
 
     def sort_key(self):
-        return (
-            self.dim,
-            tuple(z.sort_key() for row in self.basis for z in row),
-        )
+        """(dim, GaussianRational.sort_key of each basis entry, row-major),
+        read from the rows without building the basis."""
+        return len(self._rows), tuple(part for row in _basis_parts(self) for part in row)
 
     def __repr__(self) -> str:
         rows = "; ".join(",".join(format_scalar(z) for z in row) for row in self.basis)
         return f"Subspace(C^{self.ambient}, dim={self.dim}, [{rows}])"
+
+
+def _basis_parts(a: Subspace) -> list[list[tuple[int, int, int, int]]]:
+    """The canonical basis as lowest-terms integer parts, read from the rows:
+    entry (x + yi)/d of a row with pivot d is (x/g, d/g, y/h, d/h) with
+    g = gcd(x, d) and h = gcd(y, d), the numerators and denominators of its
+    Fraction parts, so each tuple is that entry's sort_key."""
+    parts = []
+    for re, im in a._rows:
+        d = re[_lead(re)]
+        row = []
+        for x, y in zip(re, im):
+            g, h = gcd(x, d), gcd(y, d)
+            row.append((x // g, d // g, y // h, d // h))
+        parts.append(row)
+    return parts
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -254,8 +269,12 @@ def join(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _orthogonal(rows: Iterable[Row], v: Row) -> bool:
-    """Whether the integer row v is orthogonal to every one of ``rows``."""
-    return not any(any(_conj_dot(w, v)) for w in rows)
+    """Whether the integer row v is orthogonal to every one of ``rows``;
+    stops at the first row that is not."""
+    for w in rows:
+        if any(_conj_dot(w, v)):
+            return False
+    return True
 
 
 def leq(a: Subspace, b: Subspace) -> bool:
@@ -281,38 +300,50 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
 
     P projects onto ``a``; the value is an exact rational in [0, 1], equal
     to 1 iff psi lies in the subspace and 0 iff psi is orthogonal to it.
-    Both are computed from integer multiples of psi and of the basis,
-    which leave the value unchanged.
+    It is computed from integer multiples of psi and of the basis, which
+    leave the value unchanged.
     """
-    return _born_row(*_state_row(tuple(psi), a.ambient), a)
+    v, norm2 = _state_row(tuple(psi), a.ambient)
+    return _born_of(a, ortho(a))(v, norm2)
 
 
-def _born_row(v: Row, norm2: int, a: Subspace) -> Fraction:
-    """born from the state's integer row v and its squared norm."""
-    if a.dim == 0:
-        return Fraction(0)
-    if a.dim == 1:  # a line through u: |<u|psi>|^2 / (<u|u> <psi|psi>)
-        (u,) = a._rows
-        cr, ci = _conj_dot(u, v)
-        return Fraction(cr * cr + ci * ci, _conj_dot(u, u)[0] * norm2)
-    # Gram system G y = c in one augmented matrix [G | c]; its reduced rows
-    # hold y_r = e_r / d_r with d_r the pivot and e_r the last entry
-    coeffs = [_conj_dot(u, v) for u in a._rows]
-    augmented = []
-    for u, c in zip(a._rows, coeffs):
-        entries = [_conj_dot(u, w) for w in a._rows] + [c]
-        augmented.append(([x for x, _ in entries], [y for _, y in entries]))
-    solved = _reduce(augmented, a.dim + 1)
-    scale = lcm(*(re[r] for r, (re, _) in enumerate(solved)))
-    num_re = num_im = 0
-    for r, ((cr, ci), (re, im)) in enumerate(zip(coeffs, solved)):
-        k = scale // re[r]
-        er, ei = re[-1], im[-1]
-        num_re += (cr * er + ci * ei) * k
-        num_im += (cr * ei - ci * er) * k
-    if num_im != 0:
-        raise AssertionError("projection probability must be real")
-    return Fraction(num_re, scale * norm2)
+def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
+    """born(., a) as a function of a state's integer row v and squared norm,
+    with the work that depends on ``a`` alone done once.
+
+    ``perp`` is ortho(a).  P_a + P_perp = I exactly, so when perp has the
+    smaller dimension the value is read as 1 - born(psi, perp).  Otherwise
+    a's rows are made pairwise orthogonal once, by fraction-free
+    Gram-Schmidt, into w_r with squared norms n_r, and
+    born = sum_r |<w_r|v>|^2 / n_r / <v|v>: one inner product per row and
+    state, and none for the zero subspace or, through its complement, C^d.
+    """
+    if perp.dim < a.dim:
+        rest = _born_of(perp, a)
+        return lambda v, norm2: 1 - rest(v, norm2)
+    ws: list[tuple[Row, int]] = []  # orthogonal rows and their squared norms
+    for u in a._rows:  # w = scale * u minus its projections on the earlier w
+        scale = lcm(*(n for _, n in ws))
+        re, im = [scale * x for x in u[0]], [scale * y for y in u[1]]
+        for w, n in ws:
+            cr, ci = _conj_dot(w, u)
+            k = scale // n
+            cr, ci = cr * k, ci * k
+            re = [x - cr * p + ci * q for x, p, q in zip(re, *w)]
+            im = [y - cr * q - ci * p for y, p, q in zip(im, *w)]
+        w = _primitive(re, im)
+        ws.append((w, _conj_dot(w, w)[0]))
+    total = lcm(*(n for _, n in ws))
+    weighted = [(w, total // n) for w, n in ws]
+
+    def value(v: Row, norm2: int) -> Fraction:
+        num = 0
+        for w, k in weighted:
+            cr, ci = _conj_dot(w, v)
+            num += (cr * cr + ci * ci) * k
+        return Fraction(num, total * norm2)
+
+    return value
 
 
 def contains_vector(a: Subspace, v: Sequence[GaussianRational]) -> bool:

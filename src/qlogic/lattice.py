@@ -59,6 +59,7 @@ def close(
     )
     zero, full = Subspace.zero(dim), Subspace.full(dim)
     elements: list[Subspace] = []  # by id, in the order first found
+    dims: list[int] = []  # by id
     ids: dict[Subspace, int] = {}
 
     def intern(s: Subspace) -> int:
@@ -66,6 +67,7 @@ def close(
         if i is None:
             i = ids[s] = len(elements)
             elements.append(s)
+            dims.append(s.dim)
         return i
 
     def complement(i: int) -> int:
@@ -87,12 +89,14 @@ def close(
         key = (i, j) if i <= j else (j, i)
         got = joins.get(key)
         if got is None:
-            if elements[i].dim > elements[j].dim:
+            if dims[i] > dims[j]:
                 i, j = j, i
-            a, b = elements[i], elements[j]  # dim a <= dim b
-            # equal dimensions with a != b are incomparable
-            nested = i == j or (a.dim < b.dim and leq(a, b))
-            got = j if nested else intern(full if b.dim == dim - 1 else join(a, b))
+            # dim i <= dim j; equal dimensions with i != j are incomparable
+            nested = i == j or (dims[i] < dims[j] and leq(elements[i], elements[j]))
+            if nested:
+                got = j
+            else:
+                got = intern(full if dims[j] == dim - 1 else join(elements[i], elements[j]))
             joins[key] = got
         return got
 
@@ -106,7 +110,11 @@ def close(
 
     ordered = sorted(found, key=lambda i: elements[i].sort_key())
     position = {i: p for p, i in enumerate(ordered)}
-    join_table = tuple(tuple(position[join_id(i, j)] for j in ordered) for i in ordered)
+    # the fixpoint joined every unordered pair once; fill both halves from the memo
+    rows = [[0] * len(ordered) for _ in ordered]
+    for (i, j), k in joins.items():
+        rows[position[i]][position[j]] = rows[position[j]][position[i]] = position[k]
+    join_table = tuple(map(tuple, rows))
     ortho_table = tuple(position[ids[ortho(elements[i])]] for i in ordered)
     return QLattice(
         dim=dim,

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from ._fixpoint import fixpoint
 from .errors import (
@@ -106,6 +106,7 @@ class Model:
             for p in self.predicates:
                 normalized.setdefault((s, p.name), frozenset())
         object.__setattr__(self, "extensions", MappingProxyType(normalized))
+        universes = {s: frozenset(range(self.universe_sizes[s])) for s in self.states}
         for p in self.predicates:
             if p.ortho is None:
                 continue
@@ -119,8 +120,7 @@ class Model:
                     f"pairing of {p.name!r} and {p.ortho!r} is not symmetric"
                 )
             for s in self.states:
-                full = frozenset(range(self.universe_sizes[s]))
-                if self.extensions[(s, p.name)] != full - self.extensions[(s, p.ortho)]:
+                if self.extensions[(s, p.name)] != universes[s] - self.extensions[(s, p.ortho)]:
                     raise ModelValidationError(
                         f"state {s!r}, predicate {p.name!r}: extension is not the "
                         f"complement of its partner {p.ortho!r}"
@@ -133,17 +133,21 @@ class Model:
         and per scope the first predicate carrying each mask."""
         pairs = tuple((s, u) for s in self.states for u in range(self.universe_sizes[s]))
         position = {pair: i for i, pair in enumerate(pairs)}
+        offsets = {s: position[(s, 0)] for s in self.states}  # state blocks, in state order
         state_masks = {
-            s: sum(1 << position[(s, u)] for u in range(self.universe_sizes[s]))
-            for s in self.states
+            s: ((1 << self.universe_sizes[s]) - 1) << offsets[s] for s in self.states
         }
+        blocks: dict[frozenset[int], int] = {}  # extension -> its bits; few are distinct
         pred_masks: dict[str, int] = {}
         witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
         for p in self.predicates:
             mask = 0
-            for s in self.states:
-                for u in self.extensions[(s, p.name)]:
-                    mask |= 1 << position[(s, u)]
+            for s in self.states:  # each state's extension as one block, shifted in once
+                ext = self.extensions[(s, p.name)]
+                block = blocks.get(ext)
+                if block is None:
+                    block = blocks[ext] = _bits(ext)
+                mask |= block << offsets[s]
             pred_masks[p.name] = mask
             witnesses["effects"].setdefault(mask, p.name)
             if p.is_property:
@@ -180,6 +184,16 @@ class Model:
             return self.universe_sizes[state]
         except KeyError:
             raise UnknownState(state) from None
+
+
+def _bits(indices: Collection[int]) -> int:
+    """The int with bit u set for each u in the nonnegative indices, in time
+    linear in the largest: setting the bits of one growing int one at a
+    time would copy it once per bit."""
+    buf = bytearray((max(indices, default=-1) >> 3) + 1)
+    for u in indices:
+        buf[u >> 3] |= 1 << (u & 7)
+    return int.from_bytes(buf, "little")
 
 
 # -- model files --------------------------------------------------------------
@@ -361,7 +375,12 @@ class SignatureSpace:
         return frozenset(pair for i, pair in enumerate(self.pairs) if mask >> i & 1)
 
     def proposition(self, mask: int) -> frozenset[str]:
-        """States whose whole universe satisfies the mask."""
+        """States whose whole universe satisfies the mask.
+
+        A state's block is full in ``a & b`` iff it is full in both, so
+        ``proposition(a & b) == proposition(a) & proposition(b)`` for all
+        masks: the proposition of a classical conjunction is the meet of
+        its operands' propositions."""
         return frozenset(
             s for s in self.model.states if mask & self.state_masks[s] == self.state_masks[s]
         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlogic import bridge
+from qlogic import bridge, hilbert, lattice
 from qlogic.bridge import (
     QMModelSpec,
     QTruth,
@@ -562,3 +562,38 @@ def test_an_untestable_formula_raises_on_every_call(worked_qm):
         with pytest.raises(NotTestable):
             tau_eval(worked_qm, f, "Sz+", 0)
     assert f not in worked_qm._elements
+
+
+def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
+    """Operation counts on gen_qm_seed11.json (16 elements, 15 states, 7
+    line primaries), independent of the machine.  close makes 21 kernel
+    joins, 8 null spaces and 31 eliminations.  The build makes 127
+    Gaussian-integer inner products and no elimination: one squared norm
+    per state, one <u|u> per line primary and one per (line, state); the
+    partner planes read 1 - born of their line, and the zero/full pair
+    needs none.  Born values read once per (pair, state) took 225."""
+    spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
+    counts = {"dot": 0, "reduce": 0, "nullspace": 0, "join": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(hilbert, "_conj_dot", "dot")
+    counting(hilbert, "_reduce", "reduce")
+    counting(hilbert, "_nullspace", "nullspace")
+    counting(lattice, "join", "join")
+    lat = lattice.close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 21, 8, 31)
+    for key in counts:
+        counts[key] = 0
+    qm = bridge._model_from_lattice(spec, lat)
+    order = bridge._table_order(spec, lat, qm.element_index)
+    primary_dims = [lat.elements[i].dim for i, _ in bridge._primary_pairs(lat, order)]
+    assert (len(spec.states), primary_dims.count(1)) == (15, 7)
+    assert counts == {"dot": 15 + 7 + 7 * 15, "reduce": 0, "nullspace": 0, "join": 0}

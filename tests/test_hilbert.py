@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError
@@ -10,10 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogic import hilbert
+from qlogic.bridge import _generated_name
 from qlogic.errors import DimensionMismatch, ZeroVector
 from qlogic.gaussian import GaussianRational, gr
 from qlogic.hilbert import (
     Subspace,
+    _state_row,
     born,
     join,
     leq,
@@ -295,3 +299,80 @@ def test_equality_and_hash_agree_with_reference_bases(data):
             assert (a == b) == (ref_a == ref_b)
             if a == b:
                 assert hash(a) == hash(b)
+
+
+# -- integer-row readers against the Fraction path ----------------------------------
+
+
+@st.composite
+def _reader_spaces(draw, dim):
+    """A subspace of C^dim: zero, full, a line, a hyperplane (the
+    complement side of born from C^3 on), or a span of random vectors."""
+    nonzero = st.tuples(*[_diff_scalars] * dim).filter(lambda v: any(not z.is_zero for z in v))
+    kind = draw(st.sampled_from(["zero", "full", "line", "hyperplane", "span"]))
+    if kind == "zero":
+        return Subspace.zero(dim)
+    if kind == "full":
+        return Subspace.full(dim)
+    if kind == "span":
+        return Subspace.span(draw(_diff_vectors(dim, dim + 1)), dim)
+    line = Subspace.span([draw(nonzero)], dim)
+    return line if kind == "line" else ortho(line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sort_key_matches_the_fraction_basis(data):
+    dim = data.draw(st.integers(1, 5))
+    a = data.draw(_reader_spaces(dim))
+    assert a.sort_key() == (len(a.basis), tuple(z.sort_key() for row in a.basis for z in row))
+
+
+def _literal(z: GaussianRational) -> str:
+    """The scalar literal spelled from its Fraction parts, as str(z) was."""
+    if z.imag == 0:
+        return str(z.real)
+    return f"{z.real}{'+' if z.imag > 0 else '-'}{abs(z.imag)}i"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generated_name_matches_the_fraction_basis_payload(data):
+    dim = data.draw(st.integers(1, 5))
+    a = data.draw(_reader_spaces(dim))
+    payload = f"{dim};" + "|".join(",".join(_literal(z) for z in row) for row in a.basis)
+    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    assert _generated_name(a, set()) == f"Q_{digest[:10]}"
+    assert _generated_name(a, {f"Q_{digest[:10]}"}) == f"Q_{digest[:11]}"
+
+
+def _born_of_matches_reference(data):
+    """The per-element Born reader, looked up on the module, against the
+    reference Gram-system solve, on zero, full, line, hyperplane and span
+    cases in C^1 to C^5."""
+    dim = data.draw(st.integers(1, 5))
+    a = data.draw(_reader_spaces(dim))
+    reader = hilbert._born_of(a, ortho(a))
+    for _ in range(3):
+        psi = data.draw(st.tuples(*[_diff_scalars] * dim).filter(lambda v: any(v)))
+        assert reader(*_state_row(psi, dim)) == reference.born(psi, a.basis)
+
+
+test_born_of_matches_reference = settings(max_examples=100, deadline=None)(
+    given(st.data())(_born_of_matches_reference)
+)
+
+
+def test_born_of_differential_catches_a_flipped_complement_rule(monkeypatch):
+    """Negative control: a reader that answers born(psi, a-perp) where the
+    rule reads 1 - born(psi, a-perp) fails the differential above."""
+    born_of = hilbert._born_of
+
+    def flipped(a, perp):
+        return born_of(perp, a) if perp.dim < a.dim else born_of(a, perp)
+
+    monkeypatch.setattr(hilbert, "_born_of", flipped)
+    with pytest.raises(AssertionError):
+        settings(max_examples=200, deadline=None, database=None)(
+            given(st.data())(_born_of_matches_reference)
+        )()

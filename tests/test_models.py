@@ -509,3 +509,58 @@ def test_index_matches_a_reference_on_random_tables(table):
 def test_index_matches_a_reference_on_built_models(path):
     m = build_model(load_spec(path)).model
     assert_index_matches(m, m.predicates, m.states, m.universe_sizes, m.extensions)
+
+
+def bitwise_masks(m: Model) -> tuple[dict[str, int], dict[str, int]]:
+    """State and predicate masks laid out one bit at a time, by position."""
+    state_masks = {s: 0 for s in m.states}
+    pred_masks = {p.name: 0 for p in m.predicates}
+    for s, u in m.pairs:
+        state_masks[s] |= 1 << m.position[(s, u)]
+    for p in m.predicates:
+        for s in m.states:
+            for u in m.extensions[(s, p.name)]:
+                pred_masks[p.name] |= 1 << m.position[(s, u)]
+    return state_masks, pred_masks
+
+
+@st.composite
+def wide_model_tables(draw):
+    """Tables whose universes differ from state to state and cross byte
+    boundaries: 1-4 states of 1-20 objects, 1-3 paired predicates."""
+    states = tuple(f"S{i}" for i in range(draw(st.integers(1, 4))))
+    sizes = {s: draw(st.integers(1, 20)) for s in states}
+    predicates, extensions = [], {}
+    for i in range(draw(st.integers(1, 3))):
+        name, partner = f"E{i}", f"E{i}_perp"
+        predicates += [PredicateInfo(name, True, partner), PredicateInfo(partner, True, name)]
+        for s in states:
+            ext = frozenset(draw(st.sets(st.integers(0, sizes[s] - 1))))
+            extensions[(s, name)] = ext
+            extensions[(s, partner)] = frozenset(range(sizes[s])) - ext
+    return tuple(predicates), states, sizes, extensions
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_model_tables())
+def test_block_layout_matches_the_bitwise_layout(table):
+    m = Model(*table)
+    state_masks, pred_masks = bitwise_masks(m)
+    assert dict(m.state_masks) == state_masks
+    assert dict(m.pred_masks) == pred_masks
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_model_tables(), st.data())
+def test_proposition_of_a_conjunction_is_the_meet_of_propositions(table, data):
+    """proposition(a & b) == proposition(a) & proposition(b) on any masks,
+    so conjunction-footnote and meet-image flag the same pairs."""
+    space = SignatureSpace(Model(*table))
+    # masks biased towards full blocks, where the identity has content
+    blocks = st.lists(st.sampled_from(list(space.state_masks.values())), max_size=4)
+    for _ in range(5):
+        a, b = (
+            data.draw(st.integers(0, space.omega)) | sum(set(data.draw(blocks)))
+            for _ in range(2)
+        )
+        assert space.proposition(a & b) == space.proposition(a) & space.proposition(b)
