@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 from ._fixpoint import fixpoint
 from .errors import (
@@ -53,6 +53,7 @@ from .hilbert import (
 )
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
+    _EMPTY_SLOT,
     MAX_RELATION_DEPTH,
     Model,
     PredicateInfo,
@@ -162,8 +163,12 @@ class QuantumModel:
     Frozen like its model: the mappings are read-only copies of the
     caller's.  It also keeps the lattice element each formula reduces to,
     keyed weakly by the formula, so the read path reduces a formula once
-    per model however many states ask about it; ``replace``, copy and
-    pickle start an empty memo.
+    per model however many states ask about it.  In front of that memo
+    sits one weak slot: the last formula looked up, held by weak
+    reference and matched by identity, with its element, so a query
+    asking about one formula state after state skips the dictionary.
+    Neither keeps a formula alive; ``replace``, copy and pickle start both
+    empty.
     """
 
     spec: QMModelSpec
@@ -177,6 +182,7 @@ class QuantumModel:
     _elements: WeakKeyDictionary = field(
         default_factory=WeakKeyDictionary, init=False, compare=False, repr=False
     )
+    _element_slot: tuple = field(default=_EMPTY_SLOT, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("theta", "element_index", "probabilities"):
@@ -227,9 +233,13 @@ def _primary_pairs(lat: QLattice, order: list[int]) -> list[tuple[int, int]]:
 
 
 def _rule_extension(p: Fraction, n: int, predicate: str, state: str) -> frozenset[int]:
-    if p == 1:
+    """Full at 1, empty at 0, the clamped rounded prefix otherwise; the
+    boundaries are read off p's integer parts, so a caller that has
+    compared p with 1 and 0 pays for no second Fraction comparison."""
+    num, den = p.numerator, p.denominator  # in lowest terms, den > 0
+    if num == den:
         return frozenset(range(n))
-    if p == 0:
+    if num == 0:
         return frozenset()
     if n < 2:
         raise UniverseTooSmall(
@@ -237,7 +247,7 @@ def _rule_extension(p: Fraction, n: int, predicate: str, state: str) -> frozense
             f"predicate {predicate!r} in state {state!r}"
         )
     # floor(n p + 1/2) in integers
-    k = min(max((2 * n * p.numerator + p.denominator) // (2 * p.denominator), 1), n - 1)
+    k = min(max((2 * n * num + den) // (2 * den), 1), n - 1)
     return frozenset(range(k))
 
 
@@ -269,7 +279,7 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
 
     state_names = tuple(name for name, _ in spec.states)
     n = spec.universe_size
-    full = frozenset(range(n))
+    full, empty = frozenset(range(n)), frozenset()  # shared by every certain value
     order = _table_order(spec, lat, element_index)
     inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
@@ -282,11 +292,15 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
             probabilities[(sname, names[i])] = p
             if p == 1:
                 inside[i].append(sname)
+                ext, rest = full, empty
             elif p == 0:
                 inside[j].append(sname)
-            ext = _rule_extension(p, n, names[i], sname)
+                ext, rest = empty, full
+            else:
+                ext = _rule_extension(p, n, names[i], sname)
+                rest = full - ext
             extensions[(sname, names[i])] = ext
-            extensions[(sname, names[j])] = full - ext
+            extensions[(sname, names[j])] = rest
     theta = {name: frozenset(states) for name, states in zip(names, inside)}
 
     predicates = tuple(
@@ -337,9 +351,13 @@ def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
 def _element(qm: QuantumModel, f: Formula) -> int:
     """The lattice element of the qwff, reduced once per (model, formula);
     a formula that is not testable raises every time and is not kept."""
+    last, element = qm._element_slot
+    if last() is f:
+        return element
     element = qm._elements.get(f)
     if element is None:
         element = qm._elements[f] = _reduce_element(qm, SignatureSpace(qm.model), f)
+    object.__setattr__(qm, "_element_slot", (ref(f), element))
     return element
 
 
@@ -367,7 +385,7 @@ class QTruth:
 
 def q_truth(qm: QuantumModel, f: Formula, state: str) -> str:
     """Trivalent verdict: certainly true, certainly false, or neither."""
-    if state not in qm.model.states:
+    if state not in qm.model.state_masks:  # keyed by the states
         raise UnknownState(state)
     return _verdict(qm, _element(qm, f), state)
 

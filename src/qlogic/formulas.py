@@ -53,15 +53,6 @@ class Formula:
     __slots__ = ("_hash", "_quantum", "__weakref__")
     _quantum_connective = False  # class-level: True on the quantum node types
 
-    def __post_init__(self):
-        fields = self._fields()
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
-        quantum = self._quantum_connective
-        for child in fields:
-            if isinstance(child, Formula) and child._quantum:
-                quantum = True
-        object.__setattr__(self, "_quantum", quantum)
-
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__match_args__))
 
@@ -75,11 +66,59 @@ class Formula:
         return render(self)
 
 
+# The slots' own setters: a frozen node refuses setattr.  Children enter a
+# node's hash tuple as nodes (hashing to their ``_hash``), not as ints: an
+# int above 2**61 - 1 hashes to itself modulo that prime, another value.
+_set_hash = Formula._hash.__set__
+_set_quantum = Formula._quantum.__set__
+
+
+def _leaf_init(cls):
+    kind, set_name = cls.__name__, cls.name.__set__
+
+    def __init__(self, name: str):
+        set_name(self, name)
+        _set_hash(self, hash((kind, name)))
+        _set_quantum(self, False)
+
+    return __init__
+
+
+def _unary_init(cls):
+    kind, set_child, quantum = cls.__name__, cls.child.__set__, cls._quantum_connective
+
+    def __init__(self, child: Formula):
+        set_child(self, child)
+        _set_hash(self, hash((kind, child)))
+        _set_quantum(self, quantum or child._quantum)
+
+    return __init__
+
+
+def _binary_init(cls):
+    kind, quantum = cls.__name__, cls._quantum_connective
+    set_left, set_right = cls.left.__set__, cls.right.__set__
+
+    def __init__(self, left: Formula, right: Formula):
+        set_left(self, left)
+        set_right(self, right)
+        _set_hash(self, hash((kind, left, right)))
+        _set_quantum(self, quantum or left._quantum or right._quantum)
+
+    return __init__
+
+
+_INITS = {("name",): _leaf_init, ("child",): _unary_init, ("left", "right"): _binary_init}
+
+
 def _node(cls):
-    """A frozen slotted dataclass node keeping Formula's cached ``__hash__``,
-    which the dataclass would replace by one that rehashes the fields."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """A frozen slotted dataclass node, built in one step by a constructor
+    for its arity that sets the fields, ``_hash`` and ``_quantum``; it keeps
+    Formula's cached ``__hash__``, which the dataclass would replace by one
+    that rehashes the fields."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__hash__ = Formula.__hash__
+    cls.__init__ = _INITS[cls.__match_args__](cls)
     return cls
 
 

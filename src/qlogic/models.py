@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -41,6 +42,10 @@ from .formulas import (
 
 Signature = frozenset  # of (state, object index) pairs
 
+# A one-slot memo is (weak reference to a formula, value); the empty one's
+# reference matches no formula.
+_EMPTY_SLOT = (lambda: None, None)
+
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 MAX_RELATION_DEPTH = 3
@@ -62,6 +67,12 @@ class Model:
     Paired predicates must have complementary extensions in every state.
     Both mappings are read-only copies of the caller's, and construction
     ends by laying out the index every ``SignatureSpace`` view reads.
+
+    Next to the index sits one weak slot, the memo of ``eval_open``: the
+    last formula it was asked about other than a leaf, held by weak
+    reference and matched by identity, with that formula's mask as bytes
+    (None when the mask cannot be formed).  It keeps no formula alive,
+    and copy and pickle rebuild the model with the slot empty.
     """
 
     predicates: tuple[PredicateInfo, ...]
@@ -129,8 +140,9 @@ class Model:
 
     def _index(self) -> None:
         """Lay out the bit index every SignatureSpace of the model reads:
-        one bit per (state, object) pair, the state and predicate masks,
-        and per scope the first predicate carrying each mask."""
+        one bit per (state, object) pair, each state's first bit, the state
+        and predicate masks, and per scope the first predicate carrying
+        each mask; empty the memo of ``eval_open``."""
         pairs = tuple((s, u) for s in self.states for u in range(self.universe_sizes[s]))
         position = {pair: i for i, pair in enumerate(pairs)}
         offsets = {s: position[(s, 0)] for s in self.states}  # state blocks, in state order
@@ -155,10 +167,12 @@ class Model:
         vars(self).update(
             pairs=pairs,
             position=MappingProxyType(position),
+            offsets=MappingProxyType(offsets),
             omega=(1 << len(pairs)) - 1,
             state_masks=MappingProxyType(state_masks),
             pred_masks=MappingProxyType(pred_masks),
             witnesses=MappingProxyType({k: MappingProxyType(w) for k, w in witnesses.items()}),
+            _eval_slot=_EMPTY_SLOT,
         )
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, index and all
@@ -296,11 +310,46 @@ def save_model(m: Model, path: str | Path) -> None:
 
 
 def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
-    """Truth of the open formula at one (state, object) pair."""
+    """Truth of the open formula at one (state, object) pair.
+
+    The state and then the object are checked first.  A leaf is one
+    extension lookup; any other formula reads one bit of its mask, which
+    the model keeps for the last such formula asked about, so a query
+    over many pairs forms it once.  A formula with no mask (an unknown
+    leaf or a quantum node) is walked at the pair, left to right with
+    short-circuit, so it raises exactly where that walk meets the fault.
+    """
     n = m.universe_size(state)
     if not 0 <= obj < n:
         raise ObjectOutOfRange(f"object {obj} outside universe of size {n} in {state!r}")
-    return _eval(m, f, state, obj)
+    if isinstance(f, Pred):
+        try:
+            return obj in m.extensions[(state, f.name)]
+        except KeyError:
+            raise UnknownPredicate(f.name) from None
+    ref, bits = m._eval_slot
+    if ref() is not f:
+        bits = _remember_mask(m, f)
+    offset = m.offsets.get(state)  # None for a sized state outside the state list
+    if bits is None or offset is None:
+        return _eval(m, f, state, obj)
+    i = offset + obj
+    return bits[i >> 3] >> (i & 7) & 1 == 1
+
+
+def _remember_mask(m: Model, f: Formula) -> bytes | None:
+    """Form the mask of ``f`` over the model's predicates as little-endian
+    bytes, None for a tree holding a quantum node or an unknown leaf, and
+    keep it in the slot.  Bytes, because reading bit i of a big int shifts
+    a copy of it: quadratic over a large universe."""
+    bits = None
+    if not f._quantum:
+        try:
+            bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
+        except UnknownPredicate:
+            pass
+    vars(m)["_eval_slot"] = (weakref.ref(f), bits)  # frozen: write past __setattr__
+    return bits
 
 
 def _eval(m: Model, f: Formula, state: str, obj: int) -> bool:
@@ -352,24 +401,7 @@ class SignatureSpace:
         return self._witnesses[scope]
 
     def mask_of(self, f: Formula, cache: dict[Formula, int] | None = None) -> int:
-        if cache is not None and f in cache:
-            return cache[f]
-        if isinstance(f, Pred):
-            try:
-                value = self.pred_masks[f.name]
-            except KeyError:
-                raise UnknownPredicate(f.name) from None
-        elif isinstance(f, Not):
-            value = self.omega & ~self.mask_of(f.child, cache)
-        elif isinstance(f, And):
-            value = self.mask_of(f.left, cache) & self.mask_of(f.right, cache)
-        elif isinstance(f, Or):
-            value = self.mask_of(f.left, cache) | self.mask_of(f.right, cache)
-        else:
-            raise QuantumNodeInClassicalEval(render(f))
-        if cache is not None:
-            cache[f] = value
-        return value
+        return _mask(self.pred_masks, self.omega, f, cache)
 
     def to_signature(self, mask: int) -> Signature:
         return frozenset(pair for i, pair in enumerate(self.pairs) if mask >> i & 1)
@@ -435,6 +467,31 @@ class SignatureSpace:
             seeds.setdefault(self.mask_of(Pred(name)), Pred(name))
         unary = [(lambda mask, omega=self.omega: omega & ~mask, Not)]
         return fixpoint(seeds, unary, [(operator.and_, And), (operator.or_, Or)], **limits)
+
+
+def _mask(
+    pred_masks: Mapping[str, int], omega: int, f: Formula, cache: dict[Formula, int] | None
+) -> int:
+    """The mask of the classical formula over the predicate masks: set
+    operations on the children's masks, each subtree once per cache."""
+    if cache is not None and f in cache:
+        return cache[f]
+    if isinstance(f, Pred):
+        try:
+            value = pred_masks[f.name]
+        except KeyError:
+            raise UnknownPredicate(f.name) from None
+    elif isinstance(f, Not):
+        value = omega & ~_mask(pred_masks, omega, f.child, cache)
+    elif isinstance(f, And):
+        value = _mask(pred_masks, omega, f.left, cache) & _mask(pred_masks, omega, f.right, cache)
+    elif isinstance(f, Or):
+        value = _mask(pred_masks, omega, f.left, cache) | _mask(pred_masks, omega, f.right, cache)
+    else:
+        raise QuantumNodeInClassicalEval(render(f))
+    if cache is not None:
+        cache[f] = value
+    return value
 
 
 def signature(m: Model, f: Formula) -> Signature:

@@ -1,11 +1,12 @@
-"""Reference formula scanning, parsing and tree walks, kept from before the
-package tokenized with one regular-expression scan, parsed by precedence
-climbing and cached the quantum flag on each node.
+"""Reference formula scanning, parsing, node construction and tree walks,
+kept from before the package tokenized with one regular-expression scan,
+parsed by precedence climbing, cached the quantum flag on each node and
+built each node in one step.
 
 The differential tests require ``qlogic.formulas`` to give the same tokens
 (kind, 1-based position, text), the same trees, the same syntax errors
-(message and position), the same quantum flags and the same language tags
-as these loops.
+(message and position), the same quantum flags, the same language tags
+and the same nodes (fields, hash, flag) as these loops.
 """
 
 from __future__ import annotations
@@ -152,6 +153,29 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     return _Parser(tokenize(text)).parse()
+
+
+def two_step(cls: type, *fields) -> Formula:
+    """A node built as the dataclass constructor and ``__post_init__`` built
+    it: the fields set one by one, then the hash of the class name and the
+    fields, then the quantum flag read off the children."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_hash", hash((cls.__name__, *fields)))
+    quantum = cls._quantum_connective
+    for child in fields:
+        if isinstance(child, Formula) and child._quantum:
+            quantum = True
+    object.__setattr__(node, "_quantum", quantum)
+    return node
+
+
+def rebuild(f: Formula) -> Formula:
+    """The tree rebuilt bottom-up by ``two_step``."""
+    if isinstance(f, Pred):
+        return two_step(Pred, f.name)
+    return two_step(type(f), *map(rebuild, f._fields()))
 
 
 def has_quantum(f: Formula) -> bool:

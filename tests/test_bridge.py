@@ -502,6 +502,25 @@ def test_the_memo_keeps_no_formula_alive(worked_spec):
         gc.enable()
 
 
+def test_the_element_slot_keeps_no_formula_alive(worked_spec):
+    """The slot in front of the memo holds the last formula weakly: it
+    answers the next call about that formula, and a dropped formula
+    leaves both."""
+    qm = build_model(worked_spec)
+    gc.disable()
+    try:
+        f = QOr(Pred("Ez"), QNot(Pred("Ex")))
+        verdict = q_truth(qm, f, "Sz+")
+        assert qm._element_slot[0]() is f
+        qm._elements.clear()  # the slot alone answers now
+        assert q_truth(qm, f, "Sz+") == verdict and len(qm._elements) == 0
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None and qm._element_slot[0]() is None
+    finally:
+        gc.enable()
+
+
 def _rebuilt(qm: QuantumModel, extensions) -> QuantumModel:
     """A model built fresh from ``qm``'s parts and the given extension table."""
     m = qm.model
@@ -526,6 +545,7 @@ def test_copies_reduce_against_their_own_model(worked_qm):
     assert f in worked_qm._elements
     for twin in (copy.copy(worked_qm), copy.deepcopy(worked_qm), pickle.loads(pickle.dumps(worked_qm))):
         assert twin == worked_qm and len(twin._elements) == 0
+        assert twin._element_slot[0]() is None
         assert [q_truth(twin, f, s) for s in states] == original
 
     # with_extension: with a full Ex in Sz+, Ex & Ex_perp is no longer empty
@@ -534,7 +554,7 @@ def test_copies_reduce_against_their_own_model(worked_qm):
     g = QNot(And(Pred("Ex"), Pred("Ex_perp")))
     assert {q_truth(worked_qm, g, s) for s in states} == {QTruth.TRUE}
     edited = with_extension(worked_qm, "Sz+", "Ex", range(4))
-    assert len(edited._elements) == 0
+    assert len(edited._elements) == 0 and edited._element_slot[0]() is None
     with pytest.raises(NotTestable):
         q_truth(edited, g, "Sz-")
 

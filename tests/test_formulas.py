@@ -230,6 +230,53 @@ def test_quantum_flag_and_classify_match_tree_walks(f):
         assert classify(f, props) is reference.classify(f, props)
 
 
+def _constructor_faults(f) -> list[str]:
+    """Where the nodes of ``f`` differ from the reference's two-step nodes:
+    hash, quantum flag, equality, repr, copies, or a field that can be set
+    or deleted."""
+    faults = []
+    for node in _nodes(f):
+        fields = node._fields()
+        if hash(node) != hash((type(node).__name__, *fields)):
+            faults.append(f"hash of {node!r}")
+        if node._quantum is not reference.has_quantum(node):
+            faults.append(f"quantum flag of {node!r}")
+        twins = (reference.rebuild(node), copy.copy(node), copy.deepcopy(node),
+                 pickle.loads(pickle.dumps(node)))
+        for twin in twins:
+            if (twin, hash(twin), twin._quantum, repr(twin)) != (
+                node, hash(node), node._quantum, repr(node)
+            ):
+                faults.append(f"twin of {node!r}")
+        for name in node.__match_args__:
+            for change in (lambda: setattr(node, name, fields[0]), lambda: delattr(node, name)):
+                try:
+                    change()
+                    faults.append(f"{name} of {node!r} changed")
+                except FrozenInstanceError:
+                    pass
+    return faults
+
+
+@given(_formulas())
+def test_nodes_built_in_one_step_match_the_two_step_reference(f):
+    assert _constructor_faults(f) == []
+
+
+def test_a_constructor_that_leaves_the_name_out_of_the_hash_is_caught(monkeypatch):
+    """Negative control: a constructor hashing the children alone, which
+    would let connectives over the same children collide, is caught."""
+
+    def nameless(self, left, right):
+        for name, value in (("left", left), ("right", right), ("_hash", hash((left, right))),
+                            ("_quantum", left._quantum or right._quantum)):
+            object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(And, "__init__", nameless)
+    f = Or(And(Pred("E"), Pred("F")), Not(Pred("E")))
+    assert f"hash of {f.left!r}" in _constructor_faults(f)
+
+
 # Text pieces the tokenizer treats differently: every operator and its
 # prefixes, identifier and digit runs, ASCII and Unicode whitespace
 # (no-break space, information separator, em space, ideographic space),

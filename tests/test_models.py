@@ -10,15 +10,28 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlogic.bridge import build_model, load_spec
+from qlogic import models
+from qlogic.bridge import build_model, load_spec, reduce_qwff
 from qlogic.errors import (
     ModelValidationError,
+    NotTestable,
     ObjectOutOfRange,
     QuantumNodeInClassicalEval,
     UnknownPredicate,
     UnknownState,
 )
-from qlogic.formulas import And, Not, Or, Pred, QAnd, QNot, QOr, enumerate_formulas, parse
+from qlogic.formulas import (
+    And,
+    Not,
+    Or,
+    Pred,
+    QAnd,
+    QNot,
+    QOr,
+    enumerate_formulas,
+    parse,
+    render,
+)
 from qlogic.generate import random_classical_model
 from qlogic.models import (
     Model,
@@ -86,6 +99,121 @@ def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, 
     with pytest.raises(error) as err:
         eval_open(m, f, state, obj)
     assert str(err.value) == message
+
+
+def walk_eval_open(m: Model, f, state: str, obj: int) -> bool:
+    """Reference: eval_open as a walk of the tree at each pair, the state
+    and then the object checked first, connectives short-circuiting."""
+    n = m.universe_size(state)
+    if not 0 <= obj < n:
+        raise ObjectOutOfRange(f"object {obj} outside universe of size {n} in {state!r}")
+    return _walk(m, f, state, obj)
+
+
+def _walk(m: Model, f, state: str, obj: int) -> bool:
+    if isinstance(f, Pred):
+        try:
+            return obj in m.extensions[(state, f.name)]
+        except KeyError:
+            raise UnknownPredicate(f.name) from None
+    if isinstance(f, Not):
+        return not _walk(m, f.child, state, obj)
+    if isinstance(f, And):
+        return _walk(m, f.left, state, obj) and _walk(m, f.right, state, obj)
+    if isinstance(f, Or):
+        return _walk(m, f.left, state, obj) or _walk(m, f.right, state, obj)
+    raise QuantumNodeInClassicalEval(render(f))
+
+
+def _outcome(evaluate, m, f, state, obj):
+    try:
+        return evaluate(m, f, state, obj)
+    except (UnknownState, ObjectOutOfRange, UnknownPredicate, QuantumNodeInClassicalEval) as err:
+        return type(err), str(err)
+
+
+def eval_trees(names):
+    """Classical trees over the names and, now and then, an unknown leaf or
+    a quantum node."""
+    leaves = st.sampled_from([Pred(n) for n in (*names, *names, "Unknown")])
+
+    def extend(children):
+        classical = (
+            st.builds(Not, children),
+            st.builds(And, children, children),
+            st.builds(Or, children, children),
+        )
+        quantum = st.builds(QNot, children) | st.builds(QAnd, children, children)
+        return st.one_of(*classical, *classical, quantum)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eval_open_agrees_with_the_per_pair_walk(data):
+    """Three formulas asked about in turn, so the model's slot is replaced
+    again and again, at random pairs, some outside the model, on the model
+    and its copies: every answer and every error is the walk's.  A sized
+    state left out of the state list has no bit and is walked."""
+    predicates, states, sizes, extensions = data.draw(model_tables())
+    if data.draw(st.booleans()):
+        sizes = {**sizes, "T": 2}
+        extensions = {**extensions, ("T", predicates[0].name): frozenset({1})}
+    m = Model(predicates, states, sizes, extensions)
+    twins = [m, copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    trees = eval_trees([p.name for p in predicates])
+    f = data.draw(trees)
+    formulas = [f, Not(f), data.draw(trees)]  # f and ~f differ at every pair
+    pairs = st.sampled_from(m.pairs) | st.tuples(
+        st.sampled_from([*states, "T", "Nowhere"]), st.integers(-1, 3)
+    )
+    queries = st.tuples(st.integers(0, 2), st.sampled_from(range(len(twins))), pairs)
+    for k, twin, (state, obj) in data.draw(st.lists(queries, min_size=1, max_size=30)):
+        g, model = formulas[k], twins[twin]
+        assert _outcome(eval_open, model, g, state, obj) == _outcome(
+            walk_eval_open, model, g, state, obj
+        )
+
+
+def test_eval_open_forms_one_mask_and_no_space_for_a_query(monkeypatch):
+    """A classical query with no property witness is answered by
+    evaluation at all 45 pairs of a 15-state model; its mask is formed at
+    the first and read at the other 44, and no SignatureSpace is built."""
+    qm = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
+    f = parse("~(E1 & E2) | E3")
+    with pytest.raises(NotTestable):
+        reduce_qwff(qm, f)
+    roots, spaces = [], []
+    mask = models._mask
+
+    def counting(pred_masks, omega, g, cache):
+        if g is f:
+            roots.append(g)
+        return mask(pred_masks, omega, g, cache)
+
+    monkeypatch.setattr(models, "_mask", counting)
+    monkeypatch.setattr(SignatureSpace, "__init__", lambda *args: spaces.append(args))
+    m = qm.model
+    values = [eval_open(m, f, s, u) for s in m.states for u in range(m.universe_sizes[s])]
+    assert len(values) == 45 and len(roots) == 1 and spaces == []
+    assert values == [walk_eval_open(m, f, s, u) for s, u in m.pairs]
+
+
+def test_the_eval_slot_keeps_no_formula_alive():
+    m = tiny_model()
+    gc.disable()
+    try:
+        f = And(Pred("E"), Not(Pred("F")))
+        assert eval_open(m, f, "S", 0) is True
+        assert m._eval_slot[0]() is f
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None and m._eval_slot[0]() is None
+        g = And(Pred("E"), Not(Pred("F")))  # may reuse the address: the slot still misses
+        assert eval_open(m, g, "S", 2) is False and m._eval_slot[0]() is g
+    finally:
+        gc.enable()
 
 
 def test_eval_open_errors():
