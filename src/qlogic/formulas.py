@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 from .errors import DepthLimitExceeded, FormulaSyntaxError
@@ -59,6 +59,11 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
     def __reduce__(self):  # copy and pickle rebuild the node, which recomputes its slots
         return type(self), self._fields()
 
@@ -66,7 +71,7 @@ class Formula:
         return render(self)
 
 
-# The slots' own setters: a frozen node refuses setattr.  Children enter a
+# The slots' own setters: a node refuses setattr.  Children enter a
 # node's hash tuple as nodes (hashing to their ``_hash``), not as ints: an
 # int above 2**61 - 1 hashes to itself modulo that prime, another value.
 _set_hash = Formula._hash.__set__
@@ -112,11 +117,13 @@ _INITS = {("name",): _leaf_init, ("child",): _unary_init, ("left", "right"): _bi
 
 
 def _node(cls):
-    """A frozen slotted dataclass node, built in one step by a constructor
-    for its arity that sets the fields, ``_hash`` and ``_quantum``; it keeps
-    Formula's cached ``__hash__``, which the dataclass would replace by one
-    that rehashes the fields."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    """A slotted dataclass node, built in one step by a constructor for its
+    arity that sets the fields, ``_hash`` and ``_quantum``.  Not frozen:
+    Formula itself refuses setattr and delattr, where a frozen dataclass's
+    guards name the class that ``slots`` replaces and raise TypeError for
+    other names.  It keeps Formula's cached ``__hash__``, which the
+    dataclass would replace by one that rehashes the fields."""
+    cls = dataclass(slots=True, init=False)(cls)
     cls.__hash__ = Formula.__hash__
     cls.__init__ = _INITS[cls.__match_args__](cls)
     return cls

@@ -64,15 +64,16 @@ class Model:
 
     ``extensions`` maps (state, predicate name) to a frozenset of object
     indices; missing entries are treated as empty during normalization.
-    Paired predicates must have complementary extensions in every state.
-    Both mappings are read-only copies of the caller's, and construction
-    ends by laying out the index every ``SignatureSpace`` view reads.
+    Every state in ``states``, and no other, has a universe.  Both
+    mappings are read-only copies of the caller's.  Construction lays out
+    the index every ``SignatureSpace`` view reads and checks on it that
+    paired predicates have complementary extensions in every state.
 
     Next to the index sits one weak slot, the memo of ``eval_open``: the
     last formula it was asked about other than a leaf, held by weak
-    reference and matched by identity, with that formula's mask as bytes
-    (None when the mask cannot be formed).  It keeps no formula alive,
-    and copy and pickle rebuild the model with the slot empty.
+    reference and matched by identity, with that formula's mask as bytes.
+    It keeps no formula alive, and copy and pickle rebuild the model with
+    the slot empty.
     """
 
     predicates: tuple[PredicateInfo, ...]
@@ -98,6 +99,9 @@ class Model:
         for s in self.states:
             if self.universe_sizes.get(s, 0) < 1:
                 raise ModelValidationError(f"state {s!r} needs a universe of size >= 1")
+        if len(self.universe_sizes) != len(self.states):  # every state has a size
+            s = next(s for s in self.universe_sizes if s not in self.states)
+            raise ModelValidationError(f"universe for unknown state {s!r}")
         normalized: dict[tuple[str, str], frozenset[int]] = {}
         for (s, pname), ext in self.extensions.items():
             if s not in self.universe_sizes:
@@ -117,7 +121,7 @@ class Model:
             for p in self.predicates:
                 normalized.setdefault((s, p.name), frozenset())
         object.__setattr__(self, "extensions", MappingProxyType(normalized))
-        universes = {s: frozenset(range(self.universe_sizes[s])) for s in self.states}
+        self._index()
         for p in self.predicates:
             if p.ortho is None:
                 continue
@@ -130,13 +134,13 @@ class Model:
                 raise ModelValidationError(
                     f"pairing of {p.name!r} and {p.ortho!r} is not symmetric"
                 )
-            for s in self.states:
-                if self.extensions[(s, p.name)] != universes[s] - self.extensions[(s, p.ortho)]:
+            filled = self.pred_masks[p.name] ^ self.pred_masks[p.ortho]
+            for s, block in self.state_masks.items():
+                if filled & block != block:
                     raise ModelValidationError(
                         f"state {s!r}, predicate {p.name!r}: extension is not the "
                         f"complement of its partner {p.ortho!r}"
                     )
-        self._index()
 
     def _index(self) -> None:
         """Lay out the bit index every SignatureSpace of the model reads:
@@ -316,8 +320,8 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
     extension lookup; any other formula reads one bit of its mask, which
     the model keeps for the last such formula asked about, so a query
     over many pairs forms it once.  A formula with no mask (an unknown
-    leaf or a quantum node) is walked at the pair, left to right with
-    short-circuit, so it raises exactly where that walk meets the fault.
+    leaf or a quantum node) raises at every pair what ``signature``
+    raises for it, and leaves the slot as it was.
     """
     n = m.universe_size(state)
     if not 0 <= obj < n:
@@ -329,42 +333,12 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
             raise UnknownPredicate(f.name) from None
     ref, bits = m._eval_slot
     if ref() is not f:
-        bits = _remember_mask(m, f)
-    offset = m.offsets.get(state)  # None for a sized state outside the state list
-    if bits is None or offset is None:
-        return _eval(m, f, state, obj)
-    i = offset + obj
+        # bytes, because reading bit i of a big int shifts a copy of it:
+        # quadratic over a large universe
+        bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
+        vars(m)["_eval_slot"] = (weakref.ref(f), bits)  # frozen: write past __setattr__
+    i = m.offsets[state] + obj
     return bits[i >> 3] >> (i & 7) & 1 == 1
-
-
-def _remember_mask(m: Model, f: Formula) -> bytes | None:
-    """Form the mask of ``f`` over the model's predicates as little-endian
-    bytes, None for a tree holding a quantum node or an unknown leaf, and
-    keep it in the slot.  Bytes, because reading bit i of a big int shifts
-    a copy of it: quadratic over a large universe."""
-    bits = None
-    if not f._quantum:
-        try:
-            bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
-        except UnknownPredicate:
-            pass
-    vars(m)["_eval_slot"] = (weakref.ref(f), bits)  # frozen: write past __setattr__
-    return bits
-
-
-def _eval(m: Model, f: Formula, state: str, obj: int) -> bool:
-    if isinstance(f, Pred):  # eval_open has checked the state
-        try:
-            return obj in m.extensions[(state, f.name)]
-        except KeyError:
-            raise UnknownPredicate(f.name) from None
-    if isinstance(f, Not):
-        return not _eval(m, f.child, state, obj)
-    if isinstance(f, And):
-        return _eval(m, f.left, state, obj) and _eval(m, f.right, state, obj)
-    if isinstance(f, Or):
-        return _eval(m, f.left, state, obj) or _eval(m, f.right, state, obj)
-    raise QuantumNodeInClassicalEval(render(f))
 
 
 def eval_universal(m: Model, f: Formula, state: str) -> bool:

@@ -64,6 +64,18 @@ def test_eval_quantum_formula_on_plain_model_fails(capsys):
     assert "MissingTheta" in err
 
 
+@pytest.mark.parametrize(
+    "flag, source, formula", [("--model", CM, "(Hot | ~Hot) | Nope"),
+                              ("--qm-spec", WORKED, "(Ez | ~Ez) | Nope")],
+    ids=["model", "qm-spec"],
+)
+def test_eval_unknown_predicate_is_one_error_line_on_either_input(capsys, flag, source, formula):
+    """A formula with an unknown leaf is not a sentence of the model's
+    language, even where the rest of it is a tautology."""
+    code, out, err = run(capsys, "eval", flag, source, "--formula", formula)
+    assert (code, out, err) == (1, "", "error: UnknownPredicate: Nope\n")
+
+
 def test_eval_json_output(capsys):
     code, out, _ = run(
         capsys, "eval", "--qm-spec", WORKED, "--formula", "Ez &q Ex", "--format", "json"

@@ -232,8 +232,8 @@ def test_quantum_flag_and_classify_match_tree_walks(f):
 
 def _constructor_faults(f) -> list[str]:
     """Where the nodes of ``f`` differ from the reference's two-step nodes:
-    hash, quantum flag, equality, repr, copies, or a field that can be set
-    or deleted."""
+    hash, quantum flag, equality, repr, copies, or a field, a slot or any
+    other name that can be set or deleted without FrozenInstanceError."""
     faults = []
     for node in _nodes(f):
         fields = node._fields()
@@ -248,7 +248,7 @@ def _constructor_faults(f) -> list[str]:
                 node, hash(node), node._quantum, repr(node)
             ):
                 faults.append(f"twin of {node!r}")
-        for name in node.__match_args__:
+        for name in (*node.__match_args__, "_hash", "_quantum", "colour"):
             for change in (lambda: setattr(node, name, fields[0]), lambda: delattr(node, name)):
                 try:
                     change()

@@ -77,10 +77,10 @@ def test_eval_open_membership():
 @pytest.mark.parametrize(
     "f,state,obj,outcome",
     [
-        # connectives short-circuit, so an unknown leaf on the unread side is never looked up
-        (Or(Pred("E"), Pred("Unknown")), "S", 0, True),
-        (And(Pred("F"), Pred("Unknown")), "S", 0, False),
-        (And(Pred("F"), QNot(Pred("Unknown"))), "S", 0, False),
+        # a formula with no mask raises at every pair, whatever its other side
+        (Or(Pred("E"), Pred("Unknown")), "S", 0, (UnknownPredicate, "Unknown")),
+        (And(Pred("F"), Pred("Unknown")), "S", 0, (UnknownPredicate, "Unknown")),
+        (And(Pred("F"), QNot(Pred("Unknown"))), "S", 0, (QuantumNodeInClassicalEval, "~qUnknown")),
         (Or(Pred("F"), Pred("Unknown")), "S", 0, (UnknownPredicate, "Unknown")),
         # the state and then the object are checked before any leaf
         (Pred("Unknown"), "T", 0, (UnknownState, "T")),
@@ -91,6 +91,9 @@ def test_eval_open_membership():
     ],
 )
 def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, outcome):
+    """The state, then the object, then the formula: a formula with no mask
+    raises what ``signature`` raises, its leftmost fault, and leaves the
+    slot empty."""
     m = tiny_model()
     if isinstance(outcome, bool):
         assert eval_open(m, f, state, obj) is outcome
@@ -99,6 +102,7 @@ def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, 
     with pytest.raises(error) as err:
         eval_open(m, f, state, obj)
     assert str(err.value) == message
+    assert m._eval_slot[0]() is None
 
 
 def walk_eval_open(m: Model, f, state: str, obj: int) -> bool:
@@ -132,6 +136,15 @@ def _outcome(evaluate, m, f, state, obj):
         return type(err), str(err)
 
 
+def _mask_fault(m: Model, f):
+    """The error ``signature`` raises for a formula with no mask, else None."""
+    try:
+        signature(m, f)
+    except (UnknownPredicate, QuantumNodeInClassicalEval) as err:
+        return type(err), str(err)
+    return None
+
+
 def eval_trees(names):
     """Classical trees over the names and, now and then, an unknown leaf or
     a quantum node."""
@@ -154,12 +167,17 @@ def eval_trees(names):
 def test_eval_open_agrees_with_the_per_pair_walk(data):
     """Three formulas asked about in turn, so the model's slot is replaced
     again and again, at random pairs, some outside the model, on the model
-    and its copies: every answer and every error is the walk's.  A sized
-    state left out of the state list has no bit and is walked."""
+    and its copies: every answer and every error is the walk's, except
+    that a formula with no mask raises at every pair of the model what
+    ``signature`` raises.  A table that sizes a state left out of the
+    state list builds no model."""
     predicates, states, sizes, extensions = data.draw(model_tables())
     if data.draw(st.booleans()):
-        sizes = {**sizes, "T": 2}
-        extensions = {**extensions, ("T", predicates[0].name): frozenset({1})}
+        with pytest.raises(ModelValidationError, match="universe for unknown state 'T'"):
+            Model(
+                predicates, states, {**sizes, "T": 2},
+                {**extensions, ("T", predicates[0].name): frozenset({1})},
+            )
     m = Model(predicates, states, sizes, extensions)
     twins = [m, copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
     trees = eval_trees([p.name for p in predicates])
@@ -168,12 +186,14 @@ def test_eval_open_agrees_with_the_per_pair_walk(data):
     pairs = st.sampled_from(m.pairs) | st.tuples(
         st.sampled_from([*states, "T", "Nowhere"]), st.integers(-1, 3)
     )
+    faults = [_mask_fault(m, g) for g in formulas]
     queries = st.tuples(st.integers(0, 2), st.sampled_from(range(len(twins))), pairs)
     for k, twin, (state, obj) in data.draw(st.lists(queries, min_size=1, max_size=30)):
         g, model = formulas[k], twins[twin]
-        assert _outcome(eval_open, model, g, state, obj) == _outcome(
-            walk_eval_open, model, g, state, obj
-        )
+        expected = _outcome(walk_eval_open, model, g, state, obj)
+        if faults[k] is not None and (state, obj) in model.position:
+            expected = faults[k]
+        assert _outcome(eval_open, model, g, state, obj) == expected
 
 
 def test_eval_open_forms_one_mask_and_no_space_for_a_query(monkeypatch):
@@ -410,6 +430,21 @@ def test_qmn_pairing_enforced():
             extensions={("S", "E"): frozenset({0}), ("S", "F"): frozenset({0})},
         )
     assert "E" in str(err.value) or "F" in str(err.value)
+    # the first state, in state order, whose block the pair does not fill
+    paired = (PredicateInfo("G"), PredicateInfo("E", True, "F"), PredicateInfo("F", True, "E"))
+    with pytest.raises(ModelValidationError) as err:
+        Model(
+            paired, ("S", "T", "U"), {"S": 2, "T": 3, "U": 1},
+            {("S", "E"): {0}, ("S", "F"): {1}, ("T", "E"): {0}, ("T", "F"): {2},
+             ("U", "F"): set()},
+        )
+    assert str(err.value) == (
+        "state 'T', predicate 'E': extension is not the complement of its partner 'F'"
+    )
+    # a universe for a state that is not listed
+    with pytest.raises(ModelValidationError) as err:
+        Model((PredicateInfo("E"),), ("S",), {"S": 1, "T": 2}, {("T", "E"): frozenset({1})})
+    assert str(err.value) == "universe for unknown state 'T'"
 
 
 def test_validation_rejects_out_of_range_index():
