@@ -16,6 +16,7 @@ def fixpoint(
     rounds: int | None = None,
     cap: int | None = None,
     overflow: Exception | None = None,
+    symmetric: bool = False,
 ) -> dict:
     """The seeds closed under ``unary`` and ``binary``, lists of (operation,
     make) pairs; each element maps to the representative ``make`` built from
@@ -24,7 +25,13 @@ def fixpoint(
     so elements get the representatives and order of rounds over all pairs.
     ``rounds`` bounds the rounds (None: to the fixpoint); more than ``cap``
     seeds, or the insertion that takes the count above ``cap``, raises
-    ``overflow``."""
+    ``overflow``.
+
+    ``symmetric`` declares every binary operation commutative, and a round
+    then visits pair (i, j) only for j >= i.  The skipped mirror (j, i) of a
+    visited pair comes later in the same round, where the operation yields
+    the element the visit already found, so the keys, representatives,
+    insertion order and overflow point are those of the ordered loop."""
     if cap is not None and len(seeds) > cap:
         raise overflow
     found = dict(seeds)
@@ -37,19 +44,21 @@ def fixpoint(
 
     for _ in count() if rounds is None else range(rounds):
         current = list(found.items())
-        added = current[lo:]
-        for key, rep in added:
+        n = len(current)
+        for j in range(lo, n):
+            key, rep = current[j]
             for op, make in unary:
                 out = op(key)
                 if out not in found:
                     add(out, make(rep))
         for i, (k1, r1) in enumerate(current):
-            for k2, r2 in added if i < lo else current:
+            for j in range(lo if i < lo else i if symmetric else 0, n):
+                k2, r2 = current[j]
                 for op, make in binary:
                     out = op(k1, k2)
                     if out not in found:
                         add(out, make(r1, r2))
-        if len(found) == len(current):
+        if n == len(found):
             break
-        lo = len(current)
+        lo = n
     return found

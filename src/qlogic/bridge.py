@@ -528,7 +528,9 @@ def check_quantum_equivalences(
     The proposition of the classical conjunction is ``prop_a & prop_b``
     (``SignatureSpace.proposition`` maps ``&`` of masks to ``&`` of
     propositions), so conjunction-footnote and meet-image compare the same
-    two sets and flag exactly the same pairs: neither can fail alone."""
+    two sets and flag exactly the same pairs: neither can fail alone.
+    Propositions and theta sets are read as state bitmasks once per check,
+    so each pair costs integer operations only."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     lat = qm.lattice
@@ -544,30 +546,37 @@ def check_quantum_equivalences(
                 demorgan.violations.append(f"{render(fa)} / {render(fb)}")
     sasaki = RelationStats("quantum-implication", len(reach) ** 2, [], 0)
 
+    # propositions and theta sets as state bitmasks, bit k for the k-th state
+    bit = {s: 1 << k for k, s in enumerate(space.state_masks)}
+    theta = [sum(bit[s] for s in qm.theta[name]) for name in qm.predicate_names]
+    all_states = (1 << len(bit)) - 1
+
+    def proposition(mask: int) -> int:
+        return sum(bit[s] for s, block in space.state_masks.items() if mask & block == block)
+
     # testable classical classes are exactly the predicate signature classes
-    reps = [(mask, name, space.proposition(mask)) for mask, name in space.witnesses().items()]
+    reps = [
+        (mask, name, proposition(mask), qm.element_index[name])
+        for mask, name in space.witnesses().items()
+    ]
 
     conj = RelationStats("conjunction-footnote", 0, [], 0)
     gap_witnesses: list[str] = []
     ortho_rel = RelationStats("ortho-image", 0, [], 0)
     meet_rel = RelationStats("meet-image", 0, [], 0)
     join_rel = RelationStats("join-image", 0, [], 0)
-    all_states = frozenset(qm.model.states)
     preorder_ok = True
-    for mask_a, name_a, prop_a in reps:
-        a = qm.element_index[name_a]
+    for mask_a, name_a, prop_a, a in reps:
         ortho_rel.checked += 1
-        ortho_image = qm.theta[qm.predicate_names[lat.ortho[a]]]
-        if not ortho_image <= all_states - prop_a:
+        ortho_image, outside = theta[lat.ortho[a]], all_states & ~prop_a
+        if ortho_image & ~outside:
             ortho_rel.violations.append(name_a)
-        elif ortho_image < all_states - prop_a:
+        elif ortho_image != outside:
             ortho_rel.strict += 1
-        for mask_b, name_b, prop_b in reps:
-            b = qm.element_index[name_b]
-
-            quantum_element = lat.meet[a][b]
-            prop_quantum = qm.theta[qm.predicate_names[quantum_element]]
-            agree = prop_a & prop_b == prop_quantum
+        meets, joins = lat.meet[a], lat.join[a]
+        for mask_b, name_b, prop_b, b in reps:
+            quantum_element = meets[b]
+            agree = prop_a & prop_b == theta[quantum_element]
             conj.checked += 1
             if not agree:
                 conj.violations.append(f"{name_a} & {name_b}")
@@ -580,13 +589,13 @@ def check_quantum_equivalences(
             if not agree:
                 meet_rel.violations.append(f"{name_a} / {name_b}")
             join_rel.checked += 1
-            join_image = qm.theta[qm.predicate_names[lat.join[a][b]]]
-            if not prop_a | prop_b <= join_image:
+            either, join_image = prop_a | prop_b, theta[joins[b]]
+            if either & ~join_image:
                 join_rel.violations.append(f"{name_a} / {name_b}")
-            elif prop_a | prop_b < join_image:
+            elif either != join_image:
                 join_rel.strict += 1
 
-            if (mask_a | mask_b == mask_b) != (prop_a <= prop_b):
+            if (mask_a | mask_b == mask_b) != (not prop_a & ~prop_b):
                 preorder_ok = False
 
     return QuantumEquivalencesReport(

@@ -9,12 +9,12 @@ from typing import Union
 
 from .errors import ModelValidationError
 
-_RAT = r"[+-]?\d+(?:/[1-9]\d*)?"
-_RE_REAL = re.compile(rf"^({_RAT})$")
-_RE_IMAG = re.compile(rf"^({_RAT})i$")
-_RE_BOTH = re.compile(rf"^({_RAT})([+-]\d+(?:/[1-9]\d*)?)i$")
+# a rational, then either a signed rational with "i" or a lone "i": the
+# groups are the integer parts of "3/4-1/4i", or of "3/4i" and its "i"
+_LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?(?:([+-]\d+)(?:/([1-9]\d*))?i|(i))?")
 
 RationalLike = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,17 +97,16 @@ def parse_scalar(text: str) -> GaussianRational:
     """Parse a scalar literal: "1", "-1/2", "0+1i", "3/4-1/4i", "2i"."""
     if not isinstance(text, str):
         raise ModelValidationError(f"scalar literal {text!r:.40} is not a string")
-    s = text.strip()
-    m = _RE_BOTH.match(s)
-    if m:
-        return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
-    m = _RE_IMAG.match(s)
-    if m:
-        return GaussianRational(Fraction(0), Fraction(m.group(1)))
-    m = _RE_REAL.match(s)
-    if m:
-        return GaussianRational(Fraction(m.group(1)))
-    raise ModelValidationError(f"malformed scalar literal {text!r}")
+    m = _LITERAL.fullmatch(text.strip())
+    if m is None:
+        raise ModelValidationError(f"malformed scalar literal {text!r}")
+    num, den, im_num, im_den, lone_i = m.groups()
+    first = Fraction(int(num), int(den or 1))
+    if lone_i:
+        return GaussianRational(_ZERO, first)
+    if im_num is None:
+        return GaussianRational(first, _ZERO)
+    return GaussianRational(first, Fraction(int(im_num), int(im_den or 1)))
 
 
 def format_scalar(z: GaussianRational) -> str:

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, parse_scalar
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_parts, format_scalar, parse_scalar
 
 Vector = tuple[GaussianRational, ...]
 Row = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
@@ -58,8 +58,10 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
-        if pivot is None:
+        pivot = r
+        while pivot < nrows and not (rows[pivot][0][c] or rows[pivot][1][c]):
+            pivot += 1
+        if pivot == nrows:
             continue
         pre, pim = rows[pivot]
         rows[pivot] = rows[r]
@@ -72,14 +74,15 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
         pre, pim = _primitive(pre, pim)
         p = pre[c]
         rows[r] = (pre, pim)
-        for i in range(nrows):
-            re, im = rows[i]
+        for i, (re, im) in enumerate(rows):
             qr, qi = re[c], im[c]
-            if i != r and (qr or qi):  # row := p * row - q * pivot row
-                rows[i] = _primitive(
-                    [p * a - qr * x + qi * y for a, x, y in zip(re, pre, pim)],
-                    [p * b - qr * y - qi * x for b, x, y in zip(im, pre, pim)],
-                )
+            if i != r and (qr or qi):  # row := p * row - q * pivot row, made primitive
+                re = [p * a - qr * x + qi * y for a, x, y in zip(re, pre, pim)]
+                im = [p * b - qr * y - qi * x for b, x, y in zip(im, pre, pim)]
+                g = gcd(*re, *im)
+                if g > 1:
+                    re, im = [x // g for x in re], [y // g for y in im]
+                rows[i] = (re, im)
         r += 1
     return rows[:r]
 
@@ -312,17 +315,16 @@ def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
     with the work that depends on ``a`` alone done once.
 
     ``perp`` is ortho(a).  P_a + P_perp = I exactly, so when perp has the
-    smaller dimension the value is read as 1 - born(psi, perp).  Otherwise
-    a's rows are made pairwise orthogonal once, by fraction-free
-    Gram-Schmidt, into w_r with squared norms n_r, and
-    born = sum_r |<w_r|v>|^2 / n_r / <v|v>: one inner product per row and
-    state, and none for the zero subspace or, through its complement, C^d.
+    smaller dimension the value is read as 1 - born(psi, perp), from the
+    integer parts of born(psi, perp).  The rows of the subspace read are
+    made pairwise orthogonal once, by fraction-free Gram-Schmidt, into w_r
+    with squared norms n_r, and born = sum_r |<w_r|v>|^2 / n_r / <v|v>: one
+    inner product per row and state, and none for the zero subspace or,
+    through its complement, C^d.
     """
-    if perp.dim < a.dim:
-        rest = _born_of(perp, a)
-        return lambda v, norm2: 1 - rest(v, norm2)
+    complement = perp.dim < a.dim
     ws: list[tuple[Row, int]] = []  # orthogonal rows and their squared norms
-    for u in a._rows:  # w = scale * u minus its projections on the earlier w
+    for u in (perp if complement else a)._rows:  # w = scale * u minus its projections
         scale = lcm(*(n for _, n in ws))
         re, im = [scale * x for x in u[0]], [scale * y for y in u[1]]
         for w, n in ws:
@@ -341,7 +343,8 @@ def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
         for w, k in weighted:
             cr, ci = _conj_dot(w, v)
             num += (cr * cr + ci * ci) * k
-        return Fraction(num, total * norm2)
+        den = total * norm2
+        return Fraction(den - num, den) if complement else Fraction(num, den)
 
     return value
 
@@ -366,4 +369,5 @@ def subspace_from_strings(rows: list[list[str]], ambient: int) -> Subspace:
 
 
 def subspace_to_strings(a: Subspace) -> list[list[str]]:
-    return [[format_scalar(z) for z in row] for row in a.basis]
+    """The canonical basis as scalar literals, written from the rows."""
+    return [[format_parts(*part) for part in row] for row in _basis_parts(a)]

@@ -82,22 +82,19 @@ def close(
     joins: dict[tuple[int, int], int] = {}
 
     def join_id(i: int, j: int) -> int:
-        """Id of the join of elements i and j, computed once per unordered
-        pair.  A join absorbs an operand inside the other, and a hyperplane
-        joined with anything outside it spans C^dim; only other joins reach
-        the kernel."""
-        key = (i, j) if i <= j else (j, i)
-        got = joins.get(key)
-        if got is None:
-            if dims[i] > dims[j]:
-                i, j = j, i
-            # dim i <= dim j; equal dimensions with i != j are incomparable
-            nested = i == j or (dims[i] < dims[j] and leq(elements[i], elements[j]))
-            if nested:
-                got = j
-            else:
-                got = intern(full if dims[j] == dim - 1 else join(elements[i], elements[j]))
-            joins[key] = got
+        """Id of the join of elements i and j, recorded in ``joins``; the
+        symmetric fixpoint asks once per unordered pair.  A join absorbs an
+        operand inside the other, and a hyperplane joined with anything
+        outside it spans C^dim; only other joins reach the kernel."""
+        key = i, j
+        if dims[i] > dims[j]:
+            i, j = j, i
+        # dim i <= dim j; equal dimensions with i != j are incomparable
+        if i == j or (dims[i] < dims[j] and leq(elements[i], elements[j])):
+            got = j
+        else:
+            got = intern(full if dims[j] == dim - 1 else join(elements[i], elements[j]))
+        joins[key] = got
         return got
 
     found = fixpoint(
@@ -106,6 +103,7 @@ def close(
         binary=[(join_id, lambda *_: None)],
         cap=cap,
         overflow=overflow,
+        symmetric=True,
     )
 
     ordered = sorted(found, key=lambda i: elements[i].sort_key())

@@ -103,6 +103,7 @@ class Model:
             s = next(s for s in self.universe_sizes if s not in self.states)
             raise ModelValidationError(f"universe for unknown state {s!r}")
         normalized: dict[tuple[str, str], frozenset[int]] = {}
+        in_range: set[tuple[frozenset[int], int]] = set()  # few extensions are distinct
         for (s, pname), ext in self.extensions.items():
             if s not in self.universe_sizes:
                 raise ModelValidationError(f"extension for unknown state {s!r}")
@@ -110,12 +111,14 @@ class Model:
                 raise ModelValidationError(f"extension for unknown predicate {pname!r}")
             ext = frozenset(ext)
             n = self.universe_sizes[s]
-            bad = [u for u in ext if not 0 <= u < n]
-            if bad:
-                raise ModelValidationError(
-                    f"state {s!r}, predicate {pname!r}: object index {bad[0]} "
-                    f"outside universe of size {n}"
-                )
+            if (ext, n) not in in_range:
+                bad = [u for u in ext if not 0 <= u < n]
+                if bad:
+                    raise ModelValidationError(
+                        f"state {s!r}, predicate {pname!r}: object index {bad[0]} "
+                        f"outside universe of size {n}"
+                    )
+                in_range.add((ext, n))
             normalized[(s, pname)] = ext
         for s in self.states:
             for p in self.predicates:
@@ -440,7 +443,8 @@ class SignatureSpace:
         for name in generator_names:
             seeds.setdefault(self.mask_of(Pred(name)), Pred(name))
         unary = [(lambda mask, omega=self.omega: omega & ~mask, Not)]
-        return fixpoint(seeds, unary, [(operator.and_, And), (operator.or_, Or)], **limits)
+        binary = [(operator.and_, And), (operator.or_, Or)]
+        return fixpoint(seeds, unary, binary, symmetric=True, **limits)
 
 
 def _mask(

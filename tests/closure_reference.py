@@ -5,12 +5,14 @@ closures shared one semi-naive engine: the signature classes of a
 ``SignatureSpace``, the lattice elements reachable by qwffs, and the
 subspace lattice of ``lattice.close``.  The differential tests require the
 engine to give the same keys, representatives, order and overflow as
-these loops.  The vectorized distributivity sweep the package ran on
-numpy before its plain scan closes the module.
+these loops.  Next come the engine as it was before it learned to visit
+each unordered pair of a commutative operation once, and the vectorized
+distributivity sweep the package ran on numpy before its plain scan.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable
 
 from qlogic.errors import ClosureOverflow, DimensionMismatch
@@ -180,6 +182,51 @@ def close(
         full_index=index[Subspace.full(dim)],
         index=index,
     )
+
+
+# -- the semi-naive engine over ordered pairs -----------------------------------------
+
+
+def ordered_fixpoint(
+    seeds: dict,
+    unary=(),
+    binary=(),
+    rounds: int | None = None,
+    cap: int | None = None,
+    overflow: Exception | None = None,
+    symmetric: bool = False,
+) -> dict:
+    """``_fixpoint.fixpoint`` visiting every ordered pair whatever
+    ``symmetric`` says: a round combines the elements the previous round
+    added with every known element, on both sides."""
+    if cap is not None and len(seeds) > cap:
+        raise overflow
+    found = dict(seeds)
+    lo = 0
+
+    def add(element, rep) -> None:
+        found[element] = rep
+        if cap is not None and len(found) > cap:
+            raise overflow
+
+    for _ in count() if rounds is None else range(rounds):
+        current = list(found.items())
+        added = current[lo:]
+        for key, rep in added:
+            for op, make in unary:
+                out = op(key)
+                if out not in found:
+                    add(out, make(rep))
+        for i, (k1, r1) in enumerate(current):
+            for k2, r2 in added if i < lo else current:
+                for op, make in binary:
+                    out = op(k1, k2)
+                    if out not in found:
+                        add(out, make(r1, r2))
+        if len(found) == len(current):
+            break
+        lo = len(current)
+    return found
 
 
 # -- distributivity ---------------------------------------------------------------

@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogic import bridge, lattice, models
 from qlogic._fixpoint import fixpoint
-from qlogic.bridge import _reachable_elements, build_model
+from qlogic.bridge import _reachable_elements, build_model, load_spec
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import GaussianRational
 from qlogic.generate import random_qm_spec
@@ -16,6 +17,7 @@ from qlogic.lattice import close
 from qlogic.models import Model, PredicateInfo, SignatureSpace
 
 import closure_reference as reference
+from conftest import DATA_DIR
 
 
 def _outcome(fn, *args):
@@ -167,3 +169,132 @@ def test_close_matches_reference(generated, cap):
     assert got.elements == want.elements
     assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
     assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)
+
+
+# -- each unordered pair once, against the ordered-pair engine -----------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_symmetric_fixpoint_matches_ordered_pairs_on_commutative_tables(data):
+    """Random commutative operation tables on range(n), not idempotent;
+    the outcome includes the overflow point under a random cap."""
+    n = data.draw(st.integers(1, 12))
+    element = st.integers(0, n - 1)
+    negate = data.draw(st.lists(element, min_size=n, max_size=n))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        upper = data.draw(st.lists(element, min_size=n * n, max_size=n * n))
+        tables.append([[upper[min(a, b) * n + max(a, b)] for b in range(n)] for a in range(n)])
+    seeds = {k: str(k) for k in data.draw(st.lists(element, min_size=1, max_size=3))}
+    unary = [(negate.__getitem__, lambda r: f"~{r}")]
+    binary = [
+        (lambda a, b, t=t: t[a][b], lambda r1, r2, i=i: f"({r1} {i} {r2})")
+        for i, t in enumerate(tables)
+    ]
+    rounds = data.draw(st.none() | st.integers(0, 5))
+    cap = data.draw(st.none() | st.integers(0, n))
+    overflow = ClosureOverflow("cap", generators=())
+
+    def outcome(engine, **symmetric):
+        try:
+            return list(engine(seeds, unary, binary, rounds, cap, overflow, **symmetric).items())
+        except ClosureOverflow:
+            return "overflow"
+
+    assert outcome(fixpoint, symmetric=True) == outcome(reference.ordered_fixpoint)
+
+
+@pytest.fixture(scope="module")
+def corpus_specs():
+    """tests/data/gen_qm_seed11.json and the acceptance-corpus specs."""
+    specs = [load_spec(DATA_DIR / "gen_qm_seed11.json")]
+    for seed in range(20):
+        spec, _ = random_qm_spec(seed, dim=2 + seed % 2, n_properties=2 + seed % 2, closure_cap=64)
+        specs.append(spec)
+    return specs
+
+
+def _route(monkeypatch, module, engine) -> list[dict]:
+    """Send ``module``'s fixpoint calls to ``engine``; the list collects
+    what they return."""
+    results: list[dict] = []
+
+    def recording(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, "fixpoint", recording)
+    return results
+
+
+def test_symmetric_close_matches_the_ordered_loop(corpus_specs, monkeypatch):
+    for spec in corpus_specs:
+        generators = [sub for _, sub in spec.properties]
+        outcomes = []
+        for engine in (fixpoint, reference.ordered_fixpoint):
+            found = _route(monkeypatch, lattice, engine)
+            lat = close(generators, spec.closure_cap, spec.dim)
+            outcomes.append(
+                ([list(d.items()) for d in found], lat.elements, lat.ortho, lat.meet, lat.join)
+            )
+        assert outcomes[0] == outcomes[1]
+
+
+def test_symmetric_class_sweeps_match_the_ordered_loop(corpus_specs, monkeypatch):
+    for spec in corpus_specs:
+        model = build_model(spec).model
+        names = tuple(name for name, _ in spec.properties)
+        for depth in range(1, 5):
+            sweeps = []
+            for engine in (fixpoint, reference.ordered_fixpoint):
+                _route(monkeypatch, models, engine)
+                sweeps.append(list(SignatureSpace(model).reachable_classes(names, depth).items()))
+            assert sweeps[0] == sweeps[1]
+
+
+def _counted(engine, calls: list[int]):
+    """``engine`` with every binary operation counting its calls."""
+
+    def run(seeds, unary=(), binary=(), **kwargs):
+        def counting(op):
+            def call(*args):
+                calls[0] += 1
+                return op(*args)
+
+            return call
+
+        return engine(seeds, unary, [(counting(op), make) for op, make in binary], **kwargs)
+
+    return run
+
+
+@pytest.mark.parametrize("depth,ordered,symmetric", [(3, 5408, 2756), (4, 55112, 27722)])
+def test_symmetric_class_sweep_halves_the_operation_calls(monkeypatch, depth, ordered, symmetric):
+    """``&`` and ``|`` calls of the class sweep over the three properties of
+    gen_qm_seed11: about half of the ordered loop's, since only the diagonal
+    pairs are visited by both."""
+    spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
+    model = build_model(spec).model
+    names = tuple(name for name, _ in spec.properties)
+    counts = []
+    for engine in (reference.ordered_fixpoint, fixpoint):
+        calls = [0]
+        monkeypatch.setattr(models, "fixpoint", _counted(engine, calls))
+        SignatureSpace(model).reachable_classes(names, depth)
+        counts.append(calls[0])
+    assert counts == [ordered, symmetric]
+
+
+def test_symmetric_flag_on_the_quantum_sweep_fails_the_differential(monkeypatch):
+    """Negative control: ``->q`` is not commutative, so marking the qwff
+    sweep symmetric loses elements; on gen_qm_seed11 it finds 15 of the 16
+    elements at depth 2."""
+    qm = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
+    want = _reachable_elements(qm, 2)
+    monkeypatch.setattr(
+        bridge, "fixpoint", lambda *args, **kwargs: fixpoint(*args, **kwargs, symmetric=True)
+    )
+    got = _reachable_elements(qm, 2)
+    assert (len(want), len(got)) == (16, 15)
+    assert list(got.items()) != list(reference.reachable_elements(qm, 2).items())

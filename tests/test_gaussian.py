@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qlogic import gaussian
+from qlogic.bridge import spec_from_dict
+from qlogic.cli import main
 from qlogic.errors import ModelValidationError
 from qlogic.gaussian import GaussianRational, format_scalar, gr, parse_scalar
 
@@ -63,3 +69,114 @@ def test_inverse_and_conjugate(z):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         gr(1) / gr(0)
+
+
+# -- the literal parser against its three-regex form ---------------------------------
+
+_RAT = r"[+-]?\d+(?:/[1-9]\d*)?"
+_RE_REAL = re.compile(rf"^({_RAT})$")
+_RE_IMAG = re.compile(rf"^({_RAT})i$")
+_RE_BOTH = re.compile(rf"^({_RAT})([+-]\d+(?:/[1-9]\d*)?)i$")
+
+
+def reference_parse_scalar(text: str) -> GaussianRational:
+    """The parser as it was: three regexes tried in turn, each part read by
+    ``Fraction`` from its text."""
+    if not isinstance(text, str):
+        raise ModelValidationError(f"scalar literal {text!r:.40} is not a string")
+    s = text.strip()
+    m = _RE_BOTH.match(s)
+    if m:
+        return GaussianRational(Fraction(m.group(1)), Fraction(m.group(2)))
+    m = _RE_IMAG.match(s)
+    if m:
+        return GaussianRational(Fraction(0), Fraction(m.group(1)))
+    m = _RE_REAL.match(s)
+    if m:
+        return GaussianRational(Fraction(m.group(1)))
+    raise ModelValidationError(f"malformed scalar literal {text!r}")
+
+
+def _outcome(call, *args):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:  # the point is to compare whatever is raised
+        return type(exc), str(exc)
+
+
+def _spec_with(literal) -> dict:
+    return {"dim": 1, "states": [{"name": "s", "vector": [literal]}], "properties": []}
+
+
+def _agree(literal) -> None:
+    """Same value or same exception from both parsers, directly and as the
+    spec loader reports it."""
+    assert _outcome(parse_scalar, literal) == _outcome(reference_parse_scalar, literal)
+    got = _outcome(spec_from_dict, _spec_with(literal))
+    with mock.patch.object(gaussian, "parse_scalar", reference_parse_scalar):
+        assert got == _outcome(spec_from_dict, _spec_with(literal))
+
+
+_ascii = st.text("0123456789", min_size=1, max_size=6)
+_unicode = st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4)
+_denominators = st.builds(
+    str.__add__, st.sampled_from("123456789"), st.text(st.characters(categories=["Nd"]), max_size=3)
+)
+_spaces = st.text(" \t\n\r\x0b\x0c\x1c\u00a0\u2003", max_size=2)
+
+
+@st.composite
+def _literals(draw):
+    """Literals the grammar accepts: optional sign, ASCII or other decimal
+    digits with leading zeros, optional /den, and the real, "bi" and
+    "a+bi" forms, inside whitespace."""
+
+    def rational(signs) -> str:
+        text = draw(st.sampled_from(signs)) + draw(_ascii | _unicode)
+        return text + "/" + draw(_denominators) if draw(st.booleans()) else text
+
+    real = rational(["", "+", "-"])
+    form = draw(st.sampled_from(["real", "imaginary", "both"]))
+    body = {"real": real, "imaginary": real + "i", "both": real + rational(["+", "-"]) + "i"}[form]
+    return draw(_spaces) + body + draw(_spaces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_literals())
+def test_parse_scalar_matches_the_reference_on_valid_literals(literal):
+    assert _outcome(parse_scalar, literal)[0] == "ok"
+    _agree(literal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789+-/i .\u0663", max_size=10) | st.one_of(st.integers(), st.none()))
+def test_parse_scalar_matches_the_reference_on_any_text(literal):
+    _agree(literal)
+
+
+_MALFORMED = [
+    *["1/0", "1/01", "i", "1+i", "--1", "1.5"],
+    pytest.param("1" * 5000, id="5000-digit-numerator"),
+    pytest.param("-1/" + "3" * 5000, id="5000-digit-denominator"),
+    pytest.param("", id="empty"),
+]
+
+
+@pytest.mark.parametrize("literal", _MALFORMED)
+def test_malformed_literals_fail_as_the_reference_does(literal, tmp_path, capsys):
+    """Each ends in the same exception and the same one-line error from
+    ``qlogic check``; a numerator or denominator past Python's digit limit
+    raises ValueError, which the spec loader reports as a malformed file."""
+    assert _outcome(parse_scalar, literal)[0] != "ok"
+    _agree(literal)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_with(literal)), encoding="utf-8")
+    lines = []
+    for parse in (parse_scalar, reference_parse_scalar):
+        with mock.patch.object(gaussian, "parse_scalar", parse):
+            assert main(["check", "--qm-spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        lines.append(err)
+    assert lines[0] == lines[1]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qlogic import hilbert
 from qlogic.bridge import _generated_name
 from qlogic.errors import DimensionMismatch, ZeroVector
-from qlogic.gaussian import GaussianRational, gr
+from qlogic.gaussian import GaussianRational, format_scalar, gr
 from qlogic.hilbert import (
     Subspace,
     _state_row,
@@ -326,6 +326,14 @@ def test_sort_key_matches_the_fraction_basis(data):
     dim = data.draw(st.integers(1, 5))
     a = data.draw(_reader_spaces(dim))
     assert a.sort_key() == (len(a.basis), tuple(z.sort_key() for row in a.basis for z in row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subspace_literals_match_the_fraction_basis(data):
+    dim = data.draw(st.integers(1, 5))
+    a = data.draw(_reader_spaces(dim))
+    assert subspace_to_strings(a) == [[format_scalar(z) for z in row] for row in a.basis]
 
 
 def _literal(z: GaussianRational) -> str:

@@ -458,6 +458,29 @@ def test_validation_rejects_out_of_range_index():
     assert "S1" in str(err.value) and "E" in str(err.value)
 
 
+def test_shared_out_of_range_extension_names_its_first_key():
+    """The range check runs once per distinct (extension, universe size);
+    an extension object shared by several keys is still reported at the
+    first key in ``extensions`` order, and one that fits a larger universe
+    is still checked against a smaller one."""
+    fits, shared = frozenset({0, 2}), frozenset({4})
+    predicates = (PredicateInfo("A"), PredicateInfo("B"))
+    sizes = {"S0": 3, "S1": 3, "S2": 2}
+    extensions = {
+        ("S0", "A"): fits,
+        ("S1", "B"): shared,
+        ("S0", "B"): shared,
+        ("S1", "A"): shared,
+    }
+    with pytest.raises(ModelValidationError) as err:
+        Model(predicates, ("S0", "S1", "S2"), sizes, extensions)
+    assert str(err.value) == "state 'S1', predicate 'B': object index 4 outside universe of size 3"
+    extensions = {("S0", "A"): fits, ("S1", "A"): fits, ("S2", "B"): fits, ("S2", "A"): fits}
+    with pytest.raises(ModelValidationError) as err:
+        Model(predicates, ("S0", "S1", "S2"), sizes, extensions)
+    assert str(err.value) == "state 'S2', predicate 'B': object index 2 outside universe of size 2"
+
+
 def test_validation_rejects_asymmetric_ortho():
     with pytest.raises(ModelValidationError):
         model_from_dict(
