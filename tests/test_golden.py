@@ -27,10 +27,14 @@ classical evaluation with no verdict, and a plain classical model.
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
-from conftest import DATA_DIR, REPO
+from conftest import DATA_DIR, REPO, mo_squared_spec, with_extension
+from qlogic import cli
+from qlogic.bridge import build_model
 from qlogic.cli import main
 
 INPUTS = (
@@ -140,3 +144,68 @@ def test_seeded_qm_corpus_matches_recorded_digest(tmp_path, capsys, monkeypatch)
                 code = main(["check", "--qm-spec", "spec.json", "--format", fmt])
                 digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == QM_CORPUS_SHA256
+
+
+# -- reports with violations --------------------------------------------------------
+# Recorded before the suites shared one record and one table.  The corrupted
+# models come from a ``build_model`` patched where ``check`` calls it, so
+# every suite reads the same edited model.
+
+
+def _table_edit(table: str, row: str, column: str, value: str):
+    """A build that sets one entry of the ``meet`` or ``join`` table, with
+    elements named by predicate."""
+
+    def build(spec):
+        qm = build_model(spec)
+        index = qm.element_index
+        rows = [list(r) for r in getattr(qm.lattice, table)]
+        rows[index[row]][index[column]] = index[value]
+        edited = replace(qm.lattice, **{table: tuple(map(tuple, rows))})
+        return replace(qm, lattice=edited)
+
+    return build
+
+
+def _full_zero_extension(spec):
+    """A build whose zero subspace's predicate is full in state Sz+: one
+    extension edit, which proposition-theta-agreement flags 3 times (its
+    proposition, its pairing, its rule; no single edit gives more) and
+    join-image 7 times, past both witness caps (3 in text, 5 in JSON)."""
+    qm = build_model(spec)
+    return with_extension(qm, "Sz+", qm.predicate_names[qm.lattice.zero_index], range(4))
+
+
+ZERO = "Q_e9e6c354c1"  # worked_qm's generated name for the zero subspace
+CORRUPTIONS = {
+    # Ez ^ Ez read as zero: table-demorgan's count with no witnesses, and the
+    # quantum-demorgan, conjunction-footnote and meet-image lines
+    "meet": _table_edit("meet", "Ez", "Ez", ZERO),
+    # 0 v 0 read as Ez_perp: orthomodularity's one violation with two witnesses
+    "join": _table_edit("join", ZERO, ZERO, "Ez_perp"),
+    "extension": _full_zero_extension,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_check_on_a_corrupted_model_matches_golden(corruption, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(cli, "build_model", CORRUPTIONS[corruption])
+    assert main(["check", "--qm-spec", "specs/worked_qm.json", "--format", fmt]) == 1
+    golden = DATA_DIR / "golden" / f"worked_qm.check_corrupt_{corruption}.{fmt}"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_on_mo_2_squared_matches_golden(fmt, tmp_path, capsys, monkeypatch):
+    """MO_2 x MO_2 at the default depth: (2k+2)^2 = 36 elements, the
+    product of two orthomodular blocks (Kalmbach, *Orthomodular Lattices*,
+    1983), which every lattice suite reports as such."""
+    monkeypatch.chdir(tmp_path)  # the JSON report echoes the input path as given
+    (tmp_path / "mo2_squared.json").write_text(json.dumps(mo_squared_spec(2)))
+    assert main(["check", "--qm-spec", "mo2_squared.json", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (DATA_DIR / "golden" / f"mo2_squared.check.{fmt}").read_bytes()
+    if fmt == "text":
+        assert "suite ortho-involution: ok (checked 36)\n" in out
