@@ -47,6 +47,7 @@ from .models import (
     Model,
     PredicateInfo,
     QuotientAlgebra,
+    SuiteResult,
     boolean_law_violations,
     build_cm_model,
     check_cms,

@@ -58,11 +58,12 @@ from .models import (
     Model,
     PredicateInfo,
     SignatureSpace,
+    SuiteResult,
     eval_open,
     expect_json,
     read_json,
 )
-from .propositions import RelationStats, proposition_poset
+from .propositions import proposition_poset
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
@@ -402,7 +403,14 @@ def _verdict(qm: QuantumModel, element: int, state: str) -> str:
 # Each suite reads the masks of a SignatureSpace of qm.model that its caller built.
 
 
-def check_qmt(qm: QuantumModel, space: SignatureSpace) -> RelationStats:
+def _relation(suite: str, checked: int, witnesses: list[str], strict: int = 0) -> SuiteResult:
+    """A suite with one witness per violation, showing its count of
+    strictly held cases only when there are some."""
+    info = {"strict": strict} if strict else {}
+    return SuiteResult(suite, checked, len(witnesses), witnesses, info)
+
+
+def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
     """Re-verify the build postconditions against the model as it stands.
 
     Checks, per predicate and state: the proposition of the predicate is
@@ -441,10 +449,10 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> RelationStats:
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "
                     f"does not match its projection probability"
                 )
-    return RelationStats("proposition-theta-agreement", checked, violations, 0)
+    return _relation("proposition-theta-agreement", checked, violations)
 
 
-def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> RelationStats:
+def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
     """Equal propositions iff equal signatures, over testable formulas.
 
     A formula is p-testable exactly when its signature is some property
@@ -463,7 +471,7 @@ def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> Relation
                 violations.append(
                     f"{name_a} and {name_b}: equal propositions, distinct signatures"
                 )
-    return RelationStats("equivalence-coincidence", checked, violations, 0)
+    return _relation("equivalence-coincidence", checked, violations)
 
 
 def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
@@ -485,35 +493,9 @@ def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
     )
 
 
-@dataclass
-class QuantumEquivalencesReport:
-    demorgan: RelationStats
-    sasaki: RelationStats
-    conjunction_propositions: RelationStats
-    signature_gap_witnesses: list[str]
-    ortho_relation: RelationStats
-    meet_relation: RelationStats
-    join_relation: RelationStats
-    preorder_coincides: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(stats.ok for stats in self.entries())
-
-    def entries(self) -> list[RelationStats]:
-        return [
-            self.demorgan,
-            self.sasaki,
-            self.conjunction_propositions,
-            self.ortho_relation,
-            self.meet_relation,
-            self.join_relation,
-        ]
-
-
 def check_quantum_equivalences(
     qm: QuantumModel, space: SignatureSpace, max_depth: int = 3
-) -> QuantumEquivalencesReport:
+) -> list[SuiteResult]:
     """Quantum De Morgan and implication identities over reachable qwffs,
     the conjunction footnote (classical and quantum conjunction share a
     proposition while signatures may differ), and the relations between
@@ -530,7 +512,11 @@ def check_quantum_equivalences(
     propositions), so conjunction-footnote and meet-image compare the same
     two sets and flag exactly the same pairs: neither can fail alone.
     Propositions and theta sets are read as state bitmasks once per check,
-    so each pair costs integer operations only."""
+    so each pair costs integer operations only.
+
+    Returns, in report order: quantum-demorgan, quantum-implication,
+    conjunction-footnote, ortho-image, meet-image, join-image and
+    conjunction-signature-gap."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     lat = qm.lattice
@@ -538,13 +524,12 @@ def check_quantum_equivalences(
     reach = [
         (_reduce_element(qm, space, f), f) for f in _reachable_elements(qm, max_depth).values()
     ]
-
-    demorgan = RelationStats("quantum-demorgan", len(reach) ** 2, [], 0)
-    for a, fa in reach:
-        for b, fb in reach:
-            if sigs[lat.join[a][b]] != sigs[lat.ortho[lat.meet[lat.ortho[a]][lat.ortho[b]]]]:
-                demorgan.violations.append(f"{render(fa)} / {render(fb)}")
-    sasaki = RelationStats("quantum-implication", len(reach) ** 2, [], 0)
+    demorgan = [
+        f"{render(fa)} / {render(fb)}"
+        for a, fa in reach
+        for b, fb in reach
+        if sigs[lat.join[a][b]] != sigs[lat.ortho[lat.meet[lat.ortho[a]][lat.ortho[b]]]]
+    ]
 
     # propositions and theta sets as state bitmasks, bit k for the k-th state
     bit = {s: 1 << k for k, s in enumerate(space.state_masks)}
@@ -560,59 +545,52 @@ def check_quantum_equivalences(
         for mask, name in space.witnesses().items()
     ]
 
-    conj = RelationStats("conjunction-footnote", 0, [], 0)
+    conj: list[str] = []
     gap_witnesses: list[str] = []
-    ortho_rel = RelationStats("ortho-image", 0, [], 0)
-    meet_rel = RelationStats("meet-image", 0, [], 0)
-    join_rel = RelationStats("join-image", 0, [], 0)
-    preorder_ok = True
+    ortho_rel: list[str] = []
+    meet_rel: list[str] = []
+    join_rel: list[str] = []
+    ortho_strict = join_strict = 0
     for mask_a, name_a, prop_a, a in reps:
-        ortho_rel.checked += 1
         ortho_image, outside = theta[lat.ortho[a]], all_states & ~prop_a
         if ortho_image & ~outside:
-            ortho_rel.violations.append(name_a)
+            ortho_rel.append(name_a)
         elif ortho_image != outside:
-            ortho_rel.strict += 1
+            ortho_strict += 1
         meets, joins = lat.meet[a], lat.join[a]
         for mask_b, name_b, prop_b, b in reps:
             quantum_element = meets[b]
-            agree = prop_a & prop_b == theta[quantum_element]
-            conj.checked += 1
-            if not agree:
-                conj.violations.append(f"{name_a} & {name_b}")
+            if prop_a & prop_b != theta[quantum_element]:
+                conj.append(f"{name_a} & {name_b}")
+                meet_rel.append(f"{name_a} / {name_b}")
             elif mask_a & mask_b != sigs[quantum_element] and len(gap_witnesses) < 5:
                 gap_witnesses.append(
                     f"{name_a} & {name_b}: same proposition, different signatures"
                 )
-
-            meet_rel.checked += 1
-            if not agree:
-                meet_rel.violations.append(f"{name_a} / {name_b}")
-            join_rel.checked += 1
             either, join_image = prop_a | prop_b, theta[joins[b]]
             if either & ~join_image:
-                join_rel.violations.append(f"{name_a} / {name_b}")
+                join_rel.append(f"{name_a} / {name_b}")
             elif either != join_image:
-                join_rel.strict += 1
+                join_strict += 1
 
-            if (mask_a | mask_b == mask_b) != (not prop_a & ~prop_b):
-                preorder_ok = False
-
-    return QuantumEquivalencesReport(
-        demorgan=demorgan,
-        sasaki=sasaki,
-        conjunction_propositions=conj,
-        signature_gap_witnesses=gap_witnesses,
-        ortho_relation=ortho_rel,
-        meet_relation=meet_rel,
-        join_relation=join_rel,
-        preorder_coincides=preorder_ok,
-    )
+    pairs = len(reps) ** 2
+    gap_info = {"witnesses_found": len(gap_witnesses)}
+    if gap_witnesses:
+        gap_info["example"] = gap_witnesses[0]
+    return [
+        _relation("quantum-demorgan", len(reach) ** 2, demorgan),
+        _relation("quantum-implication", len(reach) ** 2, []),
+        _relation("conjunction-footnote", pairs, conj),
+        _relation("ortho-image", len(reps), ortho_rel, ortho_strict),
+        _relation("meet-image", pairs, meet_rel),
+        _relation("join-image", pairs, join_rel, join_strict),
+        SuiteResult("conjunction-signature-gap", pairs, info=gap_info),
+    ]
 
 
 def check_q_trichotomy(
     qm: QuantumModel, space: SignatureSpace, max_depth: int = 2
-) -> RelationStats:
+) -> SuiteResult:
     """Exactly one verdict per (qwff, state), and certain falsehood of a
     formula coincides with certain truth of its quantum negation."""
     if max_depth > MAX_RELATION_DEPTH:
@@ -642,7 +620,7 @@ def check_q_trichotomy(
                 violations.append(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"
                 )
-    return RelationStats("q-truth-trichotomy", checked, violations, 0)
+    return _relation("q-truth-trichotomy", checked, violations)
 
 
 def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:
@@ -658,47 +636,34 @@ def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:
     return len(set(thetas)) == len(thetas) and len(set(sigs)) == len(sigs)
 
 
-@dataclass
-class LtQuotientReport:
-    status: str  # "isomorphic" | "degenerate" | "mismatch"
-    detail: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "mismatch"
-
-
-def lt_quotient_check(qm: QuantumModel, space: SignatureSpace) -> LtQuotientReport:
+def lt_quotient_check(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
     """Compare the quotient of qwffs under signature equality with the
-    built lattice.
+    built lattice; ``info["status"]`` is "isomorphic", "degenerate" or
+    "mismatch", and only a mismatch is a violation.
 
     Every lattice element is denoted by some qwff, so the quotient is the
     image of the element set under the signature map.  When the states
     separate elements (the map is injective) the induced meet and join are
     the lattice's by construction, so only the complement is compared: the
     signature of each element's orthocomplement must be the complement of
-    its own in the model as it stands.  Otherwise the quotient is
-    degenerate and reported as such, with the conflated pairs listed.
-    Faults in the tables themselves are caught by the table-demorgan and
-    orthomodularity suites.
+    its own in the model as it stands, and the first element where it is
+    not is the witness.  Otherwise the quotient is degenerate, which is
+    reported by its status alone.  Faults in the tables themselves are
+    caught by the table-demorgan and orthomodularity suites.
     """
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
-    by_sig: dict[int, list[int]] = {}
-    for i, s in enumerate(sigs):
-        by_sig.setdefault(s, []).append(i)
-    conflated = {s: idxs for s, idxs in by_sig.items() if len(idxs) > 1}
-    if conflated:
-        detail = [
-            "conflated elements: "
-            + ", ".join(qm.predicate_names[i] for i in idxs)
-            for idxs in conflated.values()
-        ]
-        return LtQuotientReport("degenerate", detail)
-    element_of_sig = {s: idxs[0] for s, idxs in by_sig.items()}
-    for i, ortho in enumerate(qm.lattice.ortho):
-        if element_of_sig.get(space.omega & ~sigs[i]) != ortho:
-            return LtQuotientReport("mismatch", [f"ortho at {qm.predicate_names[i]}"])
-    return LtQuotientReport("isomorphic", [])
+    element_of_sig = {s: i for i, s in enumerate(sigs)}
+    status, witnesses = "isomorphic", []
+    if len(element_of_sig) < len(sigs):
+        status = "degenerate"
+    else:
+        for i, ortho in enumerate(qm.lattice.ortho):
+            if element_of_sig.get(space.omega & ~sigs[i]) != ortho:
+                status, witnesses = "mismatch", [f"ortho at {qm.predicate_names[i]}"]
+                break
+    return SuiteResult(
+        "qwff-quotient-isomorphism", len(sigs), len(witnesses), witnesses, {"status": status}
+    )
 
 
 def testable_proposition_poset(qm: QuantumModel):

@@ -12,7 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .bridge import (
     QuantumModel,
@@ -60,13 +61,14 @@ from .lattice import (
 from .models import (
     Model,
     SignatureSpace,
+    SuiteResult,
     check_cms,
     check_cmt,
     eval_open,
     load_model,
     quotient_size,
 )
-from .propositions import RelationStats, check_connective_relations, cover_edges
+from .propositions import check_connective_relations, cover_edges
 
 MAX_SEED = 2**64 - 1
 
@@ -247,163 +249,80 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    applicable: bool = True
-    checked: int = 0
-    violations: int = 0
-    witnesses: list[str] | None = None
-    info: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "applicable": self.applicable,
-            "checked": self.checked,
-            "violations": self.violations,
-        }
-        if self.witnesses:
-            out["witnesses"] = self.witnesses[:5]
-        if self.info:
-            out["info"] = self.info
-        return out
-
-    def text(self) -> str:
-        if not self.applicable:
-            return f"suite {self.suite}: not applicable"
-        status = "ok" if not self.violations else f"{self.violations} violation(s)"
-        line = f"suite {self.suite}: {status} (checked {self.checked})"
-        if self.info:
-            extras = ", ".join(f"{k}={v}" for k, v in sorted(self.info.items()))
-            line += f" [{extras}]"
-        if self.witnesses:
-            line += f" witnesses: {'; '.join(self.witnesses[:3])}"
-        return line
+class _CheckInput(NamedTuple):
+    space: SignatureSpace
+    qm: QuantumModel | None
+    depth: int
+    # The classical suites' formula alphabet: the user-named properties for
+    # Hilbert-backed inputs, whose full closure table would make the sweeps
+    # combinatorially infeasible; None, the whole table, for models.
+    generators: tuple[str, ...] | None
 
 
-def _relation_suite(stats: RelationStats, census: bool = False) -> SuiteResult:
-    """The result of a suite that returns RelationStats: a census reports
-    its strict count even at 0, the other suites only when it is not 0."""
-    return SuiteResult(
-        suite=stats.relation,
-        checked=stats.checked,
-        violations=len(stats.violations),
-        witnesses=stats.violations[:5],
-        info={"strict": stats.strict} if census or stats.strict else None,
-    )
+def _boolean_quotient(run: _CheckInput) -> list[SuiteResult]:
+    elements = quotient_size(run.space, predicates=run.generators)
+    return [SuiteResult("boolean-quotient", elements, info={"elements": elements})]
 
 
-def _classical_suites(
-    space: SignatureSpace, depth: int, generators: tuple[str, ...] | None = None
-) -> list[SuiteResult]:
-    """Classical conformance suites; ``generators`` bounds the formula
-    alphabet (the user-named properties for Hilbert-backed inputs, whose
-    full closure table would make the sweeps combinatorially infeasible).
-    The census and cm-testability read one class sweep at depth 3 or less."""
-    model = space.model
-    suites = [
-        _relation_suite(stats, census=True)
-        for stats in check_connective_relations(space, min(depth, 3), predicates=generators)
-    ]
-    elements = quotient_size(space, predicates=generators)
-    suites.append(
-        SuiteResult(suite="boolean-quotient", checked=elements, info={"elements": elements})
-    )
+def _cm_suites(run: _CheckInput) -> list[SuiteResult]:
+    model = run.space.model
     cms = check_cms(model)
-    suites.append(SuiteResult(suite="cm-full-or-empty", checked=len(model.predicates), info={"holds": cms}))
-    cmt = check_cmt(space, min(depth, 4), predicates=generators)
-    suites.append(
-        SuiteResult(
-            suite="cm-testability",
-            checked=cmt.checked_classes,
-            info={"holds": cmt.ok, **({"witness": render(cmt.witness)} if cmt.witness else {})},
-        )
-    )
-    if cms:
-        # The alphabet is property predicates, each full or empty in every
-        # state, so every Boolean combination of them is too: truth and
-        # certain truth coincide and no class can be object-dependent.
-        suites.append(SuiteResult(suite="truth-certainty-collapse", checked=cmt.checked_classes))
-    else:
-        suites.append(SuiteResult(suite="truth-certainty-collapse", applicable=False))
-    return suites
+    cmt = check_cmt(run.space, min(run.depth, 4), predicates=run.generators)
+    # The alphabet is property predicates, each full or empty in every
+    # state, so every Boolean combination of them is too: truth and
+    # certain truth coincide and no class can be object-dependent.
+    collapse = SuiteResult("truth-certainty-collapse", cmt.checked if cms else 0, applicable=cms)
+    cms_line = SuiteResult("cm-full-or-empty", len(model.predicates), info={"holds": cms})
+    return [cms_line, cmt, collapse]
 
 
-def _quantum_suites(qm: QuantumModel, space: SignatureSpace, depth: int) -> list[SuiteResult]:
-    suites = []
-    lat = qm.lattice
-    inv = ortho_involution_violations(lat)
-    suites.append(
-        SuiteResult(suite="ortho-involution", checked=len(lat), violations=len(inv))
-    )
-    # table-demorgan and quantum-demorgan hold by construction on close output, whose
-    # meets are read through De Morgan; the meet table's independent checks are the
-    # hilbert.meet differentials in tests/test_lattice.py and test_close_matches_reference
-    dm = demorgan_violations(lat)
-    suites.append(
-        SuiteResult(suite="table-demorgan", checked=len(lat) ** 2, violations=len(dm))
-    )
+def _lattice_suites(run: _CheckInput) -> list[SuiteResult]:
+    lat = run.qm.lattice
+    n = len(lat)
     om = orthomodularity_witness(lat)
-    suites.append(
-        SuiteResult(
-            suite="orthomodularity",
-            checked=len(lat) ** 2,
-            violations=0 if om is None else 1,
-            witnesses=None if om is None else [repr(om[0]), repr(om[1])],
-        )
-    )
     dist = find_distributivity_failure(lat)
-    suites.append(
-        SuiteResult(
-            suite="distributivity-witness",
-            checked=len(lat) ** 3,
-            info={
-                "expected-nondistributive": dist is not None,
-                **(
-                    {"witness": " / ".join(repr(s) for s in dist)}
-                    if dist is not None
-                    else {}
-                ),
-            },
-        )
-    )
-    relations = [check_qmt(qm, space), check_equiv_coincidence(qm, space)]
-    qe = check_quantum_equivalences(qm, space, min(depth, 3))
-    suites += [_relation_suite(stats) for stats in relations + qe.entries()]
-    suites.append(
-        SuiteResult(
-            suite="conjunction-signature-gap",
-            checked=qe.conjunction_propositions.checked,
-            info={
-                "witnesses_found": len(qe.signature_gap_witnesses),
-                **(
-                    {"example": qe.signature_gap_witnesses[0]}
-                    if qe.signature_gap_witnesses
-                    else {}
-                ),
-            },
-        )
-    )
-    suites.append(_relation_suite(check_q_trichotomy(qm, space, min(depth, 2))))
-    lt = lt_quotient_check(qm, space)
-    suites.append(
-        SuiteResult(
-            suite="qwff-quotient-isomorphism",
-            checked=len(lat),
-            violations=0 if lt.ok else 1,
-            witnesses=lt.detail[:5] if not lt.ok else None,
-            info={"status": lt.status},
-        )
-    )
-    suites.append(
-        SuiteResult(
-            suite="state-separation",
-            checked=len(lat),
-            info={"separating": states_separate(qm, space), "preorder-coincides": qe.preorder_coincides},
-        )
-    )
-    return suites
+    shape = {"expected-nondistributive": dist is not None}
+    if dist is not None:
+        shape["witness"] = " / ".join(repr(s) for s in dist)
+    return [
+        SuiteResult("ortho-involution", n, len(ortho_involution_violations(lat))),
+        # table-demorgan and quantum-demorgan hold by construction on close
+        # output, whose meets are read through De Morgan; the meet table's
+        # independent checks are the hilbert.meet differentials in
+        # tests/test_lattice.py and test_close_matches_reference
+        SuiteResult("table-demorgan", n * n, len(demorgan_violations(lat))),
+        SuiteResult("orthomodularity", n * n, int(om is not None), [repr(s) for s in om or ()]),
+        SuiteResult("distributivity-witness", n**3, info=shape),
+    ]
+
+
+def _state_separation(run: _CheckInput) -> list[SuiteResult]:
+    """Whether the states separate the lattice elements, and whether the
+    signature and proposition preorders coincide on the testable classes."""
+    space = run.space
+    reps = [(mask, space.proposition(mask)) for mask in space.witnesses()]
+    coincides = all((a | b == b) == (pa <= pb) for a, pa in reps for b, pb in reps)
+    info = {"separating": states_separate(run.qm, space), "preorder-coincides": coincides}
+    return [SuiteResult("state-separation", len(run.qm.lattice), info=info)]
+
+
+# The suites in report order: the input kind each applies to ("any", or
+# "qm-spec" for Hilbert specs only) and a function from the input to its
+# report lines.  The functions look the suites up by name when they run, so
+# a suite rebound on this module (as the benchmark tracer does) is the one
+# called.
+_SUITES = (
+    ("any", lambda run: check_connective_relations(run.space, min(run.depth, 3), run.generators)),
+    ("any", _boolean_quotient),
+    ("any", _cm_suites),
+    ("qm-spec", _lattice_suites),
+    ("qm-spec", lambda run: [check_qmt(run.qm, run.space)]),
+    ("qm-spec", lambda run: [check_equiv_coincidence(run.qm, run.space)]),
+    ("qm-spec", lambda run: check_quantum_equivalences(run.qm, run.space, min(run.depth, 3))),
+    ("qm-spec", lambda run: [check_q_trichotomy(run.qm, run.space, min(run.depth, 2))]),
+    ("qm-spec", lambda run: [lt_quotient_check(run.qm, run.space)]),
+    ("qm-spec", _state_separation),
+)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -412,16 +331,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
     model, qm = _load_input(args)
-    space = SignatureSpace(model)
+    kind = "model" if qm is None else "qm-spec"
     generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
-    suites = _classical_suites(space, args.depth, generators)
-    if qm is not None:
-        suites.extend(_quantum_suites(qm, space, args.depth))
+    run = _CheckInput(SignatureSpace(model), qm, args.depth, generators)
+    suites = [s for applies, lines in _SUITES if applies in ("any", kind) for s in lines(run)]
     total = sum(s.violations for s in suites)
     if args.fmt == "json":
         payload = {
             "input": args.model or args.qm_spec,
-            "kind": "qm-spec" if qm is not None else "model",
+            "kind": kind,
             "depth": args.depth,
             "suites": [s.as_dict() for s in suites],
             "violations": total,

@@ -15,7 +15,7 @@ import json
 import operator
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
@@ -574,6 +574,59 @@ def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[
     return out
 
 
+# -- suite outcomes -------------------------------------------------------------------
+
+
+@dataclass
+class SuiteResult:
+    """One conformance suite's line in the ``check`` report: its name, how
+    many cases it checked, how many violated it, witness strings, and named
+    facts (``info``).
+
+    ``violations`` is a count of its own: most suites give one witness per
+    violation, but table-demorgan and ortho-involution give none and
+    orthomodularity gives the two elements of its one failure.  Suites
+    with no violation path report through ``info`` alone.  Text shows at
+    most 3 witnesses, JSON at most 5.
+    """
+
+    suite: str
+    checked: int = 0
+    violations: int = 0
+    witnesses: list[str] = field(default_factory=list)
+    info: dict = field(default_factory=dict)
+    applicable: bool = True
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def as_dict(self) -> dict:
+        out = {
+            "suite": self.suite,
+            "applicable": self.applicable,
+            "checked": self.checked,
+            "violations": self.violations,
+        }
+        if self.witnesses:
+            out["witnesses"] = self.witnesses[:5]
+        if self.info:
+            out["info"] = self.info
+        return out
+
+    def text(self) -> str:
+        if not self.applicable:
+            return f"suite {self.suite}: not applicable"
+        status = "ok" if not self.violations else f"{self.violations} violation(s)"
+        line = f"suite {self.suite}: {status} (checked {self.checked})"
+        if self.info:
+            extras = ", ".join(f"{k}={v}" for k, v in sorted(self.info.items()))
+            line += f" [{extras}]"
+        if self.witnesses:
+            line += f" witnesses: {'; '.join(self.witnesses[:3])}"
+        return line
+
+
 # -- classical-mechanics profile ----------------------------------------------------
 
 
@@ -622,18 +675,13 @@ def check_cms(m: Model) -> bool:
     return True
 
 
-@dataclass
-class CmtReport:
-    ok: bool
-    witness: Formula | None
-    checked_classes: int
-
-
 def check_cmt(
     space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
-) -> CmtReport:
-    """Every property-wff up to max_depth has a property predicate with its
-    signature; on failure the witness is a formula with no such predicate.
+) -> SuiteResult:
+    """cm-testability: whether every property-wff up to max_depth has a
+    property predicate with its signature (``info["holds"]``); when not,
+    ``info["witness"]`` renders a formula with no such predicate.  A
+    profile, not a law, so it reports no violations.
 
     ``predicates`` restricts which property predicates the wffs are built
     from (witness search always covers the whole table); callers with
@@ -643,10 +691,12 @@ def check_cmt(
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     names = space.model.property_names() if predicates is None else predicates
     classes = space.reachable_classes(names, max_depth)
+    result = SuiteResult("cm-testability", len(classes), info={"holds": True})
     for mask, rep in classes.items():
         if mask not in space.witnesses():
-            return CmtReport(False, rep, len(classes))
-    return CmtReport(True, None, len(classes))
+            result.info = {"holds": False, "witness": render(rep)}
+            break
+    return result
 
 
 def truth_collapse_violations(

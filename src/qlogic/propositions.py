@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import DepthLimitExceeded
 from .formulas import Formula
-from .models import MAX_RELATION_DEPTH, Model, SignatureSpace
+from .models import MAX_RELATION_DEPTH, Model, SignatureSpace, SuiteResult
 
 
 @dataclass(frozen=True)
@@ -118,25 +118,9 @@ def proposition_poset(m: Model, formulas: list[Formula]) -> PropositionPoset:
 # -- connective/set-operation relations ------------------------------------------
 
 
-@dataclass
-class RelationStats:
-    """Outcome of one conformance suite, named as ``check`` reports it:
-    how many cases it checked, one witness per violation, and how many
-    cases held strictly (0 for suites that are equalities)."""
-
-    relation: str
-    checked: int
-    violations: list[str]
-    strict: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def check_connective_relations(
     space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
-) -> tuple[RelationStats, RelationStats, RelationStats]:
+) -> list[SuiteResult]:
     """Strictness census of the connective/set-operation relations over
     all signature classes of formulas up to max_depth.
 
@@ -148,7 +132,8 @@ def check_connective_relations(
     neither empty nor full, a join of an ordered pair when some block is
     full in m1|m2 but in neither operand; meets are never strict.
     ``predicates`` bounds the formula alphabet; None means the whole table.
-    Returns the negation, meet and join stats, in that order.
+    Returns the negation, meet and join suites, in that order, each with
+    its strict count in ``info``.
     """
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
@@ -177,8 +162,8 @@ def check_connective_relations(
         strict_joins += partners.bit_count()
 
     n = len(masks)
-    return (
-        RelationStats("connective-relation-negation", n, [], strict_negations),
-        RelationStats("connective-relation-meet", n * n, [], 0),
-        RelationStats("connective-relation-join", n * n, [], strict_joins),
-    )
+    return [
+        SuiteResult("connective-relation-negation", n, info={"strict": strict_negations}),
+        SuiteResult("connective-relation-meet", n * n, info={"strict": 0}),
+        SuiteResult("connective-relation-join", n * n, info={"strict": strict_joins}),
+    ]

@@ -12,15 +12,28 @@ overflow from the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from qlogic.bridge import _reachable_elements, _reduce_element
 from qlogic.formulas import QAnd, QImp, QNot, QOr, render
 from qlogic.models import SignatureSpace
-from qlogic.propositions import RelationStats
+
+
+@dataclass
+class Tally:
+    """A suite's name, cases checked, one witness per violation, and cases
+    that held strictly."""
+
+    suite: str
+    checked: int = 0
+    witnesses: list[str] = field(default_factory=list)
+    strict: int = 0
+
 
 # -- classical connectives over signature classes -----------------------------------
 
 
-def connective_relations(m, max_depth: int, predicates=None) -> tuple[RelationStats, ...]:
+def connective_relations(m, max_depth: int, predicates=None) -> tuple[Tally, ...]:
     space = SignatureSpace(m)
     names = m.predicate_names() if predicates is None else predicates
     items = list(space.reachable_classes(names, max_depth).items())
@@ -32,29 +45,29 @@ def connective_relations(m, max_depth: int, predicates=None) -> tuple[RelationSt
             prop_cache[mask] = space.proposition(mask)
         return prop_cache[mask]
 
-    negation = RelationStats("connective-relation-negation", 0, [], 0)
+    negation = Tally("connective-relation-negation")
     for mask, rep in items:
         negation.checked += 1
         p_neg = prop(space.omega & ~mask)
         complement = all_states - prop(mask)
         if not p_neg <= complement:
-            negation.violations.append(render(rep))
+            negation.witnesses.append(render(rep))
         elif p_neg < complement:
             negation.strict += 1
 
-    meet_rel = RelationStats("connective-relation-meet", 0, [], 0)
-    join_rel = RelationStats("connective-relation-join", 0, [], 0)
+    meet_rel = Tally("connective-relation-meet")
+    join_rel = Tally("connective-relation-join")
     for m1, f1 in items:
         p1 = prop(m1)
         for m2, f2 in items:
             p2 = prop(m2)
             meet_rel.checked += 1
             if prop(m1 & m2) != p1 & p2:
-                meet_rel.violations.append(f"{render(f1)} / {render(f2)}")
+                meet_rel.witnesses.append(f"{render(f1)} / {render(f2)}")
             join_rel.checked += 1
             p_or = prop(m1 | m2)
             if not p_or >= p1 | p2:
-                join_rel.violations.append(f"{render(f1)} / {render(f2)}")
+                join_rel.witnesses.append(f"{render(f1)} / {render(f2)}")
             elif p_or > p1 | p2:
                 join_rel.strict += 1
     return negation, meet_rel, join_rel
@@ -76,25 +89,25 @@ def quotient_elements(m, predicates=None, max_elements: int | None = 512) -> fro
 # -- quantum identities over reachable qwffs ------------------------------------------
 
 
-def demorgan_and_implication(qm, max_depth: int) -> tuple[RelationStats, RelationStats]:
+def demorgan_and_implication(qm, max_depth: int) -> tuple[Tally, Tally]:
     space = SignatureSpace(qm.model)
     reach = list(_reachable_elements(qm, max_depth).items())
 
     def sig_of_element(idx: int) -> int:
         return space.pred_masks[qm.predicate_names[idx]]
 
-    demorgan = RelationStats("quantum-demorgan", 0, [], 0)
-    sasaki = RelationStats("quantum-implication", 0, [], 0)
+    demorgan = Tally("quantum-demorgan")
+    sasaki = Tally("quantum-implication")
     for _, fi in reach:
         for _, fj in reach:
             demorgan.checked += 1
             lhs = _reduce_element(qm, space, QOr(fi, fj))
             rhs = _reduce_element(qm, space, QNot(QAnd(QNot(fi), QNot(fj))))
             if sig_of_element(lhs) != sig_of_element(rhs):
-                demorgan.violations.append(f"{render(fi)} / {render(fj)}")
+                demorgan.witnesses.append(f"{render(fi)} / {render(fj)}")
             sasaki.checked += 1
             lhs = _reduce_element(qm, space, QImp(fi, fj))
             rhs = _reduce_element(qm, space, QOr(QNot(fi), QAnd(fi, fj)))
             if sig_of_element(lhs) != sig_of_element(rhs):
-                sasaki.violations.append(f"{render(fi)} / {render(fj)}")
+                sasaki.witnesses.append(f"{render(fi)} / {render(fj)}")
     return demorgan, sasaki

@@ -105,8 +105,8 @@ def test_criterion_2_connective_relations(classical_corpus):
     for i, model in enumerate(classical_corpus):
         negation, meet, join = check_connective_relations(SignatureSpace(model), 3)
         for entry in (negation, meet, join):
-            violations += [f"model {i}: {w}" for w in entry.violations]
-        if negation.strict > 0 and join.strict > 0:
+            violations += [f"model {i}: {w}" for w in entry.witnesses]
+        if negation.info["strict"] > 0 and join.info["strict"] > 0:
             both_strict += 1
     elapsed = time.perf_counter() - started
     _report(
@@ -129,8 +129,7 @@ def test_criterion_3_cm_collapse():
         if not check_cms(model):
             problems.append(f"model {i}: full-or-empty profile fails")
         space = SignatureSpace(model)
-        report = check_cmt(space, 3)
-        if not report.ok:
+        if not check_cmt(space, 3).info["holds"]:
             problems.append(f"model {i}: testability fails")
         if truth_collapse_violations(space, 3):
             problems.append(f"model {i}: truth differs from certain truth")
@@ -210,7 +209,7 @@ def test_criterion_6_equivalence_coincidence(qm_corpus):
     violations = []
     for i, qm in enumerate(qm_corpus):
         report = check_equiv_coincidence(qm, SignatureSpace(qm.model))
-        violations += [f"model {i}: {v}" for v in report.violations]
+        violations += [f"model {i}: {v}" for v in report.witnesses]
     elapsed = time.perf_counter() - started
     _report(
         6,
@@ -225,10 +224,12 @@ def test_criterion_7_quantum_equivalences(worked_qm, qm_corpus):
     violations = []
     gap_witnesses = 0
     for i, qm in enumerate([worked_qm] + qm_corpus):
-        report = check_quantum_equivalences(qm, SignatureSpace(qm.model), 3)
-        for entry in (report.demorgan, report.sasaki, report.conjunction_propositions):
-            violations += [f"model {i}: {entry.relation}: {w}" for w in entry.violations]
-        gap_witnesses += len(report.signature_gap_witnesses)
+        demorgan, implication, conjunction, *_, gap = check_quantum_equivalences(
+            qm, SignatureSpace(qm.model), 3
+        )
+        for entry in (demorgan, implication, conjunction):
+            violations += [f"model {i}: {entry.suite}: {w}" for w in entry.witnesses]
+        gap_witnesses += gap.info["witnesses_found"]
     elapsed = time.perf_counter() - started
     detail = (
         f"{1 + len(qm_corpus)} models, {len(violations)} violations, "
@@ -244,7 +245,7 @@ def test_criterion_8_q_truth_trichotomy(worked_qm, qm_corpus):
     violations = []
     for i, qm in enumerate([worked_qm] + qm_corpus):
         report = check_q_trichotomy(qm, SignatureSpace(qm.model), 2)
-        violations += [f"model {i}: {v}" for v in report.violations]
+        violations += [f"model {i}: {v}" for v in report.witnesses]
     worked_ok = q_truth(worked_qm, Pred("Ez"), "Sx+") == QTruth.INDETERMINATE
     elapsed = time.perf_counter() - started
     _report(

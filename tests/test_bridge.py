@@ -225,7 +225,7 @@ def test_check_qmt_detects_full_extension_where_half(worked_qm):
     qm = with_extension(worked_qm, "Sx+", "Ez", range(4))
     report = check_qmt(qm, SignatureSpace(qm.model))
     assert not report.ok
-    assert any("Sx+" in v and "Ez" in v for v in report.violations)
+    assert any("Sx+" in v and "Ez" in v for v in report.witnesses)
 
 
 def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkeypatch):
@@ -269,17 +269,18 @@ def test_equiv_coincidence_fails_without_separating_states(worked_spec):
     assert not states_separate(qm, space)
     report = check_equiv_coincidence(qm, space)
     assert not report.ok
-    assert lt_quotient_check(qm, space).status == "isomorphic"  # signatures still separate
+    assert lt_quotient_check(qm, space).info["status"] == "isomorphic"  # signatures still separate
 
 
 def test_quantum_equivalences_on_worked_spec(worked_qm):
-    report = check_quantum_equivalences(worked_qm, SignatureSpace(worked_qm.model), 3)
-    assert report.ok
-    assert report.demorgan.checked == 36 and not report.demorgan.violations
-    assert report.sasaki.checked == 36 and not report.sasaki.violations
-    assert report.signature_gap_witnesses  # conjunction footnote witnessed
-    assert report.join_relation.strict > 0
-    assert report.preorder_coincides
+    space = SignatureSpace(worked_qm.model)
+    report = {suite.suite: suite for suite in check_quantum_equivalences(worked_qm, space, 3)}
+    assert all(suite.ok for suite in report.values())
+    assert report["quantum-demorgan"].checked == 36
+    assert report["quantum-implication"].checked == 36
+    # conjunction footnote witnessed
+    assert report["conjunction-signature-gap"].info["witnesses_found"]
+    assert report["join-image"].info["strict"] > 0
 
 
 def test_join_image_strictly_above_union(worked_qm):
@@ -318,15 +319,16 @@ def test_monotonicity_of_theta(worked_qm):
 
 
 def test_lt_quotient_isomorphic_on_worked_spec(worked_qm):
-    assert lt_quotient_check(worked_qm, SignatureSpace(worked_qm.model)).status == "isomorphic"
+    report = lt_quotient_check(worked_qm, SignatureSpace(worked_qm.model))
+    assert report.info == {"status": "isomorphic"}
 
 
 def test_lt_quotient_reports_an_edited_extension(worked_qm):
     original = worked_qm.model.extensions[("Sx+", "Ex_perp")]
     qm = with_extension(worked_qm, "Sx+", "Ex_perp", original | {3})
     report = lt_quotient_check(qm, SignatureSpace(qm.model))
-    assert report.status == "mismatch"
-    assert report.detail[0].startswith("ortho at ")
+    assert report.info == {"status": "mismatch"}
+    assert report.violations == 1 and report.witnesses[0].startswith("ortho at ")
 
 
 def test_lt_quotient_degenerate_when_signatures_collide():
@@ -343,8 +345,8 @@ def test_lt_quotient_degenerate_when_signatures_collide():
     )
     qm = build_model(spec)
     report = lt_quotient_check(qm, SignatureSpace(qm.model))
-    assert report.status == "degenerate"
-    assert report.detail
+    assert report.info == {"status": "degenerate"}
+    assert report.violations == 0 and not report.witnesses
 
 
 def test_testable_proposition_poset_orthocomplement(worked_qm):
@@ -421,7 +423,7 @@ def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
         theta[partner] = theta[partner] | {state}
         report = check_q_trichotomy(replace(worked_qm, theta=theta), space, 2)
         assert not report.ok
-        assert any(v.endswith(f"both certain in {state}") for v in report.violations)
+        assert any(v.endswith(f"both certain in {state}") for v in report.witnesses)
     assert check_q_trichotomy(worked_qm, space, 2).ok
 
 
@@ -435,10 +437,10 @@ def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.meet[a][b]])
         corrupted = replace(lat, meet=tuple(tuple(row) for row in rows))
         report = check_quantum_equivalences(replace(worked_qm, lattice=corrupted), space, 3)
-        assert not report.ok
+        meet_image = next(suite for suite in report if suite.suite == "meet-image")
         names = worked_qm.predicate_names
-        assert f"{names[a]} / {names[b]}" in report.meet_relation.violations
-    assert check_quantum_equivalences(worked_qm, space, 3).ok
+        assert f"{names[a]} / {names[b]}" in meet_image.witnesses
+    assert all(suite.ok for suite in check_quantum_equivalences(worked_qm, space, 3))
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,11 @@ import sys
 import pytest
 
 from qlogic import cli
+from qlogic.bridge import build_model
 from qlogic.cli import main
 from qlogic.models import SignatureSpace
 
-from conftest import DATA_DIR, REPO, SPEC_DIR
+from conftest import DATA_DIR, REPO, SPEC_DIR, mo_squared_spec
 
 WORKED = str(SPEC_DIR / "worked_qm.json")
 CM = str(SPEC_DIR / "cm_demo.json")
@@ -100,6 +101,38 @@ def test_check_json_report(capsys):
     assert data["violations"] == 0
     suites = {s["suite"] for s in data["suites"]}
     assert "orthomodularity" in suites and "boolean-quotient" in suites
+
+
+@pytest.mark.parametrize("k", [None, 2], ids=["worked_qm", "mo2_squared"])
+def test_state_separation_says_whether_the_preorders_coincide(tmp_path, capsys, monkeypatch, k):
+    """The signature preorder and the proposition preorder agree on the
+    testable classes exactly when they agree on every pair of predicates,
+    whose propositions are their theta sets: true on the worked spec, false
+    on MO_2 x MO_2."""
+    path = WORKED
+    if k is not None:
+        path = tmp_path / "mo_squared.json"
+        path.write_text(json.dumps(mo_squared_spec(k)))
+    built = []
+
+    def build(spec):
+        built.append(build_model(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_model", build)
+    code, out, _ = run(capsys, "check", "--qm-spec", str(path), "--format", "json")
+    assert code == 0
+    line = next(s for s in json.loads(out)["suites"] if s["suite"] == "state-separation")
+    qm = built[0]
+    space = SignatureSpace(qm.model)
+    sigs = {name: space.pred_masks[name] for name in qm.predicate_names}
+    coincide = all(
+        (sigs[p] | sigs[q] == sigs[q]) == (qm.theta[p] <= qm.theta[q])
+        for p in qm.predicate_names
+        for q in qm.predicate_names
+    )
+    assert coincide == (k is None)
+    assert line["info"] == {"separating": True, "preorder-coincides": coincide}
 
 
 def test_check_cm_model(capsys):

@@ -175,6 +175,15 @@ def test_demorgan_detects_corruption():
     assert demorgan_violations(corrupted)
 
 
+def test_ortho_involution_detects_corruption():
+    lat = close([E1, EX])
+    victim = next(i for i in range(len(lat)) if i not in (lat.zero_index, lat.full_index))
+    ortho_table = list(lat.ortho)
+    ortho_table[lat.zero_index] = victim  # 0-perp must be 1
+    corrupted = dataclasses.replace(lat, ortho=tuple(ortho_table))
+    assert lat.zero_index in ortho_involution_violations(corrupted)
+
+
 def test_absorption_laws_in_tables():
     lat = close([E1, E2, EX])
     n = len(lat)

@@ -391,7 +391,7 @@ def test_cm_truth_is_object_independent():
 def test_cmt_holds_on_closed_table(cm_two_states):
     assert check_cms(cm_two_states)
     report = check_cmt(SignatureSpace(cm_two_states), 3)
-    assert report.ok and report.witness is None
+    assert report.info == {"holds": True}
 
 
 def test_cmt_fails_without_conjunction_witness():
@@ -411,9 +411,8 @@ def test_cmt_fails_without_conjunction_witness():
     )
     space = SignatureSpace(m)
     report = check_cmt(space, 3)
-    assert not report.ok
-    assert report.witness is not None
-    witness_mask = space.mask_of(report.witness, {})
+    assert report.info["holds"] is False
+    witness_mask = space.mask_of(parse(report.info["witness"]), {})
     assert witness_mask not in {space.pred_masks[p] for p in m.property_names()}
 
 

@@ -177,17 +177,17 @@ def test_cover_edges_of_diamond(cm_two_states):
 def test_connective_relations_hold_on_cm(cm_two_states):
     negation, meet, join = check_connective_relations(SignatureSpace(cm_two_states), 3)
     assert negation.ok and meet.ok and join.ok
-    assert meet.strict == 0
-    assert negation.strict == 0  # CM collapse: all equalities
-    assert join.strict == 0
+    assert meet.info == {"strict": 0}
+    assert negation.info == {"strict": 0}  # CM collapse: all equalities
+    assert join.info == {"strict": 0}
 
 
 def test_connective_relations_strict_on_worked_spec(worked_qm):
     negation, meet, join = check_connective_relations(SignatureSpace(worked_qm.model), 2)
     assert negation.ok and meet.ok and join.ok
-    assert join.strict > 0
-    assert negation.strict > 0
-    assert [s.relation for s in (negation, meet, join)] == [
+    assert join.info["strict"] > 0
+    assert negation.info["strict"] > 0
+    assert [s.suite for s in (negation, meet, join)] == [
         "connective-relation-negation", "connective-relation-meet", "connective-relation-join"
     ]
 
@@ -235,4 +235,4 @@ def test_relations_agree_with_literal_enumeration():
                 assert p_or >= pf | pg
                 if p_or > pf | pg:
                     strict_join += 1
-        assert (strict_join > 0) == (join.strict > 0)
+        assert (strict_join > 0) == (join.info["strict"] > 0)

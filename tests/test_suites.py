@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +31,12 @@ import suite_reference as reference
 from conftest import SPEC_DIR
 
 
-def _stats(entries):
-    return [(e.relation, e.checked, e.violations, e.strict) for e in entries]
+def _stats(records):
+    """(suite, checked, witnesses, strict) of suite records, as a reference
+    ``Tally`` reads through ``astuple``; each record has one witness per
+    violation."""
+    assert all(r.violations == len(r.witnesses) for r in records)
+    return [(r.suite, r.checked, r.witnesses, r.info.get("strict", 0)) for r in records]
 
 
 def _outcome(fn, *args):
@@ -78,7 +82,7 @@ def _check_quotient(model, names):
 def test_classical_suites_match_reference_on_random_models(model, depth, data):
     names = data.draw(_alphabets(model))
     got = check_connective_relations(SignatureSpace(model), depth, predicates=names)
-    assert _stats(got) == _stats(reference.connective_relations(model, depth, names))
+    assert _stats(got) == [astuple(t) for t in reference.connective_relations(model, depth, names)]
     _check_quotient(model, names if names is not None else model.predicate_names())
 
 
@@ -93,10 +97,10 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     for depth in (1, 2, 3):
         got = check_connective_relations(space, depth, predicates=generators)
         want = reference.connective_relations(qm.model, depth, generators)
-        assert _stats(got) == _stats(want)
-        report = check_quantum_equivalences(qm, space, depth)
+        assert _stats(got) == [astuple(t) for t in want]
+        demorgan, implication, *_ = check_quantum_equivalences(qm, space, depth)
         want = reference.demorgan_and_implication(qm, depth)
-        assert _stats([report.demorgan, report.sasaki]) == _stats(want)
+        assert _stats([demorgan, implication]) == [astuple(t) for t in want]
 
 
 def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
@@ -111,12 +115,13 @@ def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.join[a][b]])
         corrupted = replace(worked_qm, lattice=replace(lat, join=tuple(map(tuple, rows))))
         report = check_quantum_equivalences(corrupted, space, 3)
-        assert not report.ok
+        assert not all(suite.ok for suite in report)
+        demorgan, implication, *_ = report
         reach = _reachable_elements(corrupted, 3)
-        assert f"{render(reach[a])} / {render(reach[b])}" in report.demorgan.violations
+        assert f"{render(reach[a])} / {render(reach[b])}" in demorgan.witnesses
         want = reference.demorgan_and_implication(corrupted, 3)
-        assert _stats([report.demorgan, report.sasaki]) == _stats(want)
-    assert not check_quantum_equivalences(worked_qm, space, 3).demorgan.violations
+        assert _stats([demorgan, implication]) == [astuple(t) for t in want]
+    assert not check_quantum_equivalences(worked_qm, space, 3)[0].violations
 
 
 def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
@@ -138,7 +143,7 @@ def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
     model = build_model(replace(random_qm_spec(0)[0], properties=())).model
     assert len(model.predicates) == 2  # the closure's zero and full subspaces
     space = SignatureSpace(model)
-    assert check_cmt(space, 3, predicates=()).checked_classes == 0
+    assert check_cmt(space, 3, predicates=()).checked == 0
     assert truth_collapse_violations(space, 3, predicates=()) == []
     relations = check_connective_relations(space, 3, predicates=())
     assert all(e.checked == 0 for e in relations)

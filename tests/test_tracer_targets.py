@@ -16,7 +16,8 @@ import pytest
 
 from conftest import REPO
 
-_spec = importlib.util.spec_from_file_location("_perfbench_tracer", REPO / "perfbench" / "tracer.py")
+_path = REPO / "perfbench" / "tracer.py"
+_spec = importlib.util.spec_from_file_location("_perfbench_tracer", _path)
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
