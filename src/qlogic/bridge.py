@@ -546,7 +546,7 @@ def check_quantum_equivalences(
     ]
 
     conj: list[str] = []
-    gap_witnesses: list[str] = []
+    gaps, gap_example = 0, None
     ortho_rel: list[str] = []
     meet_rel: list[str] = []
     join_rel: list[str] = []
@@ -563,10 +563,9 @@ def check_quantum_equivalences(
             if prop_a & prop_b != theta[quantum_element]:
                 conj.append(f"{name_a} & {name_b}")
                 meet_rel.append(f"{name_a} / {name_b}")
-            elif mask_a & mask_b != sigs[quantum_element] and len(gap_witnesses) < 5:
-                gap_witnesses.append(
-                    f"{name_a} & {name_b}: same proposition, different signatures"
-                )
+            elif mask_a & mask_b != sigs[quantum_element]:
+                gaps += 1
+                gap_example = gap_example or f"{name_a} & {name_b}"
             either, join_image = prop_a | prop_b, theta[joins[b]]
             if either & ~join_image:
                 join_rel.append(f"{name_a} / {name_b}")
@@ -574,9 +573,9 @@ def check_quantum_equivalences(
                 join_strict += 1
 
     pairs = len(reps) ** 2
-    gap_info = {"witnesses_found": len(gap_witnesses)}
-    if gap_witnesses:
-        gap_info["example"] = gap_witnesses[0]
+    gap_info = {"witnesses_found": gaps}
+    if gap_example:
+        gap_info["example"] = f"{gap_example}: same proposition, different signatures"
     return [
         _relation("quantum-demorgan", len(reach) ** 2, demorgan),
         _relation("quantum-implication", len(reach) ** 2, []),

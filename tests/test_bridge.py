@@ -283,6 +283,36 @@ def test_quantum_equivalences_on_worked_spec(worked_qm):
     assert report["join-image"].info["strict"] > 0
 
 
+@pytest.mark.parametrize(
+    "source,gaps",
+    [(SPEC_DIR / "worked_qm.json", 8), (DATA_DIR / "gen_qm_seed11.json", 168)],
+    ids=["worked_qm", "gen_qm_seed11"],
+)
+def test_signature_gap_counts_every_pair(source, gaps):
+    """witnesses_found counts every ordered pair of testable classes whose
+    classical and quantum conjunctions share a proposition but not a
+    signature, recounted here from frozensets and formulas."""
+    qm = build_model(load_spec(source))
+    space = SignatureSpace(qm.model)
+    reps = list(space.witnesses().values())
+    found = []
+    for a in reps:
+        for b in reps:
+            classical = And(Pred(a), Pred(b))
+            quantum = Pred(reduce_qwff(qm, QAnd(Pred(a), Pred(b))))
+            p_classical = physical_proposition(qm.model, classical).states
+            sig_classical = signature(qm.model, classical)
+            if p_classical == qm.theta[quantum.name] and sig_classical != signature(qm.model, quantum):
+                found.append(f"{a} & {b}")
+    gap = check_quantum_equivalences(qm, space, 3)[-1]
+    assert gap.suite == "conjunction-signature-gap"
+    assert gap.info == {
+        "witnesses_found": gaps,
+        "example": f"{found[0]}: same proposition, different signatures",
+    }
+    assert len(found) == gaps
+
+
 def test_join_image_strictly_above_union(worked_qm):
     qm = worked_qm
     p_union = qm.theta["Ez"] | qm.theta["Ex"]
