@@ -31,9 +31,16 @@ def with_extension(qm: QuantumModel, state: str, pred: str, ext) -> QuantumModel
     ``qm`` itself is untouched.  Such an edit usually breaks the pairing
     invariant that constructing a Model enforces, and the conformance
     checks are tested on exactly that, so the copy skips validation."""
+    return with_extensions(qm, {(state, pred): ext})
+
+
+def with_extensions(qm: QuantumModel, edits: dict) -> QuantumModel:
+    """``with_extension`` for several (state, predicate) keys at once: a
+    copy of an edited model cannot be edited again, since copying
+    validates."""
     model = copy.copy(qm.model)
     extensions = dict(model.extensions)
-    extensions[(state, pred)] = frozenset(ext)
+    extensions.update((key, frozenset(ext)) for key, ext in edits.items())
     object.__setattr__(model, "extensions", MappingProxyType(extensions))
     model._index()
     return dataclasses.replace(qm, model=model)

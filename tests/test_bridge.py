@@ -49,7 +49,7 @@ from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
 
 import hilbert_reference as reference
-from conftest import DATA_DIR, SPEC_DIR, with_extension
+from conftest import DATA_DIR, SPEC_DIR, with_extension, with_extensions
 
 
 def test_worked_build_theta_and_extensions(worked_qm):
@@ -455,6 +455,36 @@ def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
         assert not report.ok
         assert any(v.endswith(f"both certain in {state}") for v in report.witnesses)
     assert check_q_trichotomy(worked_qm, space, 2).ok
+
+
+def test_trichotomy_witnesses_of_a_corrupted_build(worked_qm):
+    """Every witness kind, each in more than one state, in the order the
+    suite walks elements and states.  Ex is given Ez's extensions, so a
+    leaf Ex reduces through its witness Ez and its verdicts are Ez's ("got");
+    Ez_perp is made certain where Ez is, and Ex_perp where Ex is ("both
+    certain"), which also makes falsehood disagree with negated truth."""
+    qm = with_extensions(
+        worked_qm, {(s, "Ex"): worked_qm.model.extensions[(s, "Ez")] for s in worked_qm.model.states}
+    )
+    theta = dict(qm.theta)
+    theta["Ez_perp"] = theta["Ez_perp"] | {"Sz+", "Sx+"}
+    theta["Ex_perp"] = theta["Ex_perp"] | {"Sx+"}
+    report = check_q_trichotomy(replace(qm, theta=theta), SignatureSpace(qm.model), 2)
+    assert (report.checked, report.violations) == (24, 12)
+    assert report.witnesses == [
+        "Ez both certain in Sz+",
+        "Ez in Sz+: falsehood and negated truth disagree",
+        "Ez_perp both certain in Sz+",
+        "Ez_perp in Sz+: falsehood and negated truth disagree",
+        "Ex in Sz+: got Q-true",
+        "Ex in Sz+: falsehood and negated truth disagree",
+        "Ex in Sz-: got Q-false",
+        "Ex both certain in Sx+",
+        "Ex in Sx+: got Q-false",
+        "Ex in Sx-: got Q-indeterminate",
+        "Ex_perp both certain in Sx+",
+        "Ex_perp in Sx+: falsehood and negated truth disagree",
+    ]
 
 
 def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
