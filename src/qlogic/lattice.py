@@ -45,7 +45,24 @@ def close(
     cap: int = DEFAULT_CLOSURE_CAP,
     dim: int | None = None,
 ) -> QLattice:
-    """Fixpoint closure of the generators under ortho, meet and join."""
+    """Fixpoint closure of the generators under ortho, meet and join.
+
+    Joins reuse what the closure already knows; the ids, insertion order
+    and overflow point are those of computing every join.  Two inclusion
+    rules are recorded as inclusions are learned: a <= b gives
+    b-perp <= a-perp, and what lies above b lies above a.  The subspace
+    lattice is modular (Kalmbach 1983): dim(a v b) = dim a + dim b -
+    dim(a ^ b), and a ^ b is the complement of a-perp v b-perp.  So once
+    the complements' join is known, so is the dimension of a v b, and
+    a <= b exactly when a v b has the dimension of b.  Otherwise, for
+    dim a <= dim b, inclusion is read off the recorded inclusions or
+    tested, and the join of incomparable operands has a dimension above
+    dim b.  A join then absorbs an operand inside the other; a join of
+    dimension dim, as of a hyperplane with anything outside it or of an
+    element with its complement, is C^dim; and a known element of the
+    join's dimension, or least dimension, above both operands is the join.
+    Only the other joins reach the kernel.
+    """
     if dim is None:
         if not generators:
             raise ValueError("dimension required when there are no generators")
@@ -61,6 +78,9 @@ def close(
     elements: list[Subspace] = []  # by id, in the order first found
     dims: list[int] = []  # by id
     ids: dict[Subspace, int] = {}
+    above: list[int] = []  # by id: bit k set when element k is known to contain it
+    of_dim = [0] * (dim + 1)  # by dimension: bit k set for each id k of it
+    perp: dict[int, int] = {}  # id -> id of its complement, once found
 
     def intern(s: Subspace) -> int:
         i = ids.get(s)
@@ -68,6 +88,8 @@ def close(
             i = ids[s] = len(elements)
             elements.append(s)
             dims.append(s.dim)
+            above.append(0)
+            of_dim[s.dim] |= 1 << i
         return i
 
     def complement(i: int) -> int:
@@ -76,24 +98,50 @@ def close(
         # o may equal an element found earlier; keep o, which carries the
         # (weak) ortho link to elements[i], so later ortho calls hit the cache
         elements[k] = o
+        perp[i], perp[k] = k, i
         return k
+
+    def contains(i: int, j: int) -> None:
+        """Record i <= j, and j-perp <= i-perp once j's complement is known."""
+        above[i] |= 1 << j | above[j]
+        if j in perp:
+            above[perp[j]] |= 1 << perp[i] | above[perp[i]]
 
     seeds = dict.fromkeys(intern(s) for s in [zero, full, *generators])
     joins: dict[tuple[int, int], int] = {}
 
+    def pair(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
+
     def join_id(i: int, j: int) -> int:
-        """Id of the join of elements i and j, recorded in ``joins``; the
-        symmetric fixpoint asks once per unordered pair.  A join absorbs an
-        operand inside the other, and a hyperplane joined with anything
-        outside it spans C^dim; only other joins reach the kernel."""
-        key = i, j
+        """Id of the join of elements i and j, recorded in ``joins`` under
+        the unordered pair; the symmetric fixpoint asks once per unordered
+        pair, after both complements are known.  Only the joins the rules
+        in ``close``'s docstring leave open reach the kernel."""
+        key = pair(i, j)
         if dims[i] > dims[j]:
             i, j = j, i
-        # dim i <= dim j; equal dimensions with i != j are incomparable
-        if i == j or (dims[i] < dims[j] and leq(elements[i], elements[j])):
+        if i == j or not dims[i] or dims[j] == dim:  # zero and C^dim are comparable to all
+            size = dims[j]
+        elif (dual := joins.get(pair(perp[i], perp[j]))) is not None:
+            size = dims[i] + dims[j] - dim + dims[dual]  # dual is the complement of the meet
+        elif dims[i] < dims[j] and (above[i] >> j & 1 or leq(elements[i], elements[j])):
+            size = dims[j]
+        else:  # incomparable; a lower bound
+            size = dims[j] + 1
+        if size == dims[j]:
             got = j
+            contains(i, j)
+        elif size == dim or perp[i] == j:
+            got = ids[full]
         else:
-            got = intern(full if dims[j] == dim - 1 else join(elements[i], elements[j]))
+            known = above[i] & above[j] & of_dim[size]
+            if known:
+                got = known.bit_length() - 1
+            else:
+                got = intern(join(elements[i], elements[j]))
+                contains(i, got)
+                contains(j, got)
         joins[key] = got
         return got
 

@@ -7,7 +7,7 @@ import pytest
 
 import qlogic.hilbert
 import qlogic.lattice
-from qlogic.bridge import load_spec
+from qlogic.bridge import load_spec, spec_from_dict
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
@@ -23,7 +23,7 @@ from qlogic.lattice import (
 )
 
 import closure_reference as reference
-from conftest import DATA_DIR, SPEC_DIR
+from conftest import DATA_DIR, SPEC_DIR, mo_squared_spec
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
@@ -77,11 +77,15 @@ def test_closure_overflow_on_generic_triple():
 
 
 def test_close_sends_few_joins_to_the_kernel(monkeypatch):
-    """Joins of nested operands and of a hyperplane with anything outside it
-    need no elimination.  On this 16-element closure, close asked the
-    kernel for 91 joins when only equal, zero and full operands were
-    settled without it.  Meets come from De Morgan, so close computes no
-    meet and one null space per complement pair (it once took 29)."""
+    """Joins of nested operands, of a hyperplane with anything outside it,
+    of an element with its complement, and joins whose dimension and a
+    known element above both operands settle them need no elimination.  On
+    this 16-element closure, close asked the kernel for 91 joins when only
+    equal, zero and full operands were settled without it, and for 21 with
+    the nesting and hyperplane rules alone; 17 of those 21 returned an
+    element close had already found.  Meets come from De Morgan, so close
+    computes no meet and one null space per complement pair (it once took
+    29)."""
     spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
     calls = []
     meets = []
@@ -106,12 +110,32 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     monkeypatch.setattr(qlogic.hilbert, "_nullspace", counting_nullspace)
     lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
     assert len(lat) == 16
-    assert len(calls) <= 25
+    assert len(calls) == 5
     assert len(meets) == 0
     assert len(nullspaces) == len(lat) // 2
     for a, b in calls:  # what reaches the kernel is incomparable, hyperplane-free
         assert not leq(a, b) and not leq(b, a)
         assert spec.dim - 1 not in (a.dim, b.dim)
+
+
+def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
+    """MO_3 x MO_3 in C^4 (64 elements, 12 lines as generators), where most
+    joins are of two planes.  close makes 332 kernel joins, 430 inclusion
+    tests and 32 null spaces, one per complement pair; it made 1 141 joins
+    and 1 181 tests when only nesting and hyperplanes settled a join."""
+    spec = spec_from_dict(mo_squared_spec(3))
+    counts = {"join": 0, "leq": 0, "_nullspace": 0}
+    targets = ((qlogic.lattice, "join"), (qlogic.lattice, "leq"), (qlogic.hilbert, "_nullspace"))
+    for module, name in targets:
+
+        def counting(*args, original=getattr(module, name), name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
+    assert (len(spec.properties), len(lat)) == (12, 64)
+    assert counts == {"join": 332, "leq": 430, "_nullspace": 32}
 
 
 def test_orthomodularity_of_closures():
@@ -256,6 +280,16 @@ def test_mo_2_squared_tables_match_reference():
     assert got.elements == want.elements
     assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
     assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)
+
+
+def test_mo_3_squared_tables_match_reference():
+    """Most joins here are of two planes, which close settles from the
+    dimension of the complements' join or a known hyperplane above both."""
+    generators = _mo_squared(3)
+    got, want = close(generators, dim=4), reference.close(generators, dim=4)
+    assert len(got) == 64
+    assert got.elements == want.elements
+    assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
 
 
 # -- distributivity scan against the numpy sweep ---------------------------------------

@@ -48,7 +48,7 @@ def _first_distributivity_failure(n: int, edges: list) -> tuple | None:
     )
 
 
-@pytest.mark.parametrize("k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (2, 3)])
+@pytest.mark.parametrize("k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (2, 3)])
 def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
     spec = mo_squared_spec(k)
     path = tmp_path / f"mo{k}_squared.json"
