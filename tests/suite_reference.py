@@ -4,8 +4,9 @@ These are the loops the classical and quantum suites ran before they were
 decided from atoms, state bitmasks and table lookups: the connective
 relations compared proposition frozensets for every class and ordered pair,
 the Boolean quotient closed the generators' signatures to their fixpoint,
-and the De Morgan and implication identities re-reduced the composed qwffs
-for every pair of reachable representatives.  The differential tests in
+the De Morgan and implication identities re-reduced the composed qwffs
+for every pair of reachable representatives, and the Q-truth trichotomy
+read each verdict from the theta sets per (element, state).  The differential tests in
 ``test_suites.py`` require the same counts, violations, elements and
 overflow from the package.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from qlogic.bridge import _reachable_elements, _reduce_element
+from qlogic.bridge import QTruth, _reachable_elements, _reduce_element
 from qlogic.formulas import QAnd, QImp, QNot, QOr, render
 from qlogic.models import SignatureSpace
 
@@ -111,3 +112,32 @@ def demorgan_and_implication(qm, max_depth: int) -> tuple[Tally, Tally]:
             if sig_of_element(lhs) != sig_of_element(rhs):
                 sasaki.witnesses.append(f"{render(fi)} / {render(fj)}")
     return demorgan, sasaki
+
+
+def q_trichotomy(qm, space, max_depth: int) -> Tally:
+    def verdict(element: int, state: str) -> str:
+        if state in qm.theta[qm.predicate_names[element]]:
+            return QTruth.TRUE
+        if state in qm.theta[qm.predicate_names[qm.lattice.ortho[element]]]:
+            return QTruth.FALSE
+        return QTruth.INDETERMINATE
+
+    tally = Tally("q-truth-trichotomy")
+    for idx, f in _reachable_elements(qm, max_depth).items():
+        element = _reduce_element(qm, space, f)
+        negation = _reduce_element(qm, space, QNot(f))
+        for state in qm.model.states:
+            tally.checked += 1
+            true_here = state in qm.theta[qm.predicate_names[idx]]
+            false_here = state in qm.theta[qm.predicate_names[qm.lattice.ortho[idx]]]
+            if true_here and false_here:
+                tally.witnesses.append(f"{render(f)} both certain in {state}")
+            got = verdict(element, state)
+            expected = (
+                QTruth.TRUE if true_here else QTruth.FALSE if false_here else QTruth.INDETERMINATE
+            )
+            if got != expected:
+                tally.witnesses.append(f"{render(f)} in {state}: got {got}")
+            if (got == QTruth.FALSE) != (verdict(negation, state) == QTruth.TRUE):
+                tally.witnesses.append(f"{render(f)} in {state}: falsehood and negated truth disagree")
+    return tally

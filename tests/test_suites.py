@@ -11,7 +11,12 @@ from dataclasses import astuple, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlogic.bridge import _reachable_elements, build_model, check_quantum_equivalences
+from qlogic.bridge import (
+    _reachable_elements,
+    build_model,
+    check_q_trichotomy,
+    check_quantum_equivalences,
+)
 from qlogic.cli import main
 from qlogic.errors import ClosureOverflow
 from qlogic.formulas import render
@@ -28,7 +33,7 @@ from qlogic.models import (
 from qlogic.propositions import check_connective_relations
 
 import suite_reference as reference
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, with_extensions
 
 
 def _stats(records):
@@ -86,6 +91,67 @@ def test_classical_suites_match_reference_on_random_models(model, depth, data):
     _check_quotient(model, names if names is not None else model.predicate_names())
 
 
+_GENERATORS = ("P0", "P1", "P2")
+
+
+def _pattern(rng, size):
+    """Extensions of the generators in a state of the given size (at least
+    2), with at least one generator splitting the state."""
+    while True:
+        exts = {name: frozenset(u for u in range(size) if rng.random() < 0.5) for name in _GENERATORS}
+        if any(0 < len(ext) < size for ext in exts.values()):
+            return exts
+
+
+def _census_matches_reference(rng, states):
+    """The census on a model of (state, size, extensions) triples, taken in
+    the rng's order, equals the reference's at depths 1-3."""
+    rng.shuffle(states)
+    sizes = {s: size for s, size, _ in states}
+    extensions = {(s, name): exts[name] for s, _, exts in states for name in _GENERATORS}
+    model = Model(tuple(map(PredicateInfo, _GENERATORS)), tuple(sizes), sizes, extensions)
+    space = SignatureSpace(model)
+    for depth in (1, 2, 3):
+        got = check_connective_relations(space, depth)
+        assert _stats(got) == [astuple(t) for t in reference.connective_relations(model, depth)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_census_keeps_apart_blocks_of_equal_slices_and_different_sizes(seed):
+    """One state has another's generator slices and one more object, in no
+    generator: every class has the same slice of both on the shared
+    objects, yet a join can fill the narrow block and not the wide."""
+    rng = random.Random(f"census-width:{seed}")
+    size = rng.randint(2, 3)
+    exts = _pattern(rng, size)
+    _census_matches_reference(rng, [("N", size, exts), ("W", size + 1, exts)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_census_skips_a_state_no_generator_splits(seed):
+    """A state where each generator is empty or full holds every class
+    empty or full, so it makes no relation strict."""
+    rng = random.Random(f"census-whole:{seed}")
+    whole = rng.randint(1, 3)
+    unsplit = {name: frozenset(range(whole) if rng.random() < 0.5 else ()) for name in _GENERATORS}
+    _census_matches_reference(
+        rng, [("S", 3, _pattern(rng, 3)), ("T", 2, _pattern(rng, 2)), ("U", whole, unsplit)]
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_census_counts_a_repeated_pattern_once(seed):
+    """States that repeat one block pattern, next to one of the same size
+    where a single generator differs."""
+    rng = random.Random(f"census-repeat:{seed}")
+    size = rng.randint(2, 3)
+    exts = _pattern(rng, size)
+    states = [(f"R{k}", size, exts) for k in range(rng.randint(2, 4))]
+    name = rng.choice(_GENERATORS)
+    near = {**exts, name: frozenset(range(size)) - exts[name]}
+    _census_matches_reference(rng, [*states, ("V", size, near)])
+
+
 @pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16))
@@ -122,6 +188,30 @@ def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
         want = reference.demorgan_and_implication(corrupted, 3)
         assert _stats([demorgan, implication]) == [astuple(t) for t in want]
     assert not check_quantum_equivalences(worked_qm, space, 3)[0].violations
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_trichotomy_matches_reference_on_corrupted_builds(worked_qm, seed):
+    """Random theta edits, and on half the seeds one property given another's
+    extensions so that its leaf reduces through the other's witness, on the
+    worked spec and a generated one: the same checked count and witnesses,
+    in order, as the per-(element, state) walk."""
+    rng = random.Random(f"trichotomy:{seed}")
+    generated = build_model(random_qm_spec(seed, 3, 3)[0])
+    for qm in (worked_qm, generated):
+        names, states = qm.predicate_names, qm.model.states
+        if seed % 2:
+            source, target = rng.sample([name for name, _ in qm.spec.properties], 2)
+            qm = with_extensions(qm, {(s, target): qm.model.extensions[(s, source)] for s in states})
+        theta = dict(qm.theta)
+        for _ in range(rng.randint(1, 4)):
+            name, state = rng.choice(names), rng.choice(states)
+            theta[name] = theta[name] ^ {state}
+        qm = replace(qm, theta=theta)
+        space = SignatureSpace(qm.model)
+        for depth in (1, 2):
+            got = check_q_trichotomy(qm, space, depth)
+            assert _stats([got]) == [astuple(reference.q_trichotomy(qm, space, depth))]
 
 
 def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
