@@ -591,19 +591,38 @@ def check_q_trichotomy(
     qm: QuantumModel, space: SignatureSpace, max_depth: int = 2
 ) -> SuiteResult:
     """Exactly one verdict per (qwff, state), and certain falsehood of a
-    formula coincides with certain truth of its quantum negation."""
+    formula coincides with certain truth of its quantum negation.
+
+    Theta sets are read as state bitmasks, so each reachable element is
+    checked in all states at once; only an element with a fault is walked
+    state by state, for its witnesses."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
-    reach = list(_reachable_elements(qm, max_depth).items())
+    states = qm.model.states
+    bit = {s: 1 << k for k, s in enumerate(states)}
+    theta = [sum(bit[s] for s in qm.theta[name]) for name in qm.predicate_names]
+    ortho = qm.lattice.ortho
     violations = []
     checked = 0
-    for idx, f in reach:
-        name = qm.predicate_names[idx]
-        partner = qm.predicate_names[qm.lattice.ortho[idx]]
+    for idx, f in _reachable_elements(qm, max_depth).items():
         element = _reduce_element(qm, space, f)
-        negation = _reduce_element(qm, space, QNot(f))
-        for state in qm.model.states:
-            checked += 1
+        negation = ortho[element]  # what QNot(f) reduces to
+        checked += len(states)
+        true, false = theta[idx], theta[ortho[idx]]
+        got_true, got_false = theta[element], theta[ortho[element]] & ~theta[element]
+        faults = (
+            (true & false)
+            | (got_true ^ true)
+            | (got_false ^ (false & ~true))
+            | (got_false ^ theta[negation])
+        )
+        if not faults:
+            continue
+        name = qm.predicate_names[idx]
+        partner = qm.predicate_names[ortho[idx]]
+        for state in states:
+            if not faults & bit[state]:
+                continue
             true_here = state in qm.theta[name]
             false_here = state in qm.theta[partner]
             if true_here and false_here:
