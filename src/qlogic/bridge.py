@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
-from weakref import WeakKeyDictionary, ref
+from weakref import ref
 
 from ._fixpoint import fixpoint
 from .errors import (
@@ -54,6 +54,7 @@ from .hilbert import (
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     _EMPTY_SLOT,
+    MAX_PAIRS,
     MAX_RELATION_DEPTH,
     Model,
     PredicateInfo,
@@ -85,6 +86,8 @@ class QMModelSpec:
             raise ModelValidationError("universe size must be positive")
         if not self.states:
             raise ModelValidationError("at least one state is required")
+        if (count := len(self.states) * self.universe_size) > MAX_PAIRS:
+            raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
         state_names = [s for s, _ in self.states]
         if len(set(state_names)) != len(state_names):
             raise ModelValidationError("duplicate state names")
@@ -162,14 +165,12 @@ class QuantumModel:
     """A built model together with its Hilbert provenance.
 
     Frozen like its model: the mappings are read-only copies of the
-    caller's.  It also keeps the lattice element each formula reduces to,
-    keyed weakly by the formula, so the read path reduces a formula once
-    per model however many states ask about it.  In front of that memo
-    sits one weak slot: the last formula looked up, held by weak
-    reference and matched by identity, with its element, so a query
-    asking about one formula state after state skips the dictionary.
-    Neither keeps a formula alive; ``replace``, copy and pickle start both
-    empty.
+    caller's.  Construction lays out one bit per state of the model
+    (``state_bits``) and each element's theta as a mask of those bits
+    (``theta_masks``).  One weak slot holds the last formula reduced, matched
+    by identity, with its element, so a query asking about one formula in
+    every state reduces it once; it keeps no formula alive.  ``replace``,
+    copy and pickle lay out afresh from their fields and start the slot empty.
     """
 
     spec: QMModelSpec
@@ -180,16 +181,16 @@ class QuantumModel:
     element_index: Mapping[str, int]  # predicate name -> element index
     # (state, primary predicate) -> projection probability the build read
     probabilities: Mapping[tuple[str, str], Fraction]
-    _elements: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, init=False, compare=False, repr=False
-    )
     _element_slot: tuple = field(default=_EMPTY_SLOT, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("theta", "element_index", "probabilities"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        bits = {s: 1 << k for k, s in enumerate(self.model.states)}
+        masks = tuple(sum(bits.get(s, 0) for s in self.theta[n]) for n in self.predicate_names)
+        vars(self).update(state_bits=MappingProxyType(bits), theta_masks=masks)
 
-    def __reduce__(self):  # copy and pickle rebuild through the constructor, memo empty
+    def __reduce__(self):  # copy and pickle rebuild through the constructor, slot empty
         fields = (self.spec, self.model, self.lattice, dict(self.theta), self.predicate_names,
                   dict(self.element_index), dict(self.probabilities))
         return QuantumModel, fields
@@ -350,15 +351,13 @@ def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
 
 
 def _element(qm: QuantumModel, f: Formula) -> int:
-    """The lattice element of the qwff, reduced once per (model, formula);
-    a formula that is not testable raises every time and is not kept."""
+    """The lattice element of the qwff, reduced once per run of calls about
+    the same formula object; a formula that is not testable raises every
+    time and is not kept."""
     last, element = qm._element_slot
-    if last() is f:
-        return element
-    element = qm._elements.get(f)
-    if element is None:
-        element = qm._elements[f] = _reduce_element(qm, SignatureSpace(qm.model), f)
-    object.__setattr__(qm, "_element_slot", (ref(f), element))
+    if last() is not f:
+        element = _reduce_element(qm, SignatureSpace(qm.model), f)
+        object.__setattr__(qm, "_element_slot", (ref(f), element))
     return element
 
 
@@ -385,16 +384,20 @@ class QTruth:
 
 
 def q_truth(qm: QuantumModel, f: Formula, state: str) -> str:
-    """Trivalent verdict: certainly true, certainly false, or neither."""
-    if state not in qm.model.state_masks:  # keyed by the states
-        raise UnknownState(state)
-    return _verdict(qm, _element(qm, f), state)
+    """Trivalent verdict: certainly true, certainly false, or neither.  The
+    state is checked before the formula is reduced, and certain truth is
+    read before certain falsehood."""
+    try:
+        bit = qm.state_bits[state]
+    except KeyError:
+        raise UnknownState(state) from None
+    return _verdict(qm, _element(qm, f), bit)
 
 
-def _verdict(qm: QuantumModel, element: int, state: str) -> str:
-    if state in qm.theta[qm.predicate_names[element]]:
+def _verdict(qm: QuantumModel, element: int, bit: int) -> str:
+    if qm.theta_masks[element] & bit:
         return QTruth.TRUE
-    if state in qm.theta[qm.predicate_names[qm.lattice.ortho[element]]]:
+    if qm.theta_masks[qm.lattice.ortho[element]] & bit:
         return QTruth.FALSE
     return QTruth.INDETERMINATE
 
@@ -532,8 +535,7 @@ def check_quantum_equivalences(
     ]
 
     # propositions and theta sets as state bitmasks, bit k for the k-th state
-    bit = {s: 1 << k for k, s in enumerate(space.state_masks)}
-    theta = [sum(bit[s] for s in qm.theta[name]) for name in qm.predicate_names]
+    bit, theta = qm.state_bits, qm.theta_masks
     all_states = (1 << len(bit)) - 1
 
     def proposition(mask: int) -> int:
@@ -598,16 +600,13 @@ def check_q_trichotomy(
     state by state, for its witnesses."""
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
-    states = qm.model.states
-    bit = {s: 1 << k for k, s in enumerate(states)}
-    theta = [sum(bit[s] for s in qm.theta[name]) for name in qm.predicate_names]
-    ortho = qm.lattice.ortho
+    bit, theta, ortho = qm.state_bits, qm.theta_masks, qm.lattice.ortho
     violations = []
     checked = 0
     for idx, f in _reachable_elements(qm, max_depth).items():
         element = _reduce_element(qm, space, f)
         negation = ortho[element]  # what QNot(f) reduces to
-        checked += len(states)
+        checked += len(bit)
         true, false = theta[idx], theta[ortho[idx]]
         got_true, got_false = theta[element], theta[ortho[element]] & ~theta[element]
         faults = (
@@ -618,22 +617,15 @@ def check_q_trichotomy(
         )
         if not faults:
             continue
-        name = qm.predicate_names[idx]
-        partner = qm.predicate_names[ortho[idx]]
-        for state in states:
-            if not faults & bit[state]:
+        for state, b in bit.items():
+            if not faults & b:
                 continue
-            true_here = state in qm.theta[name]
-            false_here = state in qm.theta[partner]
-            if true_here and false_here:
+            if true & false & b:
                 violations.append(f"{render(f)} both certain in {state}")
-            verdict = _verdict(qm, element, state)
-            expected = (
-                QTruth.TRUE if true_here else QTruth.FALSE if false_here else QTruth.INDETERMINATE
-            )
-            if verdict != expected:
+            verdict = _verdict(qm, element, b)
+            if verdict != _verdict(qm, idx, b):  # the verdict theta gives the element itself
                 violations.append(f"{render(f)} in {state}: got {verdict}")
-            negated = _verdict(qm, negation, state)
+            negated = _verdict(qm, negation, b)
             if (verdict == QTruth.FALSE) != (negated == QTruth.TRUE):
                 violations.append(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"

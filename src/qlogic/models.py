@@ -50,6 +50,8 @@ _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 MAX_RELATION_DEPTH = 3
 
+MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has an entry for each
+
 
 @dataclass(frozen=True)
 class PredicateInfo:
@@ -102,6 +104,8 @@ class Model:
         if len(self.universe_sizes) != len(self.states):  # every state has a size
             s = next(s for s in self.universe_sizes if s not in self.states)
             raise ModelValidationError(f"universe for unknown state {s!r}")
+        if (count := sum(self.universe_sizes.values())) > MAX_PAIRS:
+            raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
         normalized: dict[tuple[str, str], frozenset[int]] = {}
         in_range: set[tuple[frozenset[int], int]] = set()  # few extensions are distinct
         for (s, pname), ext in self.extensions.items():
@@ -146,27 +150,29 @@ class Model:
                     )
 
     def _index(self) -> None:
-        """Lay out the bit index every SignatureSpace of the model reads:
-        one bit per (state, object) pair, each state's first bit, the state
-        and predicate masks, and per scope the first predicate carrying
-        each mask; empty the memo of ``eval_open``."""
+        """Lay out the bit index every SignatureSpace of the model reads: one
+        bit per (state, object) pair, one record per state (first bit, size,
+        extensions by predicate), the state and predicate masks, and per scope
+        the first predicate carrying each mask; empty the memo of eval_open."""
         pairs = tuple((s, u) for s in self.states for u in range(self.universe_sizes[s]))
         position = {pair: i for i, pair in enumerate(pairs)}
-        offsets = {s: position[(s, 0)] for s in self.states}  # state blocks, in state order
-        state_masks = {
-            s: ((1 << self.universe_sizes[s]) - 1) << offsets[s] for s in self.states
+        blocks = {
+            s: (position[(s, 0)], self.universe_sizes[s],
+                MappingProxyType({p.name: self.extensions[(s, p.name)] for p in self.predicates}))
+            for s in self.states
         }
-        blocks: dict[frozenset[int], int] = {}  # extension -> its bits; few are distinct
+        state_masks = {s: ((1 << n) - 1) << offset for s, (offset, n, _) in blocks.items()}
+        ext_bits: dict[frozenset[int], int] = {}  # extension -> its bits; few are distinct
         pred_masks: dict[str, int] = {}
         witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
         for p in self.predicates:
             mask = 0
             for s in self.states:  # each state's extension as one block, shifted in once
                 ext = self.extensions[(s, p.name)]
-                block = blocks.get(ext)
+                block = ext_bits.get(ext)
                 if block is None:
-                    block = blocks[ext] = _bits(ext)
-                mask |= block << offsets[s]
+                    block = ext_bits[ext] = _bits(ext)
+                mask |= block << blocks[s][0]
             pred_masks[p.name] = mask
             witnesses["effects"].setdefault(mask, p.name)
             if p.is_property:
@@ -174,7 +180,7 @@ class Model:
         vars(self).update(
             pairs=pairs,
             position=MappingProxyType(position),
-            offsets=MappingProxyType(offsets),
+            blocks=MappingProxyType(blocks),
             omega=(1 << len(pairs)) - 1,
             state_masks=MappingProxyType(state_masks),
             pred_masks=MappingProxyType(pred_masks),
@@ -319,19 +325,21 @@ def save_model(m: Model, path: str | Path) -> None:
 def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
     """Truth of the open formula at one (state, object) pair.
 
-    The state and then the object are checked first.  A leaf is one
-    extension lookup; any other formula reads one bit of its mask, which
-    the model keeps for the last such formula asked about, so a query
-    over many pairs forms it once.  A formula with no mask (an unknown
-    leaf or a quantum node) raises at every pair what ``signature``
-    raises for it, and leaves the slot as it was.
-    """
-    n = m.universe_size(state)
+    One lookup finds the state's record, against which the object is
+    checked; a leaf is then one lookup among the state's extensions, and
+    any other formula reads a bit of its mask, kept for the last one asked.
+    A formula with no mask (an unknown leaf or a quantum node) raises at
+    every pair what ``signature`` raises for it, and leaves the slot as it
+    was."""
+    try:
+        offset, n, extensions = m.blocks[state]
+    except KeyError:
+        raise UnknownState(state) from None
     if not 0 <= obj < n:
         raise ObjectOutOfRange(f"object {obj} outside universe of size {n} in {state!r}")
     if isinstance(f, Pred):
         try:
-            return obj in m.extensions[(state, f.name)]
+            return obj in extensions[f.name]
         except KeyError:
             raise UnknownPredicate(f.name) from None
     ref, bits = m._eval_slot
@@ -340,7 +348,7 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
         # quadratic over a large universe
         bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
         vars(m)["_eval_slot"] = (weakref.ref(f), bits)  # frozen: write past __setattr__
-    i = m.offsets[state] + obj
+    i = offset + obj
     return bits[i >> 3] >> (i & 7) & 1 == 1
 
 

@@ -148,7 +148,7 @@ def check_connective_relations(
     # splits holds each class whole or not at all, so it is never strict.
     distinct: dict[tuple, int] = {}
     for state, block in space.state_masks.items():
-        offset = space.model.offsets[state]
+        offset = space.model.blocks[state][0]
         full, slices = block >> offset, tuple((g & block) >> offset for g in generators)
         if any(0 != x != full for x in slices):
             distinct.setdefault((full, slices), block)

@@ -526,10 +526,14 @@ def test_recorded_probabilities_match_born(source):
             assert p == reference.born(vectors[state], element.basis)
 
 
-# -- one reduction per (model, formula) -------------------------------------------
+# -- one reduction per query -------------------------------------------------------
 
 
-def test_a_formula_is_reduced_once_per_model(monkeypatch):
+def test_a_formula_is_reduced_once_per_query(monkeypatch):
+    """The element slot answers every call about the formula object it
+    holds: a verdict in each of 15 states, the reduced name and tau_eval
+    reduce it once.  It matches by identity, so an equal formula parsed
+    afresh is reduced again, to the same element, and takes the slot."""
     qm = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
     f = QImp(QAnd(Pred("E1"), QNot(Pred("E2"))), QOr(Pred("E3"), And(Pred("E1"), Pred("E1"))))
     reduce = bridge._reduce_element
@@ -543,39 +547,23 @@ def test_a_formula_is_reduced_once_per_model(monkeypatch):
     monkeypatch.setattr(bridge, "_reduce_element", counting)
     verdicts = [q_truth(qm, f, s) for s in qm.model.states]
     name = reduce_qwff(qm, f)
-    assert len(verdicts) == 15 and len(roots) == 1
-    # an equal formula parsed afresh, and tau_eval, read the same entry
-    assert reduce_qwff(qm, parse(render(f))) == name
     assert tau_eval(qm, f, "W1", 0) == eval_open(qm.model, Pred(name), "W1", 0)
-    assert len(roots) == 1
-
-
-def test_the_memo_keeps_no_formula_alive(worked_spec):
-    qm = build_model(worked_spec)
-    gc.disable()
-    try:
-        f = QOr(Pred("Ez"), QNot(Pred("Ex")))
-        q_truth(qm, f, "Sz+")
-        assert len(qm._elements) == 1
-        ref = weakref.ref(f)
-        del f
-        assert ref() is None and len(qm._elements) == 0
-    finally:
-        gc.enable()
+    assert len(verdicts) == 15 and len(roots) == 1
+    g = parse(render(f))
+    assert reduce_qwff(qm, g) == name and q_truth(qm, g, qm.model.states[0]) == verdicts[0]
+    assert len(roots) == 2 and qm._element_slot[0]() is g
 
 
 def test_the_element_slot_keeps_no_formula_alive(worked_spec):
-    """The slot in front of the memo holds the last formula weakly: it
-    answers the next call about that formula, and a dropped formula
-    leaves both."""
+    """The slot holds the last formula weakly: it answers the next call
+    about that formula, and a dropped formula leaves it."""
     qm = build_model(worked_spec)
     gc.disable()
     try:
         f = QOr(Pred("Ez"), QNot(Pred("Ex")))
         verdict = q_truth(qm, f, "Sz+")
         assert qm._element_slot[0]() is f
-        qm._elements.clear()  # the slot alone answers now
-        assert q_truth(qm, f, "Sz+") == verdict and len(qm._elements) == 0
+        assert q_truth(qm, f, "Sz+") == verdict
         ref = weakref.ref(f)
         del f
         assert ref() is None and qm._element_slot[0]() is None
@@ -599,15 +587,14 @@ def _rebuilt(qm: QuantumModel, extensions) -> QuantumModel:
 
 def test_copies_reduce_against_their_own_model(worked_qm):
     """A reduction kept for one model never answers for another: copies made
-    after the original reduced ~q Ex start an empty memo and answer as a
+    after the original reduced ~q Ex start an empty slot and answer as a
     model built fresh from their own table."""
     f = QNot(Pred("Ex"))
     states = worked_qm.model.states
     original = [q_truth(worked_qm, f, s) for s in states]
-    assert f in worked_qm._elements
+    assert worked_qm._element_slot[0]() is f
     for twin in (copy.copy(worked_qm), copy.deepcopy(worked_qm), pickle.loads(pickle.dumps(worked_qm))):
-        assert twin == worked_qm and len(twin._elements) == 0
-        assert twin._element_slot[0]() is None
+        assert twin == worked_qm and twin._element_slot[0]() is None
         assert [q_truth(twin, f, s) for s in states] == original
 
     # with_extension: with a full Ex in Sz+, Ex & Ex_perp is no longer empty
@@ -616,7 +603,7 @@ def test_copies_reduce_against_their_own_model(worked_qm):
     g = QNot(And(Pred("Ex"), Pred("Ex_perp")))
     assert {q_truth(worked_qm, g, s) for s in states} == {QTruth.TRUE}
     edited = with_extension(worked_qm, "Sz+", "Ex", range(4))
-    assert len(edited._elements) == 0 and edited._element_slot[0]() is None
+    assert edited._element_slot[0]() is None
     with pytest.raises(NotTestable):
         q_truth(edited, g, "Sz-")
 
@@ -630,7 +617,7 @@ def test_copies_reduce_against_their_own_model(worked_qm):
     expected = [q_truth(_rebuilt(worked_qm, extensions), f, s) for s in states]
     assert expected == [q_truth(worked_qm, QNot(Pred("Ez")), s) for s in states] != original
     for qm in (swapped, copy.deepcopy(swapped), pickle.loads(pickle.dumps(swapped))):
-        assert len(qm._elements) == 0
+        assert qm._element_slot[0]() is None
         assert [q_truth(qm, f, s) for s in states] == expected
 
 
@@ -643,7 +630,7 @@ def test_an_untestable_formula_raises_on_every_call(worked_qm):
             q_truth(worked_qm, f, "Sz+")
         with pytest.raises(NotTestable):
             tau_eval(worked_qm, f, "Sz+", 0)
-    assert f not in worked_qm._elements
+    assert worked_qm._element_slot[0]() is not f
 
 
 def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from qlogic import cli
-from qlogic.bridge import build_model
+from qlogic.bridge import build_model, load_spec
 from qlogic.cli import main
-from qlogic.models import SignatureSpace
+from qlogic.errors import ModelValidationError
+from qlogic.models import MAX_PAIRS, Model, PredicateInfo, SignatureSpace
 
 from conftest import DATA_DIR, REPO, SPEC_DIR, mo_squared_spec
 
@@ -571,6 +573,36 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, flag, path, value, 
     assert code == 1 and out == ""
     assert err.startswith("error: ModelValidationError:") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--model", "--qm-spec"])
+def test_an_oversized_universe_is_one_error_line(tmp_path, capsys, flag):
+    """A universe of 10**12 objects is refused before any bit is laid out,
+    on a --model file (one state's universe) and a --qm-spec file."""
+    with open(CM if flag == "--model" else WORKED, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if flag == "--model":
+        data["states"][0]["universe"] = 10**12
+    else:
+        data["universe"] = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", flag, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ModelValidationError:") and f"over the cap {MAX_PAIRS}" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_the_pair_cap_counts_every_state():
+    """The cap bounds the sum over states, checked on the constructors; a
+    spec exactly at the cap is accepted, since a spec lays nothing out."""
+    spec = load_spec(WORKED)  # 4 states
+    with pytest.raises(ModelValidationError, match="1000004 .* over the cap 1000000"):
+        replace(spec, universe_size=MAX_PAIRS // 4 + 1)
+    assert replace(spec, universe_size=MAX_PAIRS // 4).universe_size == 250_000
+    sizes = {"S": MAX_PAIRS // 2, "T": MAX_PAIRS // 2 + 1}
+    with pytest.raises(ModelValidationError, match="1000001 .* over the cap"):
+        Model((PredicateInfo("E"),), ("S", "T"), sizes, {})
 
 
 def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):

@@ -558,11 +558,12 @@ def test_model_is_frozen(worked_qm):
     ):
         with pytest.raises(TypeError):
             mapping[key] = value
-    for name in ("model", "theta", "lattice", "_elements"):
+    for name in ("model", "theta", "lattice", "state_bits", "theta_masks"):
         with pytest.raises(FrozenInstanceError):
             setattr(worked_qm, name, None)
     for mapping, key in (
         (worked_qm.theta, "Ez"),
+        (worked_qm.state_bits, "Sz+"),
         (worked_qm.element_index, "Ez"),
         (worked_qm.probabilities, ("Sz+", "Ez")),
     ):
