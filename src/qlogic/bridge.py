@@ -188,7 +188,8 @@ class QuantumModel:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         bits = {s: 1 << k for k, s in enumerate(self.model.states)}
         masks = tuple(sum(bits.get(s, 0) for s in self.theta[n]) for n in self.predicate_names)
-        vars(self).update(state_bits=MappingProxyType(bits), theta_masks=masks)
+        object.__setattr__(self, "state_bits", MappingProxyType(bits))
+        object.__setattr__(self, "theta_masks", masks)
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, slot empty
         fields = (self.spec, self.model, self.lattice, dict(self.theta), self.predicate_names,
@@ -351,9 +352,8 @@ def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
 
 
 def _element(qm: QuantumModel, f: Formula) -> int:
-    """The lattice element of the qwff, reduced once per run of calls about
-    the same formula object; a formula that is not testable raises every
-    time and is not kept."""
+    """The qwff's lattice element, reduced once per run of calls about one
+    formula object; an untestable formula raises every time, never kept."""
     last, element = qm._element_slot
     if last() is not f:
         element = _reduce_element(qm, SignatureSpace(qm.model), f)
@@ -384,9 +384,8 @@ class QTruth:
 
 
 def q_truth(qm: QuantumModel, f: Formula, state: str) -> str:
-    """Trivalent verdict: certainly true, certainly false, or neither.  The
-    state is checked before the formula is reduced, and certain truth is
-    read before certain falsehood."""
+    """Trivalent verdict: certainly true, certainly false, or neither; the
+    state is checked before the formula, and certain truth before falsehood."""
     try:
         bit = qm.state_bits[state]
     except KeyError:

@@ -177,7 +177,7 @@ class Model:
             witnesses["effects"].setdefault(mask, p.name)
             if p.is_property:
                 witnesses["properties"].setdefault(mask, p.name)
-        vars(self).update(
+        for name, value in dict(
             pairs=pairs,
             position=MappingProxyType(position),
             blocks=MappingProxyType(blocks),
@@ -186,7 +186,8 @@ class Model:
             pred_masks=MappingProxyType(pred_masks),
             witnesses=MappingProxyType({k: MappingProxyType(w) for k, w in witnesses.items()}),
             _eval_slot=_EMPTY_SLOT,
-        )
+        ).items():  # not vars(self): a dict made that way slows every attribute load
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, index and all
         fields = (self.predicates, self.states, dict(self.universe_sizes), dict(self.extensions))
@@ -347,7 +348,7 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
         # bytes, because reading bit i of a big int shifts a copy of it:
         # quadratic over a large universe
         bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
-        vars(m)["_eval_slot"] = (weakref.ref(f), bits)  # frozen: write past __setattr__
+        object.__setattr__(m, "_eval_slot", (weakref.ref(f), bits))  # frozen: past __setattr__
     i = offset + obj
     return bits[i >> 3] >> (i & 7) & 1 == 1
 
