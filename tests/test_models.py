@@ -88,6 +88,11 @@ def test_eval_open_membership():
         (Pred("E"), "S", -1, (ObjectOutOfRange, "object -1 outside universe of size 3 in 'S'")),
         (And(Pred("E"), QNot(Pred("Unknown"))), "S", 0, (QuantumNodeInClassicalEval, "~qUnknown")),
         (Not(QOr(Pred("E"), Pred("F"))), "S", 1, (QuantumNodeInClassicalEval, "E |q F")),
+        # an unknown state wins over an object out of range, which wins over the formula
+        (Pred("Unknown"), "T", 7, (UnknownState, "T")),
+        (And(Pred("E"), Pred("Unknown")), "T", 7, (UnknownState, "T")),
+        (And(Pred("E"), Pred("Unknown")), "S", 7,
+         (ObjectOutOfRange, "object 7 outside universe of size 3 in 'S'")),
     ],
 )
 def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, outcome):

@@ -15,35 +15,9 @@ from hypothesis import given, settings, strategies as st
 import read_reference as reference
 from conftest import DATA_DIR, SPEC_DIR, with_extensions
 from qlogic.bridge import QTruth, build_model, load_spec, q_truth
-from qlogic.errors import (
-    NotTestable,
-    ObjectOutOfRange,
-    QLogicError,
-    UnknownPredicate,
-    UnknownState,
-)
+from qlogic.errors import NotTestable, QLogicError, UnknownPredicate, UnknownState
 from qlogic.formulas import And, Not, Or, Pred, QAnd, QImp, QNot, QOr
-from qlogic.models import Model, PredicateInfo, eval_open
-
-
-def _tiny() -> Model:
-    return Model((PredicateInfo("E"),), ("S",), {"S": 3}, {("S", "E"): frozenset({0, 2})})
-
-
-@pytest.mark.parametrize(
-    "f", [Pred("Unknown"), And(Pred("E"), Pred("Unknown")), Not(QNot(Pred("E")))], ids=repr
-)
-def test_eval_open_checks_the_state_then_the_object_then_the_formula(f):
-    m = _tiny()
-    with pytest.raises(UnknownState, match="^T$"):
-        eval_open(m, f, "T", 7)
-    with pytest.raises(ObjectOutOfRange, match="object 7 outside universe of size 3 in 'S'"):
-        eval_open(m, f, "S", 7)
-    with pytest.raises(QLogicError) as err:
-        eval_open(m, f, "S", 0)
-    assert not isinstance(err.value, (UnknownState, ObjectOutOfRange))
-    if isinstance(f, Pred):
-        assert type(err.value) is UnknownPredicate and str(err.value) == "Unknown"
+from qlogic.models import Model, eval_open
 
 
 def test_q_truth_checks_the_state_before_the_formula(worked_qm):
