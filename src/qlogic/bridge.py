@@ -54,6 +54,7 @@ from .hilbert import (
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     _EMPTY_SLOT,
+    MAX_DIM,
     MAX_PAIRS,
     MAX_RELATION_DEPTH,
     Model,
@@ -69,6 +70,11 @@ from .propositions import proposition_poset
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
+def _check_dim_cap(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ModelValidationError(f"dimension {dim}, over the cap {MAX_DIM}")
+
+
 @dataclass(frozen=True)
 class QMModelSpec:
     """Hilbert data from which a finite model is manufactured."""
@@ -82,6 +88,7 @@ class QMModelSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ModelValidationError("dimension must be positive")
+        _check_dim_cap(self.dim)
         if self.universe_size < 1:
             raise ModelValidationError("universe size must be positive")
         if not self.states:
@@ -121,6 +128,7 @@ def spec_from_dict(data: Mapping) -> QMModelSpec:
     try:
         data = expect_json(data, dict, "a spec")
         dim = expect_json(data["dim"], int, "dim")
+        _check_dim_cap(dim)  # before any elimination on the property bases
         states = []
         for s in expect_json(data["states"], list, "states"):
             s = expect_json(s, dict, "a state")
@@ -333,9 +341,9 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
 def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
     """Lattice element of the qwff, with leaves witnessed in the caller's space."""
     if not has_quantum(f):
-        witness = space.witnesses().get(space.mask_of(f, {}))
+        witness = space.witnesses().get(space.mask_of(f))
         if witness is None:
-            raise NotTestable(f"no property predicate has the signature of {render(f)}")
+            raise NotTestable("no property predicate has the signature of", f)
         return qm.element_index[witness]
     lat = qm.lattice
     if isinstance(f, QNot):
@@ -348,7 +356,7 @@ def _reduce_element(qm: QuantumModel, space: SignatureSpace, f: Formula) -> int:
         if isinstance(f, QOr):
             return lat.join[a][b]
         return lat.join[lat.ortho[a]][lat.meet[a][b]]
-    raise NotTestable(f"classical connective above a quantum subformula in {render(f)}")
+    raise NotTestable("classical connective above a quantum subformula in", f)
 
 
 def _element(qm: QuantumModel, f: Formula) -> int:

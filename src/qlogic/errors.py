@@ -60,7 +60,20 @@ class UniverseTooSmall(QLogicError):
 
 
 class NotTestable(QLogicError):
-    """A classical subformula has no property predicate with its signature."""
+    """A classical subformula has no property predicate with its signature.
+
+    Given a formula, the message is ``message`` followed by the formula,
+    rendered only when the message is read: callers that fall back to
+    classical evaluation never pay for it.
+    """
+
+    def __init__(self, message: str, formula: object = None):
+        args = (message,) if formula is None else (message, formula)
+        super().__init__(*args)
+        self.formula = formula
+
+    def __str__(self) -> str:
+        return self.args[0] if self.formula is None else f"{self.args[0]} {self.formula}"
 
 
 class MissingTheta(QLogicError):

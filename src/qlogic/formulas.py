@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import DepthLimitExceeded, FormulaSyntaxError
 
@@ -242,11 +242,15 @@ def _pure_qwff(f: Formula, props: set[str]) -> bool:
 
 # --- parsing ---------------------------------------------------------------
 
-# One token per match: leading whitespace (what str.isspace accepts, which
-# is what \s matches), then an operator by maximal munch, an identifier, or
-# any other non-space character, which is an error.  Trailing whitespace
-# matches nothing.
-_TOKEN_RE = re.compile(r"\s*(?:(->q|~q|&q|\|q|[~&|()])|([A-Za-z][A-Za-z0-9_]*)|(\S))")
+# The token alternatives, tried in this order: an operator by maximal munch,
+# an identifier, or any other non-space character, which is an error.  A
+# scan skips whitespace (what str.isspace accepts, which is what \s matches),
+# where no alternative matches.  ``parse`` scans with them as one pattern
+# without groups, so ``findall`` returns the token strings; ``_tokenize``
+# scans with a group for each, to report each token's kind and position.
+_OPERATOR, _IDENT, _STRAY = r"->q|~q|&q|\|q|[~&|()]", r"[A-Za-z][A-Za-z0-9_]*", r"\S"
+_scan = re.compile(f"{_OPERATOR}|{_IDENT}|{_STRAY}").findall
+_TOKEN_RE = re.compile(f"({_OPERATOR})|({_IDENT})|({_STRAY})")
 
 _Token = tuple[str, int, str]  # kind (an operator literal, "IDENT" or "EOF"), 1-based position, text
 
@@ -265,6 +269,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Operators wait on a stack as (level, node type, token index, ...).  A
+# binary operator also holds its left operand and that operand's height.
+# Settling binary operators stops at "(" and at the bottom, which sit below
+# every binary level; prefix operators sit above, and settle first.
+_BOTTOM, _PAREN, _PREFIX_LEVEL = -2, -1, 3
 _BINARY = {  # operator -> (binding level, loosest first; all left-associative), node
     "->q": (0, QImp),
     "|": (1, Or),
@@ -272,79 +281,82 @@ _BINARY = {  # operator -> (binding level, loosest first; all left-associative),
     "&": (2, And),
     "&q": (2, QAnd),
 }
-_PREFIX = {"~": Not, "~q": QNot}
+_NOT_BINARY = (0, None)  # any other token settles every pending binary operator
+_OPENERS = {"(": (_PAREN, None), "~": (_PREFIX_LEVEL, Not), "~q": (_PREFIX_LEVEL, QNot)}
+# Identifiers are the only tokens that start with a letter.
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
 
-def _limit(levels: int, pos: int) -> None:
-    if levels > MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", pos)
-
-
-class _Parser:
-    """Precedence climbing; each rule returns a subtree and its height."""
-
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
-        self._open = 0  # parentheses and prefix operators around the parse point
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f, _ = self._binary(0)
-        kind, pos, text = self._tokens[self._i]
-        if kind != "EOF":
-            raise FormulaSyntaxError(f"unexpected {text or kind!r}", pos)
-        return f
-
-    def _binary(self, min_level: int) -> tuple[Formula, int]:
-        """Operands joined by binary operators binding at least as tightly
-        as ``min_level``; each right operand takes the tighter ones."""
-        left, height = self._unary()
-        while True:
-            kind, pos, _ = self._tokens[self._i]
-            op = _BINARY.get(kind)
-            if op is None or op[0] < min_level:
-                return left, height
-            self._i += 1
-            right, right_height = self._binary(op[0] + 1)
-            left, height = op[1](left, right), 1 + max(height, right_height)
-            _limit(height, pos)
-
-    def _unary(self) -> tuple[Formula, int]:
-        kind, pos, _ = self._tokens[self._i]
-        if kind not in _PREFIX:
-            return self._atom()
-        self._i += 1
-        self._open += 1
-        _limit(self._open, pos)
-        child, height = self._unary()
-        self._open -= 1
-        _limit(height + 1, pos)
-        return _PREFIX[kind](child), height + 1
-
-    def _atom(self) -> tuple[Formula, int]:
-        kind, pos, text = self._advance()
-        if kind == "IDENT":
-            return Pred(text), 0
-        if kind == "(":
-            self._open += 1
-            _limit(self._open, pos)
-            inner = self._binary(0)
-            self._open -= 1
-            closing, closing_pos, _ = self._advance()
-            if closing != ")":
-                raise FormulaSyntaxError("expected ')'", closing_pos)
-            return inner
-        raise FormulaSyntaxError(f"expected predicate or '(', got {text or kind!r}", pos)
+def _syntax_error(text: str, tokens: list[str], i: int, message: str) -> NoReturn:
+    """Raise ``message``, filled in with token ``i`` ("EOF" past the last),
+    at that token's position.  Only here is the text scanned with
+    positions, and that scan raises first at any stray character."""
+    positioned = _tokenize(text)
+    raise FormulaSyntaxError(message.format(tokens[i] or "EOF"), positioned[i][1])
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into its unique AST under the declared precedence."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse formula text into its unique AST under the declared precedence.
+
+    One pass over the token strings by index, with operators pending on a
+    stack: an operand settles the prefix operators just before it, and a
+    binary operator, ")" or the end settles the pending binary operators
+    that bind at least as tightly, innermost first.  Nodes are built, and
+    the nesting limits checked, in the order recursive descent meets them,
+    so every error is the one it raises, at the same token.
+    """
+    tokens = _scan(text)
+    tokens.append("")  # the end
+    pending: list[tuple] = [(_BOTTOM,)]
+    depth = 0  # parentheses and prefix operators pending
+    i = 0
+    while True:
+        tok = tokens[i]
+        while tok in _OPENERS:
+            depth += 1
+            if depth > MAX_NESTING:
+                _syntax_error(text, tokens, i, _TOO_DEEP)
+            level, node_type = _OPENERS[tok]
+            pending.append((level, node_type, i))
+            i += 1
+            tok = tokens[i]
+        if tok[:1] not in _LETTERS:
+            _syntax_error(text, tokens, i, "expected predicate or '(', got {!r}")
+        node, height = Pred(tok), 0
+        i += 1
+        while True:  # after an operand
+            while pending[-1][0] == _PREFIX_LEVEL:
+                _, node_type, at = pending.pop()
+                depth -= 1
+                height += 1
+                if height > MAX_NESTING:
+                    _syntax_error(text, tokens, at, _TOO_DEEP)
+                node = node_type(node)
+            tok = tokens[i]
+            level, node_type = _BINARY.get(tok, _NOT_BINARY)
+            while pending[-1][0] >= level:
+                _, binary_type, at, left, left_height = pending.pop()
+                if left_height > height:
+                    height = left_height
+                height += 1
+                if height > MAX_NESTING:
+                    _syntax_error(text, tokens, at, _TOO_DEEP)
+                node = binary_type(left, node)
+            if node_type is not None:
+                pending.append((level, node_type, i, node, height))
+                i += 1
+                break
+            if pending[-1][0] == _PAREN:
+                if tok != ")":
+                    _syntax_error(text, tokens, i, "expected ')'")
+                pending.pop()
+                depth -= 1
+                i += 1
+            elif tok:
+                _syntax_error(text, tokens, i, "unexpected {!r}")
+            else:
+                return node
 
 
 # --- rendering -------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
 from .hilbert import Subspace, _lead, _orthogonal, join, ortho
 from .lattice import close
-from .models import Model, PredicateInfo, model_to_dict
+from .models import MAX_DIM, Model, PredicateInfo, model_to_dict
 
 MAX_GENERATION_ATTEMPTS = 32
 
@@ -104,11 +104,14 @@ def random_qm_spec(
     elements then get distinct theta sets, and distinct signatures, since
     an extension is full exactly at probability 1.  Each failed attempt
     (overflow, degenerate draw) moves to a derived sub-seed; the attempt
-    count is returned for the file header.  A dimension below 1, or more
-    than one property line in C^1, raises ValueError before any draw.
+    count is returned for the file header.  A dimension below 1 or above
+    ``models.MAX_DIM``, or more than one property line in C^1, raises
+    ValueError before any draw.
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, not {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim}, over the cap {MAX_DIM}")
     if dim == 1 and n_properties > 1:
         raise ValueError(f"C^1 has one line, so {n_properties} property lines cannot be distinct")
     for attempt in range(1, max_attempts + 1):

@@ -51,6 +51,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 MAX_RELATION_DEPTH = 3
 
 MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has an entry for each
+MAX_DIM = 64  # Hilbert space dimension of a spec: exact elimination grows about as dim**2.5
 
 
 @dataclass(frozen=True)
@@ -484,7 +485,7 @@ def _mask(
 def signature(m: Model, f: Formula) -> Signature:
     """The set of (state, object) pairs satisfying the classical formula."""
     space = SignatureSpace(m)
-    return space.to_signature(space.mask_of(f, {}))
+    return space.to_signature(space.mask_of(f))
 
 
 def logical_leq(m: Model, f: Formula, g: Formula) -> bool:

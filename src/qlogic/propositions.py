@@ -35,7 +35,7 @@ class PhysicalProposition:
 
 def physical_proposition(m: Model, f: Formula) -> PhysicalProposition:
     space = SignatureSpace(m)
-    return PhysicalProposition(space.proposition(space.mask_of(f, {})), f)
+    return PhysicalProposition(space.proposition(space.mask_of(f)), f)
 
 
 def testable(m: Model, f: Formula, scope: str = "properties") -> str | None:
@@ -45,7 +45,7 @@ def testable(m: Model, f: Formula, scope: str = "properties") -> str | None:
     property predicates; returns None when no witness exists.
     """
     space = SignatureSpace(m)
-    return space.witnesses(scope).get(space.mask_of(f, {}))
+    return space.witnesses(scope).get(space.mask_of(f))
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Reference formula scanning, parsing, node construction and tree walks,
 kept from before the package tokenized with one regular-expression scan,
-parsed by precedence climbing, cached the quantum flag on each node and
-built each node in one step.
+parsed the token strings in one loop with pending operators on a stack,
+cached the quantum flag on each node and built each node in one step.
 
 The differential tests require ``qlogic.formulas`` to give the same tokens
 (kind, 1-based position, text), the same trees, the same syntax errors

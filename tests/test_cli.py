@@ -8,11 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from qlogic import cli
+from qlogic import bridge, cli
 from qlogic.bridge import build_model, load_spec
 from qlogic.cli import main
 from qlogic.errors import ModelValidationError
-from qlogic.models import MAX_PAIRS, Model, PredicateInfo, SignatureSpace
+from qlogic.models import MAX_DIM, MAX_PAIRS, Model, PredicateInfo, SignatureSpace
 
 from conftest import DATA_DIR, REPO, SPEC_DIR, mo_squared_spec
 
@@ -77,6 +77,19 @@ def test_eval_unknown_predicate_is_one_error_line_on_either_input(capsys, flag, 
     language, even where the rest of it is a tautology."""
     code, out, err = run(capsys, "eval", flag, source, "--formula", formula)
     assert (code, out, err) == (1, "", "error: UnknownPredicate: Nope\n")
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [("~q(Ez & Ex)", "no property predicate has the signature of Ez & Ex"),
+     ("(Ez &q Ex) & Ez", "classical connective above a quantum subformula in Ez &q Ex & Ez")],
+    ids=["no-witness", "classical-above-quantum"],
+)
+def test_eval_untestable_quantum_formula_is_one_error_line(capsys, formula, message):
+    """The message names the formula as rendered, though it is rendered
+    only when the error is printed."""
+    code, out, err = run(capsys, "eval", "--qm-spec", WORKED, "--formula", formula)
+    assert (code, out, err) == (1, "", f"error: NotTestable: {message}\n")
 
 
 def test_eval_json_output(capsys):
@@ -591,6 +604,39 @@ def test_an_oversized_universe_is_one_error_line(tmp_path, capsys, flag):
     assert code == 1 and out == ""
     assert err.startswith("error: ModelValidationError:") and f"over the cap {MAX_PAIRS}" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["gen", "--qm-spec"])
+def test_an_oversized_dimension_is_one_error_line(tmp_path, capsys, monkeypatch, source):
+    """A dimension past the cap is refused before any draw (gen, a shape
+    error) or any elimination (a --qm-spec file, padded with zeros so that
+    it is valid but for its dimension)."""
+    dim = MAX_DIM + 1
+    if source == "gen":
+        code, out, err = run(capsys, "gen", "--kind", "qm", "--dim", str(dim))
+        expected = "usage error: "
+    else:
+        with open(WORKED, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["dim"] = dim
+        for state in data["states"]:
+            state["vector"] += ["0"] * (dim - len(state["vector"]))
+        for prop in data["properties"]:
+            prop["basis"] = [row + ["0"] * (dim - len(row)) for row in prop["basis"]]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(bridge, "subspace_from_strings", lambda *_: pytest.fail("eliminated"))
+        code, out, err = run(capsys, "check", "--qm-spec", str(path))
+        expected = "error: ModelValidationError: "
+    assert (code, out, err) == (1, "", f"{expected}dimension {dim}, over the cap {MAX_DIM}\n")
+
+
+def test_the_dimension_cap_admits_its_bound():
+    spec = load_spec(WORKED)
+    state = spec.states[0][0], spec.states[0][1] + spec.states[0][1][:1] * (MAX_DIM - 2)
+    assert replace(spec, dim=MAX_DIM, states=(state,), properties=()).dim == MAX_DIM
+    with pytest.raises(ModelValidationError, match=f"dimension {MAX_DIM + 1}, over the cap"):
+        replace(spec, dim=MAX_DIM + 1, states=(state,), properties=())
 
 
 def test_the_pair_cap_counts_every_state():

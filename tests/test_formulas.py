@@ -314,6 +314,12 @@ def test_tokenizer_matches_the_character_loop(text):
 @given(_texts())
 @example(" ")
 @example("(E |q ~F) ")
+@example("E & ) \u00e9")  # a syntax error before a stray character: the stray one wins
+@example("(E |q")  # the end inside parentheses
+@example("E1\u00e9")  # a stray character glued to an identifier
+@example("~qE")
+@example("~ qE")
+@example("E ->q")  # an operator at the end
 def test_parser_matches_recursive_descent(text):
     assert _outcome(parse, text) == _outcome(reference.parse, text)
 
