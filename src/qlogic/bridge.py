@@ -542,15 +542,11 @@ def check_quantum_equivalences(
     ]
 
     # propositions and theta sets as state bitmasks, bit k for the k-th state
-    bit, theta = qm.state_bits, qm.theta_masks
-    all_states = (1 << len(bit)) - 1
-
-    def proposition(mask: int) -> int:
-        return sum(bit[s] for s, block in space.state_masks.items() if mask & block == block)
+    theta, all_states = qm.theta_masks, (1 << len(qm.state_bits)) - 1
 
     # testable classical classes are exactly the predicate signature classes
     reps = [
-        (mask, name, proposition(mask), qm.element_index[name])
+        (mask, name, proposition_bits(qm, space, mask), qm.element_index[name])
         for mask, name in space.witnesses().items()
     ]
 
@@ -638,6 +634,13 @@ def check_q_trichotomy(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"
                 )
     return _relation("q-truth-trichotomy", checked, violations)
+
+
+def proposition_bits(qm: QuantumModel, space: SignatureSpace, mask: int) -> int:
+    """The proposition of the mask, the states whose block it fills, as a
+    bitmask of ``qm.state_bits``."""
+    bit = qm.state_bits
+    return sum(bit[s] for s, block in space.state_masks.items() if mask & block == block)
 
 
 def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:

@@ -24,6 +24,7 @@ from .bridge import (
     check_quantum_equivalences,
     load_spec,
     lt_quotient_check,
+    proposition_bits,
     q_truth,
     reduce_qwff,
     states_separate,
@@ -300,8 +301,8 @@ def _state_separation(run: _CheckInput) -> list[SuiteResult]:
     """Whether the states separate the lattice elements, and whether the
     signature and proposition preorders coincide on the testable classes."""
     space = run.space
-    reps = [(mask, space.proposition(mask)) for mask in space.witnesses()]
-    coincides = all((a | b == b) == (pa <= pb) for a, pa in reps for b, pb in reps)
+    reps = [(a, proposition_bits(run.qm, space, a)) for a in space.witnesses()]
+    coincides = all((a | b == b) == (not pa & ~pb) for a, pa in reps for b, pb in reps)
     info = {"separating": states_separate(run.qm, space), "preorder-coincides": coincides}
     return [SuiteResult("state-separation", len(run.qm.lattice), info=info)]
 

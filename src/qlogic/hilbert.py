@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, format_parts, format_scalar, parse_scalar
+from .gaussian import GR_ZERO, GaussianRational, format_parts, format_scalar, parse_scalar
 
 Vector = tuple[GaussianRational, ...]
 Row = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
@@ -193,11 +193,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> Subspace:
-        rows = tuple(
-            tuple(GR_ONE if i == j else GR_ZERO for j in range(ambient))
-            for i in range(ambient)
-        )
-        return cls(ambient, rows)
+        # the integer identity rows are already reduced; the constructor refuses ambient < 1
+        rows = [([0] * i + [1] + [0] * (ambient - 1 - i), [0] * ambient) for i in range(ambient)]
+        return cls._from_reduced(ambient, rows) if ambient > 0 else cls(ambient)
 
     @property
     def basis(self) -> tuple[Vector, ...]:

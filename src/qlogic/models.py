@@ -376,6 +376,8 @@ class SignatureSpace:
         self.pairs, self.position, self.omega = m.pairs, m.position, m.omega
         self.state_masks, self.pred_masks = m.state_masks, m.pred_masks
         self._witnesses = m.witnesses
+        self._atoms: dict[tuple[str, ...], tuple[int, ...]] = {}
+        self._sweeps: dict[tuple[tuple[str, ...], int], dict[int, object]] = {}
         self._classes: dict[tuple[tuple[str, ...], int], dict[int, Formula]] = {}
 
     def witnesses(self, scope: str = "properties") -> Mapping[int, str]:
@@ -408,18 +410,27 @@ class SignatureSpace:
         self, generator_names: Iterable[str], max_depth: int
     ) -> dict[int, Formula]:
         """Signature classes of all classical formulas over the generators
-        up to the given depth, each with one representative formula.
-
-        Signatures compose (the mask of a connective node is a set
-        operation on the children's masks), so layering over class
-        representatives enumerates exactly the signatures of the full
-        formula enumeration without materializing it.  Each sweep runs once
-        per space, and its callers share the dict, which none may change.
-        """
+        up to the given depth, each with one representative formula:
+        ``atom_classes`` with each atom set read as its mask and each parent
+        record as its formula, in the same order, memoized alike."""
         key = (tuple(generator_names), max_depth)
         if key not in self._classes:
-            self._classes[key] = self._closure(key[0], rounds=max_depth)
+            self._classes[key] = self._formulas(self.atom_classes(*key))
         return self._classes[key]
+
+    def atom_classes(self, generator_names: Iterable[str], max_depth: int) -> dict[int, object]:
+        """The same classes as the sets of atoms they hold, bit i for
+        ``atoms(generator_names)[i]``, each mapped to its parent record: a
+        generator's ``Pred``, or a connective with its operands' records.
+        Signatures compose, so layering over classes enumerates those of the
+        full formula enumeration; the generated algebra is isomorphic to the
+        power set of its atoms, so keys, order and deduplication are those
+        of a sweep over masks.  Memoized per space; callers share the dict,
+        which none may change."""
+        key = (tuple(generator_names), max_depth)
+        if key not in self._sweeps:
+            self._sweeps[key] = self._closure(key[0], rounds=max_depth)
+        return self._sweeps[key]
 
     def closed_classes(
         self, generator_names: Iterable[str], max_elements: int | None = None
@@ -434,27 +445,54 @@ class SignatureSpace:
         overflow = ClosureOverflow(
             f"signature algebra exceeded {max_elements} elements", generators=names
         )
-        return self._closure(names, cap=max_elements, overflow=overflow)
+        return self._formulas(self._closure(names, cap=max_elements, overflow=overflow))
 
-    def atoms(self, generator_names: Iterable[str]) -> list[int]:
+    def atoms(self, generator_names: Iterable[str]) -> tuple[int, ...]:
         """Masks of the cells of bits lying in exactly the same generators,
         refined one generator at a time by splitting each cell into its
-        part inside and its part outside the generator; in no set order.
-        The generators close to the unions of these atoms (Givant & Halmos),
-        2**len(atoms) elements."""
-        cells = [self.omega] if self.omega else []
-        for name in generator_names:
-            mask = self.mask_of(Pred(name))
-            cells = [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
-        return cells
+        part inside and its part outside the generator; in no set order,
+        computed once per alphabet.  The generators close to the unions of
+        these atoms (Givant & Halmos), 2**len(atoms) elements."""
+        names = tuple(generator_names)
+        if names not in self._atoms:
+            cells = [self.omega] if self.omega else []
+            for name in names:
+                mask = self.mask_of(Pred(name))
+                cells = [part for cell in cells for part in (cell & mask, cell & ~mask) if part]
+            self._atoms[names] = tuple(cells)
+        return self._atoms[names]
 
-    def _closure(self, generator_names: Iterable[str], **limits) -> dict[int, Formula]:
-        seeds: dict[int, Formula] = {}
+    def atom_set(self, mask: int, generator_names: Iterable[str]) -> int | None:
+        """The atoms of the generators whose union is the mask, bit i for
+        ``atoms(generator_names)[i]``; None when it is no such union."""
+        atoms = self.atoms(generator_names)
+        met = [i for i, atom in enumerate(atoms) if atom & mask]
+        return _bits(met) if sum(atoms[i] for i in met) == mask else None
+
+    def _closure(self, generator_names: tuple[str, ...], **limits) -> dict[int, object]:
+        seeds: dict[int, object] = {}
         for name in generator_names:
-            seeds.setdefault(self.mask_of(Pred(name)), Pred(name))
-        unary = [(lambda mask, omega=self.omega: omega & ~mask, Not)]
-        binary = [(operator.and_, And), (operator.or_, Or)]
+            seeds.setdefault(self.atom_set(self.mask_of(Pred(name)), generator_names), Pred(name))
+        full = (1 << len(self.atoms(generator_names))) - 1  # complement within the atoms
+        unary = [(full.__xor__, lambda rep: (Not, rep))]
+        binary = [(operator.and_, lambda a, b: (And, a, b)), (operator.or_, lambda a, b: (Or, a, b))]
         return fixpoint(seeds, unary, binary, symmetric=True, **limits)
+
+    def _formulas(self, classes: dict[int, object]) -> dict[int, Formula]:
+        built: dict[int, Formula] = {}  # by id of the record, so subtrees are shared
+        cache: dict[Formula, int] = {}
+        return {self.mask_of(f := _rebuild(rep, built), cache): f for rep in classes.values()}
+
+
+def _rebuild(rep, built: dict[int, Formula] | None = None) -> Formula:
+    """The formula a parent record of ``atom_classes`` stands for; a record
+    met before, by identity, takes the formula ``built`` holds for it."""
+    if isinstance(rep, Formula):
+        return rep
+    built = {} if built is None else built
+    if id(rep) not in built:
+        built[id(rep)] = rep[0](*(_rebuild(parent, built) for parent in rep[1:]))
+    return built[id(rep)]
 
 
 def _mask(
@@ -700,11 +738,12 @@ def check_cmt(
     if max_depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     names = space.model.property_names() if predicates is None else predicates
-    classes = space.reachable_classes(names, max_depth)
+    classes = space.atom_classes(names, max_depth)
+    carried = {space.atom_set(mask, names) for mask in space.witnesses()}
     result = SuiteResult("cm-testability", len(classes), info={"holds": True})
-    for mask, rep in classes.items():
-        if mask not in space.witnesses():
-            result.info = {"holds": False, "witness": render(rep)}
+    for key, rep in classes.items():
+        if key not in carried:
+            result.info = {"holds": False, "witness": render(_rebuild(rep))}
             break
     return result
 

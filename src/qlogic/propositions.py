@@ -139,46 +139,52 @@ def check_connective_relations(
     if max_depth > MAX_RELATION_DEPTH:
         raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     names = space.model.predicate_names() if predicates is None else predicates
-    masks = list(space.reachable_classes(names, max_depth))
-    generators = [space.pred_masks[name] for name in names]
+    classes = list(space.atom_classes(names, max_depth))  # atom sets, bit i for atoms[i]
+    atoms = space.atoms(names)
 
-    # A class is a Boolean combination of the generators, so its slice of a
-    # block follows from theirs: blocks of one width where the generators
-    # have the same slices are counted once, and a block that no generator
-    # splits holds each class whole or not at all, so it is never strict.
-    distinct: dict[tuple, int] = {}
-    for state, block in space.state_masks.items():
-        offset = space.model.blocks[state][0]
-        full, slices = block >> offset, tuple((g & block) >> offset for g in generators)
-        if any(0 != x != full for x in slices):
-            distinct.setdefault((full, slices), block)
-    blocks = list(distinct.values())
+    # A class's slice of a state block follows from the atoms it holds among
+    # those meeting the block: blocks met by the same atoms form one group,
+    # counted once, and a block met by one atom is never strict.
+    groups: dict[int, list[int]] = {}
+    for block in space.state_masks.values():
+        met = [i for i, atom in enumerate(atoms) if atom & block]
+        if len(met) > 1:
+            groups.setdefault(_bitset(met), met)
+    # holders[i]: the classes holding atom i, a bitset over positions in
+    # classes, read in linear time off the columns of their binary numerals
+    numerals = [format(key, f"0{len(atoms)}b") for key in reversed(classes)]
+    holders = [int("".join(column), 2) for column in zip(*numerals)][::-1]
 
-    # Per block, each slice x that is neither empty nor full maps to the
-    # classes (a bitset over positions in masks) whose slice y fills the
-    # block with x and is not full either; an empty x has no such y.  The
-    # bitsets of distinct slices are disjoint, so their sum is their union.
+    # Per group, each slice x that is neither empty nor full maps to the
+    # classes whose slice y fills the group with x and is not full either.
+    # The classes are split by slice one atom at a time, as atoms split the
+    # bits, so the bitsets are disjoint and their sum is their union.
     split = 0  # the classes with a slice neither empty nor full
     fillers = []
-    for block in blocks:
-        by_slice: dict[int, list[int]] = {}
-        for position, mask in enumerate(masks):
-            by_slice.setdefault(mask & block, []).append(position)
-        by_slice.pop(block, None)
-        by_slice.pop(0, None)
-        bits = {x: _bitset(positions) for x, positions in by_slice.items()}
+    for group, met in groups.items():
+        bits = {0: (1 << len(classes)) - 1}
+        for i in met:
+            refined = {}
+            for x, members in bits.items():
+                if inside := members & holders[i]:
+                    refined[x | 1 << i] = inside
+                if outside := members ^ inside:
+                    refined[x] = outside
+            bits = refined
+        bits.pop(group, None)
+        bits.pop(0, None)
         split |= sum(bits.values())
-        table = {x: f for x in bits if (f := sum(b for y, b in bits.items() if x | y == block))}
+        table = {x: f for x in bits if (f := sum(b for y, b in bits.items() if x | y == group))}
         if table:
-            fillers.append((block, table))
+            fillers.append((group, table))
     strict_joins = 0
-    for mask in masks:
+    for key in classes:
         partners = 0
-        for block, table in fillers:
-            partners |= table.get(mask & block, 0)
+        for group, table in fillers:
+            partners |= table.get(key & group, 0)
         strict_joins += partners.bit_count()
 
-    n = len(masks)
+    n = len(classes)
     return [
         SuiteResult("connective-relation-negation", n, info={"strict": split.bit_count()}),
         SuiteResult("connective-relation-meet", n * n, info={"strict": 0}),

@@ -637,8 +637,9 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     """Operation counts on gen_qm_seed11.json (16 elements, 15 states, 7
     line primaries), independent of the machine.  close makes 5 kernel
     joins (21 before it reused known joins and inclusions) and 8 null
-    spaces, one per complement pair, and so 5 + 8 + 2 = 15 eliminations,
-    the 2 for the zero and full subspaces it starts from.  The build makes 127
+    spaces, one per complement pair, and so 5 + 8 + 1 = 14 eliminations,
+    the 1 for the zero subspace it starts from (the full one is built from
+    identity rows, which are already reduced).  The build makes 127
     Gaussian-integer inner products and no elimination: one squared norm
     per state, one <u|u> per line primary and one per (line, state); the
     partner planes read 1 - born of their line, and the zero/full pair
@@ -660,7 +661,7 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     counting(hilbert, "_nullspace", "nullspace")
     counting(lattice, "join", "join")
     lat = lattice.close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
-    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 8, 15)
+    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 8, 14)
     for key in counts:
         counts[key] = 0
     qm = bridge._model_from_lattice(spec, lat)

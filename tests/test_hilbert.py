@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlogic import hilbert
 from qlogic.bridge import _generated_name
-from qlogic.errors import DimensionMismatch, ZeroVector
+from qlogic.errors import DimensionMismatch, ModelValidationError, ZeroVector
 from qlogic.gaussian import GaussianRational, format_scalar, gr
 from qlogic.hilbert import (
     Subspace,
@@ -36,6 +36,22 @@ EX = Subspace.span([(gr(1), gr(1))])
 
 def test_ortho_standard_basis():
     assert ortho(E1) == E2
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_full_space_equals_the_reduced_identity(dim):
+    """``full`` builds its canonical rows directly; they are the rows the
+    constructor reduces the identity basis to."""
+    identity = [[gr(int(i == j)) for j in range(dim)] for i in range(dim)]
+    full = Subspace.full(dim)
+    assert full == Subspace(dim, identity) and hash(full) == hash(Subspace(dim, identity))
+    assert full.basis == Subspace(dim, identity).basis and full.dim == dim
+
+
+def test_full_space_refuses_a_nonpositive_dimension():
+    for dim in (0, -1):
+        with pytest.raises(ModelValidationError, match="ambient dimension must be positive"):
+            Subspace.full(dim)
 
 
 def test_ortho_involution():

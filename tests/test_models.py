@@ -544,6 +544,26 @@ def test_signature_classes_equal_literal_enumeration_classes():
             assert layered == literal
 
 
+def test_atom_classes_are_the_mask_classes_read_as_unions_of_atoms(worked_qm):
+    """Each key of the atom sweep, read as the union of its atoms, is the
+    mask ``reachable_classes`` gives the class in the same position, and
+    ``atom_set`` maps that mask back; a mask that splits an atom has none."""
+    seed11 = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
+    inputs = [(qm.model, tuple(name for name, _ in qm.spec.properties)) for qm in (worked_qm, seed11)]
+    inputs += [(m, m.predicate_names()) for m in map(random_classical_model, range(4))]
+    for m, names in inputs:
+        space = SignatureSpace(m)
+        atoms = space.atoms(names)
+        assert sum(atoms) == space.omega and all(a & b == 0 for a in atoms for b in atoms if a != b)
+        for depth in range(4):
+            keys = list(space.atom_classes(names, depth))
+            unions = [sum(atom for i, atom in enumerate(atoms) if key >> i & 1) for key in keys]
+            assert unions == list(space.reachable_classes(names, depth))
+            assert [space.atom_set(mask, names) for mask in unions] == keys
+        split = next(atom for atom in atoms if atom & (atom - 1))  # an atom of two or more bits
+        assert space.atom_set(split & -split, names) is None
+
+
 # -- the frozen model and its signature index ---------------------------------------
 
 

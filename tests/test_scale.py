@@ -48,7 +48,18 @@ def _first_distributivity_failure(n: int, edges: list) -> tuple | None:
     )
 
 
-@pytest.mark.parametrize("k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (2, 3)])
+# (k, depth): the classes of the connective census and its strict negations
+# and joins, as the census over masks and Formula nodes counted them
+CENSUS = {
+    (3, 2): (3486, 3484, 2485832),
+    (7, 1): (617, 616, 21952),
+    (7, 2): (69894, 69892, 904621564),
+}
+
+
+@pytest.mark.parametrize(
+    "k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2)]
+)
 def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
     spec = mo_squared_spec(k)
     path = tmp_path / f"mo{k}_squared.json"
@@ -75,3 +86,13 @@ def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
     assert suites["distributivity-witness"]["info"]["expected-nondistributive"] == (k >= 2)
     assert suites["qwff-quotient-isomorphism"]["info"]["status"] == "isomorphic"
     assert suites["state-separation"]["info"]["separating"]
+    if (k, depth) in CENSUS:
+        classes, negations, joins = CENSUS[k, depth]
+        census = [suites[f"connective-relation-{name}"] for name in ("negation", "meet", "join")]
+        assert [(s["checked"], s["violations"], s["info"]) for s in census] == [
+            (classes, 0, {"strict": negations}),
+            (classes**2, 0, {"strict": 0}),
+            (classes**2, 0, {"strict": joins}),
+        ]
+        assert suites["cm-testability"]["checked"] == classes
+        assert suites["cm-testability"]["info"] == {"holds": False, "witness": "Pa0_0 | Pb0_0"}

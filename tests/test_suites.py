@@ -16,10 +16,11 @@ from qlogic.bridge import (
     build_model,
     check_q_trichotomy,
     check_quantum_equivalences,
+    spec_from_dict,
 )
 from qlogic.cli import main
 from qlogic.errors import ClosureOverflow
-from qlogic.formulas import render
+from qlogic.formulas import Pred, depth as formula_depth, parse, render
 from qlogic.generate import random_qm_spec
 from qlogic.models import (
     Model,
@@ -32,8 +33,9 @@ from qlogic.models import (
 )
 from qlogic.propositions import check_connective_relations
 
+import closure_reference
 import suite_reference as reference
-from conftest import SPEC_DIR, with_extensions
+from conftest import SPEC_DIR, mo_squared_spec, with_extensions
 
 
 def _stats(records):
@@ -167,6 +169,60 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
         demorgan, implication, *_ = check_quantum_equivalences(qm, space, depth)
         want = reference.demorgan_and_implication(qm, depth)
         assert _stats([demorgan, implication]) == [astuple(t) for t in want]
+
+
+def _cm_testability_by_ordered_sweep(space, names, depth):
+    """(holds, witness, checked) of cm-testability read off the ordered
+    mask sweep of ``closure_reference``: the witness is the first class, in
+    sweep order, whose mask no property predicate carries, rendered."""
+    classes = closure_reference.reachable_classes(space, names, depth)
+    carried = {space.mask_of(Pred(name)) for name in space.model.property_names()}
+    witness = next((render(f) for mask, f in classes.items() if mask not in carried), None)
+    return witness is None, witness, len(classes)
+
+
+def _cm_testability(space, names, depth):
+    result = check_cmt(space, depth, predicates=names)
+    return result.info["holds"], result.info.get("witness"), result.checked
+
+
+@pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_cm_testability_matches_the_ordered_sweep_on_generated_specs(dim, properties, seed):
+    qm = build_model(random_qm_spec(seed, dim, properties)[0])
+    names = tuple(name for name, _ in qm.spec.properties)
+    space = SignatureSpace(qm.model)
+    for depth in range(1, 5):
+        want = _cm_testability_by_ordered_sweep(space, names, depth)
+        assert _cm_testability(space, names, depth) == want
+
+
+def test_cm_testability_matches_the_ordered_sweep_on_mo2_squared():
+    qm = build_model(spec_from_dict(mo_squared_spec(2)))
+    names = tuple(name for name, _ in qm.spec.properties)
+    space = SignatureSpace(qm.model)
+    for depth in range(1, 4):
+        want = _cm_testability_by_ordered_sweep(space, names, depth)
+        assert want[:2] == (False, "Pa0_0 | Pb0_0")
+        assert _cm_testability(space, names, depth) == want
+
+
+def test_cm_testability_rebuilds_a_deeper_witness_as_the_ordered_sweep_renders_it():
+    """Properties carry every class of depth 1 over P and Q, so the first
+    class none carries comes from a depth-2 record, rebuilt from its parents."""
+    depth_one = {"P": {0, 1}, "Q": {1, 2}, "NP": {2, 3}, "NQ": {0, 3}, "PQ": {1}, "PoQ": {0, 1, 2}}
+    model = Model(
+        tuple(PredicateInfo(name) for name in depth_one),
+        ("S",),
+        {"S": 4},
+        {("S", name): frozenset(ext) for name, ext in depth_one.items()},
+    )
+    space = SignatureSpace(model)
+    assert _cm_testability(space, ("P", "Q"), 1) == (True, None, 6)
+    want = _cm_testability_by_ordered_sweep(space, ("P", "Q"), 2)
+    assert formula_depth(parse(want[1])) == 2
+    assert _cm_testability(space, ("P", "Q"), 2) == want
 
 
 def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
