@@ -151,7 +151,9 @@ def check_connective_relations(
         if len(met) > 1:
             groups.setdefault(_bitset(met), met)
     # holders[i]: the classes holding atom i, a bitset over positions in
-    # classes, read in linear time off the columns of their binary numerals
+    # classes, read in linear time off the columns of their binary numerals;
+    # the last class comes first, so bit p is class p and a set of early
+    # classes stays a short int (the union loop below ORs these sets)
     numerals = [format(key, f"0{len(atoms)}b") for key in reversed(classes)]
     holders = [int("".join(column), 2) for column in zip(*numerals)][::-1]
 
