@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run every applicable conformance suite")
     add_common(p)
-    p.add_argument("--depth", type=int, default=3, help="enumeration depth cap, 0 to 4")
+    p.add_argument("--depth", type=int, default=3, help="quantum suites' qwff depth, 0 to 4")
 
     p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
     add_common(p, formats=("text", "json", "dot"))
@@ -268,7 +268,7 @@ def _boolean_quotient(run: _CheckInput) -> list[SuiteResult]:
 def _cm_suites(run: _CheckInput) -> list[SuiteResult]:
     model = run.space.model
     cms = check_cms(model)
-    cmt = check_cmt(run.space, min(run.depth, 4), predicates=run.generators)
+    cmt = check_cmt(run.space, predicates=run.generators)
     # The alphabet is property predicates, each full or empty in every
     # state, so every Boolean combination of them is too: truth and
     # certain truth coincide and no class can be object-dependent.
@@ -313,7 +313,7 @@ def _state_separation(run: _CheckInput) -> list[SuiteResult]:
 # a suite rebound on this module (as the benchmark tracer does) is the one
 # called.
 _SUITES = (
-    ("any", lambda run: check_connective_relations(run.space, min(run.depth, 3), run.generators)),
+    ("any", lambda run: check_connective_relations(run.space, run.generators)),
     ("any", _boolean_quotient),
     ("any", _cm_suites),
     ("qm-spec", _lattice_suites),

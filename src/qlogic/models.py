@@ -16,6 +16,7 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
@@ -723,27 +724,26 @@ def check_cms(m: Model) -> bool:
     return True
 
 
-def check_cmt(
-    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
-) -> SuiteResult:
-    """cm-testability: whether every property-wff up to max_depth has a
-    property predicate with its signature (``info["holds"]``); when not,
-    ``info["witness"]`` renders a formula with no such predicate.  A
-    profile, not a law, so it reports no violations.
+def check_cmt(space: SignatureSpace, predicates: tuple[str, ...] | None = None) -> SuiteResult:
+    """cm-testability: whether every class of the algebra the property
+    predicates generate has a property predicate with its signature
+    (``info["holds"]``); when not, ``info["witness"]`` renders the first
+    class, in sweep order, that none carries.  A profile, not a law, so it
+    reports no violations.
 
-    ``predicates`` restricts which property predicates the wffs are built
-    from (witness search always covers the whole table); callers with
-    large tables pass the generating fragment to keep the sweep bounded.
+    ``predicates`` restricts which property predicates generate the
+    algebra (witness search always covers the whole table).
     """
-    if max_depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
     names = space.model.property_names() if predicates is None else predicates
-    classes = space.atom_classes(names, max_depth)
-    carried = {space.atom_set(mask, names) for mask in space.witnesses()}
-    result = SuiteResult("cm-testability", len(classes), info={"holds": True})
-    for key, rep in classes.items():
-        if key not in carried:
-            result.info = {"holds": False, "witness": render(_rebuild(rep))}
+    checked = quotient_size(space, names)  # 0 for an empty alphabet, which builds no formula
+    carried = {space.atom_set(mask, names) for mask in space.witnesses()} - {None}
+    result = SuiteResult("cm-testability", checked, info={"holds": True})
+    # A sweep one round deeper starts with the last one's classes, all carried
+    for depth in count(1) if names and len(carried) < checked else ():
+        classes = space.atom_classes(names, depth)
+        missed = [rep for key, rep in classes.items() if key not in carried]
+        if missed:
+            result.info = {"holds": False, "witness": render(_rebuild(missed[0]))}
             break
     return result
 

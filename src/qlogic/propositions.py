@@ -9,11 +9,11 @@ predicates gives the stricter notion used by the quantum bridge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
-from .errors import DepthLimitExceeded
 from .formulas import Formula
-from .models import MAX_RELATION_DEPTH, Model, SignatureSpace, SuiteResult
+from .models import Model, SignatureSpace, SuiteResult, quotient_size
 from .models import _bits as _bitset
 
 
@@ -120,75 +120,74 @@ def proposition_poset(m: Model, formulas: list[Formula]) -> PropositionPoset:
 
 
 def check_connective_relations(
-    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
+    space: SignatureSpace, predicates: tuple[str, ...] | None = None
 ) -> list[SuiteResult]:
     """Strictness census of the connective/set-operation relations over
-    all signature classes of formulas up to max_depth.
+    the 2**atoms classes the alphabet generates (Givant & Halmos), none for
+    an empty alphabet: the negation, meet and join suites, in that order.
 
     Propositions are per-state "the mask covers the state's block" and
-    universes are nonempty, so the relations are theorems for any masks:
-    a negation's proposition lies inside the complement, a conjunction's is
-    the intersection, a disjunction's contains the union.  Only the census
-    is computed: a negation is strict when some state slice of the class is
-    neither empty nor full, a join of an ordered pair when some block is
-    full in m1|m2 but in neither operand; meets are never strict.
-    ``predicates`` bounds the formula alphabet; None means the whole table.
-    Returns the negation, meet and join suites, in that order, each with
-    its strict count in ``info``.
+    universes are nonempty, so the relations are theorems for any masks.
+    A class, a set of atoms, fills a block when it holds the group of atoms
+    meeting it.  A negation is strict when the class holds part of a group,
+    a join of an ordered pair when the union holds a group that neither
+    operand holds; meets are never strict.  What is not strict is counted
+    per connected component of the groups, which are independent, times 2
+    (negations) or 4 (joins) per atom in no group.  ``predicates`` is the
+    alphabet; None means the whole table.
     """
-    if max_depth > MAX_RELATION_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     names = space.model.predicate_names() if predicates is None else predicates
-    classes = list(space.atom_classes(names, max_depth))  # atom sets, bit i for atoms[i]
     atoms = space.atoms(names)
+    blocks = space.state_masks.values()
+    met = {_bitset([i for i, atom in enumerate(atoms) if atom & block]) for block in blocks}
+    groups = {g for g in met if g.bit_count() > 1}  # a block met by one atom is never strict
+    components: list[int] = []  # unions of groups linked by shared atoms, disjoint
+    for group in groups:
+        linked = [c for c in components if c & group]
+        components = [c for c in components if not c & group] + [group | sum(linked)]
+    free = len(atoms) - sum(components).bit_count()
+    plain_joins = 4**free * prod(_plain_joins(c, [g for g in groups if g & c]) for c in components)
+    n = quotient_size(space, names)
+    strict = (n - 2 ** (free + len(components)), n * n - plain_joins) if n else (0, 0)
+    return [
+        SuiteResult("connective-relation-negation", n, info={"strict": strict[0]}),
+        SuiteResult("connective-relation-meet", n * n, info={"strict": 0}),
+        SuiteResult("connective-relation-join", n * n, info={"strict": strict[1]}),
+    ]
 
-    # A class's slice of a state block follows from the atoms it holds among
-    # those meeting the block: blocks met by the same atoms form one group,
-    # counted once, and a block met by one atom is never strict.
-    groups: dict[int, list[int]] = {}
-    for block in space.state_masks.values():
-        met = [i for i, atom in enumerate(atoms) if atom & block]
-        if len(met) > 1:
-            groups.setdefault(_bitset(met), met)
-    # holders[i]: the classes holding atom i, a bitset over positions in
-    # classes, read in linear time off the columns of their binary numerals;
-    # the last class comes first, so bit p is class p and a set of early
-    # classes stays a short int (the union loop below ORs these sets)
-    numerals = [format(key, f"0{len(atoms)}b") for key in reversed(classes)]
-    holders = [int("".join(column), 2) for column in zip(*numerals)][::-1]
 
+def _plain_joins(component: int, groups: list[int]) -> int:
+    """Ordered pairs of sets of the component's atoms that fill a group
+    together only where one of them fills it alone."""
+    local = list(_bits(component))
+    size = 1 << len(local)  # class p holds local atom j when bit j of p is set
+    full = (1 << size) - 1
+    # holders[j]: the classes holding local atom j, runs of 2**j clear and 2**j set bits
+    holders = [
+        full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for j in range(len(local))
+    ]
     # Per group, each slice x that is neither empty nor full maps to the
     # classes whose slice y fills the group with x and is not full either.
     # The classes are split by slice one atom at a time, as atoms split the
     # bits, so the bitsets are disjoint and their sum is their union.
-    split = 0  # the classes with a slice neither empty nor full
     fillers = []
-    for group, met in groups.items():
-        bits = {0: (1 << len(classes)) - 1}
-        for i in met:
+    for group in groups:
+        fill = sum(1 << j for j, i in enumerate(local) if group >> i & 1)
+        bits = {0: full}
+        for j in _bits(fill):
             refined = {}
             for x, members in bits.items():
-                if inside := members & holders[i]:
-                    refined[x | 1 << i] = inside
+                if inside := members & holders[j]:
+                    refined[x | 1 << j] = inside
                 if outside := members ^ inside:
                     refined[x] = outside
             bits = refined
-        bits.pop(group, None)
-        bits.pop(0, None)
-        split |= sum(bits.values())
-        table = {x: f for x in bits if (f := sum(b for y, b in bits.items() if x | y == group))}
-        if table:
-            fillers.append((group, table))
-    strict_joins = 0
-    for key in classes:
+        part = {x: b for x, b in bits.items() if 0 < x < fill}
+        fillers.append((fill, {x: sum(b for y, b in part.items() if x | y == fill) for x in part}))
+    strict = 0
+    for p in range(size):
         partners = 0
-        for group, table in fillers:
-            partners |= table.get(key & group, 0)
-        strict_joins += partners.bit_count()
-
-    n = len(classes)
-    return [
-        SuiteResult("connective-relation-negation", n, info={"strict": split.bit_count()}),
-        SuiteResult("connective-relation-meet", n * n, info={"strict": 0}),
-        SuiteResult("connective-relation-join", n * n, info={"strict": strict_joins}),
-    ]
+        for fill, table in fillers:
+            partners |= table.get(p & fill, 0)
+        strict += partners.bit_count()
+    return size * size - strict

@@ -1,13 +1,15 @@
 """Reference sweeps that enumerate what ``check`` now decides directly.
 
 These are the loops the classical and quantum suites ran before they were
-decided from atoms, state bitmasks and table lookups: the connective
-relations compared proposition frozensets for every class and ordered pair,
-the Boolean quotient closed the generators' signatures to their fixpoint,
-the De Morgan and implication identities re-reduced the composed qwffs
-for every pair of reachable representatives, and the Q-truth trichotomy
-read each verdict from the theta sets per (element, state).  The differential tests in
-``test_suites.py`` require the same counts, violations, elements and
+decided from atoms, state bitmasks and table lookups, and brute forces
+over what they now count in closed form.  The connective relations
+compare propositions for every class of the generated algebra and every
+ordered pair, on atoms found by a method of their own; the Boolean
+quotient closed the generators' signatures to their fixpoint; the De
+Morgan and implication identities re-reduced the composed qwffs for every
+pair of reachable representatives; and the Q-truth trichotomy read each
+verdict from the theta sets per (element, state).  The differential tests
+in ``test_suites.py`` require the same counts, violations, elements and
 overflow from the package.
 """
 
@@ -31,45 +33,62 @@ class Tally:
     strict: int = 0
 
 
-# -- classical connectives over signature classes -----------------------------------
+# -- classical connectives over the generated algebra ----------------------------
 
 
-def connective_relations(m, max_depth: int, predicates=None) -> tuple[Tally, ...]:
+def atoms(space, names) -> list[int]:
+    """Masks of the cells of (state, object) bits that lie in exactly the
+    same generators: each bit keyed by the generators that hold it."""
+    cells: dict[tuple[int, ...], int] = {}
+    for bit in range(len(space.pairs)):
+        key = tuple(space.pred_masks[name] >> bit & 1 for name in names)
+        cells[key] = cells.get(key, 0) | 1 << bit
+    return list(cells.values())
+
+
+def groups(space, cells: list[int]) -> set[frozenset[int]]:
+    """The distinct sets of two or more cells (by position) that meet one
+    state block."""
+    blocks = space.state_masks.values()
+    met = (frozenset(i for i, cell in enumerate(cells) if cell & block) for block in blocks)
+    return {group for group in met if len(group) > 1}
+
+
+def connective_relations(m, predicates=None) -> tuple[Tally, ...]:
+    """The census by brute force: every union of atoms X, and every ordered
+    pair (X, Y) of them, with propositions read per state block.  Inputs of
+    at most 8 atoms (65 536 pairs)."""
     space = SignatureSpace(m)
     names = m.predicate_names() if predicates is None else predicates
-    items = list(space.reachable_classes(names, max_depth).items())
-    all_states = frozenset(m.states)
-    prop_cache: dict[int, frozenset[str]] = {}
-
-    def prop(mask: int) -> frozenset[str]:
-        if mask not in prop_cache:
-            prop_cache[mask] = space.proposition(mask)
-        return prop_cache[mask]
-
     negation = Tally("connective-relation-negation")
-    for mask, rep in items:
-        negation.checked += 1
-        p_neg = prop(space.omega & ~mask)
-        complement = all_states - prop(mask)
-        if not p_neg <= complement:
-            negation.witnesses.append(render(rep))
-        elif p_neg < complement:
-            negation.strict += 1
-
     meet_rel = Tally("connective-relation-meet")
     join_rel = Tally("connective-relation-join")
-    for m1, f1 in items:
-        p1 = prop(m1)
-        for m2, f2 in items:
-            p2 = prop(m2)
+    if not names:  # no formula, so no class
+        return negation, meet_rel, join_rel
+    cells = atoms(space, names)
+    assert len(cells) <= 8, f"{len(cells)} atoms are too many for the brute force"
+    masks = [sum(c for i, c in enumerate(cells) if x >> i & 1) for x in range(1 << len(cells))]
+    blocks = list(space.state_masks.values())
+    prop = {x: sum(1 << k for k, b in enumerate(blocks) if x & b == b) for x in masks}
+    all_states = (1 << len(blocks)) - 1
+
+    for x in masks:
+        negation.checked += 1
+        p_neg, complement = prop[space.omega & ~x], all_states & ~prop[x]
+        if p_neg & ~complement:
+            negation.witnesses.append(f"~{x:#x}")
+        elif p_neg != complement:
+            negation.strict += 1
+    for x in masks:
+        for y in masks:
             meet_rel.checked += 1
-            if prop(m1 & m2) != p1 & p2:
-                meet_rel.witnesses.append(f"{render(f1)} / {render(f2)}")
+            if prop[x & y] != prop[x] & prop[y]:
+                meet_rel.witnesses.append(f"{x:#x} & {y:#x}")
             join_rel.checked += 1
-            p_or = prop(m1 | m2)
-            if not p_or >= p1 | p2:
-                join_rel.witnesses.append(f"{render(f1)} / {render(f2)}")
-            elif p_or > p1 | p2:
+            union = prop[x] | prop[y]
+            if union & ~prop[x | y]:
+                join_rel.witnesses.append(f"{x:#x} | {y:#x}")
+            elif prop[x | y] != union:
                 join_rel.strict += 1
     return negation, meet_rel, join_rel
 

@@ -46,6 +46,7 @@ from qlogic.models import (
 )
 from qlogic.propositions import check_connective_relations
 
+import suite_reference as reference
 from conftest import closed_cm_model, with_extension
 
 N_SEEDS = 20
@@ -103,9 +104,11 @@ def test_criterion_2_connective_relations(classical_corpus):
     violations = []
     both_strict = 0
     for i, model in enumerate(classical_corpus):
-        negation, meet, join = check_connective_relations(SignatureSpace(model), 3)
-        for entry in (negation, meet, join):
-            violations += [f"model {i}: {w}" for w in entry.witnesses]
+        negation, meet, join = check_connective_relations(SignatureSpace(model))
+        for entry, want in zip((negation, meet, join), reference.connective_relations(model)):
+            violations += [f"model {i}: {w}" for w in entry.witnesses + want.witnesses]
+            if (entry.checked, entry.info["strict"]) != (want.checked, want.strict):
+                violations.append(f"model {i}: {entry.suite} differs from the brute force")
         if negation.info["strict"] > 0 and join.info["strict"] > 0:
             both_strict += 1
     elapsed = time.perf_counter() - started
@@ -129,7 +132,7 @@ def test_criterion_3_cm_collapse():
         if not check_cms(model):
             problems.append(f"model {i}: full-or-empty profile fails")
         space = SignatureSpace(model)
-        if not check_cmt(space, 3).info["holds"]:
+        if not check_cmt(space).info["holds"]:
             problems.append(f"model {i}: testability fails")
         if truth_collapse_violations(space, 3):
             problems.append(f"model {i}: truth differs from certain truth")

@@ -330,6 +330,8 @@ def test_gen_qm_in_one_dimension(tmp_path, capsys, properties):
     code, out, _ = run(capsys, "check", "--qm-spec", str(target))
     assert code == 0
     assert "total violations: 0" in out
+    if properties == "0":  # the empty alphabet: one cell of bits, yet no class
+        assert "suite cm-testability: ok (checked 0) [holds=True]" in out.splitlines()
 
 
 def test_usage_error_exits_one(capsys):
@@ -484,8 +486,8 @@ def built_spaces(monkeypatch):
     ids=["worked", "seed11", "cm_demo", "classical_seed7"],
 )
 def test_check_builds_one_signature_space(capsys, monkeypatch, built_spaces, flag, path, depth):
-    """Every suite reads one space, and the census and cm-testability read
-    one class sweep up to depth 3; at depth 4 cm-testability sweeps deeper."""
+    """Every suite reads one space, and at every depth the census sweeps
+    no class and cm-testability makes one sweep, of depth 1, for its witness."""
     sweeps = []
     closure = SignatureSpace._closure
 
@@ -496,7 +498,7 @@ def test_check_builds_one_signature_space(capsys, monkeypatch, built_spaces, fla
     monkeypatch.setattr(SignatureSpace, "_closure", counting_closure)
     assert run(capsys, "check", flag, path, "--depth", str(depth))[0] == 0
     assert len(built_spaces) == 1
-    assert len(sweeps) == (1 if depth <= 3 else 2)
+    assert sweeps == [{"rounds": 1}]
 
 
 @pytest.mark.parametrize(

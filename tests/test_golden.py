@@ -14,9 +14,10 @@ computed from atoms.  The only cap left, the subspace closure's, is pinned
 by ``test_cap_applies_to_qm_spec`` in ``tests/test_cli.py``.
 
 The depth-0, 2 and 4 ``check`` goldens of the two seeded inputs were
-recorded while every suite still built its own signature space.  They pin
-the depths where the suites' caps part: the census stops at 3,
-cm-testability at 4 and the trichotomy at 2.
+recorded while every suite still built its own signature space, and pin
+the depths where the quantum suites' caps part: the equivalences stop at
+3 and the trichotomy at 2.  The classical suites count the whole
+generated algebra, so their lines read the same at every depth.
 
 The ``qlogic eval`` goldens were recorded while eval still reduced the
 formula once per state.  They cover a quantum formula with a verdict per
@@ -107,6 +108,21 @@ def test_check_at_other_depths_matches_golden(flag, path, depth, capsys, monkeyp
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_model_report_does_not_depend_on_depth(capsys, monkeypatch):
+    """Every suite of a ``--model`` input is classical: at each depth the
+    text report is the default one, and the JSON report differs only in its
+    ``depth`` field."""
+    monkeypatch.chdir(REPO)
+    path = "tests/data/gen_classical_seed7.json"
+    text = (DATA_DIR / "golden" / "gen_classical_seed7.check.text").read_bytes()
+    report = json.loads((DATA_DIR / "golden" / "gen_classical_seed7.check.json").read_bytes())
+    for depth in range(5):
+        assert main(["check", "--model", path, "--depth", str(depth)]) == 0
+        assert capsys.readouterr().out.encode() == text
+        assert main(["check", "--model", path, "--depth", str(depth), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**report, "depth": depth}
+
+
 EVAL_CASES = [
     ("--qm-spec", "specs/worked_qm.json", "Ez &q Ex", "worked_qm.eval_qand"),
     ("--qm-spec", "specs/worked_qm.json", "Ez & Ex", "worked_qm.eval_and"),
@@ -125,10 +141,12 @@ def test_eval_matches_golden(flag, path, formula, stem, fmt, capsys, monkeypatch
 
 
 # sha256 over the exit statuses and outputs below, recorded before the
-# suites shared one outcome record, and re-recorded once since, when
+# suites shared one outcome record, and re-recorded twice since: when
 # conjunction-signature-gap began to count every gap rather than stop at 5
-# (only its witnesses_found= figures changed)
-QM_CORPUS_SHA256 = "6b7be3b1d6e9f9a3a5e9c854eadc48b0dc96b240a481ea9572f81993ee621f3e"
+# (only its witnesses_found= figures changed), and when the classical census
+# and cm-testability began to count the whole generated algebra (only their
+# checked and strict= figures changed)
+QM_CORPUS_SHA256 = "cd7f9103b8c1db7a207c72b13ad52ec43e7a5c76ff6302d46fd15c20259006af"
 
 
 def test_seeded_qm_corpus_matches_recorded_digest(tmp_path, capsys, monkeypatch):

@@ -395,7 +395,7 @@ def test_cm_truth_is_object_independent():
 
 def test_cmt_holds_on_closed_table(cm_two_states):
     assert check_cms(cm_two_states)
-    report = check_cmt(SignatureSpace(cm_two_states), 3)
+    report = check_cmt(SignatureSpace(cm_two_states))
     assert report.info == {"holds": True}
 
 
@@ -415,7 +415,7 @@ def test_cmt_fails_without_conjunction_witness():
         2,
     )
     space = SignatureSpace(m)
-    report = check_cmt(space, 3)
+    report = check_cmt(space)
     assert report.info["holds"] is False
     witness_mask = space.mask_of(parse(report.info["witness"]), {})
     assert witness_mask not in {space.pred_masks[p] for p in m.property_names()}

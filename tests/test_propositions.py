@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
-from qlogic.errors import DepthLimitExceeded
 from qlogic.formulas import And, Not, Or, Pred, enumerate_formulas
 from qlogic.models import (
     Model,
@@ -18,6 +19,8 @@ from qlogic.propositions import (
     proposition_poset,
 )
 from qlogic.propositions import testable as find_witness
+
+import suite_reference as reference
 
 
 def test_proposition_cm_single_state():
@@ -175,7 +178,7 @@ def test_cover_edges_of_diamond(cm_two_states):
 
 
 def test_connective_relations_hold_on_cm(cm_two_states):
-    negation, meet, join = check_connective_relations(SignatureSpace(cm_two_states), 3)
+    negation, meet, join = check_connective_relations(SignatureSpace(cm_two_states))
     assert negation.ok and meet.ok and join.ok
     assert meet.info == {"strict": 0}
     assert negation.info == {"strict": 0}  # CM collapse: all equalities
@@ -183,7 +186,7 @@ def test_connective_relations_hold_on_cm(cm_two_states):
 
 
 def test_connective_relations_strict_on_worked_spec(worked_qm):
-    negation, meet, join = check_connective_relations(SignatureSpace(worked_qm.model), 2)
+    negation, meet, join = check_connective_relations(SignatureSpace(worked_qm.model))
     assert negation.ok and meet.ok and join.ok
     assert join.info["strict"] > 0
     assert negation.info["strict"] > 0
@@ -204,24 +207,22 @@ def test_join_strictness_witness_values(worked_qm):
     assert p_union < p_or
 
 
-def test_connective_relations_depth_guard(cm_two_states):
-    with pytest.raises(DepthLimitExceeded):
-        check_connective_relations(SignatureSpace(cm_two_states), 4)
-
-
 def test_relations_agree_with_literal_enumeration():
-    # class-level relation checking must reach the verdicts of a direct
-    # sweep over enumerated formula pairs
+    # the relations hold on a direct sweep over enumerated formula pairs,
+    # and the census over classes counts what the brute force over every
+    # pair of unions of atoms counts
     from qlogic.generate import random_classical_model
 
     for seed in (0, 3, 5):
         m = random_classical_model(seed, n_states=2, n_predicates=2, universe=3)
         space = SignatureSpace(m)
-        negation, meet, join = check_connective_relations(space, 2)
-        assert negation.ok and meet.ok and join.ok
+        census = check_connective_relations(space)
+        want = reference.connective_relations(m)
+        assert [(r.suite, r.checked, r.witnesses, r.info["strict"]) for r in census] == [
+            astuple(t) for t in want
+        ]
         cache = {}
         states = frozenset(m.states)
-        strict_join = 0
         formulas = list(enumerate_formulas(m.predicate_names()[:2], 2))
         for f in formulas:
             pf = space.proposition(space.mask_of(f, cache))
@@ -233,6 +234,3 @@ def test_relations_agree_with_literal_enumeration():
                 p_or = space.proposition(space.mask_of(Or(f, g), cache))
                 assert p_and == pf & pg
                 assert p_or >= pf | pg
-                if p_or > pf | pg:
-                    strict_join += 1
-        assert (strict_join > 0) == (join.info["strict"] > 0)

@@ -7,6 +7,7 @@ off the ``lattice`` report by loops of the test's own."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -48,17 +49,20 @@ def _first_distributivity_failure(n: int, edges: list) -> tuple | None:
     )
 
 
-# (k, depth): the classes of the connective census and its strict negations
-# and joins, as the census over masks and Formula nodes counted them
+# k: the classes of the connective census, 2**atoms at every depth, and its
+# strict negations and joins; the groups of atoms that meet a split state
+# block form 12 components, none left out, so 2**12 negations are not strict
 CENSUS = {
-    (3, 2): (3486, 3484, 2485832),
-    (7, 1): (617, 616, 21952),
-    (7, 2): (69894, 69892, 904621564),
+    3: (2**44, 2**44 - 2**12, 285773940649133878763520000),
+    7: (2**76, 2**76 - 2**12, 5665967022880007375516677506234915252574679040),
 }
+
+# (k, depth): the most seconds ``check`` may take
+BUDGET = {(3, 3): 1.0, (7, 3): 1.5}
 
 
 @pytest.mark.parametrize(
-    "k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2)]
+    "k,depth", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2), (3, 3), (7, 3)]
 )
 def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
     spec = mo_squared_spec(k)
@@ -79,15 +83,18 @@ def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
     )
     assert (_first_distributivity_failure(n, edges) is None) == (k == 1)
 
+    started = time.perf_counter()
     report = _run_json(capsys, "check", "--qm-spec", str(path), "--depth", str(depth))
+    elapsed = time.perf_counter() - started
+    assert elapsed < BUDGET.get((k, depth), float("inf")), f"check took {elapsed:.2f}s"
     suites = {suite["suite"]: suite for suite in report["suites"]}
     assert report["violations"] == 0
     assert suites["orthomodularity"]["violations"] == 0
     assert suites["distributivity-witness"]["info"]["expected-nondistributive"] == (k >= 2)
     assert suites["qwff-quotient-isomorphism"]["info"]["status"] == "isomorphic"
     assert suites["state-separation"]["info"]["separating"]
-    if (k, depth) in CENSUS:
-        classes, negations, joins = CENSUS[k, depth]
+    if k in CENSUS:
+        classes, negations, joins = CENSUS[k]
         census = [suites[f"connective-relation-{name}"] for name in ("negation", "meet", "join")]
         assert [(s["checked"], s["violations"], s["info"]) for s in census] == [
             (classes, 0, {"strict": negations}),

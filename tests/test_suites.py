@@ -7,6 +7,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import astuple, replace
+from itertools import count
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,11 +87,11 @@ def _check_quotient(model, names):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_models(), st.integers(0, 3), st.data())
-def test_classical_suites_match_reference_on_random_models(model, depth, data):
+@given(_models(), st.data())
+def test_classical_suites_match_reference_on_random_models(model, data):
     names = data.draw(_alphabets(model))
-    got = check_connective_relations(SignatureSpace(model), depth, predicates=names)
-    assert _stats(got) == [astuple(t) for t in reference.connective_relations(model, depth, names)]
+    got = check_connective_relations(SignatureSpace(model), predicates=names)
+    assert _stats(got) == [astuple(t) for t in reference.connective_relations(model, names)]
     _check_quotient(model, names if names is not None else model.predicate_names())
 
 
@@ -107,15 +109,13 @@ def _pattern(rng, size):
 
 def _census_matches_reference(rng, states):
     """The census on a model of (state, size, extensions) triples, taken in
-    the rng's order, equals the reference's at depths 1-3."""
+    the rng's order, equals the reference's."""
     rng.shuffle(states)
     sizes = {s: size for s, size, _ in states}
     extensions = {(s, name): exts[name] for s, _, exts in states for name in _GENERATORS}
     model = Model(tuple(map(PredicateInfo, _GENERATORS)), tuple(sizes), sizes, extensions)
-    space = SignatureSpace(model)
-    for depth in (1, 2, 3):
-        got = check_connective_relations(space, depth)
-        assert _stats(got) == [astuple(t) for t in reference.connective_relations(model, depth)]
+    got = check_connective_relations(SignatureSpace(model))
+    assert _stats(got) == [astuple(t) for t in reference.connective_relations(model)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -154,6 +154,33 @@ def test_census_counts_a_repeated_pattern_once(seed):
     _census_matches_reference(rng, [*states, ("V", size, near)])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_census_takes_the_product_form_on_mo_k_squared(k):
+    """On MO_k x MO_k the groups of atoms meeting a split state block are
+    disjoint, so the pairs whose join is not strict are a product over the
+    groups: of the 4**s pairs on a group of s atoms, the 3**s whose union
+    holds it are strict unless one operand holds it (2**(s+1) - 1 pairs)."""
+    qm = build_model(spec_from_dict(mo_squared_spec(k)))
+    names = tuple(name for name, _ in qm.spec.properties)
+    space = SignatureSpace(qm.model)
+    cells = reference.atoms(space, names)
+    groups = reference.groups(space, cells)
+    sizes = [len(group) for group in groups]
+    assert sum(sizes) == len(frozenset().union(*groups))  # disjoint
+    if k == 3:
+        assert len(sizes) == 12 and set(sizes) == {3, 4}
+    m, free = len(cells), len(cells) - sum(sizes)
+    plain_joins = 4**free * prod(4**s - 3**s + 2 ** (s + 1) - 1 for s in sizes)
+    got = _stats(check_connective_relations(space, predicates=names))
+    assert got == [
+        ("connective-relation-negation", 2**m, [], 2**m - 2 ** (free + len(sizes))),
+        ("connective-relation-meet", 4**m, [], 0),
+        ("connective-relation-join", 4**m, [], 4**m - plain_joins),
+    ]
+    if m <= 8:
+        assert got == [astuple(t) for t in reference.connective_relations(qm.model, names)]
+
+
 @pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16))
@@ -162,27 +189,33 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     generators = tuple(name for name, _ in qm.spec.properties)
     _check_quotient(qm.model, generators)
     space = SignatureSpace(qm.model)
+    got = check_connective_relations(space, predicates=generators)
+    want = reference.connective_relations(qm.model, generators)
+    assert _stats(got) == [astuple(t) for t in want]
     for depth in (1, 2, 3):
-        got = check_connective_relations(space, depth, predicates=generators)
-        want = reference.connective_relations(qm.model, depth, generators)
-        assert _stats(got) == [astuple(t) for t in want]
         demorgan, implication, *_ = check_quantum_equivalences(qm, space, depth)
         want = reference.demorgan_and_implication(qm, depth)
         assert _stats([demorgan, implication]) == [astuple(t) for t in want]
 
 
-def _cm_testability_by_ordered_sweep(space, names, depth):
+def _cm_testability_by_ordered_sweep(space, names):
     """(holds, witness, checked) of cm-testability read off the ordered
-    mask sweep of ``closure_reference``: the witness is the first class, in
-    sweep order, whose mask no property predicate carries, rendered."""
-    classes = closure_reference.reachable_classes(space, names, depth)
+    mask sweep of ``closure_reference``, deepened until it meets a class
+    whose mask no property predicate carries, rendered as the witness, or
+    reaches its fixpoint; checked counts the unions of the reference atoms."""
     carried = {space.mask_of(Pred(name)) for name in space.model.property_names()}
-    witness = next((render(f) for mask, f in classes.items() if mask not in carried), None)
-    return witness is None, witness, len(classes)
+    checked = 2 ** len(reference.atoms(space, names)) if names else 0
+    size = -1
+    for depth in count():
+        classes = closure_reference.reachable_classes(space, names, depth)
+        witness = next((render(f) for mask, f in classes.items() if mask not in carried), None)
+        if witness is not None or len(classes) == size:
+            return witness is None, witness, checked
+        size = len(classes)
 
 
-def _cm_testability(space, names, depth):
-    result = check_cmt(space, depth, predicates=names)
+def _cm_testability(space, names):
+    result = check_cmt(space, predicates=names)
     return result.info["holds"], result.info.get("witness"), result.checked
 
 
@@ -193,19 +226,16 @@ def test_cm_testability_matches_the_ordered_sweep_on_generated_specs(dim, proper
     qm = build_model(random_qm_spec(seed, dim, properties)[0])
     names = tuple(name for name, _ in qm.spec.properties)
     space = SignatureSpace(qm.model)
-    for depth in range(1, 5):
-        want = _cm_testability_by_ordered_sweep(space, names, depth)
-        assert _cm_testability(space, names, depth) == want
+    assert _cm_testability(space, names) == _cm_testability_by_ordered_sweep(space, names)
 
 
 def test_cm_testability_matches_the_ordered_sweep_on_mo2_squared():
     qm = build_model(spec_from_dict(mo_squared_spec(2)))
     names = tuple(name for name, _ in qm.spec.properties)
     space = SignatureSpace(qm.model)
-    for depth in range(1, 4):
-        want = _cm_testability_by_ordered_sweep(space, names, depth)
-        assert want[:2] == (False, "Pa0_0 | Pb0_0")
-        assert _cm_testability(space, names, depth) == want
+    want = _cm_testability_by_ordered_sweep(space, names)
+    assert want[:2] == (False, "Pa0_0 | Pb0_0")
+    assert _cm_testability(space, names) == want
 
 
 def test_cm_testability_rebuilds_a_deeper_witness_as_the_ordered_sweep_renders_it():
@@ -219,10 +249,27 @@ def test_cm_testability_rebuilds_a_deeper_witness_as_the_ordered_sweep_renders_i
         {("S", name): frozenset(ext) for name, ext in depth_one.items()},
     )
     space = SignatureSpace(model)
-    assert _cm_testability(space, ("P", "Q"), 1) == (True, None, 6)
-    want = _cm_testability_by_ordered_sweep(space, ("P", "Q"), 2)
+    want = _cm_testability_by_ordered_sweep(space, ("P", "Q"))
+    assert want[0] is False and want[2] == 16  # four atoms, one per object
     assert formula_depth(parse(want[1])) == 2
-    assert _cm_testability(space, ("P", "Q"), 2) == want
+    assert _cm_testability(space, ("P", "Q")) == want
+
+
+def test_cm_testability_fails_on_one_uncarried_class():
+    """Properties that carry three of the four classes over P, the empty one
+    left out, and then all four."""
+    exts = {"P": {0}, "NP": {1}, "T": {0, 1}, "Z": set()}
+    for names, holds in ((("P", "NP", "T"), False), (tuple(exts), True)):
+        model = Model(
+            tuple(map(PredicateInfo, names)),
+            ("S",),
+            {"S": 2},
+            {("S", name): frozenset(exts[name]) for name in names},
+        )
+        space = SignatureSpace(model)
+        want = _cm_testability_by_ordered_sweep(space, ("P",))
+        assert (want[0], want[2]) == (holds, 4)
+        assert _cm_testability(space, ("P",)) == want
 
 
 def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
@@ -283,13 +330,15 @@ def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
     for name in ("negation", "meet", "join"):
         assert suites[f"connective-relation-{name}"]["checked"] == 0
     assert suites["boolean-quotient"]["info"] == {"elements": 0}
-    assert suites["cm-testability"]["checked"] == 0
+    cmt = suites["cm-testability"]
+    assert (cmt["checked"], cmt["info"]) == (0, {"holds": True})
     assert suites["truth-certainty-collapse"]["checked"] == 0
 
     model = build_model(replace(random_qm_spec(0)[0], properties=())).model
     assert len(model.predicates) == 2  # the closure's zero and full subspaces
     space = SignatureSpace(model)
-    assert check_cmt(space, 3, predicates=()).checked == 0
+    assert check_cmt(space, predicates=()).checked == 0
+    assert check_cmt(space, predicates=()).info == {"holds": True}
     assert truth_collapse_violations(space, 3, predicates=()) == []
-    relations = check_connective_relations(space, 3, predicates=())
+    relations = check_connective_relations(space, predicates=())
     assert all(e.checked == 0 for e in relations)
