@@ -738,13 +738,15 @@ def check_cmt(space: SignatureSpace, predicates: tuple[str, ...] | None = None) 
     checked = quotient_size(space, names)  # 0 for an empty alphabet, which builds no formula
     carried = {space.atom_set(mask, names) for mask in space.witnesses()} - {None}
     result = SuiteResult("cm-testability", checked, info={"holds": True})
-    # A sweep one round deeper starts with the last one's classes, all carried
-    for depth in count(1) if names and len(carried) < checked else ():
-        classes = space.atom_classes(names, depth)
-        missed = [rep for key, rep in classes.items() if key not in carried]
-        if missed:
-            result.info = {"holds": False, "witness": render(_rebuild(missed[0]))}
-            break
+    if names and len(carried) < checked:
+        # One round deeper at a time, each depth swept from the generators:
+        # the shallower sweeps' classes were all carried, so no more than the predicates
+        for depth in count(1):
+            classes = space.atom_classes(names, depth)
+            rep = next((r for key, r in classes.items() if key not in carried), None)
+            if rep is not None:
+                result.info = {"holds": False, "witness": render(_rebuild(rep))}
+                break
     return result
 
 

@@ -146,7 +146,7 @@ def check_connective_relations(
         linked = [c for c in components if c & group]
         components = [c for c in components if not c & group] + [group | sum(linked)]
     free = len(atoms) - sum(components).bit_count()
-    plain_joins = 4**free * prod(_plain_joins(c, [g for g in groups if g & c]) for c in components)
+    plain_joins = 4**free * prod(_plain_joins([g for g in groups if g & c]) for c in components)
     n = quotient_size(space, names)
     strict = (n - 2 ** (free + len(components)), n * n - plain_joins) if n else (0, 0)
     return [
@@ -156,38 +156,36 @@ def check_connective_relations(
     ]
 
 
-def _plain_joins(component: int, groups: list[int]) -> int:
-    """Ordered pairs of sets of the component's atoms that fill a group
-    together only where one of them fills it alone."""
-    local = list(_bits(component))
-    size = 1 << len(local)  # class p holds local atom j when bit j of p is set
-    full = (1 << size) - 1
-    # holders[j]: the classes holding local atom j, runs of 2**j clear and 2**j set bits
-    holders = [
-        full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1 << (1 << j)) for j in range(len(local))
-    ]
-    # Per group, each slice x that is neither empty nor full maps to the
-    # classes whose slice y fills the group with x and is not full either.
-    # The classes are split by slice one atom at a time, as atoms split the
-    # bits, so the bitsets are disjoint and their sum is their union.
-    fillers = []
-    for group in groups:
-        fill = sum(1 << j for j, i in enumerate(local) if group >> i & 1)
-        bits = {0: full}
-        for j in _bits(fill):
-            refined = {}
-            for x, members in bits.items():
-                if inside := members & holders[j]:
-                    refined[x | 1 << j] = inside
-                if outside := members ^ inside:
-                    refined[x] = outside
-            bits = refined
-        part = {x: b for x, b in bits.items() if 0 < x < fill}
-        fillers.append((fill, {x: sum(b for y, b in part.items() if x | y == fill) for x in part}))
-    strict = 0
-    for p in range(size):
-        partners = 0
-        for fill, table in fillers:
-            partners |= table.get(p & fill, 0)
-        strict += partners.bit_count()
-    return size * size - strict
+def _plain_joins(groups: list[int]) -> int:
+    """Ordered pairs of sets of the groups' atoms that fill a group
+    together only where one of them fills it alone.
+
+    A pair puts each atom in the first set only, the second only, both or
+    neither, and fills a group together alone when the group has an atom in
+    each set only and none in neither.  Counted atom by atom, keeping per
+    open group what its atoms so far show and dropping it at its last atom:
+    the work follows the groups open at once, not the 4**atoms pairs, so
+    the next group is the one with fewest atoms left among those begun."""
+    order, seen, todo = [], 0, list(groups)
+    while todo:
+        group = min(todo, key=lambda g: (not g & seen, (g & ~seen).bit_count()))
+        todo.remove(group)
+        order += _bits(group & ~seen)
+        seen |= group
+    # Bits 3k..3k+2 of a state are group k's: bit 0 set by an atom in the
+    # first set only, bit 1 by one in the second only, all three by one in
+    # neither, so the group is filled by the pair alone when they read 3.
+    counts, done = {0: 1}, 0
+    for atom in order:
+        done |= 1 << atom
+        step = sum(1 << 3 * k for k, g in enumerate(groups) if g >> atom & 1)
+        last = sum(1 << 3 * k for k, g in enumerate(groups) if g >> atom & 1 and not g & ~done)
+        keep = ~(7 * last)
+        after: dict[int, int] = {}
+        for state, n in counts.items():
+            for put in (0, step, 2 * step, 7 * step):  # in both, first only, second only, neither
+                new = state | put
+                if not new & (new >> 1) & ~(new >> 2) & last:
+                    after[new & keep] = after.get(new & keep, 0) + n
+        counts = after
+    return counts[0]

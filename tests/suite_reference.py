@@ -16,6 +16,7 @@ overflow from the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from qlogic.bridge import QTruth, _reachable_elements, _reduce_element
 from qlogic.formulas import QAnd, QImp, QNot, QOr, render
@@ -91,6 +92,40 @@ def connective_relations(m, predicates=None) -> tuple[Tally, ...]:
             elif prop[x | y] != union:
                 join_rel.strict += 1
     return negation, meet_rel, join_rel
+
+
+def strict_by_inclusion_exclusion(m, predicates=None) -> tuple[int, int]:
+    """Strict negations and strict joins by inclusion-exclusion over the
+    groups, for inputs of many atoms and few groups (5**groups terms).
+
+    A pair (X, Y) of unions of atoms puts each atom in X only, Y only, both
+    or neither; its join is strict when some group has an atom in X only,
+    one in Y only and none in neither.  The terms pick a set T of groups
+    that are all so, each less the pairs missing T's atoms in X only, in Y
+    only, or both.  The negation of X is strict exactly when the join of X
+    and its complement is: those pairs put every atom in X only or Y only."""
+    space = SignatureSpace(m)
+    names = m.predicate_names() if predicates is None else predicates
+    if not names:
+        return 0, 0
+    cells = atoms(space, names)
+    split = list(groups(space, cells))
+    member = [sum(1 << k for k, g in enumerate(split) if i in g) for i in range(len(cells))]
+    strict = [0, 0]
+    for marks in product(range(5), repeat=len(split)):  # 0: out of T; 1-4: missing -/X/Y/both
+        chosen = sum(1 << k for k, mark in enumerate(marks) if mark)
+        if not chosen:
+            continue
+        no_x = sum(1 << k for k, mark in enumerate(marks) if mark in (2, 4))
+        no_y = sum(1 << k for k, mark in enumerate(marks) if mark in (3, 4))
+        sign = (-1) ** (chosen.bit_count() + 1 + no_x.bit_count() + no_y.bit_count())
+        for slot, palette in enumerate((2, 4)):  # negations: X or Y only; joins: all four
+            count = 1
+            for bits in member:  # the colours each atom may take
+                neither = palette == 4 and bool(bits & chosen)
+                count *= palette - neither - bool(bits & no_x) - bool(bits & no_y)
+            strict[slot] += sign * count
+    return strict[0], strict[1]
 
 
 # -- the Boolean quotient -------------------------------------------------------------

@@ -2,7 +2,9 @@
 closed form of the product of two k-block orthomodular lattices
 (Kalmbach, *Orthomodular Lattices*, 1983): (2k+2)^2 elements, 4k atoms,
 orthomodular, distributive exactly when k = 1.  The order facts are read
-off the ``lattice`` report by loops of the test's own."""
+off the ``lattice`` report by loops of the test's own.  And ``check`` on
+generated classical models whose atoms all lie in one component of the
+split blocks' groups, against the inclusion-exclusion count."""
 
 from __future__ import annotations
 
@@ -12,7 +14,9 @@ import time
 import pytest
 
 from qlogic.cli import main
+from qlogic.models import SignatureSpace, load_model
 
+import suite_reference as reference
 from conftest import mo_squared_spec
 
 
@@ -103,3 +107,38 @@ def test_mo_k_squared_spec_reports_its_closed_form(tmp_path, capsys, k, depth):
         ]
         assert suites["cm-testability"]["checked"] == classes
         assert suites["cm-testability"]["info"] == {"holds": False, "witness": "Pa0_0 | Pb0_0"}
+
+
+# (states, predicates, universe) of a ``gen --kind classical --seed 1``
+# model: its atoms, all in one component, and the most seconds ``check`` may
+# take on it at any depth
+WIDE = {(5, 5, 5): (18, 0.5), (6, 5, 6): (24, 0.5)}
+
+
+@pytest.mark.parametrize("states,predicates,universe", sorted(WIDE))
+def test_census_on_one_wide_component_meets_its_budget(
+    tmp_path, capsys, states, predicates, universe
+):
+    """The census's work follows the groups open at once, not the 4**atoms
+    pairs of a component's atoms."""
+    path = tmp_path / "model.json"
+    sizes = {"--states": states, "--predicates": predicates, "--universe": universe}
+    argv = [arg for flag, n in sizes.items() for arg in (flag, str(n))]
+    assert main(["gen", "--kind", "classical", "--seed", "1", *argv, "--out", str(path)]) == 0
+    model = load_model(path)
+    m, budget = WIDE[(states, predicates, universe)]
+    assert len(SignatureSpace(model).atoms(model.predicate_names())) == m
+    negations, joins = reference.strict_by_inclusion_exclusion(model)
+    assert negations == 2**m - 2  # one component and no free atom: X empty or full there
+    for depth in (0, 3):
+        started = time.perf_counter()
+        report = _run_json(capsys, "check", "--model", str(path), "--depth", str(depth))
+        elapsed = time.perf_counter() - started
+        assert elapsed < budget, f"check took {elapsed:.2f}s"
+        suites = {suite["suite"]: suite for suite in report["suites"]}
+        census = [suites[f"connective-relation-{name}"] for name in ("negation", "meet", "join")]
+        assert [(s["checked"], s["violations"], s["info"]) for s in census] == [
+            (2**m, 0, {"strict": negations}),
+            (4**m, 0, {"strict": 0}),
+            (4**m, 0, {"strict": joins}),
+        ]

@@ -23,7 +23,7 @@ from qlogic.bridge import (
 from qlogic.cli import main
 from qlogic.errors import ClosureOverflow
 from qlogic.formulas import Pred, depth as formula_depth, parse, render
-from qlogic.generate import random_qm_spec
+from qlogic.generate import random_classical_model, random_qm_spec
 from qlogic.models import (
     Model,
     PredicateInfo,
@@ -179,6 +179,21 @@ def test_census_takes_the_product_form_on_mo_k_squared(k):
     ]
     if m <= 8:
         assert got == [astuple(t) for t in reference.connective_relations(qm.model, names)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_census_matches_inclusion_exclusion_on_wide_classical_models(seed):
+    """Generated classical models of up to 32 atoms in few states, past the
+    brute force's reach: the census equals the inclusion-exclusion count
+    over the groups, which equals the brute force wherever that runs."""
+    rng = random.Random(f"census-wide:{seed}")
+    model = random_classical_model(seed, rng.randint(2, 4), rng.randint(2, 5), rng.randint(3, 6))
+    negation, _, join = check_connective_relations(SignatureSpace(model))
+    want = reference.strict_by_inclusion_exclusion(model)
+    assert (negation.info["strict"], join.info["strict"]) == want
+    if negation.checked <= 2**8:
+        brute = reference.connective_relations(model)
+        assert (brute[0].strict, brute[2].strict) == want
 
 
 @pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
