@@ -243,23 +243,21 @@ def _primary_pairs(lat: QLattice, order: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _rule_extension(p: Fraction, n: int, predicate: str, state: str) -> frozenset[int]:
-    """Full at 1, empty at 0, the clamped rounded prefix otherwise; the
-    boundaries are read off p's integer parts, so a caller that has
-    compared p with 1 and 0 pays for no second Fraction comparison."""
+def _rule_count(p: Fraction, n: int, predicate: str, state: str) -> int:
+    """The size k of the probability rule's extension, the prefix range(k):
+    n at 1, 0 at 0, and floor(n p + 1/2) clamped to [1, n - 1] otherwise,
+    read off p's integer parts."""
     num, den = p.numerator, p.denominator  # in lowest terms, den > 0
     if num == den:
-        return frozenset(range(n))
+        return n
     if num == 0:
-        return frozenset()
+        return 0
     if n < 2:
         raise UniverseTooSmall(
             f"universe size {n} cannot host a proper extension for "
             f"predicate {predicate!r} in state {state!r}"
         )
-    # floor(n p + 1/2) in integers
-    k = min(max((2 * n * num + den) // (2 * den), 1), n - 1)
-    return frozenset(range(k))
+    return min(max((2 * n * num + den) // (2 * den), 1), n - 1)
 
 
 def build_model(spec: QMModelSpec) -> QuantumModel:
@@ -290,7 +288,8 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
 
     state_names = tuple(name for name, _ in spec.states)
     n = spec.universe_size
-    full, empty = frozenset(range(n)), frozenset()  # shared by every certain value
+    full = frozenset(range(n))
+    shared: dict[int, tuple[frozenset[int], frozenset[int]]] = {}  # k -> (range(k), the rest)
     order = _table_order(spec, lat, element_index)
     inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
@@ -303,15 +302,14 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
             probabilities[(sname, names[i])] = p
             if p == 1:
                 inside[i].append(sname)
-                ext, rest = full, empty
             elif p == 0:
                 inside[j].append(sname)
-                ext, rest = empty, full
-            else:
-                ext = _rule_extension(p, n, names[i], sname)
-                rest = full - ext
-            extensions[(sname, names[i])] = ext
-            extensions[(sname, names[j])] = rest
+            k = _rule_count(p, n, names[i], sname)
+            pair = shared.get(k)
+            if pair is None:  # made on first use: a table over every k could be huge
+                prefix = frozenset(range(k))
+                pair = shared[k] = (prefix, full - prefix)
+            extensions[(sname, names[i])], extensions[(sname, names[j])] = pair
     theta = {name: frozenset(states) for name, states in zip(names, inside)}
 
     predicates = tuple(
@@ -453,8 +451,8 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
                     f"complement of its partner {name_i}"
                 )
             checked += 1
-            expected = _rule_extension(qm.probabilities[(sname, name_i)], n, name_i, sname)
-            if ext_i != expected:
+            k = _rule_count(qm.probabilities[(sname, name_i)], n, name_i, sname)
+            if ext_i != frozenset(range(k)):
                 violations.append(
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "
                     f"does not match its projection probability"

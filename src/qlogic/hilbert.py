@@ -10,6 +10,9 @@ All elimination runs in one fraction-free Gauss-Jordan kernel over
 Python-int Gaussian integers: each row is cleared to one common
 denominator, kept primitive by dividing out its content after every
 step, and divided by its pivot only once, to produce the canonical basis.
+Not every complement runs it: those of 0, C^d, lines and hyperplanes
+are written straight in canonical rows, and only other ranks take the
+null space of the conjugated rows through the kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
 from .gaussian import GR_ZERO, GaussianRational, format_parts, format_scalar, parse_scalar
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 Vector = tuple[GaussianRational, ...]
 Row = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
@@ -44,6 +49,16 @@ def _primitive(re: list[int], im: list[int]) -> Row:
     return re, im
 
 
+def _canonical(re: list[int], im: list[int], c: int) -> Row:
+    """The row made primitive with a positive integer entry in column c,
+    its pivot: times the conjugate pivot unless that is already positive,
+    which makes it |pivot|^2 > 0."""
+    p, q = re[c], im[c]
+    if q or p < 0:
+        re, im = [p * x + q * y for x, y in zip(re, im)], [p * y - q * x for x, y in zip(re, im)]
+    return _primitive(re, im)
+
+
 def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
@@ -63,15 +78,8 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
             pivot += 1
         if pivot == nrows:
             continue
-        pre, pim = rows[pivot]
+        pre, pim = _canonical(*rows[pivot], c)
         rows[pivot] = rows[r]
-        p, q = pre[c], pim[c]
-        if q or p < 0:  # times the conjugate pivot, which makes it |pivot|^2 > 0
-            pre, pim = (
-                [p * x + q * y for x, y in zip(pre, pim)],
-                [p * y - q * x for x, y in zip(pre, pim)],
-            )
-        pre, pim = _primitive(pre, pim)
         p = pre[c]
         rows[r] = (pre, pim)
         for i, (re, im) in enumerate(rows):
@@ -109,6 +117,69 @@ def _nullspace(rows: list[Row], ncols: int) -> list[Row]:
     return basis
 
 
+def _identity(ncols: int) -> list[Row]:
+    """The reduced rows of C^ncols."""
+    return [([0] * i + [1] + [0] * (ncols - 1 - i), [0] * ncols) for i in range(ncols)]
+
+
+def _line_complement(v: Row, ncols: int) -> list[Row]:
+    """Reduced rows of the hyperplane orthogonal to the line of reduced row v.
+
+    With f the column of v's last nonzero entry, the rows are
+    |v_f|^2 e_k - v_f conj(v_k) e_f for each k != f, each made primitive:
+    each is orthogonal to v, has its pivot |v_f|^2 > 0 in column k, and
+    column f, the one non-pivot column, is the only other entry."""
+    re, im = v
+    f = max(k for k in range(ncols) if re[k] or im[k])
+    a, b = re[f], im[f]
+    norm = a * a + b * b
+    rows = []
+    for k in range(ncols):
+        if k != f:
+            rre, rim = [0] * ncols, [0] * ncols
+            rre[k] = norm
+            x, y = re[k], im[k]  # v_f conj(v_k) = (ax + by) + (bx - ay)i
+            rre[f], rim[f] = -(a * x + b * y), a * y - b * x
+            rows.append(_primitive(rre, rim))
+    return rows
+
+
+def _hyperplane_complement(rows: Sequence[Row], ncols: int) -> list[Row]:
+    """The reduced row of the line orthogonal to a hyperplane's reduced rows.
+
+    Row i has its pivot p_i in column i before the one non-pivot column f
+    and in column i + 1 after it, and only rows before f have an entry a_i
+    there.  So the line is spanned by L e_f - sum_i conj(a_i) (L / p_i) e_i
+    over the rows before f, with L the lcm of their pivots, then made
+    canonical like any other line."""
+    f = next((i for i, (re, _) in enumerate(rows) if not re[i]), ncols - 1)
+    scale = lcm(*(rows[i][0][i] for i in range(f)))
+    wre, wim = [0] * ncols, [0] * ncols
+    wre[f] = scale
+    for i in range(f):
+        re, im = rows[i]
+        k = scale // re[i]
+        wre[i], wim[i] = -re[f] * k, im[f] * k
+    return [_canonical(wre, wim, next(c for c in range(ncols) if wre[c] or wim[c]))]
+
+
+def _complement(rows: Sequence[Row], ncols: int) -> list[Row]:
+    """Reduced rows of the orthocomplement, chosen by rank: 0, C^d, lines and
+    hyperplanes in closed form, any other rank as the null space of the
+    conjugated rows, reduced."""
+    rank = len(rows)
+    if rank == 0:
+        return _identity(ncols)
+    if rank == ncols:
+        return []
+    if rank == 1:
+        return _line_complement(rows[0], ncols)
+    if rank == ncols - 1:
+        return _hyperplane_complement(rows, ncols)
+    conjugated = [(re, [-y for y in im]) for re, im in rows]
+    return _reduce(_nullspace(conjugated, ncols), ncols)
+
+
 def _conj_dot(u: Row, v: Row) -> tuple[int, int]:
     """<u|v> for Gaussian-integer vectors, as (real, imaginary), in one pass."""
     re = im = 0
@@ -128,9 +199,9 @@ class Subspace:
     is given; kernel results are built already reduced.  Immutable.
     """
 
-    # _basis is None until first read; _ortho, once computed, is a weak
-    # reference set on both ends, so a subspace and its complement form no cycle
-    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_ortho", "__weakref__")
+    # _basis and _parts are None until first read; _ortho, once computed, is a
+    # weak reference set on both ends, so a subspace and its complement form no cycle
+    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_parts", "_ortho", "__weakref__")
 
     def __init__(self, ambient: int, basis: Iterable[Sequence[GaussianRational]] = ()):
         object.__setattr__(self, "ambient", ambient)
@@ -160,6 +231,7 @@ class Subspace:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash((self.ambient, rows)))
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_parts", None)
         object.__setattr__(self, "_ortho", None)
 
     def __setattr__(self, name, *_):
@@ -194,8 +266,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient: int) -> Subspace:
         # the integer identity rows are already reduced; the constructor refuses ambient < 1
-        rows = [([0] * i + [1] + [0] * (ambient - 1 - i), [0] * ambient) for i in range(ambient)]
-        return cls._from_reduced(ambient, rows) if ambient > 0 else cls(ambient)
+        return cls._from_reduced(ambient, _identity(ambient)) if ambient > 0 else cls(ambient)
 
     @property
     def basis(self) -> tuple[Vector, ...]:
@@ -225,20 +296,23 @@ class Subspace:
         return f"Subspace(C^{self.ambient}, dim={self.dim}, [{rows}])"
 
 
-def _basis_parts(a: Subspace) -> list[list[tuple[int, int, int, int]]]:
-    """The canonical basis as lowest-terms integer parts, read from the rows:
-    entry (x + yi)/d of a row with pivot d is (x/g, d/g, y/h, d/h) with
-    g = gcd(x, d) and h = gcd(y, d), the numerators and denominators of its
-    Fraction parts, so each tuple is that entry's sort_key."""
-    parts = []
-    for re, im in a._rows:
-        d = re[_lead(re)]
-        row = []
-        for x, y in zip(re, im):
-            g, h = gcd(x, d), gcd(y, d)
-            row.append((x // g, d // g, y // h, d // h))
-        parts.append(row)
-    return parts
+def _basis_parts(a: Subspace) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """The canonical basis as lowest-terms integer parts, read from the rows
+    once and kept: entry (x + yi)/d of a row with pivot d is
+    (x/g, d/g, y/h, d/h) with g = gcd(x, d) and h = gcd(y, d), the
+    numerators and denominators of its Fraction parts, so each tuple is
+    that entry's sort_key."""
+    if a._parts is None:
+        parts = []
+        for re, im in a._rows:
+            d = re[_lead(re)]
+            row = []
+            for x, y in zip(re, im):
+                g, h = gcd(x, d), gcd(y, d)
+                row.append((x // g, d // g, y // h, d // h))
+            parts.append(tuple(row))
+        object.__setattr__(a, "_parts", tuple(parts))
+    return a._parts
 
 
 def _check_same_space(a: Subspace, b: Subspace) -> None:
@@ -247,11 +321,13 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 
 def ortho(a: Subspace) -> Subspace:
-    """Orthocomplement: the exact null space of the conjugated basis."""
+    """Orthocomplement, exactly, cached on both ends.  The complements of 0,
+    C^d, lines and hyperplanes are written straight in canonical rows;
+    only other ranks (planes of C^4 and wider) run elimination, for the
+    null space of the conjugated rows."""
     o = a._ortho() if a._ortho is not None else None
     if o is None:
-        conjugated = [(re, [-y for y in im]) for re, im in a._rows]
-        o = Subspace._from_reduced(a.ambient, _reduce(_nullspace(conjugated, a.ambient), a.ambient))
+        o = Subspace._from_reduced(a.ambient, _complement(a._rows, a.ambient))
         object.__setattr__(a, "_ortho", weakref.ref(o))
         object.__setattr__(o, "_ortho", weakref.ref(a))
     return o
@@ -342,6 +418,8 @@ def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
             cr, ci = _conj_dot(w, v)
             num += (cr * cr + ci * ci) * k
         den = total * norm2
+        if num == 0 or num == den:  # certain: a shared constant, no Fraction built
+            return _ONE if (num == 0) == complement else _ZERO
         return Fraction(den - num, den) if complement else Fraction(num, den)
 
     return value

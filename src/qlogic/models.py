@@ -69,9 +69,11 @@ class Model:
     ``extensions`` maps (state, predicate name) to a frozenset of object
     indices; missing entries are treated as empty during normalization.
     Every state in ``states``, and no other, has a universe.  Both
-    mappings are read-only copies of the caller's.  Construction lays out
-    the index every ``SignatureSpace`` view reads and checks on it that
-    paired predicates have complementary extensions in every state.
+    mappings are read-only copies of the caller's.  Construction
+    normalises the extensions and lays out the index every
+    ``SignatureSpace`` view reads in one state-major pass, then checks on
+    the index that paired predicates have complementary extensions in
+    every state: the XOR of their masks is ``omega``.
 
     Next to the index sits one weak slot, the memo of ``eval_open``: the
     last formula it was asked about other than a leaf, held by weak
@@ -108,28 +110,6 @@ class Model:
             raise ModelValidationError(f"universe for unknown state {s!r}")
         if (count := sum(self.universe_sizes.values())) > MAX_PAIRS:
             raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
-        normalized: dict[tuple[str, str], frozenset[int]] = {}
-        in_range: set[tuple[frozenset[int], int]] = set()  # few extensions are distinct
-        for (s, pname), ext in self.extensions.items():
-            if s not in self.universe_sizes:
-                raise ModelValidationError(f"extension for unknown state {s!r}")
-            if pname not in by_name:
-                raise ModelValidationError(f"extension for unknown predicate {pname!r}")
-            ext = frozenset(ext)
-            n = self.universe_sizes[s]
-            if (ext, n) not in in_range:
-                bad = [u for u in ext if not 0 <= u < n]
-                if bad:
-                    raise ModelValidationError(
-                        f"state {s!r}, predicate {pname!r}: object index {bad[0]} "
-                        f"outside universe of size {n}"
-                    )
-                in_range.add((ext, n))
-            normalized[(s, pname)] = ext
-        for s in self.states:
-            for p in self.predicates:
-                normalized.setdefault((s, p.name), frozenset())
-        object.__setattr__(self, "extensions", MappingProxyType(normalized))
         self._index()
         for p in self.predicates:
             if p.ortho is None:
@@ -143,53 +123,89 @@ class Model:
                 raise ModelValidationError(
                     f"pairing of {p.name!r} and {p.ortho!r} is not symmetric"
                 )
+            # complements in every state exactly when the masks split omega
             filled = self.pred_masks[p.name] ^ self.pred_masks[p.ortho]
-            for s, block in self.state_masks.items():
-                if filled & block != block:
-                    raise ModelValidationError(
-                        f"state {s!r}, predicate {p.name!r}: extension is not the "
-                        f"complement of its partner {p.ortho!r}"
-                    )
+            if filled != self.omega:
+                s = next(s for s, block in self.state_masks.items() if filled & block != block)
+                raise ModelValidationError(
+                    f"state {s!r}, predicate {p.name!r}: extension is not the "
+                    f"complement of its partner {p.ortho!r}"
+                )
 
     def _index(self) -> None:
-        """Lay out the bit index every SignatureSpace of the model reads: one
-        bit per (state, object) pair, one record per state (first bit, size,
-        extensions by predicate), the state and predicate masks, and per scope
-        the first predicate carrying each mask; empty the memo of eval_open."""
-        pairs = tuple((s, u) for s in self.states for u in range(self.universe_sizes[s]))
-        position = {pair: i for i, pair in enumerate(pairs)}
-        blocks = {
-            s: (position[(s, 0)], self.universe_sizes[s],
-                MappingProxyType({p.name: self.extensions[(s, p.name)] for p in self.predicates}))
-            for s in self.states
-        }
-        state_masks = {s: ((1 << n) - 1) << offset for s, (offset, n, _) in blocks.items()}
+        """Normalise ``extensions`` and lay out the bit index every
+        SignatureSpace of the model reads, in one state-major pass: one bit
+        per (state, object) pair, one record per state (first bit, size,
+        extensions by predicate), the state and predicate masks, and per
+        scope the first predicate carrying each mask; empty the memo of
+        eval_open.  A missing extension is empty."""
+        given = self.extensions
+        normalized: dict[tuple[str, str], frozenset[int]] = {}
         ext_bits: dict[frozenset[int], int] = {}  # extension -> its bits; few are distinct
-        pred_masks: dict[str, int] = {}
+        masks = [0] * len(self.predicates)
+        pairs: list[tuple[str, int]] = []
+        blocks = {}
+        found = 0  # keys of ``given`` met; if fewer than it holds, one names no listed pair
+        for s in self.states:
+            offset, n = len(pairs), self.universe_sizes[s]
+            pairs.extend((s, u) for u in range(n))
+            by_predicate = {}
+            for k, p in enumerate(self.predicates):
+                ext = given.get((s, p.name))
+                if ext is None:
+                    ext = frozenset()
+                else:
+                    found += 1
+                    ext = frozenset(ext)
+                bits = ext_bits.get(ext)
+                if bits is None:
+                    if ext and min(ext) < 0:
+                        raise self._extension_error(given)
+                    bits = ext_bits[ext] = _bits(ext)
+                if bits >> n:
+                    raise self._extension_error(given)
+                normalized[(s, p.name)] = by_predicate[p.name] = ext
+                masks[k] |= bits << offset
+            blocks[s] = (offset, n, MappingProxyType(by_predicate))
+        if found != len(given):
+            raise self._extension_error(given)
         witnesses: dict[str, dict[int, str]] = {"effects": {}, "properties": {}}
-        for p in self.predicates:
-            mask = 0
-            for s in self.states:  # each state's extension as one block, shifted in once
-                ext = self.extensions[(s, p.name)]
-                block = ext_bits.get(ext)
-                if block is None:
-                    block = ext_bits[ext] = _bits(ext)
-                mask |= block << blocks[s][0]
-            pred_masks[p.name] = mask
+        for p, mask in zip(self.predicates, masks):
             witnesses["effects"].setdefault(mask, p.name)
             if p.is_property:
                 witnesses["properties"].setdefault(mask, p.name)
         for name, value in dict(
-            pairs=pairs,
-            position=MappingProxyType(position),
+            extensions=MappingProxyType(normalized),
+            pairs=tuple(pairs),
+            position=MappingProxyType({pair: i for i, pair in enumerate(pairs)}),
             blocks=MappingProxyType(blocks),
             omega=(1 << len(pairs)) - 1,
-            state_masks=MappingProxyType(state_masks),
-            pred_masks=MappingProxyType(pred_masks),
+            state_masks=MappingProxyType(
+                {s: ((1 << n) - 1) << offset for s, (offset, n, _) in blocks.items()}
+            ),
+            pred_masks=MappingProxyType({p.name: m for p, m in zip(self.predicates, masks)}),
             witnesses=MappingProxyType({k: MappingProxyType(w) for k, w in witnesses.items()}),
             _eval_slot=_EMPTY_SLOT,
         ).items():  # not vars(self): a dict made that way slows every attribute load
             object.__setattr__(self, name, value)
+
+    def _extension_error(self, given: Mapping) -> ModelValidationError:
+        """The error for the first key of ``given``, in its order, that names
+        an unlisted state or predicate or holds an index outside its universe;
+        asked only once the pass in ``_index`` has met such a key."""
+        names = {p.name for p in self.predicates}
+        for (s, pname), ext in given.items():
+            if s not in self.universe_sizes:
+                return ModelValidationError(f"extension for unknown state {s!r}")
+            if pname not in names:
+                return ModelValidationError(f"extension for unknown predicate {pname!r}")
+            n = self.universe_sizes[s]
+            bad = [u for u in ext if not 0 <= u < n]
+            if bad:
+                return ModelValidationError(
+                    f"state {s!r}, predicate {pname!r}: object index {bad[0]} "
+                    f"outside universe of size {n}"
+                )
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, index and all
         fields = (self.predicates, self.states, dict(self.universe_sizes), dict(self.extensions))

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import time
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -109,6 +110,28 @@ def test_universe_too_small_only_when_fraction_needed():
         build_model(bad)
 
 
+def test_build_on_a_large_universe_meets_its_budget(worked_spec):
+    """The build makes the prefix set and its rest for each count k it
+    meets, on first use: a table over every k in 0..n would hold about
+    3 * 10^8 entries at n = 25 000.  Each extension is still the rule's
+    range(k), with k read here from the probability, and its partner's the
+    complement.  The build takes about 0.05 s on a shared 2-CPU VM."""
+    n = 25_000
+    start = time.perf_counter()
+    qm = build_model(replace(worked_spec, universe_size=n))
+    assert time.perf_counter() - start < 1.0
+    full, names = frozenset(range(n)), qm.predicate_names
+    order = bridge._table_order(qm.spec, qm.lattice, qm.element_index)
+    for i, j in bridge._primary_pairs(qm.lattice, order):
+        for s, _ in worked_spec.states:
+            p = qm.probabilities[(s, names[i])]
+            k = int(n * p)
+            if p not in (0, 1):
+                k = min(max(math.floor(n * p + Fraction(1, 2)), 1), n - 1)
+            assert qm.model.extensions[(s, names[i])] == frozenset(range(k))
+            assert qm.model.extensions[(s, names[j])] == full - frozenset(range(k))
+
+
 def test_rule_extension_rounds_half_up_exactly():
     """floor(n p + 1/2), clamped to [1, n - 1], for every n <= 8 and every
     p = a/b with 0 <= a <= b <= 12, against Fraction arithmetic."""
@@ -117,13 +140,13 @@ def test_rule_extension_rounds_half_up_exactly():
             for a in range(b + 1):
                 p = Fraction(a, b)
                 if p in (0, 1):
-                    assert bridge._rule_extension(p, n, "E", "S") == frozenset(range(int(n * p)))
+                    assert bridge._rule_count(p, n, "E", "S") == int(n * p)
                 elif n < 2:
                     with pytest.raises(UniverseTooSmall):
-                        bridge._rule_extension(p, n, "E", "S")
+                        bridge._rule_count(p, n, "E", "S")
                 else:
                     k = min(max(math.floor(n * p + Fraction(1, 2)), 1), n - 1)
-                    assert bridge._rule_extension(p, n, "E", "S") == frozenset(range(k))
+                    assert bridge._rule_count(p, n, "E", "S") == k
 
 
 def test_spec_validation():
@@ -229,17 +252,17 @@ def test_check_qmt_detects_full_extension_where_half(worked_qm):
 
 
 def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkeypatch):
-    original = bridge._rule_extension
+    original = bridge._rule_count
     calls = []
 
     def corrupt_first(p, n, predicate, state):
-        ext = original(p, n, predicate, state)
+        k = original(p, n, predicate, state)
         calls.append(predicate)
         if len(calls) == 1:  # flip certain truth of one extension
-            return frozenset(range(n - 1)) if len(ext) == n else frozenset(range(n))
-        return ext
+            return n - 1 if k == n else n
+        return k
 
-    monkeypatch.setattr(bridge, "_rule_extension", corrupt_first)
+    monkeypatch.setattr(bridge, "_rule_count", corrupt_first)
     with pytest.raises(PostconditionFailed, match="certain truth differs from theta"):
         build_model(worked_spec)
 
@@ -636,9 +659,11 @@ def test_an_untestable_formula_raises_on_every_call(worked_qm):
 def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     """Operation counts on gen_qm_seed11.json (16 elements, 15 states, 7
     line primaries), independent of the machine.  close makes 5 kernel
-    joins (21 before it reused known joins and inclusions) and 8 null
-    spaces, one per complement pair, and so 5 + 8 + 1 = 14 eliminations,
-    the 1 for the zero subspace it starts from (the full one is built from
+    joins (21 before it reused known joins and inclusions) and no null
+    space: each of its 8 complement pairs is of 0 and C^3 or of a line and
+    a plane, whose rows ortho writes in closed form (8 null spaces, one per
+    pair, before).  So it makes 5 + 1 = 6 eliminations (14 before), the 1
+    for the zero subspace it starts from (the full one is built from
     identity rows, which are already reduced).  The build makes 127
     Gaussian-integer inner products and no elimination: one squared norm
     per state, one <u|u> per line primary and one per (line, state); the
@@ -661,7 +686,7 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     counting(hilbert, "_nullspace", "nullspace")
     counting(lattice, "join", "join")
     lat = lattice.close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
-    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 8, 14)
+    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 0, 6)
     for key in counts:
         counts[key] = 0
     qm = bridge._model_from_lattice(spec, lat)

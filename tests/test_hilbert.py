@@ -9,12 +9,12 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qlogic import hilbert
 from qlogic.bridge import _generated_name
 from qlogic.errors import DimensionMismatch, ModelValidationError, ZeroVector
-from qlogic.gaussian import GaussianRational, format_scalar, gr
+from qlogic.gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, gr
 from qlogic.hilbert import (
     Subspace,
     _state_row,
@@ -400,3 +400,76 @@ def test_born_of_differential_catches_a_flipped_complement_rule(monkeypatch):
         settings(max_examples=200, deadline=None, database=None)(
             given(st.data())(_born_of_matches_reference)
         )()
+
+
+# -- closed-form complements against elimination -----------------------------------
+
+
+@st.composite
+def _closed_form_spaces(draw):
+    """0, C^d, a line or a hyperplane of C^1 to C^6.  A line's vector may
+    be cut to its last entry, and is multiplied by 1, -1, i or -i, so its
+    pivot and last entry take negative and purely imaginary values.  A
+    hyperplane is spanned by the reference complement of such a line, so
+    its rows come from elimination and not from ortho."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "full", "line", "hyperplane"]))
+    if kind == "zero":
+        return Subspace.zero(dim)
+    if kind == "full":
+        return Subspace.full(dim)
+    v = draw(st.tuples(*[_diff_scalars] * dim).filter(any))
+    if draw(st.booleans()):  # the pivot in the last column
+        v = (GR_ZERO,) * (dim - 1) + (v[-1] or GR_ONE,)
+    unit = draw(st.sampled_from([gr(1), gr(-1), gr(0, 1), gr(0, -1)]))
+    line = Subspace.span([[unit * z for z in v]], dim)
+    return line if kind == "line" else Subspace.span(reference.ortho(line.basis, dim), dim)
+
+
+def _complement_matches_elimination(data):
+    """ortho's rows against the null space of the conjugated rows, reduced,
+    and its basis against the Fraction reference; the complement's own
+    complement is the cached original."""
+    a = data.draw(_closed_form_spaces())
+    conjugated = [(re, [-y for y in im]) for re, im in a._rows]
+    eliminated = hilbert._reduce(hilbert._nullspace(conjugated, a.ambient), a.ambient)
+    o = ortho(a)
+    assert o._rows == tuple((tuple(re), tuple(im)) for re, im in eliminated)
+    assert o.basis == reference.ortho(a.basis, a.ambient)
+    assert ortho(o) is a
+
+
+test_complement_matches_elimination = settings(max_examples=200, deadline=None)(
+    given(st.data())(_complement_matches_elimination)
+)
+
+
+def test_complement_differential_catches_a_dropped_conjugate(monkeypatch):
+    """Negative control: a line complement whose rows pair v_f with v_k
+    where the rule pairs it with conj(v_k) fails the differential above."""
+    line_complement = hilbert._line_complement
+
+    def unconjugated(v, ncols):
+        re, im = v
+        f = max(k for k in range(ncols) if re[k] or im[k])
+        return line_complement((re, [y if k == f else -y for k, y in enumerate(im)]), ncols)
+
+    monkeypatch.setattr(hilbert, "_line_complement", unconjugated)
+    with pytest.raises(AssertionError):  # unshrunk: any failing example will do
+        settings(max_examples=200, deadline=None, database=None, phases=[Phase.generate])(
+            given(st.data())(_complement_matches_elimination)
+        )()
+
+
+def test_basis_parts_slot_starts_empty_on_copies():
+    """The canonical parts are read once and kept in a slot; copy, deepcopy
+    and pickle rebuild from the rows with the slot empty and read the same
+    sort key and literals.  The slot cannot be assigned."""
+    a = Subspace.span([(gr(2), gr(Fraction(2, 3), 1), gr(0, -1))])
+    key, literals = a.sort_key(), subspace_to_strings(a)
+    assert a._parts is not None
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin._parts is None
+        assert twin.sort_key() == key and subspace_to_strings(twin) == literals
+    with pytest.raises(FrozenInstanceError):
+        a._parts = None

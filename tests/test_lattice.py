@@ -84,8 +84,10 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     equal, zero and full operands were settled without it, and for 21 with
     the nesting and hyperplane rules alone; 17 of those 21 returned an
     element close had already found.  Meets come from De Morgan, so close
-    computes no meet and one null space per complement pair (it once took
-    29)."""
+    computes no meet.  It computes one complement per complement pair, and
+    in C^3 each is of 0, C^3, a line or a plane, whose rows ortho writes in
+    closed form: no null space (one per pair, 8, before the closed forms;
+    29 before that)."""
     spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
     calls = []
     meets = []
@@ -112,7 +114,7 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     assert len(lat) == 16
     assert len(calls) == 5
     assert len(meets) == 0
-    assert len(nullspaces) == len(lat) // 2
+    assert len(nullspaces) == 0
     for a, b in calls:  # what reaches the kernel is incomparable, hyperplane-free
         assert not leq(a, b) and not leq(b, a)
         assert spec.dim - 1 not in (a.dim, b.dim)
@@ -120,12 +122,19 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
 
 def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
     """MO_3 x MO_3 in C^4 (64 elements, 12 lines as generators), where most
-    joins are of two planes.  close makes 332 kernel joins, 430 inclusion
-    tests and 32 null spaces, one per complement pair; it made 1 141 joins
-    and 1 181 tests when only nesting and hyperplanes settled a join."""
+    joins are of two planes.  close makes 332 kernel joins and 430 inclusion
+    tests; it made 1 141 joins and 1 181 tests when only nesting and
+    hyperplanes settled a join.  Of the 32 complement pairs only the 19 of
+    planes reach a null space: ortho writes those of 0, C^4, lines and
+    hyperplanes in closed form (all 32 took one before).  So elimination
+    runs 332 + 19 + 1 = 352 times, the 1 for the zero subspace (365
+    before)."""
     spec = spec_from_dict(mo_squared_spec(3))
-    counts = {"join": 0, "leq": 0, "_nullspace": 0}
-    targets = ((qlogic.lattice, "join"), (qlogic.lattice, "leq"), (qlogic.hilbert, "_nullspace"))
+    counts = {"join": 0, "leq": 0, "_nullspace": 0, "_reduce": 0}
+    targets = (
+        (qlogic.lattice, "join"), (qlogic.lattice, "leq"),
+        (qlogic.hilbert, "_nullspace"), (qlogic.hilbert, "_reduce"),
+    )
     for module, name in targets:
 
         def counting(*args, original=getattr(module, name), name=name):
@@ -135,7 +144,7 @@ def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
     assert (len(spec.properties), len(lat)) == (12, 64)
-    assert counts == {"join": 332, "leq": 430, "_nullspace": 32}
+    assert counts == {"join": 332, "leq": 430, "_nullspace": 19, "_reduce": 352}
 
 
 def test_orthomodularity_of_closures():
