@@ -10,9 +10,9 @@ All elimination runs in one fraction-free Gauss-Jordan kernel over
 Python-int Gaussian integers: each row is cleared to one common
 denominator, kept primitive by dividing out its content after every
 step, and divided by its pivot only once, to produce the canonical basis.
-Not every complement runs it: those of 0, C^d, lines and hyperplanes
-are written straight in canonical rows, and only other ranks take the
-null space of the conjugated rows through the kernel.
+Not every complement runs it: those of 0, C^d and lines are written
+straight in canonical rows, and only other ranks take the null space of
+the conjugated rows through the kernel.
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ def _primitive(re: list[int], im: list[int]) -> Row:
     return re, im
 
 
-def _canonical(re: list[int], im: list[int], c: int) -> Row:
-    """The row made primitive with a positive integer entry in column c,
-    its pivot: times the conjugate pivot unless that is already positive,
-    which makes it |pivot|^2 > 0."""
-    p, q = re[c], im[c]
-    if q or p < 0:
-        re, im = [p * x + q * y for x, y in zip(re, im)], [p * y - q * x for x, y in zip(re, im)]
-    return _primitive(re, im)
-
-
 def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Fraction-free Gauss-Jordan elimination over the Gaussian integers.
 
@@ -78,8 +68,15 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
             pivot += 1
         if pivot == nrows:
             continue
-        pre, pim = _canonical(*rows[pivot], c)
+        pre, pim = rows[pivot]
         rows[pivot] = rows[r]
+        p, q = pre[c], pim[c]
+        if q or p < 0:  # times the conjugate pivot, which makes it |pivot|^2 > 0
+            pre, pim = (
+                [p * x + q * y for x, y in zip(pre, pim)],
+                [p * y - q * x for x, y in zip(pre, pim)],
+            )
+        pre, pim = _primitive(pre, pim)
         p = pre[c]
         rows[r] = (pre, pim)
         for i, (re, im) in enumerate(rows):
@@ -144,29 +141,10 @@ def _line_complement(v: Row, ncols: int) -> list[Row]:
     return rows
 
 
-def _hyperplane_complement(rows: Sequence[Row], ncols: int) -> list[Row]:
-    """The reduced row of the line orthogonal to a hyperplane's reduced rows.
-
-    Row i has its pivot p_i in column i before the one non-pivot column f
-    and in column i + 1 after it, and only rows before f have an entry a_i
-    there.  So the line is spanned by L e_f - sum_i conj(a_i) (L / p_i) e_i
-    over the rows before f, with L the lcm of their pivots, then made
-    canonical like any other line."""
-    f = next((i for i, (re, _) in enumerate(rows) if not re[i]), ncols - 1)
-    scale = lcm(*(rows[i][0][i] for i in range(f)))
-    wre, wim = [0] * ncols, [0] * ncols
-    wre[f] = scale
-    for i in range(f):
-        re, im = rows[i]
-        k = scale // re[i]
-        wre[i], wim[i] = -re[f] * k, im[f] * k
-    return [_canonical(wre, wim, next(c for c in range(ncols) if wre[c] or wim[c]))]
-
-
 def _complement(rows: Sequence[Row], ncols: int) -> list[Row]:
-    """Reduced rows of the orthocomplement, chosen by rank: 0, C^d, lines and
-    hyperplanes in closed form, any other rank as the null space of the
-    conjugated rows, reduced."""
+    """Reduced rows of the orthocomplement, chosen by rank: 0, C^d and lines
+    in closed form, any other rank as the null space of the conjugated
+    rows, reduced."""
     rank = len(rows)
     if rank == 0:
         return _identity(ncols)
@@ -174,8 +152,6 @@ def _complement(rows: Sequence[Row], ncols: int) -> list[Row]:
         return []
     if rank == 1:
         return _line_complement(rows[0], ncols)
-    if rank == ncols - 1:
-        return _hyperplane_complement(rows, ncols)
     conjugated = [(re, [-y for y in im]) for re, im in rows]
     return _reduce(_nullspace(conjugated, ncols), ncols)
 
@@ -322,9 +298,8 @@ def _check_same_space(a: Subspace, b: Subspace) -> None:
 
 def ortho(a: Subspace) -> Subspace:
     """Orthocomplement, exactly, cached on both ends.  The complements of 0,
-    C^d, lines and hyperplanes are written straight in canonical rows;
-    only other ranks (planes of C^4 and wider) run elimination, for the
-    null space of the conjugated rows."""
+    C^d and lines are written straight in canonical rows; other ranks run
+    elimination, for the null space of the conjugated rows."""
     o = a._ortho() if a._ortho is not None else None
     if o is None:
         o = Subspace._from_reduced(a.ambient, _complement(a._rows, a.ambient))

@@ -145,6 +145,7 @@ class Model:
         masks = [0] * len(self.predicates)
         pairs: list[tuple[str, int]] = []
         blocks = {}
+        largest = max(self.universe_sizes.values(), default=0)  # bounds every _bits buffer
         found = 0  # keys of ``given`` met; if fewer than it holds, one names no listed pair
         for s in self.states:
             offset, n = len(pairs), self.universe_sizes[s]
@@ -159,7 +160,7 @@ class Model:
                     ext = frozenset(ext)
                 bits = ext_bits.get(ext)
                 if bits is None:
-                    if ext and min(ext) < 0:
+                    if ext and (min(ext) < 0 or max(ext) >= largest):
                         raise self._extension_error(given)
                     bits = ext_bits[ext] = _bits(ext)
                 if bits >> n:
@@ -206,6 +207,7 @@ class Model:
                     f"state {s!r}, predicate {pname!r}: object index {bad[0]} "
                     f"outside universe of size {n}"
                 )
+        raise AssertionError("_index met a bad extension that _extension_error cannot name")
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor, index and all
         fields = (self.predicates, self.states, dict(self.universe_sizes), dict(self.extensions))

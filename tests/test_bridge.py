@@ -659,12 +659,14 @@ def test_an_untestable_formula_raises_on_every_call(worked_qm):
 def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     """Operation counts on gen_qm_seed11.json (16 elements, 15 states, 7
     line primaries), independent of the machine.  close makes 5 kernel
-    joins (21 before it reused known joins and inclusions) and no null
-    space: each of its 8 complement pairs is of 0 and C^3 or of a line and
-    a plane, whose rows ortho writes in closed form (8 null spaces, one per
-    pair, before).  So it makes 5 + 1 = 6 eliminations (14 before), the 1
-    for the zero subspace it starts from (the full one is built from
-    identity rows, which are already reduced).  The build makes 127
+    joins (21 before it reused known joins and inclusions) and 4 null
+    spaces.  Each of its 8 complement pairs is of 0 and C^3 or of a line
+    and a plane; ortho writes the complements of 0, C^3 and lines in
+    closed form, so only the 4 pairs close meets from the plane take a null space
+    (8, one per pair, before the closed forms).  So it makes
+    5 + 4 + 1 = 10 eliminations (14 before), the 1 for the zero subspace
+    it starts from (the full one is built from identity rows, which are
+    already reduced).  The build makes 127
     Gaussian-integer inner products and no elimination: one squared norm
     per state, one <u|u> per line primary and one per (line, state); the
     partner planes read 1 - born of their line, and the zero/full pair
@@ -686,7 +688,7 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     counting(hilbert, "_nullspace", "nullspace")
     counting(lattice, "join", "join")
     lat = lattice.close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
-    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 0, 6)
+    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 4, 10)
     for key in counts:
         counts[key] = 0
     qm = bridge._model_from_lattice(spec, lat)

@@ -411,7 +411,8 @@ def _closed_form_spaces(draw):
     be cut to its last entry, and is multiplied by 1, -1, i or -i, so its
     pivot and last entry take negative and purely imaginary values.  A
     hyperplane is spanned by the reference complement of such a line, so
-    its rows come from elimination and not from ortho."""
+    its rows come from elimination and not from ortho; its own complement
+    takes elimination too, and is checked against the reference."""
     dim = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["zero", "full", "line", "hyperplane"]))
     if kind == "zero":

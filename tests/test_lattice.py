@@ -84,10 +84,11 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     equal, zero and full operands were settled without it, and for 21 with
     the nesting and hyperplane rules alone; 17 of those 21 returned an
     element close had already found.  Meets come from De Morgan, so close
-    computes no meet.  It computes one complement per complement pair, and
-    in C^3 each is of 0, C^3, a line or a plane, whose rows ortho writes in
-    closed form: no null space (one per pair, 8, before the closed forms;
-    29 before that)."""
+    computes no meet.  It computes one complement per complement pair, of
+    the element it meets first.  ortho writes the complements of 0, C^3 and
+    lines in closed form, so only the 4 pairs met from their plane take a
+    null space (one per pair, 8, before the closed forms; 29 before
+    that)."""
     spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
     calls = []
     meets = []
@@ -114,7 +115,7 @@ def test_close_sends_few_joins_to_the_kernel(monkeypatch):
     assert len(lat) == 16
     assert len(calls) == 5
     assert len(meets) == 0
-    assert len(nullspaces) == 0
+    assert len(nullspaces) == 4
     for a, b in calls:  # what reaches the kernel is incomparable, hyperplane-free
         assert not leq(a, b) and not leq(b, a)
         assert spec.dim - 1 not in (a.dim, b.dim)
@@ -125,10 +126,10 @@ def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
     joins are of two planes.  close makes 332 kernel joins and 430 inclusion
     tests; it made 1 141 joins and 1 181 tests when only nesting and
     hyperplanes settled a join.  Of the 32 complement pairs only the 19 of
-    planes reach a null space: ortho writes those of 0, C^4, lines and
-    hyperplanes in closed form (all 32 took one before).  So elimination
-    runs 332 + 19 + 1 = 352 times, the 1 for the zero subspace (365
-    before)."""
+    planes reach a null space: close meets each of the other 13 from 0,
+    C^4 or a line, whose complements ortho writes in closed form (all 32
+    took one before).  So elimination runs 332 + 19 + 1 = 352 times, the 1 for
+    the zero subspace (365 before)."""
     spec = spec_from_dict(mo_squared_spec(3))
     counts = {"join": 0, "leq": 0, "_nullspace": 0, "_reduce": 0}
     targets = (

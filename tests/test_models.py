@@ -485,6 +485,23 @@ def test_shared_out_of_range_extension_names_its_first_key():
     assert str(err.value) == "state 'S2', predicate 'B': object index 2 outside universe of size 2"
 
 
+@pytest.mark.parametrize("index", [10**12, 2**63, 10**30])
+def test_huge_object_index_is_refused_before_any_bit_buffer(index):
+    """An index far above every universe, read from a model file, is a
+    validation error at once: the index's bit buffer is never sized by it,
+    which would allocate gigabytes, or fail with MemoryError or
+    OverflowError."""
+    data = {
+        "predicates": [{"name": "E", "property": True, "ortho": None}],
+        "states": [{"name": "S1", "universe": 3, "extensions": {"E": [0, index]}}],
+    }
+    with pytest.raises(ModelValidationError) as err:
+        model_from_dict(data)
+    assert str(err.value) == (
+        f"state 'S1', predicate 'E': object index {index} outside universe of size 3"
+    )
+
+
 def test_validation_rejects_asymmetric_ortho():
     with pytest.raises(ModelValidationError):
         model_from_dict(
