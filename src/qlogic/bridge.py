@@ -422,11 +422,11 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
     """Re-verify the build postconditions against the model as it stands.
 
     Checks, per predicate and state: the proposition of the predicate is
-    its theta set; paired extensions are complements; and each primary's
-    extension matches the probability rule (full at 1, empty at 0, clamped
-    rounded prefix otherwise) applied to the projection probability the
-    build recorded, so no Born probability is computed twice.  A single
-    corrupted extension always trips at least one of the three.
+    its theta set; on the state's block of the masks, paired extensions
+    split it and each primary's is the probability rule's prefix range(k)
+    applied to the projection probability the build recorded, so no Born
+    probability is computed twice.  A single corrupted extension always
+    trips at least one of the three; an extension is read only to word it.
     """
     model = qm.model
     violations: list[str] = []
@@ -438,21 +438,21 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
                 f"predicate {name}: proposition {sorted(prop)} != theta {sorted(qm.theta[name])}"
             )
     n = qm.spec.universe_size
-    full = frozenset(range(n))
     order = _table_order(qm.spec, qm.lattice, qm.element_index)
     for i, j in _primary_pairs(qm.lattice, order):
         name_i, name_j = qm.predicate_names[i], qm.predicate_names[j]
+        mask_i, mask_j = space.pred_masks[name_i], space.pred_masks[name_j]
         for sname, _ in qm.spec.states:
-            ext_i = model.extensions[(sname, name_i)]
-            ext_j = model.extensions[(sname, name_j)]
-            if ext_j != full - ext_i:
+            block, offset = space.state_masks[sname], model.blocks[sname][0]
+            if (mask_i ^ mask_j) & block != block:
                 violations.append(
                     f"state {sname}, predicate {name_j}: extension is not the "
                     f"complement of its partner {name_i}"
                 )
             checked += 1
             k = _rule_count(qm.probabilities[(sname, name_i)], n, name_i, sname)
-            if ext_i != frozenset(range(k)):
+            if mask_i & block != ((1 << k) - 1) << offset:  # range(k) in the state's block
+                ext_i = model.extensions[(sname, name_i)]
                 violations.append(
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "
                     f"does not match its projection probability"

@@ -51,7 +51,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 MAX_RELATION_DEPTH = 3
 
-MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has an entry for each
+MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has a bit for each
 MAX_DIM = 64  # Hilbert space dimension of a spec: exact elimination grows about as dim**2.5
 
 
@@ -135,21 +135,21 @@ class Model:
     def _index(self) -> None:
         """Normalise ``extensions`` and lay out the bit index every
         SignatureSpace of the model reads, in one state-major pass: one bit
-        per (state, object) pair, one record per state (first bit, size,
-        extensions by predicate), the state and predicate masks, and per
-        scope the first predicate carrying each mask; empty the memo of
-        eval_open.  A missing extension is empty."""
+        per (state, object) pair and no object per bit, one record per state
+        (first bit, size, extensions by predicate), the state and predicate
+        masks, and per scope the first predicate carrying each mask; empty
+        the memo of eval_open.  A missing extension is empty."""
         given = self.extensions
         normalized: dict[tuple[str, str], frozenset[int]] = {}
         ext_bits: dict[frozenset[int], int] = {}  # extension -> its bits; few are distinct
         masks = [0] * len(self.predicates)
-        pairs: list[tuple[str, int]] = []
+        total = 0  # bits laid out so far
         blocks = {}
         largest = max(self.universe_sizes.values(), default=0)  # bounds every _bits buffer
         found = 0  # keys of ``given`` met; if fewer than it holds, one names no listed pair
         for s in self.states:
-            offset, n = len(pairs), self.universe_sizes[s]
-            pairs.extend((s, u) for u in range(n))
+            offset, n = total, self.universe_sizes[s]
+            total += n
             by_predicate = {}
             for k, p in enumerate(self.predicates):
                 ext = given.get((s, p.name))
@@ -177,10 +177,8 @@ class Model:
                 witnesses["properties"].setdefault(mask, p.name)
         for name, value in dict(
             extensions=MappingProxyType(normalized),
-            pairs=tuple(pairs),
-            position=MappingProxyType({pair: i for i, pair in enumerate(pairs)}),
             blocks=MappingProxyType(blocks),
-            omega=(1 << len(pairs)) - 1,
+            omega=(1 << total) - 1,
             state_masks=MappingProxyType(
                 {s: ((1 << n) - 1) << offset for s, (offset, n, _) in blocks.items()}
             ),
@@ -365,9 +363,8 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
             raise UnknownPredicate(f.name) from None
     ref, bits = m._eval_slot
     if ref() is not f:
-        # bytes, because reading bit i of a big int shifts a copy of it:
-        # quadratic over a large universe
-        bits = _mask(m.pred_masks, m.omega, f, {}).to_bytes(len(m.pairs) // 8 + 1, "little")
+        bits = _mask(m.pred_masks, m.omega, f, {})  # as bytes: bit i of an int shifts a copy
+        bits = bits.to_bytes(m.omega.bit_length() // 8 + 1, "little")
         object.__setattr__(m, "_eval_slot", (weakref.ref(f), bits))  # frozen: past __setattr__
     i = offset + obj
     return bits[i >> 3] >> (i & 7) & 1 == 1
@@ -392,8 +389,7 @@ class SignatureSpace:
 
     def __init__(self, m: Model):
         self.model = m
-        self.pairs, self.position, self.omega = m.pairs, m.position, m.omega
-        self.state_masks, self.pred_masks = m.state_masks, m.pred_masks
+        self.omega, self.state_masks, self.pred_masks = m.omega, m.state_masks, m.pred_masks
         self._witnesses = m.witnesses
         self._atoms: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._sweeps: dict[tuple[tuple[str, ...], int], dict[int, object]] = {}
@@ -412,7 +408,13 @@ class SignatureSpace:
         return _mask(self.pred_masks, self.omega, f, cache)
 
     def to_signature(self, mask: int) -> Signature:
-        return frozenset(pair for i, pair in enumerate(self.pairs) if mask >> i & 1)
+        digits = format(mask & self.omega, "b")[::-1]  # read once: a shift per bit is quadratic
+        return frozenset(
+            (s, u)
+            for s, (offset, n, _) in self.model.blocks.items()
+            for u, digit in enumerate(digits[offset : offset + n])
+            if digit == "1"
+        )
 
     def proposition(self, mask: int) -> frozenset[str]:
         """States whose whole universe satisfies the mask.
@@ -731,15 +733,13 @@ def build_cm_model(
 
 
 def check_cms(m: Model) -> bool:
-    """Every property extension is the whole universe or empty."""
-    for p in m.predicates:
-        if not p.is_property:
-            continue
-        for s in m.states:
-            ext = m.extensions[(s, p.name)]
-            if ext and len(ext) != m.universe_sizes[s]:
-                return False
-    return True
+    """Every property mask fills or misses each state's block: full or empty."""
+    return all(
+        m.pred_masks[p.name] & block in (0, block)
+        for p in m.predicates
+        if p.is_property
+        for block in m.state_masks.values()
+    )
 
 
 def check_cmt(space: SignatureSpace, predicates: tuple[str, ...] | None = None) -> SuiteResult:

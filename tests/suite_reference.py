@@ -8,9 +8,10 @@ ordered pair, on atoms found by a method of their own; the Boolean
 quotient closed the generators' signatures to their fixpoint; the De
 Morgan and implication identities re-reduced the composed qwffs for every
 pair of reachable representatives; and the Q-truth trichotomy read each
-verdict from the theta sets per (element, state).  The differential tests
-in ``test_suites.py`` require the same counts, violations, elements and
-overflow from the package.
+verdict from the theta sets per (element, state).  The build's
+postconditions compared extension frozensets per (pair, state).  The
+differential tests in ``test_suites.py`` require the same counts,
+violations, elements and overflow from the package.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from qlogic.bridge import QTruth, _reachable_elements, _reduce_element
+from qlogic.bridge import (
+    QTruth,
+    _primary_pairs,
+    _reachable_elements,
+    _reduce_element,
+    _rule_count,
+    _table_order,
+)
 from qlogic.formulas import QAnd, QImp, QNot, QOr, render
-from qlogic.models import SignatureSpace
+from qlogic.models import SignatureSpace, SuiteResult
 
 
 @dataclass
@@ -41,7 +49,7 @@ def atoms(space, names) -> list[int]:
     """Masks of the cells of (state, object) bits that lie in exactly the
     same generators: each bit keyed by the generators that hold it."""
     cells: dict[tuple[int, ...], int] = {}
-    for bit in range(len(space.pairs)):
+    for bit in range(space.omega.bit_length()):
         key = tuple(space.pred_masks[name] >> bit & 1 for name in names)
         cells[key] = cells.get(key, 0) | 1 << bit
     return list(cells.values())
@@ -139,6 +147,50 @@ def quotient_elements(m, predicates=None, max_elements: int | None = 512) -> fro
     space = SignatureSpace(m)
     classes = space.closed_classes(names, max_elements)
     return frozenset(space.to_signature(mask) for mask in classes)
+
+
+# -- the build's postconditions ---------------------------------------------------------
+
+
+def qmt(qm) -> SuiteResult:
+    """proposition-theta-agreement on extension frozensets: a predicate's
+    proposition is the states where its extension is the whole universe,
+    partners' extensions are set complements, and each primary's is the
+    set range(k) the probability rule gives."""
+    model = qm.model
+    violations: list[str] = []
+    checked = len(qm.predicate_names)
+    for name in qm.predicate_names:
+        prop = frozenset(
+            s
+            for s in model.states
+            if model.extensions[(s, name)] == frozenset(range(model.universe_sizes[s]))
+        )
+        if prop != qm.theta[name]:
+            violations.append(
+                f"predicate {name}: proposition {sorted(prop)} != theta {sorted(qm.theta[name])}"
+            )
+    n = qm.spec.universe_size
+    full = frozenset(range(n))
+    order = _table_order(qm.spec, qm.lattice, qm.element_index)
+    for i, j in _primary_pairs(qm.lattice, order):
+        name_i, name_j = qm.predicate_names[i], qm.predicate_names[j]
+        for sname, _ in qm.spec.states:
+            ext_i = model.extensions[(sname, name_i)]
+            ext_j = model.extensions[(sname, name_j)]
+            if ext_j != full - ext_i:
+                violations.append(
+                    f"state {sname}, predicate {name_j}: extension is not the "
+                    f"complement of its partner {name_i}"
+                )
+            checked += 1
+            k = _rule_count(qm.probabilities[(sname, name_i)], n, name_i, sname)
+            if ext_i != frozenset(range(k)):
+                violations.append(
+                    f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "
+                    f"does not match its projection probability"
+                )
+    return SuiteResult("proposition-theta-agreement", checked, len(violations), violations)
 
 
 # -- quantum identities over reachable qwffs ------------------------------------------

@@ -33,10 +33,12 @@ from dataclasses import replace
 
 import pytest
 
+import suite_reference as reference
 from conftest import DATA_DIR, REPO, mo_squared_spec, with_extension
 from qlogic import cli
-from qlogic.bridge import build_model
+from qlogic.bridge import build_model, check_qmt
 from qlogic.cli import main
+from qlogic.models import SignatureSpace
 
 INPUTS = (
     ("--qm-spec", "specs/worked_qm.json"),
@@ -215,6 +217,14 @@ def test_check_on_a_corrupted_model_matches_golden(corruption, fmt, capsys, monk
     assert main(["check", "--qm-spec", "specs/worked_qm.json", "--format", fmt]) == 1
     golden = DATA_DIR / "golden" / f"worked_qm.check_corrupt_{corruption}.{fmt}"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_qmt_on_a_corrupted_model_matches_the_frozenset_reference(corruption, worked_spec):
+    """check_qmt, which reads each state's slice of the predicate masks,
+    gives the same result as the comparison of extension frozensets."""
+    qm = CORRUPTIONS[corruption](worked_spec)
+    assert check_qmt(qm, SignatureSpace(qm.model)) == reference.qmt(qm)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

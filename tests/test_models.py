@@ -57,6 +57,12 @@ from qlogic.models import (
 from conftest import DATA_DIR, SPEC_DIR
 
 
+def state_major_pairs(m: Model) -> list[tuple[str, int]]:
+    """The model's (state, object) pairs, state by state in its state
+    order, objects ascending: the order of its bits."""
+    return [(s, u) for s in m.states for u in range(m.universe_sizes[s])]
+
+
 def tiny_model() -> Model:
     return Model(
         predicates=(PredicateInfo("E"), PredicateInfo("F")),
@@ -188,7 +194,8 @@ def test_eval_open_agrees_with_the_per_pair_walk(data):
     trees = eval_trees([p.name for p in predicates])
     f = data.draw(trees)
     formulas = [f, Not(f), data.draw(trees)]  # f and ~f differ at every pair
-    pairs = st.sampled_from(m.pairs) | st.tuples(
+    listed = state_major_pairs(m)
+    pairs = st.sampled_from(listed) | st.tuples(
         st.sampled_from([*states, "T", "Nowhere"]), st.integers(-1, 3)
     )
     faults = [_mask_fault(m, g) for g in formulas]
@@ -196,7 +203,7 @@ def test_eval_open_agrees_with_the_per_pair_walk(data):
     for k, twin, (state, obj) in data.draw(st.lists(queries, min_size=1, max_size=30)):
         g, model = formulas[k], twins[twin]
         expected = _outcome(walk_eval_open, model, g, state, obj)
-        if faults[k] is not None and (state, obj) in model.position:
+        if faults[k] is not None and (state, obj) in listed:
             expected = faults[k]
         assert _outcome(eval_open, model, g, state, obj) == expected
 
@@ -222,7 +229,7 @@ def test_eval_open_forms_one_mask_and_no_space_for_a_query(monkeypatch):
     m = qm.model
     values = [eval_open(m, f, s, u) for s in m.states for u in range(m.universe_sizes[s])]
     assert len(values) == 45 and len(roots) == 1 and spaces == []
-    assert values == [walk_eval_open(m, f, s, u) for s, u in m.pairs]
+    assert values == [walk_eval_open(m, f, s, u) for s, u in state_major_pairs(m)]
 
 
 def test_the_eval_slot_keeps_no_formula_alive():
@@ -684,8 +691,11 @@ def reference_index(predicates, states, sizes, extensions):
 def assert_index_matches(m: Model, predicates, states, sizes, extensions):
     blocks, signatures, witnesses = reference_index(predicates, states, sizes, extensions)
     space = SignatureSpace(m)
-    assert list(space.pairs) == [pair for s in states for pair in sorted(blocks[s])]
-    assert all(space.position[pair] == i for i, pair in enumerate(space.pairs))
+    offset = 0  # each state's block is contiguous, in state order
+    for s in states:
+        assert space.state_masks[s] == ((1 << sizes[s]) - 1) << offset
+        offset += sizes[s]
+    assert list(space.state_masks) == list(states) and space.omega == (1 << offset) - 1
     assert space.to_signature(space.omega) == set().union(*blocks.values())
     assert {s: space.to_signature(mask) for s, mask in space.state_masks.items()} == blocks
     assert {p: space.to_signature(mask) for p, mask in space.pred_masks.items()} == signatures
@@ -740,15 +750,17 @@ def test_index_matches_a_reference_on_built_models(path):
 
 
 def bitwise_masks(m: Model) -> tuple[dict[str, int], dict[str, int]]:
-    """State and predicate masks laid out one bit at a time, by position."""
+    """State and predicate masks laid out one bit at a time, by position
+    in the state-major list of pairs."""
+    position = {pair: i for i, pair in enumerate(state_major_pairs(m))}
     state_masks = {s: 0 for s in m.states}
     pred_masks = {p.name: 0 for p in m.predicates}
-    for s, u in m.pairs:
-        state_masks[s] |= 1 << m.position[(s, u)]
+    for (s, _), i in position.items():
+        state_masks[s] |= 1 << i
     for p in m.predicates:
         for s in m.states:
             for u in m.extensions[(s, p.name)]:
-                pred_masks[p.name] |= 1 << m.position[(s, u)]
+                pred_masks[p.name] |= 1 << position[(s, u)]
     return state_masks, pred_masks
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import astuple, replace
+from functools import lru_cache
 from itertools import count
 from math import prod
 
@@ -14,10 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlogic.bridge import (
+    _primary_pairs,
     _reachable_elements,
+    _table_order,
     build_model,
     check_q_trichotomy,
+    check_qmt,
     check_quantum_equivalences,
+    load_spec,
     spec_from_dict,
 )
 from qlogic.cli import main
@@ -330,6 +335,29 @@ def test_trichotomy_matches_reference_on_corrupted_builds(worked_qm, seed):
         for depth in (1, 2):
             got = check_q_trichotomy(qm, space, depth)
             assert _stats([got]) == [astuple(reference.q_trichotomy(qm, space, depth))]
+
+
+@lru_cache(maxsize=None)
+def _worked_at(universe: int):
+    return build_model(replace(load_spec(SPEC_DIR / "worked_qm.json"), universe_size=universe))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 1000]), st.booleans(), st.data())
+def test_qmt_matches_reference_on_one_object_edits(universe, with_partner, data):
+    """One object toggled in a primary's extension in one state of the
+    worked spec, alone or in its partner's too, which keeps the two
+    complementary but breaks the rule: check_qmt, on the masks,
+    reports it as the frozenset comparison does, and so fails."""
+    qm = _worked_at(universe)
+    order = _table_order(qm.spec, qm.lattice, qm.element_index)
+    pair = data.draw(st.sampled_from(_primary_pairs(qm.lattice, order)))
+    state = data.draw(st.sampled_from(qm.model.states))
+    u = data.draw(st.integers(0, universe - 1))
+    names = [qm.predicate_names[k] for k in pair[: 1 + with_partner]]
+    qm = with_extensions(qm, {(state, n): qm.model.extensions[(state, n)] ^ {u} for n in names})
+    result = check_qmt(qm, SignatureSpace(qm.model))
+    assert not result.ok and result == reference.qmt(qm)
 
 
 def test_zero_property_spec_sweeps_the_empty_alphabet(tmp_path, capsys):
