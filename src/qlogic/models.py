@@ -392,7 +392,6 @@ class SignatureSpace:
         self.omega, self.state_masks, self.pred_masks = m.omega, m.state_masks, m.pred_masks
         self._witnesses = m.witnesses
         self._atoms: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._sweeps: dict[tuple[tuple[str, ...], int], dict[int, object]] = {}
         self._classes: dict[tuple[tuple[str, ...], int], dict[int, Formula]] = {}
 
     def witnesses(self, scope: str = "properties") -> Mapping[int, str]:
@@ -431,27 +430,14 @@ class SignatureSpace:
         self, generator_names: Iterable[str], max_depth: int
     ) -> dict[int, Formula]:
         """Signature classes of all classical formulas over the generators
-        up to the given depth, each with one representative formula:
-        ``atom_classes`` with each atom set read as its mask and each parent
-        record as its formula, in the same order, memoized alike."""
+        up to the given depth, each mask mapped to one representative
+        formula.  Signatures compose, so layering over classes enumerates
+        those of the full formula enumeration.  Memoized per space; callers
+        share the dict, which none may change."""
         key = (tuple(generator_names), max_depth)
         if key not in self._classes:
-            self._classes[key] = self._formulas(self.atom_classes(*key))
+            self._classes[key] = self._closure(key[0], rounds=max_depth)
         return self._classes[key]
-
-    def atom_classes(self, generator_names: Iterable[str], max_depth: int) -> dict[int, object]:
-        """The same classes as the sets of atoms they hold, bit i for
-        ``atoms(generator_names)[i]``, each mapped to its parent record: a
-        generator's ``Pred``, or a connective with its operands' records.
-        Signatures compose, so layering over classes enumerates those of the
-        full formula enumeration; the generated algebra is isomorphic to the
-        power set of its atoms, so keys, order and deduplication are those
-        of a sweep over masks.  Memoized per space; callers share the dict,
-        which none may change."""
-        key = (tuple(generator_names), max_depth)
-        if key not in self._sweeps:
-            self._sweeps[key] = self._closure(key[0], rounds=max_depth)
-        return self._sweeps[key]
 
     def closed_classes(
         self, generator_names: Iterable[str], max_elements: int | None = None
@@ -466,7 +452,7 @@ class SignatureSpace:
         overflow = ClosureOverflow(
             f"signature algebra exceeded {max_elements} elements", generators=names
         )
-        return self._formulas(self._closure(names, cap=max_elements, overflow=overflow))
+        return self._closure(names, cap=max_elements, overflow=overflow)
 
     def atoms(self, generator_names: Iterable[str]) -> tuple[int, ...]:
         """Masks of the cells of bits lying in exactly the same generators,
@@ -483,37 +469,13 @@ class SignatureSpace:
             self._atoms[names] = tuple(cells)
         return self._atoms[names]
 
-    def atom_set(self, mask: int, generator_names: Iterable[str]) -> int | None:
-        """The atoms of the generators whose union is the mask, bit i for
-        ``atoms(generator_names)[i]``; None when it is no such union."""
-        atoms = self.atoms(generator_names)
-        met = [i for i, atom in enumerate(atoms) if atom & mask]
-        return _bits(met) if sum(atoms[i] for i in met) == mask else None
-
-    def _closure(self, generator_names: tuple[str, ...], **limits) -> dict[int, object]:
-        seeds: dict[int, object] = {}
+    def _closure(self, generator_names: tuple[str, ...], **limits) -> dict[int, Formula]:
+        seeds: dict[int, Formula] = {}
         for name in generator_names:
-            seeds.setdefault(self.atom_set(self.mask_of(Pred(name)), generator_names), Pred(name))
-        full = (1 << len(self.atoms(generator_names))) - 1  # complement within the atoms
-        unary = [(full.__xor__, lambda rep: (Not, rep))]
-        binary = [(operator.and_, lambda a, b: (And, a, b)), (operator.or_, lambda a, b: (Or, a, b))]
+            seeds.setdefault(self.mask_of(Pred(name)), Pred(name))
+        unary = [(self.omega.__xor__, Not)]
+        binary = [(operator.and_, And), (operator.or_, Or)]
         return fixpoint(seeds, unary, binary, symmetric=True, **limits)
-
-    def _formulas(self, classes: dict[int, object]) -> dict[int, Formula]:
-        built: dict[int, Formula] = {}  # by id of the record, so subtrees are shared
-        cache: dict[Formula, int] = {}
-        return {self.mask_of(f := _rebuild(rep, built), cache): f for rep in classes.values()}
-
-
-def _rebuild(rep, built: dict[int, Formula] | None = None) -> Formula:
-    """The formula a parent record of ``atom_classes`` stands for; a record
-    met before, by identity, takes the formula ``built`` holds for it."""
-    if isinstance(rep, Formula):
-        return rep
-    built = {} if built is None else built
-    if id(rep) not in built:
-        built[id(rep)] = rep[0](*(_rebuild(parent, built) for parent in rep[1:]))
-    return built[id(rep)]
 
 
 def _mask(
@@ -620,7 +582,7 @@ def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[
         return []
     pairs = sorted(alg.omega)
     position = {p: i for i, p in enumerate(pairs)}
-    masks = sorted(sum(1 << position[p] for p in sig) for sig in alg.elements)
+    masks = sorted(_bits([position[p] for p in sig]) for sig in alg.elements)
     element_set = set(masks)
     omega_mask = (1 << len(pairs)) - 1
     out: list[str] = []
@@ -754,16 +716,18 @@ def check_cmt(space: SignatureSpace, predicates: tuple[str, ...] | None = None) 
     """
     names = space.model.property_names() if predicates is None else predicates
     checked = quotient_size(space, names)  # 0 for an empty alphabet, which builds no formula
-    carried = {space.atom_set(mask, names) for mask in space.witnesses()} - {None}
+    atoms = space.atoms(names)
+    # the carried classes of the algebra: witness masks that are unions of its atoms
+    carried = {mask for mask in space.witnesses() if all(mask & a in (0, a) for a in atoms)}
     result = SuiteResult("cm-testability", checked, info={"holds": True})
     if names and len(carried) < checked:
         # One round deeper at a time, each depth swept from the generators:
         # the shallower sweeps' classes were all carried, so no more than the predicates
         for depth in count(1):
-            classes = space.atom_classes(names, depth)
-            rep = next((r for key, r in classes.items() if key not in carried), None)
+            classes = space.reachable_classes(names, depth)
+            rep = next((f for mask, f in classes.items() if mask not in carried), None)
             if rep is not None:
-                result.info = {"holds": False, "witness": render(_rebuild(rep))}
+                result.info = {"holds": False, "witness": render(rep)}
                 break
     return result
 

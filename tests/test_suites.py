@@ -260,7 +260,7 @@ def test_cm_testability_matches_the_ordered_sweep_on_mo2_squared():
 
 def test_cm_testability_rebuilds_a_deeper_witness_as_the_ordered_sweep_renders_it():
     """Properties carry every class of depth 1 over P and Q, so the first
-    class none carries comes from a depth-2 record, rebuilt from its parents."""
+    class none carries is swept at depth 2, with the formula built there."""
     depth_one = {"P": {0, 1}, "Q": {1, 2}, "NP": {2, 3}, "NQ": {0, 3}, "PQ": {1}, "PoQ": {0, 1, 2}}
     model = Model(
         tuple(PredicateInfo(name) for name in depth_one),
@@ -290,6 +290,24 @@ def test_cm_testability_fails_on_one_uncarried_class():
         want = _cm_testability_by_ordered_sweep(space, ("P",))
         assert (want[0], want[2]) == (holds, 4)
         assert _cm_testability(space, ("P",)) == want
+
+
+def test_cm_testability_counts_only_the_carried_classes_of_the_algebra():
+    """P and its complement NP are the two atoms over P, and T is their
+    union; Q splits P's atom, so its mask lies outside the algebra.  Four
+    witness masks against four classes, but only three classes carried:
+    the empty one is the witness."""
+    exts = {"P": {0, 1}, "NP": {2}, "T": {0, 1, 2}, "Q": {0}}
+    model = Model(
+        tuple(map(PredicateInfo, exts)),
+        ("S",),
+        {"S": 3},
+        {("S", name): frozenset(ext) for name, ext in exts.items()},
+    )
+    space = SignatureSpace(model)
+    assert len(space.witnesses()) == 4
+    assert _cm_testability(space, ("P",)) == (False, "P & ~P", 4)
+    assert _cm_testability_by_ordered_sweep(space, ("P",)) == (False, "P & ~P", 4)
 
 
 def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
