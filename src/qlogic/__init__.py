@@ -46,7 +46,6 @@ from .lattice import (
 from .models import (
     Model,
     PredicateInfo,
-    QuotientAlgebra,
     SuiteResult,
     boolean_law_violations,
     build_cm_model,
@@ -59,7 +58,6 @@ from .models import (
     model_from_dict,
     model_to_dict,
     physical_leq,
-    quotient_boolean,
     save_model,
     signature,
 )

@@ -13,7 +13,6 @@ construction, never rounded independently.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +53,7 @@ from .hilbert import (
 from .lattice import DEFAULT_CLOSURE_CAP, QLattice, close
 from .models import (
     _EMPTY_SLOT,
+    _IDENT_RE,
     MAX_DIM,
     MAX_PAIRS,
     MAX_RELATION_DEPTH,
@@ -66,8 +66,6 @@ from .models import (
     read_json,
 )
 from .propositions import proposition_poset
-
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 def _check_dim_cap(dim: int) -> None:
@@ -109,7 +107,7 @@ class QMModelSpec:
         if len(set(prop_names)) != len(prop_names):
             raise ModelValidationError("duplicate property names")
         for name, sub in self.properties:
-            if not _NAME_RE.match(name):
+            if not _IDENT_RE.match(name):
                 raise ModelValidationError(f"property name {name!r} is not an identifier")
             if sub.ambient != self.dim:
                 raise DimensionMismatch(

@@ -92,7 +92,6 @@ def random_qm_spec(
     n_properties: int = 2,
     universe: int = 4,
     closure_cap: int = 64,
-    max_attempts: int = MAX_GENERATION_ATTEMPTS,
 ) -> tuple[QMModelSpec, int]:
     """A spec of random rational lines whose built model is adequate.
 
@@ -114,7 +113,7 @@ def random_qm_spec(
         raise ValueError(f"dimension {dim}, over the cap {MAX_DIM}")
     if dim == 1 and n_properties > 1:
         raise ValueError(f"C^1 has one line, so {n_properties} property lines cannot be distinct")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_GENERATION_ATTEMPTS + 1):
         rng = random.Random(f"qm:{seed}:{attempt}")
         lines: list[Subspace] = []
         tries = 0
@@ -167,7 +166,7 @@ def random_qm_spec(
                 _model_from_lattice(spec, lat)
             return spec, attempt
     raise ClosureOverflow(
-        f"no adequate spec found for seed {seed} within {max_attempts} attempts"
+        f"no adequate spec found for seed {seed} within {MAX_GENERATION_ATTEMPTS} attempts"
     )
 
 

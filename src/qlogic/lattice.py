@@ -9,7 +9,7 @@ Closed families of subspaces need not stay finite, hence the element cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._fixpoint import fixpoint
 from .errors import ClosureOverflow, DimensionMismatch
@@ -27,11 +27,6 @@ class QLattice:
     join: tuple[tuple[int, ...], ...]
     zero_index: int
     full_index: int
-    index: dict[Subspace, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {s: i for i, s in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -170,7 +165,6 @@ def close(
         join=join_table,
         zero_index=position[ids[zero]],
         full_index=position[ids[full]],
-        index={elements[i]: p for p, i in enumerate(ordered)},
     )
 
 

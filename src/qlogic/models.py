@@ -24,7 +24,6 @@ from typing import Collection, Iterable, Mapping
 from ._fixpoint import fixpoint
 from .errors import (
     ClosureOverflow,
-    DepthLimitExceeded,
     ModelValidationError,
     ObjectOutOfRange,
     QuantumNodeInClassicalEval,
@@ -32,7 +31,6 @@ from .errors import (
     UnknownState,
 )
 from .formulas import (
-    MAX_ENUM_DEPTH,
     And,
     Formula,
     Not,
@@ -529,48 +527,18 @@ def physical_leq(m: Model, f: Formula, g: Formula) -> bool:
 # -- quotient algebra -------------------------------------------------------------
 
 
-@dataclass
-class QuotientAlgebra:
-    """Signature classes: subsets of omega, closed under the set operations."""
-
-    omega: Signature
-    elements: frozenset
-    generators: dict[str, Signature]
-
-
-def quotient_boolean(
-    m: Model, predicates: Iterable[str] | None = None, max_elements: int = 512
-) -> QuotientAlgebra:
-    """The algebra of signatures of classical formulas over the predicates:
-    the unions of their atoms, a Boolean subalgebra by construction.  A
-    carrier above max_elements raises ClosureOverflow instead of being
-    built."""
-    space = SignatureSpace(m)
-    names = tuple(predicates) if predicates is not None else m.predicate_names()
-    atoms = space.atoms(names)
-    if names and 2 ** len(atoms) > max_elements:
-        raise ClosureOverflow(
-            f"signature algebra exceeded {max_elements} elements", generators=names
-        )
-    unions = [0] if names else []
-    for atom in atoms:
-        unions += [union | atom for union in unions]
-    return QuotientAlgebra(
-        omega=space.to_signature(space.omega),
-        elements=frozenset(space.to_signature(mask) for mask in unions),
-        generators={name: space.to_signature(space.pred_masks[name]) for name in names},
-    )
-
-
 def quotient_size(space: SignatureSpace, predicates: Iterable[str] | None = None) -> int:
-    """Element count of ``quotient_boolean``'s carrier without building it:
-    2**atoms, 0 for an empty alphabet."""
+    """Element count of the algebra the predicates generate, without
+    building it (``SignatureSpace.closed_classes`` does): 2**atoms, 0 for
+    an empty alphabet."""
     names = tuple(predicates) if predicates is not None else space.model.predicate_names()
     return 2 ** len(space.atoms(names)) if names else 0
 
 
-def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[str]:
-    """Boolean-subalgebra check over the algebra's elements.
+def boolean_law_violations(
+    omega: frozenset, elements: Collection[frozenset], max_reports: int = 20
+) -> list[str]:
+    """Boolean-subalgebra check of a family of subsets of omega.
 
     Complement, meet and join are bitwise not, and, or on masks, so the
     lattice laws (identity, idempotence, commutativity, absorption,
@@ -578,11 +546,11 @@ def boolean_law_violations(alg: QuotientAlgebra, max_reports: int = 20) -> list[
     masks.  What can fail is membership: bottom, top, each complement, and
     the meet and join of each pair must lie in the carrier.
     """
-    if not alg.elements:
+    if not elements:
         return []
-    pairs = sorted(alg.omega)
+    pairs = sorted(omega)
     position = {p: i for i, p in enumerate(pairs)}
-    masks = sorted(_bits([position[p] for p in sig]) for sig in alg.elements)
+    masks = sorted(_bits([position[p] for p in sig]) for sig in elements)
     element_set = set(masks)
     omega_mask = (1 << len(pairs)) - 1
     out: list[str] = []
@@ -730,25 +698,3 @@ def check_cmt(space: SignatureSpace, predicates: tuple[str, ...] | None = None) 
                 result.info = {"holds": False, "witness": render(rep)}
                 break
     return result
-
-
-def truth_collapse_violations(
-    space: SignatureSpace, max_depth: int = 3, predicates: tuple[str, ...] | None = None
-) -> list[str]:
-    """Property-wffs whose truth at some state depends on the object.
-
-    Empty on any model satisfying the full-or-empty extension profile:
-    there, truth and certain truth coincide.
-    """
-    if max_depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_ENUM_DEPTH}")
-    names = space.model.property_names() if predicates is None else predicates
-    classes = space.reachable_classes(names, max_depth)
-    out = []
-    for mask, rep in classes.items():
-        for s, block in space.state_masks.items():
-            slice_ = mask & block
-            if slice_ and slice_ != block:
-                out.append(f"{render(rep)} is object-dependent in state {s}")
-                break
-    return out

@@ -180,7 +180,6 @@ def close(
         join=tuple(join_rows),
         zero_index=index[Subspace.zero(dim)],
         full_index=index[Subspace.full(dim)],
-        index=index,
     )
 
 

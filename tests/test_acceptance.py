@@ -35,15 +35,7 @@ from qlogic.lattice import (
     is_orthomodular,
     ortho_involution_violations,
 )
-from qlogic.models import (
-    QuotientAlgebra,
-    SignatureSpace,
-    boolean_law_violations,
-    check_cms,
-    check_cmt,
-    quotient_boolean,
-    truth_collapse_violations,
-)
+from qlogic.models import SignatureSpace, boolean_law_violations, check_cms, check_cmt
 from qlogic.propositions import check_connective_relations
 
 import suite_reference as reference
@@ -84,18 +76,33 @@ def qm_corpus() -> list[QuantumModel]:
     return corpus
 
 
+def _pairs(model) -> frozenset:
+    """The model's (state, object) pairs: the top of its signature algebra."""
+    return frozenset((s, u) for s in model.states for u in range(model.universe_sizes[s]))
+
+
 def test_criterion_1_boolean_classical_quotient(classical_corpus):
     started = time.perf_counter()
     violations = []
-    for i, model in enumerate(classical_corpus):
-        algebra = quotient_boolean(model)
-        violations += [f"model {i}: {v}" for v in boolean_law_violations(algebra)]
+    carriers = [(_pairs(model), reference.quotient_elements(model)) for model in classical_corpus]
+    for i, (omega, elements) in enumerate(carriers):
+        violations += [f"model {i}: {v}" for v in boolean_law_violations(omega, elements)]
+    # negative control: drop one proper element from the first carrier of at
+    # least 4; its complement is left without one
+    i, (omega, elements) = next((i, c) for i, c in enumerate(carriers) if len(c[1]) >= 4)
+    dropped = min(elements - {frozenset(), omega}, key=sorted)
+    position = {p: k for k, p in enumerate(sorted(omega))}
+    kept = sum(1 << position[p] for p in omega - dropped)
+    caught = f"complement of element {kept:#x} not in carrier" in boolean_law_violations(
+        omega, elements - {dropped}
+    )
     elapsed = time.perf_counter() - started
     _report(
         1,
         "Boolean classical quotient",
-        not violations and elapsed < 10.0,
-        f"{len(classical_corpus)} models, {len(violations)} violations, {elapsed:.2f}s",
+        not violations and caught and elapsed < 10.0,
+        f"{len(classical_corpus)} models, {len(violations)} violations, "
+        f"control on model {i} caught={caught}, {elapsed:.2f}s",
     )
 
 
@@ -134,12 +141,13 @@ def test_criterion_3_cm_collapse():
         space = SignatureSpace(model)
         if not check_cmt(space).info["holds"]:
             problems.append(f"model {i}: testability fails")
-        if truth_collapse_violations(space, 3):
-            problems.append(f"model {i}: truth differs from certain truth")
         classes = space.closed_classes(model.predicate_names(), 4096)
+        blocks = space.state_masks.values()
+        if any(mask & block not in (0, block) for mask in classes for block in blocks):
+            problems.append(f"model {i}: truth differs from certain truth")
         props = frozenset(space.proposition(mask) for mask in classes)
-        algebra = QuotientAlgebra(frozenset(model.states), props, {})
-        problems += [f"model {i}: {v}" for v in boolean_law_violations(algebra)]
+        laws = boolean_law_violations(frozenset(model.states), props)
+        problems += [f"model {i}: {v}" for v in laws]
     elapsed = time.perf_counter() - started
     _report(
         3,

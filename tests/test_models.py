@@ -37,7 +37,6 @@ from qlogic.generate import random_classical_model
 from qlogic.models import (
     Model,
     PredicateInfo,
-    QuotientAlgebra,
     SignatureSpace,
     boolean_law_violations,
     build_cm_model,
@@ -50,9 +49,7 @@ from qlogic.models import (
     model_from_dict,
     model_to_dict,
     physical_leq,
-    quotient_boolean,
     signature,
-    truth_collapse_violations,
 )
 
 import closure_reference
@@ -320,45 +317,53 @@ def test_logical_implies_physical(seed, pick):
         assert physical_leq(m, f, g)
 
 
+def _quotient(m: Model, predicates) -> tuple[frozenset, frozenset]:
+    """The universe of (state, object) pairs and the signatures of the
+    algebra the predicates generate, closed to its fixpoint."""
+    space = SignatureSpace(m)
+    classes = space.closed_classes(predicates)
+    return space.to_signature(space.omega), frozenset(map(space.to_signature, classes))
+
+
 def test_quotient_boolean_single_proper_predicate():
     m = tiny_model()
-    alg = quotient_boolean(m, predicates=["E"])
+    omega, elements = _quotient(m, ["E"])
     sig = signature(m, Pred("E"))
-    omega = frozenset({("S", u) for u in range(3)})
-    assert alg.elements == frozenset({frozenset(), sig, omega - sig, omega})
-    assert not boolean_law_violations(alg)
+    assert omega == frozenset({("S", u) for u in range(3)})
+    assert elements == frozenset({frozenset(), sig, omega - sig, omega})
+    assert not boolean_law_violations(omega, elements)
 
 
 def test_quotient_boolean_cm_two_state():
     m = build_cm_model(["S1", "S2"], ["E"], {("S1", "E"): True, ("S2", "E"): False}, 2)
-    alg = quotient_boolean(m, predicates=["E"])
-    assert len(alg.elements) == 4
-    assert not boolean_law_violations(alg)
+    omega, elements = _quotient(m, ["E"])
+    assert len(elements) == 4
+    assert not boolean_law_violations(omega, elements)
 
 
-def _carrier(*element_bits: int) -> QuotientAlgebra:
-    """Algebra over three pairs of state S whose elements are given as
-    bitmasks (bit u set when object u is in the signature)."""
+def _carrier(*element_bits: int) -> tuple[frozenset, frozenset]:
+    """Three pairs of state S and a family of their subsets, each given
+    as a bitmask (bit u set when object u is in the signature)."""
     omega = frozenset(("S", u) for u in range(3))
     elements = frozenset(
         frozenset(("S", u) for u in range(3) if bits >> u & 1) for bits in element_bits
     )
-    return QuotientAlgebra(omega, elements, {})
+    return omega, elements
 
 
 def test_boolean_law_violations_negative_controls():
-    assert boolean_law_violations(_carrier(0b000, 0b001, 0b110, 0b111)) == []
-    assert boolean_law_violations(_carrier(0b000, 0b001, 0b110)) == [
+    assert boolean_law_violations(*_carrier(0b000, 0b001, 0b110, 0b111)) == []
+    assert boolean_law_violations(*_carrier(0b000, 0b001, 0b110)) == [
         "top (full signature) missing",
         "complement of element 0x0 not in carrier",
         "carrier not closed for pair (0x1, 0x6)",
         "carrier not closed for pair (0x6, 0x1)",
     ]
-    assert boolean_law_violations(_carrier(0b000, 0b001, 0b111)) == [
+    assert boolean_law_violations(*_carrier(0b000, 0b001, 0b111)) == [
         "complement of element 0x1 not in carrier",
     ]
     # complements all present, but {0,1} ^ {1,2} = {1} is not
-    lacks_meet = boolean_law_violations(_carrier(0b000, 0b001, 0b011, 0b100, 0b110, 0b111))
+    lacks_meet = boolean_law_violations(*_carrier(0b000, 0b001, 0b011, 0b100, 0b110, 0b111))
     assert "carrier not closed for pair (0x3, 0x6)" in lacks_meet
     assert not any("complement" in line or "missing" in line for line in lacks_meet)
 
@@ -369,24 +374,22 @@ def test_boolean_law_violations_on_a_large_universe_meets_its_budget(worked_spec
     0.45 s on a shared 2-CPU VM.  Adding one growing int per pair was
     quadratic in the pairs: 2.5 s there."""
     m = build_model(replace(worked_spec, universe_size=20_000)).model
-    alg = quotient_boolean(m)
-    assert len(alg.elements) == 16
+    omega, elements = _quotient(m, m.predicate_names())
+    assert len(elements) == 16
     start = time.perf_counter()
-    assert boolean_law_violations(alg) == []
+    assert boolean_law_violations(omega, elements) == []
     assert time.perf_counter() - start < 1.0
 
 
 def test_quotient_boolean_no_predicates():
-    m = tiny_model()
-    alg = quotient_boolean(m, predicates=[])
-    assert alg.elements == frozenset()
+    assert SignatureSpace(tiny_model()).closed_classes([]) == {}
 
 
 def test_quotient_matches_literal_enumeration():
     m = tiny_model()
-    alg = quotient_boolean(m)
+    _, elements = _quotient(m, m.predicate_names())
     enumerated = {signature(m, f) for f in enumerate_formulas(["E", "F"], 2)}
-    assert enumerated <= alg.elements
+    assert enumerated <= elements
 
 
 def test_build_cm_model_extensions_and_partners():
@@ -407,7 +410,6 @@ def test_cm_truth_is_object_independent():
         {("S1", "E"): True, ("S2", "E"): False, ("S1", "F"): False, ("S2", "F"): True},
         4,
     )
-    assert not truth_collapse_violations(SignatureSpace(m), 3)
     for f in enumerate_formulas(["E", "F"], 2):
         for s in m.states:
             values = {eval_open(m, f, s, u) for u in range(4)}
