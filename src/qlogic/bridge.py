@@ -22,7 +22,6 @@ from weakref import ref
 
 from ._fixpoint import fixpoint
 from .errors import (
-    DepthLimitExceeded,
     DimensionMismatch,
     ModelValidationError,
     NotTestable,
@@ -56,7 +55,6 @@ from .models import (
     _IDENT_RE,
     MAX_DIM,
     MAX_PAIRS,
-    MAX_RELATION_DEPTH,
     Model,
     PredicateInfo,
     SignatureSpace,
@@ -480,9 +478,12 @@ def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> SuiteRes
     return _relation("equivalence-coincidence", checked, violations)
 
 
-def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
-    """Lattice elements denoted by qwffs over the input properties up to
-    max_depth, with one representative qwff each."""
+def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
+    """Lattice elements denoted by qwffs over the input properties, each
+    with the representative of the first round that reaches it.  The sweep
+    runs to its fixpoint, which is every element when there is a property:
+    the lattice closes the same properties, 0 and 1 (P ∧ ¬P and P ∨ ¬P)
+    under the same operations."""
     lat = qm.lattice
     seeds: dict[int, Formula] = {}
     for name, _ in qm.spec.properties:
@@ -495,15 +496,14 @@ def _reachable_elements(qm: QuantumModel, max_depth: int) -> dict[int, Formula]:
             (lambda i, j: lat.join[i][j], QOr),
             (lambda i, j: lat.join[lat.ortho[i]][lat.meet[i][j]], QImp),
         ],
-        rounds=max_depth,
     )
 
 
 def check_quantum_equivalences(
-    qm: QuantumModel, space: SignatureSpace, max_depth: int = 3
+    qm: QuantumModel, space: SignatureSpace, qwffs: Mapping[int, Formula]
 ) -> list[SuiteResult]:
-    """Quantum De Morgan and implication identities over reachable qwffs,
-    the conjunction footnote (classical and quantum conjunction share a
+    """Quantum De Morgan and implication identities over ``qwffs``, the
+    representatives of ``_reachable_elements``, the conjunction footnote (classical and quantum conjunction share a
     proposition while signatures may differ), and the relations between
     set operations and lattice images on testable propositions.
 
@@ -523,13 +523,9 @@ def check_quantum_equivalences(
     Returns, in report order: quantum-demorgan, quantum-implication,
     conjunction-footnote, ortho-image, meet-image, join-image and
     conjunction-signature-gap."""
-    if max_depth > MAX_RELATION_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     lat = qm.lattice
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
-    reach = [
-        (_reduce_element(qm, space, f), f) for f in _reachable_elements(qm, max_depth).values()
-    ]
+    reach = [(_reduce_element(qm, space, f), f) for f in qwffs.values()]
     demorgan = [
         f"{render(fa)} / {render(fb)}"
         for a, fa in reach
@@ -589,20 +585,18 @@ def check_quantum_equivalences(
 
 
 def check_q_trichotomy(
-    qm: QuantumModel, space: SignatureSpace, max_depth: int = 2
+    qm: QuantumModel, space: SignatureSpace, qwffs: Mapping[int, Formula]
 ) -> SuiteResult:
-    """Exactly one verdict per (qwff, state), and certain falsehood of a
-    formula coincides with certain truth of its quantum negation.
+    """Exactly one verdict per (qwff, state) over ``qwffs``, and certain
+    falsehood of a formula coincides with certain truth of its negation.
 
     Theta sets are read as state bitmasks, so each reachable element is
     checked in all states at once; only an element with a fault is walked
     state by state, for its witnesses."""
-    if max_depth > MAX_RELATION_DEPTH:
-        raise DepthLimitExceeded(f"depth {max_depth} exceeds cap {MAX_RELATION_DEPTH}")
     bit, theta, ortho = qm.state_bits, qm.theta_masks, qm.lattice.ortho
     violations = []
     checked = 0
-    for idx, f in _reachable_elements(qm, max_depth).items():
+    for idx, f in qwffs.items():
         element = _reduce_element(qm, space, f)
         negation = ortho[element]  # what QNot(f) reduces to
         checked += len(bit)

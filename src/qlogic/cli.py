@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from .bridge import (
     QuantumModel,
+    _reachable_elements,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -114,7 +115,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run every applicable conformance suite")
     add_common(p)
-    p.add_argument("--depth", type=int, default=3, help="quantum suites' qwff depth, 0 to 4")
+    p.add_argument("--depth", type=int, default=3, help="accepted, 0 to 4; changes no suite")
 
     p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
     add_common(p, formats=("text", "json", "dot"))
@@ -253,7 +254,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 class _CheckInput(NamedTuple):
     space: SignatureSpace
     qm: QuantumModel | None
-    depth: int
     # The classical suites' formula alphabet: the user-named properties for
     # Hilbert-backed inputs, whose full closure table would make the sweeps
     # combinatorially infeasible; None, the whole table, for models.
@@ -307,6 +307,13 @@ def _state_separation(run: _CheckInput) -> list[SuiteResult]:
     return [SuiteResult("state-separation", len(run.qm.lattice), info=info)]
 
 
+def _quantum_suites(run: _CheckInput) -> list[SuiteResult]:
+    """The qwff suites, over one sweep of every element a qwff reaches."""
+    qwffs = _reachable_elements(run.qm)
+    equivalences = check_quantum_equivalences(run.qm, run.space, qwffs)
+    return [*equivalences, check_q_trichotomy(run.qm, run.space, qwffs)]
+
+
 # The suites in report order: the input kind each applies to ("any", or
 # "qm-spec" for Hilbert specs only) and a function from the input to its
 # report lines.  The functions look the suites up by name when they run, so
@@ -319,8 +326,7 @@ _SUITES = (
     ("qm-spec", _lattice_suites),
     ("qm-spec", lambda run: [check_qmt(run.qm, run.space)]),
     ("qm-spec", lambda run: [check_equiv_coincidence(run.qm, run.space)]),
-    ("qm-spec", lambda run: check_quantum_equivalences(run.qm, run.space, min(run.depth, 3))),
-    ("qm-spec", lambda run: [check_q_trichotomy(run.qm, run.space, min(run.depth, 2))]),
+    ("qm-spec", _quantum_suites),
     ("qm-spec", lambda run: [lt_quotient_check(run.qm, run.space)]),
     ("qm-spec", _state_separation),
 )
@@ -334,7 +340,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     model, qm = _load_input(args)
     kind = "model" if qm is None else "qm-spec"
     generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
-    run = _CheckInput(SignatureSpace(model), qm, args.depth, generators)
+    run = _CheckInput(SignatureSpace(model), qm, generators)
     suites = [s for applies, lines in _SUITES if applies in ("any", kind) for s in lines(run)]
     total = sum(s.violations for s in suites)
     if args.fmt == "json":

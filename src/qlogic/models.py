@@ -47,8 +47,6 @@ _EMPTY_SLOT = (lambda: None, None)
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
-MAX_RELATION_DEPTH = 3
-
 MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has a bit for each
 MAX_DIM = 64  # Hilbert space dimension of a spec: exact elimination grows about as dim**2.5
 

@@ -71,12 +71,13 @@ def _grow(space, classes: dict[int, Formula]) -> bool:
 # -- lattice elements reachable by qwffs --------------------------------------------
 
 
-def reachable_elements(qm, max_depth: int) -> dict[int, Formula]:
+def reachable_elements(qm) -> dict[int, Formula]:
+    """Rounds over all pairs until one finds nothing fresh."""
     lat = qm.lattice
     reach: dict[int, Formula] = {}
     for name, _ in qm.spec.properties:
         reach.setdefault(qm.element_index[name], Pred(name))
-    for _ in range(max_depth):
+    while True:
         current = list(reach.items())
         fresh: dict[int, Formula] = {}
 

@@ -8,7 +8,9 @@ ordered pair, on atoms found by a method of their own; the Boolean
 quotient closed the generators' signatures to their fixpoint; the De
 Morgan and implication identities re-reduced the composed qwffs for every
 pair of reachable representatives; and the Q-truth trichotomy read each
-verdict from the theta sets per (element, state).  The build's
+verdict from the theta sets per (element, state).  Both quantum loops take
+their representatives from the all-pairs sweep of ``closure_reference``,
+run to its fixpoint, not from the package's sweep.  The build's
 postconditions compared extension frozensets per (pair, state).  The
 differential tests in ``test_suites.py`` require the same counts,
 violations, elements and overflow from the package.
@@ -22,13 +24,14 @@ from itertools import product
 from qlogic.bridge import (
     QTruth,
     _primary_pairs,
-    _reachable_elements,
     _reduce_element,
     _rule_count,
     _table_order,
 )
 from qlogic.formulas import QAnd, QImp, QNot, QOr, render
 from qlogic.models import SignatureSpace, SuiteResult
+
+from closure_reference import reachable_elements
 
 
 @dataclass
@@ -75,7 +78,8 @@ def connective_relations(m, predicates=None) -> tuple[Tally, ...]:
     if not names:  # no formula, so no class
         return negation, meet_rel, join_rel
     cells = atoms(space, names)
-    assert len(cells) <= 8, f"{len(cells)} atoms are too many for the brute force"
+    if len(cells) > 8:  # raised, not asserted, so that it holds under python -O
+        raise AssertionError(f"{len(cells)} atoms are too many for the brute force")
     masks = [sum(c for i, c in enumerate(cells) if x >> i & 1) for x in range(1 << len(cells))]
     blocks = list(space.state_masks.values())
     prop = {x: sum(1 << k for k, b in enumerate(blocks) if x & b == b) for x in masks}
@@ -196,9 +200,9 @@ def qmt(qm) -> SuiteResult:
 # -- quantum identities over reachable qwffs ------------------------------------------
 
 
-def demorgan_and_implication(qm, max_depth: int) -> tuple[Tally, Tally]:
+def demorgan_and_implication(qm) -> tuple[Tally, Tally]:
     space = SignatureSpace(qm.model)
-    reach = list(_reachable_elements(qm, max_depth).items())
+    reach = list(reachable_elements(qm).items())
 
     def sig_of_element(idx: int) -> int:
         return space.pred_masks[qm.predicate_names[idx]]
@@ -220,7 +224,7 @@ def demorgan_and_implication(qm, max_depth: int) -> tuple[Tally, Tally]:
     return demorgan, sasaki
 
 
-def q_trichotomy(qm, space, max_depth: int) -> Tally:
+def q_trichotomy(qm, space) -> Tally:
     def verdict(element: int, state: str) -> str:
         if state in qm.theta[qm.predicate_names[element]]:
             return QTruth.TRUE
@@ -229,7 +233,7 @@ def q_trichotomy(qm, space, max_depth: int) -> Tally:
         return QTruth.INDETERMINATE
 
     tally = Tally("q-truth-trichotomy")
-    for idx, f in _reachable_elements(qm, max_depth).items():
+    for idx, f in reachable_elements(qm).items():
         element = _reduce_element(qm, space, f)
         negation = _reduce_element(qm, space, QNot(f))
         for state in qm.model.states:

@@ -18,6 +18,7 @@ import pytest
 from qlogic.bridge import (
     QTruth,
     QuantumModel,
+    _reachable_elements,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -236,7 +237,7 @@ def test_criterion_7_quantum_equivalences(worked_qm, qm_corpus):
     gap_witnesses = 0
     for i, qm in enumerate([worked_qm] + qm_corpus):
         demorgan, implication, conjunction, *_, gap = check_quantum_equivalences(
-            qm, SignatureSpace(qm.model), 3
+            qm, SignatureSpace(qm.model), _reachable_elements(qm)
         )
         for entry in (demorgan, implication, conjunction):
             violations += [f"model {i}: {entry.suite}: {w}" for w in entry.witnesses]
@@ -255,7 +256,7 @@ def test_criterion_8_q_truth_trichotomy(worked_qm, qm_corpus):
     started = time.perf_counter()
     violations = []
     for i, qm in enumerate([worked_qm] + qm_corpus):
-        report = check_q_trichotomy(qm, SignatureSpace(qm.model), 2)
+        report = check_q_trichotomy(qm, SignatureSpace(qm.model), _reachable_elements(qm))
         violations += [f"model {i}: {v}" for v in report.witnesses]
     worked_ok = q_truth(worked_qm, Pred("Ez"), "Sx+") == QTruth.INDETERMINATE
     elapsed = time.perf_counter() - started

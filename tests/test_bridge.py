@@ -11,6 +11,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -19,6 +20,7 @@ from qlogic.bridge import (
     QMModelSpec,
     QTruth,
     QuantumModel,
+    _reachable_elements,
     build_model,
     check_equiv_coincidence,
     check_q_trichotomy,
@@ -52,6 +54,14 @@ from qlogic.propositions import testable as find_witness
 
 import hilbert_reference as reference
 from conftest import DATA_DIR, SPEC_DIR, with_extension, with_extensions
+
+
+def _equivalences(qm, space):
+    return check_quantum_equivalences(qm, space, _reachable_elements(qm))
+
+
+def _trichotomy(qm, space):
+    return check_q_trichotomy(qm, space, _reachable_elements(qm))
 
 
 def test_worked_build_theta_and_extensions(worked_qm):
@@ -326,7 +336,7 @@ def test_equiv_coincidence_fails_without_separating_states(worked_spec):
 
 def test_quantum_equivalences_on_worked_spec(worked_qm):
     space = SignatureSpace(worked_qm.model)
-    report = {suite.suite: suite for suite in check_quantum_equivalences(worked_qm, space, 3)}
+    report = {suite.suite: suite for suite in _equivalences(worked_qm, space)}
     assert all(suite.ok for suite in report.values())
     assert report["quantum-demorgan"].checked == 36
     assert report["quantum-implication"].checked == 36
@@ -356,7 +366,7 @@ def test_signature_gap_counts_every_pair(source, gaps):
             sig_classical = signature(qm.model, classical)
             if p_classical == qm.theta[quantum.name] and sig_classical != signature(qm.model, quantum):
                 found.append(f"{a} & {b}")
-    gap = check_quantum_equivalences(qm, space, 3)[-1]
+    gap = _equivalences(qm, space)[-1]
     assert gap.suite == "conjunction-signature-gap"
     assert gap.info == {
         "witnesses_found": gaps,
@@ -387,7 +397,7 @@ def test_conjunction_footnote_values(worked_qm):
 
 
 def test_trichotomy_on_worked_spec(worked_qm):
-    report = check_q_trichotomy(worked_qm, SignatureSpace(worked_qm.model), 2)
+    report = _trichotomy(worked_qm, SignatureSpace(worked_qm.model))
     assert report.ok
     assert report.checked > 0
 
@@ -452,16 +462,17 @@ def test_tau_agrees_on_composite_testable_formula(worked_qm):
 
 
 def test_quantum_reachable_elements_match_literal_enumeration(worked_qm):
-    from qlogic.bridge import _reachable_elements
-    from qlogic.formulas import enumerate_formulas
-
+    """The sweep's elements are those of every qwff up to the first depth
+    that adds none, after which no depth can add one."""
     input_names = [name for name, _ in worked_qm.spec.properties]
-    for depth_cap in (0, 1, 2):
-        literal = set()
+    literal: set[int] = set()
+    for depth_cap in count():
+        before = set(literal)
         for f in enumerate_formulas(input_names, depth_cap, "quantum"):
             literal.add(worked_qm.element_index[reduce_qwff(worked_qm, f)])
-        layered = set(_reachable_elements(worked_qm, depth_cap))
-        assert layered == literal
+        if depth_cap and literal == before:
+            break
+    assert set(_reachable_elements(worked_qm)) == literal
 
 
 def test_reduce_qwff_matches_direct_subspace_operations():
@@ -503,10 +514,22 @@ def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
         partner = worked_qm.predicate_names[worked_qm.lattice.ortho[worked_qm.element_index[name]]]
         theta = dict(worked_qm.theta)
         theta[partner] = theta[partner] | {state}
-        report = check_q_trichotomy(replace(worked_qm, theta=theta), space, 2)
+        report = _trichotomy(replace(worked_qm, theta=theta), space)
         assert not report.ok
         assert any(v.endswith(f"both certain in {state}") for v in report.witnesses)
-    assert check_q_trichotomy(worked_qm, space, 2).ok
+    assert _trichotomy(worked_qm, space).ok
+
+
+def _corrupted_for_trichotomy(worked_qm):
+    """Ex given Ez's extensions, Ez_perp made certain where Ez is and
+    Ex_perp where Ex is."""
+    qm = with_extensions(
+        worked_qm, {(s, "Ex"): worked_qm.model.extensions[(s, "Ez")] for s in worked_qm.model.states}
+    )
+    theta = dict(qm.theta)
+    theta["Ez_perp"] = theta["Ez_perp"] | {"Sz+", "Sx+"}
+    theta["Ex_perp"] = theta["Ex_perp"] | {"Sx+"}
+    return replace(qm, theta=theta)
 
 
 def test_trichotomy_witnesses_of_a_corrupted_build(worked_qm):
@@ -515,13 +538,8 @@ def test_trichotomy_witnesses_of_a_corrupted_build(worked_qm):
     leaf Ex reduces through its witness Ez and its verdicts are Ez's ("got");
     Ez_perp is made certain where Ez is, and Ex_perp where Ex is ("both
     certain"), which also makes falsehood disagree with negated truth."""
-    qm = with_extensions(
-        worked_qm, {(s, "Ex"): worked_qm.model.extensions[(s, "Ez")] for s in worked_qm.model.states}
-    )
-    theta = dict(qm.theta)
-    theta["Ez_perp"] = theta["Ez_perp"] | {"Sz+", "Sx+"}
-    theta["Ex_perp"] = theta["Ex_perp"] | {"Sx+"}
-    report = check_q_trichotomy(replace(qm, theta=theta), SignatureSpace(qm.model), 2)
+    qm = _corrupted_for_trichotomy(worked_qm)
+    report = _trichotomy(qm, SignatureSpace(qm.model))
     assert (report.checked, report.violations) == (24, 12)
     assert report.witnesses == [
         "Ez both certain in Sz+",
@@ -539,6 +557,36 @@ def test_trichotomy_witnesses_of_a_corrupted_build(worked_qm):
     ]
 
 
+def test_trichotomy_walks_only_the_states_of_a_fault(worked_qm, monkeypatch):
+    """The fault mask is an exact filter: clean builds read no verdict state
+    by state, and the corrupted build reads three, the element's, theta's
+    and the negation's, per (formula, state) pair that has a witness."""
+    calls = []
+    verdict = bridge._verdict
+
+    def counting_verdict(qm, element, bit):
+        calls.append((element, bit))
+        return verdict(qm, element, bit)
+
+    monkeypatch.setattr(bridge, "_verdict", counting_verdict)
+    for qm in (worked_qm, build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))):
+        assert _trichotomy(qm, SignatureSpace(qm.model)).ok
+    assert calls == []
+    qm = _corrupted_for_trichotomy(worked_qm)
+    report = _trichotomy(qm, SignatureSpace(qm.model))
+    faulty = {(w.split()[0], w.split(" in ")[1].split(":")[0]) for w in report.witnesses}
+    assert faulty == {
+        ("Ez", "Sz+"),
+        ("Ez_perp", "Sz+"),
+        ("Ex", "Sz+"),
+        ("Ex", "Sz-"),
+        ("Ex", "Sx+"),
+        ("Ex", "Sx-"),
+        ("Ex_perp", "Sx+"),
+    }
+    assert len(calls) == 3 * len(faulty)
+
+
 def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
     rng = random.Random("meet-control")
     lat = worked_qm.lattice
@@ -548,11 +596,11 @@ def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
         rows = [list(row) for row in lat.meet]
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.meet[a][b]])
         corrupted = replace(lat, meet=tuple(tuple(row) for row in rows))
-        report = check_quantum_equivalences(replace(worked_qm, lattice=corrupted), space, 3)
+        report = _equivalences(replace(worked_qm, lattice=corrupted), space)
         meet_image = next(suite for suite in report if suite.suite == "meet-image")
         names = worked_qm.predicate_names
         assert f"{names[a]} / {names[b]}" in meet_image.witnesses
-    assert all(suite.ok for suite in check_quantum_equivalences(worked_qm, space, 3))
+    assert all(suite.ok for suite in _equivalences(worked_qm, space))
 
 
 @pytest.mark.parametrize(

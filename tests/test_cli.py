@@ -487,18 +487,28 @@ def built_spaces(monkeypatch):
 )
 def test_check_builds_one_signature_space(capsys, monkeypatch, built_spaces, flag, path, depth):
     """Every suite reads one space, and at every depth the census sweeps
-    no class and cm-testability makes one sweep, of depth 1, for its witness."""
+    no class and cm-testability makes one sweep, of depth 1, for its witness.
+    Both quantum suites read one qwff sweep; a model has none."""
     sweeps = []
     closure = SignatureSpace._closure
+    qwff_sweeps = []
+    reachable = bridge._reachable_elements
 
     def counting_closure(self, *args, **limits):
         sweeps.append(limits)
         return closure(self, *args, **limits)
 
+    def counting_reachable(qm):
+        qwff_sweeps.append(qm)
+        return reachable(qm)
+
     monkeypatch.setattr(SignatureSpace, "_closure", counting_closure)
+    for module in (bridge, cli):
+        monkeypatch.setattr(module, "_reachable_elements", counting_reachable)
     assert run(capsys, "check", flag, path, "--depth", str(depth))[0] == 0
     assert len(built_spaces) == 1
     assert sweeps == [{"rounds": 1}]
+    assert len(qwff_sweeps) == (flag == "--qm-spec")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qlogic import bridge, lattice, models
 from qlogic._fixpoint import fixpoint
-from qlogic.bridge import _reachable_elements, build_model, load_spec
+from qlogic.bridge import _reachable_elements, build_model, load_spec, spec_from_dict
 from qlogic.errors import ClosureOverflow
 from qlogic.gaussian import GaussianRational
 from qlogic.generate import random_qm_spec
@@ -17,7 +17,7 @@ from qlogic.lattice import close
 from qlogic.models import Model, PredicateInfo, SignatureSpace
 
 import closure_reference as reference
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SPEC_DIR, mo_squared_spec
 
 
 def _outcome(fn, *args):
@@ -122,9 +122,26 @@ def test_closed_classes_count_seeds_against_the_cap():
 def test_reachable_elements_match_reference(dim, properties, seed):
     spec, _ = random_qm_spec(seed, dim, properties)
     qm = build_model(spec)
-    for depth in range(4):
-        got = _reachable_elements(qm, depth)
-        assert list(got.items()) == list(reference.reachable_elements(qm, depth).items())
+    got = _reachable_elements(qm)
+    assert list(got.items()) == list(reference.reachable_elements(qm).items())
+    assert sorted(got) == list(range(len(qm.lattice)))
+
+
+@pytest.mark.parametrize(
+    "source", ["worked_qm.json", "gen_qm_seed11.json", "gen_qm_seed0_cap12.json", 2]
+)
+def test_the_qwff_sweep_reaches_every_element(source):
+    """Run to its fixpoint, the sweep is the whole lattice (k = 2 is
+    MO_2 x MO_2), in the order and with the representatives of the
+    all-pairs loop."""
+    if isinstance(source, int):
+        spec = spec_from_dict(mo_squared_spec(source))
+    else:
+        spec = load_spec((SPEC_DIR if source == "worked_qm.json" else DATA_DIR) / source)
+    qm = build_model(spec)
+    got = _reachable_elements(qm)
+    assert sorted(got) == list(range(len(qm.lattice)))
+    assert list(got.items()) == list(reference.reachable_elements(qm).items())
 
 
 _fracs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -288,13 +305,13 @@ def test_symmetric_class_sweep_halves_the_operation_calls(monkeypatch, depth, or
 
 def test_symmetric_flag_on_the_quantum_sweep_fails_the_differential(monkeypatch):
     """Negative control: ``->q`` is not commutative, so marking the qwff
-    sweep symmetric loses elements; on gen_qm_seed11 it finds 15 of the 16
-    elements at depth 2."""
+    sweep symmetric skips pairs; on gen_qm_seed11 it still reaches all 16
+    elements at its fixpoint, but not with the all-pairs representatives."""
     qm = build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))
-    want = _reachable_elements(qm, 2)
+    want = _reachable_elements(qm)
     monkeypatch.setattr(
         bridge, "fixpoint", lambda *args, **kwargs: fixpoint(*args, **kwargs, symmetric=True)
     )
-    got = _reachable_elements(qm, 2)
-    assert (len(want), len(got)) == (16, 15)
-    assert list(got.items()) != list(reference.reachable_elements(qm, 2).items())
+    got = _reachable_elements(qm)
+    assert (len(want), len(got)) == (16, 16)
+    assert list(got.items()) != list(reference.reachable_elements(qm).items())

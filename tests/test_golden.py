@@ -13,11 +13,10 @@ lifted; its lattice goldens were recorded before the propositions were
 computed from atoms.  The only cap left, the subspace closure's, is pinned
 by ``test_cap_applies_to_qm_spec`` in ``tests/test_cli.py``.
 
-The depth-0, 2 and 4 ``check`` goldens of the two seeded inputs were
-recorded while every suite still built its own signature space, and pin
-the depths where the quantum suites' caps part: the equivalences stop at
-3 and the trichotomy at 2.  The classical suites count the whole
-generated algebra, so their lines read the same at every depth.
+``check --depth`` changes no suite: the classical suites count the whole
+generated algebra and the quantum suites sweep every lattice element, so
+at each depth 0 to 4 the text report is the default golden and the JSON
+report differs from it only in its ``depth`` field.
 
 The ``qlogic eval`` goldens were recorded while eval still reduced the
 formula once per state.  They cover a quantum formula with a verdict per
@@ -92,8 +91,8 @@ def test_check_at_the_cap_matches_golden(capsys, monkeypatch):
 
 DEPTH_CASES = [
     (flag, path, depth)
-    for flag, path in INPUTS[2:]
-    for depth in (0, 2, 4)
+    for flag, path in (*INPUTS[2:], INPUTS[0])
+    for depth in range(5)
 ]
 
 
@@ -103,26 +102,16 @@ DEPTH_CASES = [
     ids=[f"{path.rsplit('/', 1)[1][:-5]}-depth{depth}" for _, path, depth in DEPTH_CASES],
 )
 def test_check_at_other_depths_matches_golden(flag, path, depth, capsys, monkeypatch):
+    """At every depth the text report is the default golden byte for byte,
+    and the JSON report differs from it only in its ``depth`` field."""
     monkeypatch.chdir(REPO)
-    assert main(["check", flag, path, "--depth", str(depth)]) == 0
     stem = path.rsplit("/", 1)[1][: -len(".json")]
-    golden = DATA_DIR / "golden" / f"{stem}.check_depth{depth}.text"
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-def test_model_report_does_not_depend_on_depth(capsys, monkeypatch):
-    """Every suite of a ``--model`` input is classical: at each depth the
-    text report is the default one, and the JSON report differs only in its
-    ``depth`` field."""
-    monkeypatch.chdir(REPO)
-    path = "tests/data/gen_classical_seed7.json"
-    text = (DATA_DIR / "golden" / "gen_classical_seed7.check.text").read_bytes()
-    report = json.loads((DATA_DIR / "golden" / "gen_classical_seed7.check.json").read_bytes())
-    for depth in range(5):
-        assert main(["check", "--model", path, "--depth", str(depth)]) == 0
-        assert capsys.readouterr().out.encode() == text
-        assert main(["check", "--model", path, "--depth", str(depth), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {**report, "depth": depth}
+    text = (DATA_DIR / "golden" / f"{stem}.check.text").read_bytes()
+    report = json.loads((DATA_DIR / "golden" / f"{stem}.check.json").read_bytes())
+    assert main(["check", flag, path, "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out.encode() == text
+    assert main(["check", flag, path, "--depth", str(depth), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {**report, "depth": depth}
 
 
 EVAL_CASES = [

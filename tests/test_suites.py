@@ -196,10 +196,9 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     got = check_connective_relations(space, predicates=generators)
     want = reference.connective_relations(qm.model, generators)
     assert _stats(got) == [astuple(t) for t in want]
-    for depth in (1, 2, 3):
-        demorgan, implication, *_ = check_quantum_equivalences(qm, space, depth)
-        want = reference.demorgan_and_implication(qm, depth)
-        assert _stats([demorgan, implication]) == [astuple(t) for t in want]
+    demorgan, implication, *_ = check_quantum_equivalences(qm, space, _reachable_elements(qm))
+    want = reference.demorgan_and_implication(qm)
+    assert _stats([demorgan, implication]) == [astuple(t) for t in want]
 
 
 def _cm_testability_by_ordered_sweep(space, names):
@@ -305,14 +304,15 @@ def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
         rows = [list(row) for row in lat.join]
         rows[a][b] = rng.choice([k for k in range(len(lat)) if k != lat.join[a][b]])
         corrupted = replace(worked_qm, lattice=replace(lat, join=tuple(map(tuple, rows))))
-        report = check_quantum_equivalences(corrupted, space, 3)
+        reach = _reachable_elements(corrupted)
+        report = check_quantum_equivalences(corrupted, space, reach)
         assert not all(suite.ok for suite in report)
         demorgan, implication, *_ = report
-        reach = _reachable_elements(corrupted, 3)
         assert f"{render(reach[a])} / {render(reach[b])}" in demorgan.witnesses
-        want = reference.demorgan_and_implication(corrupted, 3)
+        want = reference.demorgan_and_implication(corrupted)
         assert _stats([demorgan, implication]) == [astuple(t) for t in want]
-    assert not check_quantum_equivalences(worked_qm, space, 3)[0].violations
+    reach = _reachable_elements(worked_qm)
+    assert not check_quantum_equivalences(worked_qm, space, reach)[0].violations
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -334,9 +334,8 @@ def test_trichotomy_matches_reference_on_corrupted_builds(worked_qm, seed):
             theta[name] = theta[name] ^ {state}
         qm = replace(qm, theta=theta)
         space = SignatureSpace(qm.model)
-        for depth in (1, 2):
-            got = check_q_trichotomy(qm, space, depth)
-            assert _stats([got]) == [astuple(reference.q_trichotomy(qm, space, depth))]
+        got = check_q_trichotomy(qm, space, _reachable_elements(qm))
+        assert _stats([got]) == [astuple(reference.q_trichotomy(qm, space))]
 
 
 @lru_cache(maxsize=None)
