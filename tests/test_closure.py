@@ -160,8 +160,9 @@ def _generators(draw):
         kind = draw(st.sampled_from(("span", "nested", "hyperplane")))
         if kind == "hyperplane":
             spaces.append(ortho(Subspace.span([draw(vector)], dim)))
-        elif kind == "nested" and spaces:
-            outer = draw(st.sampled_from(spaces))
+        elif kind == "nested" and any(s.dim for s in spaces):
+            # all-zero coefficients can make a zero space, which holds no vector to nest
+            outer = draw(st.sampled_from([s for s in spaces if s.dim]))
             combos = st.lists(_scalars, min_size=outer.dim, max_size=outer.dim)
             vectors = [
                 [sum((c * x for c, x in zip(coeffs, column)), GaussianRational())

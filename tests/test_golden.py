@@ -114,6 +114,21 @@ def test_check_at_other_depths_matches_golden(flag, path, depth, capsys, monkeyp
     assert json.loads(capsys.readouterr().out) == {**report, "depth": depth}
 
 
+def test_model_report_does_not_depend_on_depth(capsys, monkeypatch):
+    """Every suite of a ``--model`` input is classical: at each depth the
+    text report is the default one, and the JSON report differs only in its
+    ``depth`` field."""
+    monkeypatch.chdir(REPO)
+    path = "tests/data/gen_classical_seed7.json"
+    text = (DATA_DIR / "golden" / "gen_classical_seed7.check.text").read_bytes()
+    report = json.loads((DATA_DIR / "golden" / "gen_classical_seed7.check.json").read_bytes())
+    for depth in range(5):
+        assert main(["check", "--model", path, "--depth", str(depth)]) == 0
+        assert capsys.readouterr().out.encode() == text
+        assert main(["check", "--model", path, "--depth", str(depth), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**report, "depth": depth}
+
+
 EVAL_CASES = [
     ("--qm-spec", "specs/worked_qm.json", "Ez &q Ex", "worked_qm.eval_qand"),
     ("--qm-spec", "specs/worked_qm.json", "Ez & Ex", "worked_qm.eval_and"),
