@@ -74,7 +74,6 @@ from .bridge import (
     QTruth,
     QuantumModel,
     build_model,
-    check_equiv_coincidence,
     check_q_trichotomy,
     check_qmt,
     check_quantum_equivalences,

@@ -456,28 +456,6 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
     return _relation("proposition-theta-agreement", checked, violations)
 
 
-def check_equiv_coincidence(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
-    """Equal propositions iff equal signatures, over testable formulas.
-
-    A formula is p-testable exactly when its signature is some property
-    predicate's signature, and predicates are depth-0 formulas, so the
-    testable signature classes at any depth are the predicate signature
-    classes; the nontrivial direction is that distinct classes keep
-    distinct propositions.
-    """
-    reps = [(name, space.proposition(mask)) for mask, name in space.witnesses().items()]
-    violations = []
-    checked = 0
-    for a, (name_a, prop_a) in enumerate(reps):
-        for name_b, prop_b in reps[a + 1 :]:
-            checked += 1
-            if prop_b == prop_a:
-                violations.append(
-                    f"{name_a} and {name_b}: equal propositions, distinct signatures"
-                )
-    return _relation("equivalence-coincidence", checked, violations)
-
-
 def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
     """Lattice elements denoted by qwffs over the input properties, each
     with the representative of the first round that reaches it.  The sweep
@@ -502,10 +480,15 @@ def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
 def check_quantum_equivalences(
     qm: QuantumModel, space: SignatureSpace, qwffs: Mapping[int, Formula]
 ) -> list[SuiteResult]:
-    """Quantum De Morgan and implication identities over ``qwffs``, the
-    representatives of ``_reachable_elements``, the conjunction footnote (classical and quantum conjunction share a
-    proposition while signatures may differ), and the relations between
-    set operations and lattice images on testable propositions.
+    """The logical and physical meanings of a proposition compared on the
+    testable classes (the property-witness classes of ``space``), and the
+    quantum De Morgan and implication identities over ``qwffs``, the
+    representatives of ``_reachable_elements``.  One loop over ordered
+    pairs of classes decides the conjunction footnote (classical and
+    quantum conjunction share a proposition while signatures may differ),
+    the relations between set operations and lattice images, and
+    state-separation's ``preorder-coincides``; equivalence-coincidence
+    visits only the pairs of classes that share a proposition.
 
     Each reachable qwff is reduced once; a quantum connective over reduced
     operands is one table lookup, so De Morgan compares ``join[a][b]`` with
@@ -520,9 +503,9 @@ def check_quantum_equivalences(
     Propositions and theta sets are read as state bitmasks once per check,
     so each pair costs integer operations only.
 
-    Returns, in report order: quantum-demorgan, quantum-implication,
-    conjunction-footnote, ortho-image, meet-image, join-image and
-    conjunction-signature-gap."""
+    Returns, in report order: equivalence-coincidence, quantum-demorgan,
+    quantum-implication, conjunction-footnote, ortho-image, meet-image,
+    join-image, conjunction-signature-gap and state-separation."""
     lat = qm.lattice
     sigs = [space.pred_masks[name] for name in qm.predicate_names]
     reach = [(_reduce_element(qm, space, f), f) for f in qwffs.values()]
@@ -535,20 +518,29 @@ def check_quantum_equivalences(
 
     # propositions and theta sets as state bitmasks, bit k for the k-th state
     theta, all_states = qm.theta_masks, (1 << len(qm.state_bits)) - 1
-
-    # testable classical classes are exactly the predicate signature classes
+    blocks = [(bit, space.state_masks[s]) for s, bit in qm.state_bits.items()]
     reps = [
-        (mask, name, proposition_bits(qm, space, mask), qm.element_index[name])
+        (mask, name, sum(bit for bit, block in blocks if mask & block == block),
+         qm.element_index[name])
         for mask, name in space.witnesses().items()
     ]
+    later: dict[int, list[str]] = {}  # proposition -> its classes the loop has yet to pass
+    for _, name, prop, _ in reps:
+        later.setdefault(prop, []).append(name)
 
+    equal: list[str] = []
     conj: list[str] = []
     gaps, gap_example = 0, None
     ortho_rel: list[str] = []
     meet_rel: list[str] = []
     join_rel: list[str] = []
     ortho_strict = join_strict = 0
+    coincides = True
     for mask_a, name_a, prop_a, a in reps:
+        same = later[prop_a]
+        del same[0]  # name_a itself
+        for name_b in same:
+            equal.append(f"{name_a} and {name_b}: equal propositions, distinct signatures")
         ortho_image, outside = theta[lat.ortho[a]], all_states & ~prop_a
         if ortho_image & ~outside:
             ortho_rel.append(name_a)
@@ -557,12 +549,14 @@ def check_quantum_equivalences(
         meets, joins = lat.meet[a], lat.join[a]
         for mask_b, name_b, prop_b, b in reps:
             quantum_element = meets[b]
-            if prop_a & prop_b != theta[quantum_element]:
+            both, common = prop_a & prop_b, mask_a & mask_b
+            if both != theta[quantum_element]:
                 conj.append(f"{name_a} & {name_b}")
                 meet_rel.append(f"{name_a} / {name_b}")
-            elif mask_a & mask_b != sigs[quantum_element]:
+            elif common != sigs[quantum_element]:
                 gaps += 1
                 gap_example = gap_example or f"{name_a} & {name_b}"
+            coincides &= (common == mask_a) == (both == prop_a)
             either, join_image = prop_a | prop_b, theta[joins[b]]
             if either & ~join_image:
                 join_rel.append(f"{name_a} / {name_b}")
@@ -573,7 +567,9 @@ def check_quantum_equivalences(
     gap_info = {"witnesses_found": gaps}
     if gap_example:
         gap_info["example"] = f"{gap_example}: same proposition, different signatures"
+    separation = {"separating": states_separate(qm, space), "preorder-coincides": coincides}
     return [
+        _relation("equivalence-coincidence", len(reps) * (len(reps) - 1) // 2, equal),
         _relation("quantum-demorgan", len(reach) ** 2, demorgan),
         _relation("quantum-implication", len(reach) ** 2, []),
         _relation("conjunction-footnote", pairs, conj),
@@ -581,6 +577,7 @@ def check_quantum_equivalences(
         _relation("meet-image", pairs, meet_rel),
         _relation("join-image", pairs, join_rel, join_strict),
         SuiteResult("conjunction-signature-gap", pairs, info=gap_info),
+        SuiteResult("state-separation", len(lat), info=separation),
     ]
 
 
@@ -624,13 +621,6 @@ def check_q_trichotomy(
                     f"{render(f)} in {state}: falsehood and negated truth disagree"
                 )
     return _relation("q-truth-trichotomy", checked, violations)
-
-
-def proposition_bits(qm: QuantumModel, space: SignatureSpace, mask: int) -> int:
-    """The proposition of the mask, the states whose block it fills, as a
-    bitmask of ``qm.state_bits``."""
-    bit = qm.state_bits
-    return sum(bit[s] for s, block in space.state_masks.items() if mask & block == block)
 
 
 def states_separate(qm: QuantumModel, space: SignatureSpace) -> bool:

@@ -19,16 +19,13 @@ from .bridge import (
     QuantumModel,
     _reachable_elements,
     build_model,
-    check_equiv_coincidence,
     check_q_trichotomy,
     check_qmt,
     check_quantum_equivalences,
     load_spec,
     lt_quotient_check,
-    proposition_bits,
     q_truth,
     reduce_qwff,
-    states_separate,
 )
 from .errors import (
     ClosureOverflow,
@@ -297,38 +294,28 @@ def _lattice_suites(run: _CheckInput) -> list[SuiteResult]:
     ]
 
 
-def _state_separation(run: _CheckInput) -> list[SuiteResult]:
-    """Whether the states separate the lattice elements, and whether the
-    signature and proposition preorders coincide on the testable classes."""
-    space = run.space
-    reps = [(a, proposition_bits(run.qm, space, a)) for a in space.witnesses()]
-    coincides = all((a | b == b) == (not pa & ~pb) for a, pa in reps for b, pb in reps)
-    info = {"separating": states_separate(run.qm, space), "preorder-coincides": coincides}
-    return [SuiteResult("state-separation", len(run.qm.lattice), info=info)]
-
-
 def _quantum_suites(run: _CheckInput) -> list[SuiteResult]:
-    """The qwff suites, over one sweep of every element a qwff reaches."""
+    """The suites over the testable classes and the qwffs, in report order,
+    with one sweep of every element a qwff reaches for both qwff suites."""
     qwffs = _reachable_elements(run.qm)
-    equivalences = check_quantum_equivalences(run.qm, run.space, qwffs)
-    return [*equivalences, check_q_trichotomy(run.qm, run.space, qwffs)]
+    *lines, separation = check_quantum_equivalences(run.qm, run.space, qwffs)
+    tail = [check_q_trichotomy(run.qm, run.space, qwffs), lt_quotient_check(run.qm, run.space)]
+    return [*lines, *tail, separation]
 
 
 # The suites in report order: the input kind each applies to ("any", or
 # "qm-spec" for Hilbert specs only) and a function from the input to its
-# report lines.  The functions look the suites up by name when they run, so
-# a suite rebound on this module (as the benchmark tracer does) is the one
-# called.
+# report lines, which may interleave the lines of several suites, as
+# _quantum_suites does.  The functions look the suites up by name when they
+# run, so a suite rebound on this module (as the benchmark tracer does) is
+# the one called.
 _SUITES = (
     ("any", lambda run: check_connective_relations(run.space, run.generators)),
     ("any", _boolean_quotient),
     ("any", _cm_suites),
     ("qm-spec", _lattice_suites),
     ("qm-spec", lambda run: [check_qmt(run.qm, run.space)]),
-    ("qm-spec", lambda run: [check_equiv_coincidence(run.qm, run.space)]),
     ("qm-spec", _quantum_suites),
-    ("qm-spec", lambda run: [lt_quotient_check(run.qm, run.space)]),
-    ("qm-spec", _state_separation),
 )
 
 

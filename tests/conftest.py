@@ -7,8 +7,8 @@ from types import MappingProxyType
 
 import pytest
 
-from qlogic.bridge import QuantumModel, build_model, load_spec
-from qlogic.models import Model, build_cm_model
+from qlogic.bridge import QMModelSpec, QuantumModel, build_model, load_spec
+from qlogic.models import Model, SuiteResult, build_cm_model
 
 REPO = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO / "specs"
@@ -44,6 +44,16 @@ def with_extensions(qm: QuantumModel, edits: dict) -> QuantumModel:
     object.__setattr__(model, "extensions", MappingProxyType(extensions))
     model._index()
     return dataclasses.replace(qm, model=model)
+
+
+def without_state(spec: QMModelSpec, state: str) -> QMModelSpec:
+    """The spec with one of its states left out."""
+    return dataclasses.replace(spec, states=tuple(s for s in spec.states if s[0] != state))
+
+
+def suite_line(results: list[SuiteResult], suite: str) -> SuiteResult:
+    """The record of the named suite among a suite function's lines."""
+    return next(r for r in results if r.suite == suite)
 
 
 def closed_cm_model(states: tuple[str, ...], universe: int = 3) -> Model:

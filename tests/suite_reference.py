@@ -11,7 +11,9 @@ pair of reachable representatives; and the Q-truth trichotomy read each
 verdict from the theta sets per (element, state).  Both quantum loops take
 their representatives from the all-pairs sweep of ``closure_reference``,
 run to its fixpoint, not from the package's sweep.  The build's
-postconditions compared extension frozensets per (pair, state).  The
+postconditions compared extension frozensets per (pair, state), and so
+did equivalence-coincidence and the preorder comparison of
+state-separation, with propositions as frozensets of state names.  The
 differential tests in ``test_suites.py`` require the same counts,
 violations, elements and overflow from the package.
 """
@@ -195,6 +197,33 @@ def qmt(qm) -> SuiteResult:
                     f"does not match its projection probability"
                 )
     return SuiteResult("proposition-theta-agreement", checked, len(violations), violations)
+
+
+# -- the two meanings of a proposition on the testable classes -------------------------
+
+
+def equivalence_coincidence(qm) -> Tally:
+    """Every pair of testable classes, a before b in witness order, with a
+    witness for each pair whose propositions are equal."""
+    space = SignatureSpace(qm.model)
+    reps = [(name, space.proposition(mask)) for mask, name in space.witnesses().items()]
+    tally = Tally("equivalence-coincidence")
+    for a, (name_a, prop_a) in enumerate(reps):
+        for name_b, prop_b in reps[a + 1 :]:
+            tally.checked += 1
+            if prop_b == prop_a:
+                tally.witnesses.append(
+                    f"{name_a} and {name_b}: equal propositions, distinct signatures"
+                )
+    return tally
+
+
+def preorder_coincides(qm) -> bool:
+    """Whether signature inclusion and proposition inclusion agree on every
+    ordered pair of testable classes."""
+    space = SignatureSpace(qm.model)
+    reps = [(mask, space.proposition(mask)) for mask in space.witnesses()]
+    return all((a | b == b) == (prop_a <= prop_b) for a, prop_a in reps for b, prop_b in reps)
 
 
 # -- quantum identities over reachable qwffs ------------------------------------------

@@ -20,7 +20,6 @@ from qlogic.bridge import (
     QuantumModel,
     _reachable_elements,
     build_model,
-    check_equiv_coincidence,
     check_q_trichotomy,
     check_qmt,
     check_quantum_equivalences,
@@ -40,7 +39,7 @@ from qlogic.models import SignatureSpace, boolean_law_violations, check_cms, che
 from qlogic.propositions import check_connective_relations
 
 import suite_reference as reference
-from conftest import closed_cm_model, with_extension
+from conftest import closed_cm_model, suite_line, with_extension
 
 N_SEEDS = 20
 
@@ -220,7 +219,10 @@ def test_criterion_6_equivalence_coincidence(qm_corpus):
     started = time.perf_counter()
     violations = []
     for i, qm in enumerate(qm_corpus):
-        report = check_equiv_coincidence(qm, SignatureSpace(qm.model))
+        report = suite_line(
+            check_quantum_equivalences(qm, SignatureSpace(qm.model), _reachable_elements(qm)),
+            "equivalence-coincidence",
+        )
         violations += [f"model {i}: {v}" for v in report.witnesses]
     elapsed = time.perf_counter() - started
     _report(
@@ -236,12 +238,11 @@ def test_criterion_7_quantum_equivalences(worked_qm, qm_corpus):
     violations = []
     gap_witnesses = 0
     for i, qm in enumerate([worked_qm] + qm_corpus):
-        demorgan, implication, conjunction, *_, gap = check_quantum_equivalences(
-            qm, SignatureSpace(qm.model), _reachable_elements(qm)
-        )
-        for entry in (demorgan, implication, conjunction):
-            violations += [f"model {i}: {entry.suite}: {w}" for w in entry.witnesses]
-        gap_witnesses += gap.info["witnesses_found"]
+        report = check_quantum_equivalences(qm, SignatureSpace(qm.model), _reachable_elements(qm))
+        for suite in ("quantum-demorgan", "quantum-implication", "conjunction-footnote"):
+            entry = suite_line(report, suite)
+            violations += [f"model {i}: {suite}: {w}" for w in entry.witnesses]
+        gap_witnesses += suite_line(report, "conjunction-signature-gap").info["witnesses_found"]
     elapsed = time.perf_counter() - started
     detail = (
         f"{1 + len(qm_corpus)} models, {len(violations)} violations, "

@@ -22,7 +22,6 @@ from qlogic.bridge import (
     QuantumModel,
     _reachable_elements,
     build_model,
-    check_equiv_coincidence,
     check_q_trichotomy,
     check_qmt,
     check_quantum_equivalences,
@@ -53,7 +52,14 @@ from qlogic.propositions import physical_proposition
 from qlogic.propositions import testable as find_witness
 
 import hilbert_reference as reference
-from conftest import DATA_DIR, SPEC_DIR, with_extension, with_extensions
+from conftest import (
+    DATA_DIR,
+    SPEC_DIR,
+    suite_line,
+    with_extension,
+    with_extensions,
+    without_state,
+)
 
 
 def _equivalences(qm, space):
@@ -313,23 +319,19 @@ def test_check_qmt_detects_any_single_extension_edit(worked_qm):
 
 
 def test_equiv_coincidence_on_worked_spec(worked_qm):
-    report = check_equiv_coincidence(worked_qm, SignatureSpace(worked_qm.model))
+    report = suite_line(
+        _equivalences(worked_qm, SignatureSpace(worked_qm.model)), "equivalence-coincidence"
+    )
     assert report.ok and report.checked == 15
 
 
 def test_equiv_coincidence_fails_without_separating_states(worked_spec):
     # dropping the Sx- state leaves the zero subspace and Ex_perp with the
     # same (empty) proposition while their signatures differ
-    spec = QMModelSpec(
-        dim=2,
-        states=tuple(s for s in worked_spec.states if s[0] != "Sx-"),
-        properties=worked_spec.properties,
-        universe_size=4,
-    )
-    qm = build_model(spec)
+    qm = build_model(without_state(worked_spec, "Sx-"))
     space = SignatureSpace(qm.model)
     assert not states_separate(qm, space)
-    report = check_equiv_coincidence(qm, space)
+    report = suite_line(_equivalences(qm, space), "equivalence-coincidence")
     assert not report.ok
     assert lt_quotient_check(qm, space).info["status"] == "isomorphic"  # signatures still separate
 
@@ -366,8 +368,7 @@ def test_signature_gap_counts_every_pair(source, gaps):
             sig_classical = signature(qm.model, classical)
             if p_classical == qm.theta[quantum.name] and sig_classical != signature(qm.model, quantum):
                 found.append(f"{a} & {b}")
-    gap = _equivalences(qm, space)[-1]
-    assert gap.suite == "conjunction-signature-gap"
+    gap = suite_line(_equivalences(qm, space), "conjunction-signature-gap")
     assert gap.info == {
         "witnesses_found": gaps,
         "example": f"{found[0]}: same proposition, different signatures",
@@ -446,6 +447,18 @@ def test_testable_proposition_poset_orthocomplement(worked_qm):
     assert poset.orthocomplement is not None
     for src, dst in poset.orthocomplement.items():
         assert poset.orthocomplement[dst] == src  # involution on the image
+
+
+@pytest.mark.parametrize("state", ["Sz+", "Sz-", "Sx+", "Sx-"])
+def test_testable_proposition_poset_leaves_an_ill_defined_complement_off(worked_spec, state):
+    """Without one of its states the worked spec's six elements have five
+    propositions, and two elements that share one have partners that do
+    not, so no complement is attached."""
+    qm = build_model(without_state(worked_spec, state))
+    assert len(qm.lattice) == 6
+    poset = proposition_poset_of(qm)
+    assert len(poset.elements) == 5
+    assert poset.orthocomplement is None
 
 
 def test_states_separate_worked_spec(worked_qm):

@@ -417,6 +417,56 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, status, line",
+    [
+        (["check", "--qm-spec", (WORKED, lambda d: d.update(universe=0))], 1,
+         "error: ModelValidationError: universe size must be positive"),
+        (["check", "--qm-spec", (WORKED, lambda d: d["states"].append(d["states"][0]))], 1,
+         "error: ModelValidationError: duplicate state names"),
+        (["check", "--qm-spec",
+          (WORKED, lambda d: d["properties"].append(d["properties"][0]))], 1,
+         "error: ModelValidationError: duplicate property names"),
+        (["check", "--qm-spec", (WORKED, lambda d: d["properties"][0].update(name="1bad"))],
+         1, "error: ModelValidationError: property name '1bad' is not an identifier"),
+        (["check", "--model", (CM, lambda d: d["predicates"].append(d["predicates"][0]))], 1,
+         "error: ModelValidationError: duplicate predicate names"),
+        (["check", "--model", (CM, lambda d: d["predicates"][0].update(name="9x"))], 1,
+         "error: ModelValidationError: predicate name '9x' is not an identifier"),
+        (["check", "--model", (CM, lambda d: d["states"].append(d["states"][0]))], 1,
+         "error: ModelValidationError: duplicate state names"),
+        (["check", "--model", (CM, lambda d: d["states"][0].update(universe=0))], 1,
+         "error: ModelValidationError: state 'S1' needs a universe of size >= 1"),
+        (["check", "--model", CM, "--qm-spec", WORKED], 1,
+         "usage error: give either --model or --qm-spec, not both"),
+        (["parse"], 1, "usage error: --formula is required"),
+        (["eval", "--qm-spec", WORKED], 1, "usage error: --formula is required"),
+        (["gen", "--states", "0"], 1, "usage error: argument --states: must be at least 1"),
+        (["gen", "--kind", "qm", "--dim", "3", "--properties", "3", "--cap", "2"], 2,
+         "closure overflow: no adequate spec found for seed 0 within 32 attempts"),
+    ],
+    ids=[
+        "spec-universe-0", "spec-duplicate-state", "spec-duplicate-property",
+        "spec-property-name", "model-duplicate-predicate", "model-predicate-name",
+        "model-duplicate-state", "model-universe-0", "model-and-spec", "parse-no-formula",
+        "eval-no-formula", "gen-no-states", "gen-no-adequate-spec",
+    ],
+)
+def test_invalid_input_or_arguments_is_one_error_line(tmp_path, capsys, argv, status, line):
+    args = []
+    for arg in argv:
+        if isinstance(arg, tuple):  # (source, change): a copy of the source, changed
+            source, change = arg
+            with open(source, encoding="utf-8") as fh:
+                data = json.load(fh)
+            change(data)
+            arg = tmp_path / "input.json"
+            arg.write_text(json.dumps(data))
+        args.append(str(arg))
+    code, out, err = run(capsys, *args)
+    assert (code, out, err.splitlines()) == (status, "", [line])
+
+
 def test_property_flag_must_be_boolean(tmp_path, capsys):
     model = {
         "predicates": [{"name": "E", "property": "false", "ortho": None}],

@@ -39,7 +39,7 @@ from qlogic.propositions import check_connective_relations
 
 import closure_reference
 import suite_reference as reference
-from conftest import SPEC_DIR, mo_squared_spec, with_extensions
+from conftest import SPEC_DIR, mo_squared_spec, suite_line, with_extensions, without_state
 
 
 def _stats(records):
@@ -196,9 +196,40 @@ def test_suites_match_reference_on_generated_specs(dim, properties, seed):
     got = check_connective_relations(space, predicates=generators)
     want = reference.connective_relations(qm.model, generators)
     assert _stats(got) == [astuple(t) for t in want]
-    demorgan, implication, *_ = check_quantum_equivalences(qm, space, _reachable_elements(qm))
-    want = reference.demorgan_and_implication(qm)
-    assert _stats([demorgan, implication]) == [astuple(t) for t in want]
+    report = check_quantum_equivalences(qm, space, _reachable_elements(qm))
+    got = [suite_line(report, suite) for suite in ("quantum-demorgan", "quantum-implication")]
+    assert _stats(got) == [astuple(t) for t in reference.demorgan_and_implication(qm)]
+    _check_both_meanings(qm, report)
+
+
+def _check_both_meanings(qm, report):
+    """equivalence-coincidence and preorder-coincides against the
+    frozenset loops of the reference."""
+    got = suite_line(report, "equivalence-coincidence")
+    assert _stats([got]) == [astuple(reference.equivalence_coincidence(qm))]
+    info = suite_line(report, "state-separation").info
+    assert info["preorder-coincides"] == reference.preorder_coincides(qm)
+
+
+@pytest.mark.parametrize(
+    "drop,coincide,equal",
+    [(None, True, 0), ("mo2", False, 0)] + [(s, False, 1) for s in ("Sz+", "Sz-", "Sx+", "Sx-")],
+    ids=["worked_qm", "mo2_squared", "no-Sz+", "no-Sz-", "no-Sx+", "no-Sx-"],
+)
+def test_both_meanings_match_reference_where_they_part(worked_spec, drop, coincide, equal):
+    """The worked spec; MO_2 x MO_2, where proposition inclusion nests
+    classes that signature inclusion does not; and the worked spec without
+    one of its states, where two classes share a proposition, so that
+    neither line holds."""
+    if drop == "mo2":
+        spec = spec_from_dict(mo_squared_spec(2))
+    else:
+        spec = worked_spec if drop is None else without_state(worked_spec, drop)
+    qm = build_model(spec)
+    report = check_quantum_equivalences(qm, SignatureSpace(qm.model), _reachable_elements(qm))
+    _check_both_meanings(qm, report)
+    assert suite_line(report, "equivalence-coincidence").violations == equal
+    assert suite_line(report, "state-separation").info["preorder-coincides"] == coincide
 
 
 def _cm_testability_by_ordered_sweep(space, names):
@@ -307,12 +338,15 @@ def test_quantum_demorgan_flags_a_corrupted_join_entry(worked_qm):
         reach = _reachable_elements(corrupted)
         report = check_quantum_equivalences(corrupted, space, reach)
         assert not all(suite.ok for suite in report)
-        demorgan, implication, *_ = report
+        demorgan, implication = (
+            suite_line(report, suite) for suite in ("quantum-demorgan", "quantum-implication")
+        )
         assert f"{render(reach[a])} / {render(reach[b])}" in demorgan.witnesses
         want = reference.demorgan_and_implication(corrupted)
         assert _stats([demorgan, implication]) == [astuple(t) for t in want]
     reach = _reachable_elements(worked_qm)
-    assert not check_quantum_equivalences(worked_qm, space, reach)[0].violations
+    report = check_quantum_equivalences(worked_qm, space, reach)
+    assert not suite_line(report, "quantum-demorgan").violations
 
 
 @pytest.mark.parametrize("seed", range(16))
