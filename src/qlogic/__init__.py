@@ -30,11 +30,10 @@ from .formulas import (
     QNot,
     QOr,
     classify,
-    enumerate_formulas,
     parse,
     render,
 )
-from .gaussian import GaussianRational, format_scalar, gr, parse_scalar
+from .gaussian import GaussianRational, format_scalar, parse_scalar
 from .hilbert import Subspace, born, join, leq, meet, ortho
 from .lattice import (
     QLattice,
@@ -48,24 +47,18 @@ from .models import (
     PredicateInfo,
     SuiteResult,
     boolean_law_violations,
-    build_cm_model,
     check_cms,
     check_cmt,
     eval_open,
-    eval_universal,
     load_model,
     logical_leq,
     model_from_dict,
     model_to_dict,
     physical_leq,
-    save_model,
-    signature,
 )
 from .propositions import (
-    PhysicalProposition,
     PropositionPoset,
     check_connective_relations,
-    physical_proposition,
     proposition_poset,
     testable,
 )
@@ -84,7 +77,6 @@ from .bridge import (
     spec_from_dict,
     spec_to_dict,
     states_separate,
-    tau_eval,
     testable_proposition_poset,
 )
 

@@ -54,12 +54,11 @@ from .models import (
     _EMPTY_SLOT,
     _IDENT_RE,
     MAX_DIM,
-    MAX_PAIRS,
     Model,
     PredicateInfo,
     SignatureSpace,
     SuiteResult,
-    eval_open,
+    check_pair_count,
     expect_json,
     read_json,
 )
@@ -89,8 +88,7 @@ class QMModelSpec:
             raise ModelValidationError("universe size must be positive")
         if not self.states:
             raise ModelValidationError("at least one state is required")
-        if (count := len(self.states) * self.universe_size) > MAX_PAIRS:
-            raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
+        check_pair_count(len(self.states) * self.universe_size)
         state_names = [s for s, _ in self.states]
         if len(set(state_names)) != len(state_names):
             raise ModelValidationError("duplicate state names")
@@ -371,12 +369,6 @@ def reduce_qwff(qm: QuantumModel, f: Formula) -> str:
     lattice operations (implication as the orthocomplement-join form).
     """
     return qm.predicate_names[_element(qm, f)]
-
-
-def tau_eval(qm: QuantumModel, f: Formula, state: str, obj: int) -> bool:
-    """Truth at one (state, object) pair of the reduced predicate; agrees
-    with classical evaluation on testable classical formulas."""
-    return eval_open(qm.model, Pred(reduce_qwff(qm, f)), state, obj)
 
 
 class QTruth:

@@ -52,6 +52,7 @@ from .formulas import (
 )
 from .generate import classical_model_bytes, qm_spec_bytes
 from .lattice import (
+    DEFAULT_CLOSURE_CAP,
     demorgan_violations,
     find_distributivity_failure,
     ortho_involution_violations,
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--formula", help="formula text")
         if formats:
             p.add_argument("--format", dest="fmt", choices=formats, default="text")
-        p.add_argument("--cap", type=int, default=512, help="closure element cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure element cap")
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     add_common(p, formula=True)
@@ -159,12 +160,21 @@ def _ast_dict(f: Formula) -> dict:
     return {"node": kind, "left": _ast_dict(f.left), "right": _ast_dict(f.right)}
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(args: argparse.Namespace, data: bytes) -> int:
+    """Write ``data`` to the ``--out`` file, or to stdout without one, and
+    return the exit status: a file that cannot be written is one error
+    line and status 1, not a traceback."""
+    if not args.out:
+        sys.stdout.write(data.decode("utf-8"))
+        return 0
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: {type(exc).__name__}: cannot write {args.out}: {reason}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # -- commands -----------------------------------------------------------------
@@ -386,7 +396,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     model, qm = _load_input(args)
     nodes, edges = _lattice_nodes_edges(model, qm)
     if args.fmt == "json":
-        _emit(args, json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True))
+        text = json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True)
     elif args.fmt == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
         for node in nodes:
@@ -395,14 +405,14 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         for i, j in edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
-        _emit(args, "\n".join(lines))
+        text = "\n".join(lines)
     else:
         lines = [f"nodes: {len(nodes)}"]
         lines += [f"  [{node['id']}] {node['label']}" for node in nodes]
         lines.append(f"cover edges: {len(edges)}")
         lines += [f"  {i} -> {j}" for i, j in edges]
-        _emit(args, "\n".join(lines))
-    return 0
+        text = "\n".join(lines)
+    return _emit(args, (text + "\n").encode("utf-8"))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -417,12 +427,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:  # a shape no draw can fill
             raise _UsageError(str(exc)) from None
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
-    return 0
+    return _emit(args, data)
 
 
 _COMMANDS = {

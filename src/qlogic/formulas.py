@@ -1,4 +1,4 @@
-"""Formula syntax: AST, parser, renderer, classifier, enumeration.
+"""Formula syntax: AST, parser, renderer and language classifier.
 
 Concrete grammar (ASCII, whitespace between tokens is insignificant):
 
@@ -31,9 +31,9 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, NoReturn
 
-from .errors import DepthLimitExceeded, FormulaSyntaxError
+from .errors import FormulaSyntaxError
 
-MAX_ENUM_DEPTH = 4
+MAX_ENUM_DEPTH = 4  # the deepest `check --depth` accepted
 MAX_NESTING = 100  # parentheses, prefix operators and tree height, each
 
 
@@ -184,14 +184,6 @@ _UNARY_TYPES = (Not, QNot)
 def has_quantum(f: Formula) -> bool:
     """True when any node of the tree is a quantum connective."""
     return f._quantum
-
-
-def depth(f: Formula) -> int:
-    if isinstance(f, Pred):
-        return 0
-    if isinstance(f, _UNARY_TYPES):
-        return 1 + depth(f.child)
-    return 1 + max(depth(f.left), depth(f.right))
 
 
 def leaf_names(f: Formula) -> Iterator[str]:
@@ -386,53 +378,3 @@ def render(f: Formula) -> str:
     if _PREC[type(f.right)] <= prec:  # left-associative: right side needs parens
         right = f"({right})"
     return f"{left} {_BINARY_TOKEN[type(f)]} {right}"
-
-
-# --- enumeration -----------------------------------------------------------
-
-_FAMILIES: dict[str, tuple[tuple, tuple]] = {
-    "classical": ((Not,), (And, Or)),
-    "quantum": ((QNot,), (QAnd, QOr, QImp)),
-}
-
-
-def enumerate_formulas(
-    predicates: Iterable[str], max_depth: int, connectives: str = "classical"
-) -> Iterator[Formula]:
-    """All formulas over the predicates up to max_depth, in canonical order.
-
-    Ordering is by depth layer; within a layer, unary nodes over the
-    previous layer come first, then each binary connective over all pairs
-    of lower-depth operands in (left-major, right-minor) order.  No tree
-    is produced twice.  Deterministic: equal arguments, equal sequence.
-    """
-    if max_depth < 0:
-        raise ValueError("max_depth must be nonnegative")
-    if max_depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(
-            f"enumeration depth {max_depth} exceeds the cap {MAX_ENUM_DEPTH}"
-        )
-    if connectives not in _FAMILIES:
-        raise ValueError(f"connectives must be 'classical' or 'quantum', got {connectives!r}")
-    unary, binary = _FAMILIES[connectives]
-    names = tuple(predicates)
-
-    def walk() -> Iterator[Formula]:
-        upto: list[Formula] = [Pred(name) for name in names]
-        yield from upto
-        exact_lo = 0  # upto[exact_lo:] holds the trees of exactly the previous depth
-        for _ in range(max_depth):
-            hi = len(upto)
-            fresh: list[Formula] = []
-            for ctor in unary:
-                fresh.extend(ctor(f) for f in upto[exact_lo:hi])
-            for ctor in binary:
-                for i in range(hi):
-                    for j in range(hi):
-                        if i >= exact_lo or j >= exact_lo:
-                            fresh.append(ctor(upto[i], upto[j]))
-            yield from fresh
-            upto.extend(fresh)
-            exact_lo = hi
-
-    return walk()

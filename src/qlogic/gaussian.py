@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ModelValidationError
 
@@ -13,7 +12,6 @@ from .errors import ModelValidationError
 # groups are the integer parts of "3/4-1/4i", or of "3/4i" and its "i"
 _LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?(?:([+-]\d+)(?:/([1-9]\d*))?i|(i))?")
 
-RationalLike = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
@@ -85,12 +83,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
-
-
-def gr(real: RationalLike = 0, imag: RationalLike = 0) -> GaussianRational:
-    """Shorthand constructor accepting ints and Fractions."""
-    return GaussianRational(Fraction(real), Fraction(imag))
 
 
 def parse_scalar(text: str) -> GaussianRational:

@@ -21,7 +21,7 @@ from .errors import ClosureOverflow, ModelValidationError
 from .gaussian import GaussianRational
 from .hilbert import Subspace, _lead, _orthogonal, join, ortho
 from .lattice import close
-from .models import MAX_DIM, Model, PredicateInfo, model_to_dict
+from .models import MAX_DIM, Model, PredicateInfo, check_pair_count, model_to_dict
 
 MAX_GENERATION_ATTEMPTS = 32
 
@@ -29,7 +29,9 @@ MAX_GENERATION_ATTEMPTS = 32
 def random_classical_model(
     seed: int, n_states: int = 2, n_predicates: int = 2, universe: int = 3
 ) -> Model:
-    """Random extensions over S1..Sk and E1..Em, with paired complements."""
+    """Random extensions over S1..Sk and E1..Em, with paired complements;
+    a shape over the pair cap raises ModelValidationError before any draw."""
+    check_pair_count(n_states * universe)
     rng = random.Random(f"classical:{seed}")
     states = tuple(f"S{i + 1}" for i in range(n_states))
     base = tuple(f"E{i + 1}" for i in range(n_predicates))

@@ -400,13 +400,6 @@ def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
     return value
 
 
-def contains_vector(a: Subspace, v: Sequence[GaussianRational]) -> bool:
-    """Whether v lies in a: its integer row is orthogonal to ortho(a)'s rows."""
-    if len(v) != a.ambient:
-        raise DimensionMismatch(f"vector of length {len(v)} in C^{a.ambient}")
-    return _orthogonal(ortho(a)._rows, _int_row(v))
-
-
 def subspace_from_strings(rows: list[list[str]], ambient: int) -> Subspace:
     """Build a subspace from basis vectors given as scalar literals."""
     vecs = []

@@ -4,8 +4,8 @@ Evaluation is two-valued and Tarskian: an open formula is checked at a
 (state, object) pair, a sentence is the universal closure over the state's
 universe.  Because formulas carry a single variable, quantifying over all
 interpretations collapses to quantifying over the objects of each state;
-the ``signature`` of a formula (the set of satisfying (state, object)
-pairs) therefore realizes logical equivalence, while the set of states
+the signature of a formula (the set of satisfying (state, object) pairs)
+therefore realizes logical equivalence, while the set of states
 where the universal closure holds realizes physical equivalence.
 """
 
@@ -49,6 +49,12 @@ _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 MAX_PAIRS = 1_000_000  # (state, object) pairs of a model: its index has a bit for each
 MAX_DIM = 64  # Hilbert space dimension of a spec: exact elimination grows about as dim**2.5
+
+
+def check_pair_count(count: int) -> None:
+    """Refuse a model of ``count`` (state, object) pairs over MAX_PAIRS."""
+    if count > MAX_PAIRS:
+        raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,7 @@ class Model:
         if len(self.universe_sizes) != len(self.states):  # every state has a size
             s = next(s for s in self.universe_sizes if s not in self.states)
             raise ModelValidationError(f"universe for unknown state {s!r}")
-        if (count := sum(self.universe_sizes.values())) > MAX_PAIRS:
-            raise ModelValidationError(f"{count} (state, object) pairs, over the cap {MAX_PAIRS}")
+        check_pair_count(sum(self.universe_sizes.values()))
         self._index()
         for p in self.predicates:
             if p.ortho is None:
@@ -328,12 +333,6 @@ def load_model(path: str | Path) -> Model:
     return model_from_dict(read_json(path))
 
 
-def save_model(m: Model, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -344,8 +343,8 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
     checked; a leaf is then one lookup among the state's extensions, and
     any other formula reads a bit of its mask, kept for the last one asked.
     A formula with no mask (an unknown leaf or a quantum node) raises at
-    every pair what ``signature`` raises for it, and leaves the slot as it
-    was."""
+    every pair what ``SignatureSpace.mask_of`` raises for it, and leaves the
+    slot as it was."""
     try:
         offset, n, extensions = m.blocks[state]
     except KeyError:
@@ -366,11 +365,6 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
     return bits[i >> 3] >> (i & 7) & 1 == 1
 
 
-def eval_universal(m: Model, f: Formula, state: str) -> bool:
-    """Truth of the universally closed sentence: every object satisfies f."""
-    return all(eval_open(m, f, state, u) for u in range(m.universe_size(state)))
-
-
 # -- signatures as bitmasks ------------------------------------------------------
 
 
@@ -380,7 +374,7 @@ class SignatureSpace:
     Signatures are manipulated as integer bitmasks internally; the public
     API converts to frozensets of pairs.  The masks and witness maps are
     the model's own, laid out once at its construction, so a space costs
-    a few references; what a space adds is the memo of its class sweeps.
+    a few references; what a space adds is the memo of its atoms.
     """
 
     def __init__(self, m: Model):
@@ -388,7 +382,6 @@ class SignatureSpace:
         self.omega, self.state_masks, self.pred_masks = m.omega, m.state_masks, m.pred_masks
         self._witnesses = m.witnesses
         self._atoms: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._classes: dict[tuple[tuple[str, ...], int], dict[int, Formula]] = {}
 
     def witnesses(self, scope: str = "properties") -> Mapping[int, str]:
         """Each predicate signature mapped to the first predicate, in table
@@ -428,12 +421,8 @@ class SignatureSpace:
         """Signature classes of all classical formulas over the generators
         up to the given depth, each mask mapped to one representative
         formula.  Signatures compose, so layering over classes enumerates
-        those of the full formula enumeration.  Memoized per space; callers
-        share the dict, which none may change."""
-        key = (tuple(generator_names), max_depth)
-        if key not in self._classes:
-            self._classes[key] = self._closure(key[0], rounds=max_depth)
-        return self._classes[key]
+        those of the full formula enumeration.  Each call sweeps afresh."""
+        return self._closure(tuple(generator_names), rounds=max_depth)
 
     def closed_classes(
         self, generator_names: Iterable[str], max_elements: int | None = None
@@ -497,12 +486,6 @@ def _mask(
     if cache is not None:
         cache[f] = value
     return value
-
-
-def signature(m: Model, f: Formula) -> Signature:
-    """The set of (state, object) pairs satisfying the classical formula."""
-    space = SignatureSpace(m)
-    return space.to_signature(space.mask_of(f))
 
 
 def logical_leq(m: Model, f: Formula, g: Formula) -> bool:
@@ -625,39 +608,6 @@ class SuiteResult:
 
 
 # -- classical-mechanics profile ----------------------------------------------------
-
-
-def build_cm_model(
-    states: Iterable[str],
-    predicates: Iterable[str],
-    truth: Mapping[tuple[str, str], bool],
-    universe_sizes: int | Mapping[str, int] = 4,
-) -> Model:
-    """Model in which every extension is full or empty per the truth table.
-
-    Each predicate is flagged as a property and paired with a generated
-    ``<name>_perp`` partner carrying the complemented table.
-    """
-    states = tuple(states)
-    base = tuple(predicates)
-    if isinstance(universe_sizes, int):
-        sizes = {s: universe_sizes for s in states}
-    else:
-        sizes = dict(universe_sizes)
-    preds: list[PredicateInfo] = []
-    extensions: dict[tuple[str, str], frozenset[int]] = {}
-    for name in base:
-        partner = f"{name}_perp"
-        if partner in base:
-            raise ModelValidationError(f"predicate name {partner!r} already taken")
-        preds.append(PredicateInfo(name, True, partner))
-        preds.append(PredicateInfo(partner, True, name))
-        for s in states:
-            full = frozenset(range(sizes[s]))
-            holds = bool(truth.get((s, name), False))
-            extensions[(s, name)] = full if holds else frozenset()
-            extensions[(s, partner)] = frozenset() if holds else full
-    return Model(tuple(preds), states, sizes, extensions)
 
 
 def check_cms(m: Model) -> bool:

@@ -17,27 +17,6 @@ from .models import Model, SignatureSpace, SuiteResult, quotient_size
 from .models import _bits as _bitset
 
 
-@dataclass(frozen=True)
-class PhysicalProposition:
-    """Set of states where the provenance formula is certainly true."""
-
-    states: frozenset[str]
-    provenance: Formula
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PhysicalProposition):
-            return self.states == other.states
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.states)
-
-
-def physical_proposition(m: Model, f: Formula) -> PhysicalProposition:
-    space = SignatureSpace(m)
-    return PhysicalProposition(space.proposition(space.mask_of(f)), f)
-
-
 def testable(m: Model, f: Formula, scope: str = "properties") -> str | None:
     """First predicate (in table order) whose signature equals f's.
 

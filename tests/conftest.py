@@ -2,17 +2,85 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import pytest
 
-from qlogic.bridge import QMModelSpec, QuantumModel, build_model, load_spec
-from qlogic.models import Model, SuiteResult, build_cm_model
+from qlogic.bridge import QMModelSpec, QuantumModel, build_model, load_spec, reduce_qwff
+from qlogic.formulas import Formula, Pred
+from qlogic.gaussian import GaussianRational
+from qlogic.models import Model, PredicateInfo, SignatureSpace, SuiteResult, eval_open
 
 REPO = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO / "specs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def load_tracer():
+    """``perfbench/tracer.py`` as a module, for its tables of the names it
+    wraps; the file is loaded, not changed."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+GR_ONE = GaussianRational(Fraction(1))
+
+
+def gr(real: int | Fraction = 0, imag: int | Fraction = 0) -> GaussianRational:
+    """Shorthand constructor accepting ints and Fractions."""
+    return GaussianRational(Fraction(real), Fraction(imag))
+
+
+def eval_universal(m: Model, f: Formula, state: str) -> bool:
+    """Truth of the universally closed sentence, object by object: every
+    object of the state satisfies f."""
+    return all(eval_open(m, f, state, u) for u in range(m.universe_size(state)))
+
+
+def signature(m: Model, f: Formula) -> frozenset:
+    """The set of (state, object) pairs satisfying the classical formula."""
+    space = SignatureSpace(m)
+    return space.to_signature(space.mask_of(f))
+
+
+def physical_proposition(m: Model, f: Formula) -> frozenset[str]:
+    """The states where the universal closure of f holds."""
+    space = SignatureSpace(m)
+    return space.proposition(space.mask_of(f))
+
+
+def tau_eval(qm: QuantumModel, f: Formula, state: str, obj: int) -> bool:
+    """Truth at one (state, object) pair of the predicate f reduces to."""
+    return eval_open(qm.model, Pred(reduce_qwff(qm, f)), state, obj)
+
+
+def build_cm_model(
+    states: Iterable[str], predicates: Iterable[str], truth: Mapping[tuple[str, str], bool],
+    universe: int = 4,
+) -> Model:
+    """Model in which every extension is full or empty per the truth table.
+
+    Each predicate is flagged as a property and paired with a generated
+    ``<name>_perp`` partner carrying the complemented table.
+    """
+    states = tuple(states)
+    full = frozenset(range(universe))
+    preds: list[PredicateInfo] = []
+    extensions: dict[tuple[str, str], frozenset[int]] = {}
+    for name in predicates:
+        partner = f"{name}_perp"
+        preds += [PredicateInfo(name, True, partner), PredicateInfo(partner, True, name)]
+        for s in states:
+            holds = truth.get((s, name), False)
+            extensions[(s, name)] = full if holds else frozenset()
+            extensions[(s, partner)] = frozenset() if holds else full
+    return Model(tuple(preds), states, dict.fromkeys(states, universe), extensions)
 
 
 @pytest.fixture(scope="session")

@@ -7,14 +7,19 @@ The differential tests require ``qlogic.formulas`` to give the same tokens
 (kind, 1-based position, text), the same trees, the same syntax errors
 (message and position), the same quantum flags, the same language tags
 and the same nodes (fields, hash, flag) as these loops.
+
+The module also holds the enumeration of every formula up to a depth, and
+``depth`` itself, with which the tests sweep small formula spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from qlogic.errors import FormulaSyntaxError
+from qlogic.errors import DepthLimitExceeded, FormulaSyntaxError
 from qlogic.formulas import (
+    MAX_ENUM_DEPTH,
     MAX_NESTING,
     And,
     Formula,
@@ -208,3 +213,59 @@ def _internal_all_quantum(f: Formula) -> bool:
     if isinstance(f, QNot):
         return _internal_all_quantum(f.child)
     return _internal_all_quantum(f.left) and _internal_all_quantum(f.right)
+
+
+def depth(f: Formula) -> int:
+    if isinstance(f, Pred):
+        return 0
+    if isinstance(f, (Not, QNot)):
+        return 1 + depth(f.child)
+    return 1 + max(depth(f.left), depth(f.right))
+
+
+_FAMILIES: dict[str, tuple[tuple, tuple]] = {
+    "classical": ((Not,), (And, Or)),
+    "quantum": ((QNot,), (QAnd, QOr, QImp)),
+}
+
+
+def enumerate_formulas(
+    predicates: Iterable[str], max_depth: int, connectives: str = "classical"
+) -> Iterator[Formula]:
+    """All formulas over the predicates up to max_depth, in canonical order.
+
+    Ordering is by depth layer; within a layer, unary nodes over the
+    previous layer come first, then each binary connective over all pairs
+    of lower-depth operands in (left-major, right-minor) order.  No tree
+    is produced twice.  Deterministic: equal arguments, equal sequence.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
+    if max_depth > MAX_ENUM_DEPTH:
+        raise DepthLimitExceeded(
+            f"enumeration depth {max_depth} exceeds the cap {MAX_ENUM_DEPTH}"
+        )
+    if connectives not in _FAMILIES:
+        raise ValueError(f"connectives must be 'classical' or 'quantum', got {connectives!r}")
+    unary, binary = _FAMILIES[connectives]
+    names = tuple(predicates)
+
+    def walk() -> Iterator[Formula]:
+        upto: list[Formula] = [Pred(name) for name in names]
+        yield from upto
+        exact_lo = 0  # upto[exact_lo:] holds the trees of exactly the previous depth
+        for _ in range(max_depth):
+            hi = len(upto)
+            fresh: list[Formula] = []
+            for ctor in unary:
+                fresh.extend(ctor(f) for f in upto[exact_lo:hi])
+            for ctor in binary:
+                for i in range(hi):
+                    for j in range(hi):
+                        if i >= exact_lo or j >= exact_lo:
+                            fresh.append(ctor(upto[i], upto[j]))
+            yield from fresh
+            upto.extend(fresh)
+            exact_lo = hi
+
+    return walk()

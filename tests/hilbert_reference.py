@@ -14,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from qlogic.gaussian import GR_ONE, GR_ZERO, GaussianRational
+from qlogic.gaussian import GR_ZERO, GaussianRational
+
+from conftest import GR_ONE
 
 Rows = tuple[tuple[GaussianRational, ...], ...]
 

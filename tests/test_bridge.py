@@ -32,7 +32,6 @@ from qlogic.bridge import (
     spec_from_dict,
     spec_to_dict,
     states_separate,
-    tau_eval,
 )
 from qlogic.bridge import testable_proposition_poset as proposition_poset_of
 from qlogic.errors import (
@@ -43,23 +42,26 @@ from qlogic.errors import (
     UniverseTooSmall,
     ZeroVector,
 )
-from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, parse, render
-from qlogic.gaussian import gr
+from qlogic.formulas import And, Pred, QAnd, QImp, QNot, QOr, parse, render
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, born, join, leq, meet, ortho
-from qlogic.models import Model, SignatureSpace, eval_open, signature
-from qlogic.propositions import physical_proposition
+from qlogic.models import Model, SignatureSpace, eval_open
 from qlogic.propositions import testable as find_witness
 
 import hilbert_reference as reference
 from conftest import (
     DATA_DIR,
     SPEC_DIR,
+    gr,
+    physical_proposition,
+    signature,
     suite_line,
+    tau_eval,
     with_extension,
     with_extensions,
     without_state,
 )
+from formula_reference import enumerate_formulas
 
 
 def _equivalences(qm, space):
@@ -99,7 +101,7 @@ def test_worked_signature_of_two_state_variant(worked_spec):
 
 def test_qmt_holds_by_construction(worked_qm):
     for name in worked_qm.predicate_names:
-        prop = physical_proposition(worked_qm.model, Pred(name)).states
+        prop = physical_proposition(worked_qm.model, Pred(name))
         assert prop == worked_qm.theta[name]
     assert check_qmt(worked_qm, SignatureSpace(worked_qm.model)).ok
 
@@ -364,7 +366,7 @@ def test_signature_gap_counts_every_pair(source, gaps):
         for b in reps:
             classical = And(Pred(a), Pred(b))
             quantum = Pred(reduce_qwff(qm, QAnd(Pred(a), Pred(b))))
-            p_classical = physical_proposition(qm.model, classical).states
+            p_classical = physical_proposition(qm.model, classical)
             sig_classical = signature(qm.model, classical)
             if p_classical == qm.theta[quantum.name] and sig_classical != signature(qm.model, quantum):
                 found.append(f"{a} & {b}")
@@ -388,7 +390,7 @@ def test_conjunction_footnote_values(worked_qm):
     qm = worked_qm
     classical = And(Pred("Ez"), Pred("Ex"))
     quantum = QAnd(Pred("Ez"), Pred("Ex"))
-    p_classical = physical_proposition(qm.model, classical).states
+    p_classical = physical_proposition(qm.model, classical)
     p_quantum = qm.theta[reduce_qwff(qm, quantum)]
     assert p_classical == p_quantum == frozenset()
     qpred = reduce_qwff(qm, quantum)

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from qlogic import bridge, cli
+from qlogic import bridge, cli, generate
 from qlogic.bridge import build_model, load_spec
 from qlogic.cli import main
 from qlogic.errors import ModelValidationError
@@ -253,6 +255,9 @@ def test_lattice_writes_artifact_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert len(data["nodes"]) == 6
+    # the file holds what stdout gets, the trailing newline included
+    code, out, _ = run(capsys, "lattice", "--qm-spec", WORKED, "--format", "json")
+    assert code == 0 and target.read_bytes() == out.encode()
 
 
 def test_gen_matches_golden(capsys):
@@ -444,15 +449,25 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
         (["gen", "--states", "0"], 1, "usage error: argument --states: must be at least 1"),
         (["gen", "--kind", "qm", "--dim", "3", "--properties", "3", "--cap", "2"], 2,
          "closure overflow: no adequate spec found for seed 0 within 32 attempts"),
+        (["lattice", "--model", CM, "--out", "{tmp}"], 1,
+         "error: IsADirectoryError: cannot write {tmp}: Is a directory"),
+        (["lattice", "--model", CM, "--out", "{tmp}/missing/lattice.txt"], 1,
+         "error: FileNotFoundError: cannot write {tmp}/missing/lattice.txt: No such file or directory"),
+        (["gen", "--out", "{tmp}"], 1,
+         "error: IsADirectoryError: cannot write {tmp}: Is a directory"),
+        (["gen", "--out", "{tmp}/missing/model.json"], 1,
+         "error: FileNotFoundError: cannot write {tmp}/missing/model.json: No such file or directory"),
     ],
     ids=[
         "spec-universe-0", "spec-duplicate-state", "spec-duplicate-property",
         "spec-property-name", "model-duplicate-predicate", "model-predicate-name",
         "model-duplicate-state", "model-universe-0", "model-and-spec", "parse-no-formula",
-        "eval-no-formula", "gen-no-states", "gen-no-adequate-spec",
+        "eval-no-formula", "gen-no-states", "gen-no-adequate-spec", "lattice-out-directory",
+        "lattice-out-missing-parent", "gen-out-directory", "gen-out-missing-parent",
     ],
 )
 def test_invalid_input_or_arguments_is_one_error_line(tmp_path, capsys, argv, status, line):
+    # "{tmp}" in an argument or the line stands for the test's own directory
     args = []
     for arg in argv:
         if isinstance(arg, tuple):  # (source, change): a copy of the source, changed
@@ -462,9 +477,9 @@ def test_invalid_input_or_arguments_is_one_error_line(tmp_path, capsys, argv, st
             change(data)
             arg = tmp_path / "input.json"
             arg.write_text(json.dumps(data))
-        args.append(str(arg))
+        args.append(str(arg).replace("{tmp}", str(tmp_path)))
     code, out, err = run(capsys, *args)
-    assert (code, out, err.splitlines()) == (status, "", [line])
+    assert (code, out, err.splitlines()) == (status, "", [line.replace("{tmp}", str(tmp_path))])
 
 
 def test_property_flag_must_be_boolean(tmp_path, capsys):
@@ -711,6 +726,26 @@ def test_the_pair_cap_counts_every_state():
     sizes = {"S": MAX_PAIRS // 2, "T": MAX_PAIRS // 2 + 1}
     with pytest.raises(ModelValidationError, match="1000001 .* over the cap"):
         Model((PredicateInfo("E"),), ("S", "T"), sizes, {})
+
+
+def test_gen_classical_checks_the_pair_cap_before_any_draw(capsys, monkeypatch):
+    """States times universe over the cap is refused before the generator
+    draws an extension: a universe of 10**8 would not fit in memory.  At
+    the cap, the spy sees the first draw."""
+
+    class Drew(Exception):
+        pass
+
+    class Spy(random.Random):
+        def random(self):
+            raise Drew
+
+    monkeypatch.setattr(generate, "random", SimpleNamespace(Random=Spy))
+    code, out, err = run(capsys, "gen", "--states", "2", "--universe", str(10**8))
+    expected = f"error: ModelValidationError: {2 * 10**8} (state, object) pairs, over the cap {MAX_PAIRS}\n"
+    assert (code, out, err) == (1, "", expected)
+    with pytest.raises(Drew):
+        generate.random_classical_model(0, 2, 1, MAX_PAIRS // 2)
 
 
 def test_json_nested_past_the_recursion_limit_is_one_error_line(tmp_path, capsys):

@@ -11,11 +11,12 @@ from dataclasses import replace
 import pytest
 
 from qlogic.bridge import QuantumModel, build_model, load_spec, q_truth, reduce_qwff
-from qlogic.formulas import Formula, Pred, QAnd, QImp, QNot, QOr, enumerate_formulas, render
+from qlogic.formulas import Formula, Pred, QAnd, QImp, QNot, QOr, render
 from qlogic.generate import random_qm_spec
 
 import float_reference as fr
 from conftest import DATA_DIR, SPEC_DIR
+from formula_reference import enumerate_formulas
 
 _BINARY = (QAnd, QOr, QImp)
 

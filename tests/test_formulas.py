@@ -23,14 +23,13 @@ from qlogic.formulas import (
     QOr,
     _tokenize,
     classify,
-    depth,
-    enumerate_formulas,
     has_quantum,
     parse,
     render,
 )
 
 import formula_reference as reference
+from formula_reference import depth, enumerate_formulas
 
 
 def test_parse_classical():

@@ -12,7 +12,9 @@ from qlogic import gaussian
 from qlogic.bridge import spec_from_dict
 from qlogic.cli import main
 from qlogic.errors import ModelValidationError
-from qlogic.gaussian import GaussianRational, format_scalar, gr, parse_scalar
+from qlogic.gaussian import GaussianRational, format_scalar, parse_scalar
+
+from conftest import gr
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from qlogic import hilbert
 from qlogic.bridge import _generated_name
 from qlogic.errors import DimensionMismatch, ModelValidationError, ZeroVector
-from qlogic.gaussian import GR_ONE, GR_ZERO, GaussianRational, format_scalar, gr
+from qlogic.gaussian import GR_ZERO, GaussianRational, format_scalar
 from qlogic.hilbert import (
     Subspace,
     _state_row,
@@ -28,6 +28,7 @@ from qlogic.hilbert import (
 )
 
 import hilbert_reference as reference
+from conftest import GR_ONE, gr
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
@@ -145,14 +146,13 @@ def test_born_complement_sums_to_one(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_born_boundary_values_mean_membership(data):
-    from qlogic.hilbert import contains_vector
-
     dim = data.draw(st.integers(2, 3))
     psi = data.draw(_vectors(dim))
     sub = data.draw(_spaces(dim))
     p = born(psi, sub)
-    assert (p == 1) == contains_vector(sub, psi)
-    assert (p == 0) == contains_vector(ortho(sub), psi)
+    line = Subspace.span([psi])
+    assert (p == 1) == leq(line, sub)
+    assert (p == 0) == leq(line, ortho(sub))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,6 @@ import qlogic.hilbert
 import qlogic.lattice
 from qlogic.bridge import load_spec, spec_from_dict
 from qlogic.errors import ClosureOverflow
-from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, join, leq, meet, ortho
 from qlogic.hilbert import _nullspace as nullspace
@@ -23,7 +22,7 @@ from qlogic.lattice import (
 )
 
 import closure_reference as reference
-from conftest import DATA_DIR, SPEC_DIR, mo_squared_spec
+from conftest import DATA_DIR, SPEC_DIR, gr, mo_squared_spec
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])

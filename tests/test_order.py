@@ -21,15 +21,13 @@ from qlogic.bridge import build_model
 from qlogic.bridge import testable_proposition_poset as induced_poset
 from qlogic.cli import _lattice_nodes_edges, main
 from qlogic.formulas import Pred
-from qlogic.gaussian import gr
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace
 from qlogic.lattice import close
-from qlogic.models import build_cm_model
 from qlogic.propositions import cover_edges, proposition_poset
 
 import order_reference as reference
-from conftest import DATA_DIR
+from conftest import DATA_DIR, build_cm_model, gr
 
 
 def _check_poset(poset):

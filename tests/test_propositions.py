@@ -4,33 +4,24 @@ from dataclasses import astuple
 
 import pytest
 
-from qlogic.formulas import And, Not, Or, Pred, enumerate_formulas
-from qlogic.models import (
-    Model,
-    PredicateInfo,
-    SignatureSpace,
-    build_cm_model,
-    eval_universal,
-    signature,
-)
-from qlogic.propositions import (
-    check_connective_relations,
-    physical_proposition,
-    proposition_poset,
-)
+from qlogic.formulas import And, Not, Or, Pred
+from qlogic.models import Model, PredicateInfo, SignatureSpace
+from qlogic.propositions import check_connective_relations, proposition_poset
 from qlogic.propositions import testable as find_witness
 
 import suite_reference as reference
+from conftest import build_cm_model, eval_universal, physical_proposition, signature
+from formula_reference import enumerate_formulas
 
 
 def test_proposition_cm_single_state():
     m = build_cm_model(["S1", "S2"], ["E"], {("S1", "E"): True}, 3)
-    assert physical_proposition(m, Pred("E")).states == frozenset({"S1"})
+    assert physical_proposition(m, Pred("E")) == frozenset({"S1"})
 
 
 def test_proposition_tautology():
     m = build_cm_model(["S1", "S2"], ["E"], {("S1", "E"): True}, 3)
-    assert physical_proposition(m, Or(Pred("E"), Not(Pred("E")))).states == frozenset(
+    assert physical_proposition(m, Or(Pred("E"), Not(Pred("E")))) == frozenset(
         {"S1", "S2"}
     )
 
@@ -40,8 +31,8 @@ def test_proposition_matches_universal_truth_oracle(worked_qm):
     m = worked_qm.model
     for f in [Pred("Ez"), And(Pred("Ez"), Pred("Ex")), Or(Pred("Ez"), Pred("Ez_perp"))]:
         expected = frozenset(s for s in m.states if eval_universal(m, f, s))
-        assert physical_proposition(m, f).states == expected
-    assert physical_proposition(m, Pred("Ez")).states == frozenset({"Sz+"})
+        assert physical_proposition(m, f) == expected
+    assert physical_proposition(m, Pred("Ez")) == frozenset({"Sz+"})
 
 
 def test_proposition_equality_is_state_set_equality():
@@ -197,10 +188,10 @@ def test_connective_relations_strict_on_worked_spec(worked_qm):
 
 def test_join_strictness_witness_values(worked_qm):
     m = worked_qm.model
-    p_or = physical_proposition(m, Or(Pred("Ez"), Pred("Ez_perp"))).states
+    p_or = physical_proposition(m, Or(Pred("Ez"), Pred("Ez_perp")))
     p_union = (
-        physical_proposition(m, Pred("Ez")).states
-        | physical_proposition(m, Pred("Ez_perp")).states
+        physical_proposition(m, Pred("Ez"))
+        | physical_proposition(m, Pred("Ez_perp"))
     )
     assert p_union == frozenset({"Sz+", "Sz-"})
     assert p_or == frozenset(m.states)

@@ -26,7 +26,7 @@ from qlogic.bridge import (
     spec_from_dict,
 )
 from qlogic.cli import main
-from qlogic.formulas import Pred, depth as formula_depth, parse, render
+from qlogic.formulas import Pred, parse, render
 from qlogic.generate import random_classical_model, random_qm_spec
 from qlogic.models import (
     Model,
@@ -40,6 +40,7 @@ from qlogic.propositions import check_connective_relations
 import closure_reference
 import suite_reference as reference
 from conftest import SPEC_DIR, mo_squared_spec, suite_line, with_extensions, without_state
+from formula_reference import depth as formula_depth
 
 
 def _stats(records):

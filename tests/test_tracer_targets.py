@@ -10,16 +10,14 @@ fails here too, in the Tier-1 suite.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 
 import pytest
 
-from conftest import REPO
+from qlogic.gaussian import GaussianRational
 
-_path = REPO / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("_perfbench_tracer", _path)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+from conftest import load_tracer
+
+tracer = load_tracer()
 
 
 @pytest.mark.parametrize("module,attr", [(m, a) for m, a, _ in tracer.FUNCTIONS])
@@ -31,3 +29,9 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, attr):
     # the tracer reads the method from the class's own namespace
     assert callable(vars(getattr(importlib.import_module(f"qlogic.{module}"), cls))[attr])
+
+
+@pytest.mark.parametrize("attr", tracer.GAUSSIAN_METHODS)
+def test_counted_gaussian_method_resolves(attr):
+    # the tracer counts calls of these, read from the class's own namespace
+    assert callable(vars(GaussianRational)[attr])
