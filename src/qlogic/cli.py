@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import NamedTuple
 
 from .bridge import (
     QuantumModel,
@@ -258,41 +257,37 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-class _CheckInput(NamedTuple):
-    space: SignatureSpace
-    qm: QuantumModel | None
+def _report(space: SignatureSpace, qm: QuantumModel | None) -> list[SuiteResult]:
+    """Check's report lines in order, the Hilbert-only suites after the
+    classical ones.  Suites are looked up on this module when they run, so
+    a suite rebound here (as the benchmark tracer does) is the one called."""
     # The classical suites' formula alphabet: the user-named properties for
     # Hilbert-backed inputs, whose full closure table would make the sweeps
     # combinatorially infeasible; None, the whole table, for models.
-    generators: tuple[str, ...] | None
-
-
-def _boolean_quotient(run: _CheckInput) -> list[SuiteResult]:
-    elements = quotient_size(run.space, predicates=run.generators)
-    return [SuiteResult("boolean-quotient", elements, info={"elements": elements})]
-
-
-def _cm_suites(run: _CheckInput) -> list[SuiteResult]:
-    model = run.space.model
-    cms = check_cms(model)
-    cmt = check_cmt(run.space, predicates=run.generators)
-    # The alphabet is property predicates, each full or empty in every
-    # state, so every Boolean combination of them is too: truth and
-    # certain truth coincide and no class can be object-dependent.
-    collapse = SuiteResult("truth-certainty-collapse", cmt.checked if cms else 0, applicable=cms)
-    cms_line = SuiteResult("cm-full-or-empty", len(model.predicates), info={"holds": cms})
-    return [cms_line, cmt, collapse]
-
-
-def _lattice_suites(run: _CheckInput) -> list[SuiteResult]:
-    lat = run.qm.lattice
+    generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
+    lines = check_connective_relations(space, generators)
+    elements = quotient_size(space, predicates=generators)
+    cms = check_cms(space.model)
+    cmt = check_cmt(space, predicates=generators)
+    lines += [
+        SuiteResult("boolean-quotient", elements, info={"elements": elements}),
+        SuiteResult("cm-full-or-empty", len(space.model.predicates), info={"holds": cms}),
+        cmt,
+        # The alphabet is property predicates, each full or empty in every
+        # state, so every Boolean combination of them is too: truth and
+        # certain truth coincide and no class can be object-dependent.
+        SuiteResult("truth-certainty-collapse", cmt.checked if cms else 0, applicable=cms),
+    ]
+    if qm is None:
+        return lines
+    lat = qm.lattice
     n = len(lat)
     om = orthomodularity_witness(lat)
     dist = find_distributivity_failure(lat)
     shape = {"expected-nondistributive": dist is not None}
     if dist is not None:
         shape["witness"] = " / ".join(repr(s) for s in dist)
-    return [
+    lines += [
         SuiteResult("ortho-involution", n, len(ortho_involution_violations(lat))),
         # table-demorgan and quantum-demorgan hold by construction on close
         # output, whose meets are read through De Morgan; the meet table's
@@ -301,32 +296,13 @@ def _lattice_suites(run: _CheckInput) -> list[SuiteResult]:
         SuiteResult("table-demorgan", n * n, len(demorgan_violations(lat))),
         SuiteResult("orthomodularity", n * n, int(om is not None), [repr(s) for s in om or ()]),
         SuiteResult("distributivity-witness", n**3, info=shape),
+        check_qmt(qm, space),
     ]
-
-
-def _quantum_suites(run: _CheckInput) -> list[SuiteResult]:
-    """The suites over the testable classes and the qwffs, in report order,
-    with one sweep of every element a qwff reaches for both qwff suites."""
-    qwffs = _reachable_elements(run.qm)
-    *lines, separation = check_quantum_equivalences(run.qm, run.space, qwffs)
-    tail = [check_q_trichotomy(run.qm, run.space, qwffs), lt_quotient_check(run.qm, run.space)]
-    return [*lines, *tail, separation]
-
-
-# The suites in report order: the input kind each applies to ("any", or
-# "qm-spec" for Hilbert specs only) and a function from the input to its
-# report lines, which may interleave the lines of several suites, as
-# _quantum_suites does.  The functions look the suites up by name when they
-# run, so a suite rebound on this module (as the benchmark tracer does) is
-# the one called.
-_SUITES = (
-    ("any", lambda run: check_connective_relations(run.space, run.generators)),
-    ("any", _boolean_quotient),
-    ("any", _cm_suites),
-    ("qm-spec", _lattice_suites),
-    ("qm-spec", lambda run: [check_qmt(run.qm, run.space)]),
-    ("qm-spec", _quantum_suites),
-)
+    # one sweep of every element a qwff reaches serves both qwff suites
+    qwffs = _reachable_elements(qm)
+    *relations, separation = check_quantum_equivalences(qm, space, qwffs)
+    trichotomy = check_q_trichotomy(qm, space, qwffs)
+    return [*lines, *relations, trichotomy, lt_quotient_check(qm, space), separation]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -335,15 +311,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.depth > MAX_ENUM_DEPTH:
         raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
     model, qm = _load_input(args)
-    kind = "model" if qm is None else "qm-spec"
-    generators = None if qm is None else tuple(name for name, _ in qm.spec.properties)
-    run = _CheckInput(SignatureSpace(model), qm, generators)
-    suites = [s for applies, lines in _SUITES if applies in ("any", kind) for s in lines(run)]
+    suites = _report(SignatureSpace(model), qm)
     total = sum(s.violations for s in suites)
     if args.fmt == "json":
         payload = {
             "input": args.model or args.qm_spec,
-            "kind": kind,
+            "kind": "model" if qm is None else "qm-spec",
             "depth": args.depth,
             "suites": [s.as_dict() for s in suites],
             "violations": total,

@@ -16,8 +16,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .bridge import QMModelSpec, _model_from_lattice
-from .errors import ClosureOverflow, ModelValidationError
+from .bridge import QMModelSpec, _model_from_lattice, spec_to_dict
+from .errors import ClosureOverflow
 from .gaussian import GaussianRational
 from .hilbert import Subspace, _lead, _orthogonal, join, ortho
 from .lattice import close
@@ -107,7 +107,8 @@ def random_qm_spec(
     (overflow, degenerate draw) moves to a derived sub-seed; the attempt
     count is returned for the file header.  A dimension below 1 or above
     ``models.MAX_DIM``, or more than one property line in C^1, raises
-    ValueError before any draw.
+    ValueError before any draw; a shape over the pair cap raises
+    ModelValidationError once the first attempt's states are placed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, not {dim}")
@@ -119,20 +120,14 @@ def random_qm_spec(
         rng = random.Random(f"qm:{seed}:{attempt}")
         lines: list[Subspace] = []
         tries = 0
-        while len(lines) < min(n_properties, 2) and tries < 50:
-            tries += 1
-            sub = Subspace.span([_random_vector(rng, dim, allow_imag=True)])
-            if sub not in lines:
-                lines.append(sub)
         while len(lines) < n_properties and tries < 50:
-            # beyond two generators, generic lines blow the closure cap in
-            # dim >= 3; keep further lines inside the join of the first two
             tries += 1
-            if dim == 2:
+            if len(lines) < 2 or dim == 2:
                 sub = Subspace.span([_random_vector(rng, dim, allow_imag=True)])
             else:
-                plane = join(lines[0], lines[1])
-                vec = _vector_inside(rng, plane, [a for a in lines])
+                # beyond two generators, generic lines blow the closure cap in
+                # dim >= 3; keep further lines inside the join of the first two
+                vec = _vector_inside(rng, join(lines[0], lines[1]), lines)
                 if vec is None:
                     break
                 sub = Subspace.span([vec])
@@ -154,16 +149,13 @@ def random_qm_spec(
                 break
             states.append((f"W{len(states) + 1}", vec))
         else:
-            try:
-                spec = QMModelSpec(
-                    dim=dim,
-                    states=tuple(states),
-                    properties=tuple((f"E{i + 1}", sub) for i, sub in enumerate(lines)),
-                    universe_size=universe,
-                    closure_cap=closure_cap,
-                )
-            except ModelValidationError:
-                continue
+            spec = QMModelSpec(
+                dim=dim,
+                states=tuple(states),
+                properties=tuple((f"E{i + 1}", sub) for i, sub in enumerate(lines)),
+                universe_size=universe,
+                closure_cap=closure_cap,
+            )
             if universe < 2:  # raises UniverseTooSmall where some 0 < p < 1, as build would
                 _model_from_lattice(spec, lat)
             return spec, attempt
@@ -197,8 +189,6 @@ def qm_spec_bytes(
     universe: int = 4,
     closure_cap: int = 64,
 ) -> bytes:
-    from .bridge import spec_to_dict
-
     spec, attempts = random_qm_spec(seed, dim, n_properties, universe, closure_cap)
     payload = {
         "generator": {

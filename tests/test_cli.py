@@ -449,6 +449,8 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
         (["gen", "--states", "0"], 1, "usage error: argument --states: must be at least 1"),
         (["gen", "--kind", "qm", "--dim", "3", "--properties", "3", "--cap", "2"], 2,
          "closure overflow: no adequate spec found for seed 0 within 32 attempts"),
+        (["gen", "--kind", "qm", "--universe", "1000000"], 1,
+         "error: ModelValidationError: 5000000 (state, object) pairs, over the cap 1000000"),
         (["lattice", "--model", CM, "--out", "{tmp}"], 1,
          "error: IsADirectoryError: cannot write {tmp}: Is a directory"),
         (["lattice", "--model", CM, "--out", "{tmp}/missing/lattice.txt"], 1,
@@ -462,8 +464,9 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
         "spec-universe-0", "spec-duplicate-state", "spec-duplicate-property",
         "spec-property-name", "model-duplicate-predicate", "model-predicate-name",
         "model-duplicate-state", "model-universe-0", "model-and-spec", "parse-no-formula",
-        "eval-no-formula", "gen-no-states", "gen-no-adequate-spec", "lattice-out-directory",
-        "lattice-out-missing-parent", "gen-out-directory", "gen-out-missing-parent",
+        "eval-no-formula", "gen-no-states", "gen-no-adequate-spec", "gen-qm-over-pair-cap",
+        "lattice-out-directory", "lattice-out-missing-parent", "gen-out-directory",
+        "gen-out-missing-parent",
     ],
 )
 def test_invalid_input_or_arguments_is_one_error_line(tmp_path, capsys, argv, status, line):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qlogic.bridge
 import qlogic.generate
 from qlogic.bridge import build_model, check_qmt, spec_from_dict, states_separate
-from qlogic.errors import QLogicError
+from qlogic.errors import ModelValidationError, QLogicError
 from qlogic.generate import (
     classical_model_bytes,
     qm_spec_bytes,
@@ -20,7 +20,7 @@ from qlogic.generate import (
     random_qm_spec,
 )
 from qlogic.hilbert import leq
-from qlogic.models import SignatureSpace, model_from_dict
+from qlogic.models import MAX_PAIRS, SignatureSpace, model_from_dict
 
 from conftest import DATA_DIR, REPO
 
@@ -92,6 +92,22 @@ def test_qm_generator_closes_the_lattice_once_per_attempt(monkeypatch):
     assert attempts == 1
     assert len(closes) == 1
     assert build_model(spec).lattice.elements == closes[0].elements
+
+
+def test_qm_generator_reports_the_pair_cap_after_one_close(monkeypatch):
+    """States times universe over the pair cap is an input error, raised
+    once the first attempt's states are placed, not a draw to retry."""
+    closes = []
+    close = qlogic.generate.close
+
+    def counting_close(*args, **kwargs):
+        closes.append(close(*args, **kwargs))
+        return closes[-1]
+
+    monkeypatch.setattr(qlogic.generate, "close", counting_close)
+    with pytest.raises(ModelValidationError, match=f"^5000000 .* over the cap {MAX_PAIRS}$"):
+        random_qm_spec(0, dim=2, n_properties=2, universe=10**6)
+    assert len(closes) == 1
 
 
 # sha256 over qm_spec_bytes on the grid below, recorded when gen still built
