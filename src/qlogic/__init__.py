@@ -3,7 +3,6 @@ logic over finite models, with exact closed-subspace arithmetic."""
 
 from .errors import (
     ClosureOverflow,
-    DepthLimitExceeded,
     DimensionMismatch,
     FormulaSyntaxError,
     MissingTheta,

@@ -88,6 +88,8 @@ class QMModelSpec:
             raise ModelValidationError("universe size must be positive")
         if not self.states:
             raise ModelValidationError("at least one state is required")
+        if self.closure_cap < 2:  # every closure holds 0 and C^dim
+            raise ModelValidationError(f"closure cap {self.closure_cap}, below 2")
         check_pair_count(len(self.states) * self.universe_size)
         state_names = [s for s, _ in self.states]
         if len(set(state_names)) != len(state_names):

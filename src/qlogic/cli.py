@@ -28,13 +28,11 @@ from .bridge import (
 )
 from .errors import (
     ClosureOverflow,
-    DepthLimitExceeded,
     MissingTheta,
     NotTestable,
     QLogicError,
 )
 from .formulas import (
-    MAX_ENUM_DEPTH,
     And,
     Formula,
     Not,
@@ -102,7 +100,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--formula", help="formula text")
         if formats:
             p.add_argument("--format", dest="fmt", choices=formats, default="text")
-        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help="closure element cap")
+        # every closure holds 0 and C^d, so no cap below 2 can be met
+        p.add_argument("--cap", type=_at_least(2), default=DEFAULT_CLOSURE_CAP, help="closure cap")
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     add_common(p, formula=True)
@@ -112,7 +111,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run every applicable conformance suite")
     add_common(p)
-    p.add_argument("--depth", type=int, default=3, help="accepted, 0 to 4; changes no suite")
+    p.add_argument("--depth", type=int, choices=range(5), default=3, help="changes no suite")
 
     p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
     add_common(p, formats=("text", "json", "dot"))
@@ -306,10 +305,6 @@ def _report(space: SignatureSpace, qm: QuantumModel | None) -> list[SuiteResult]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.depth < 0:
-        raise _UsageError("depth must be nonnegative")
-    if args.depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(f"depth {args.depth} exceeds cap {MAX_ENUM_DEPTH}")
     model, qm = _load_input(args)
     suites = _report(SignatureSpace(model), qm)
     total = sum(s.violations for s in suites)

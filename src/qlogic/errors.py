@@ -15,10 +15,6 @@ class FormulaSyntaxError(QLogicError):
         self.position = position
 
 
-class DepthLimitExceeded(QLogicError):
-    """Requested enumeration depth is above the combinatorial guard."""
-
-
 class QuantumNodeInClassicalEval(QLogicError):
     """A quantum connective reached the two-valued classical evaluator."""
 

@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, NoReturn
 
 from .errors import FormulaSyntaxError
 
-MAX_ENUM_DEPTH = 4  # the deepest `check --depth` accepted
 MAX_NESTING = 100  # parentheses, prefix operators and tree height, each
 
 

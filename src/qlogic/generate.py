@@ -106,9 +106,10 @@ def random_qm_spec(
     an extension is full exactly at probability 1.  Each failed attempt
     (overflow, degenerate draw) moves to a derived sub-seed; the attempt
     count is returned for the file header.  A dimension below 1 or above
-    ``models.MAX_DIM``, or more than one property line in C^1, raises
-    ValueError before any draw; a shape over the pair cap raises
-    ModelValidationError once the first attempt's states are placed.
+    ``models.MAX_DIM``, more than one property line in C^1, or a closure
+    cap below 2 raises ValueError before any draw; a shape over the pair
+    cap raises ModelValidationError once the first attempt's states are
+    placed.
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, not {dim}")
@@ -116,6 +117,8 @@ def random_qm_spec(
         raise ValueError(f"dimension {dim}, over the cap {MAX_DIM}")
     if dim == 1 and n_properties > 1:
         raise ValueError(f"C^1 has one line, so {n_properties} property lines cannot be distinct")
+    if closure_cap < 2:
+        raise ValueError(f"closure cap {closure_cap}, below 2: every closure holds 0 and C^{dim}")
     for attempt in range(1, MAX_GENERATION_ATTEMPTS + 1):
         rng = random.Random(f"qm:{seed}:{attempt}")
         lines: list[Subspace] = []

@@ -21,12 +21,10 @@ DEFAULT_CLOSURE_CAP = 512
 @dataclass
 class QLattice:
     dim: int
-    elements: tuple[Subspace, ...]
+    elements: tuple[Subspace, ...]  # by Subspace.sort_key, dimension first: 0 first, C^dim last
     ortho: tuple[int, ...]
     meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
-    zero_index: int
-    full_index: int
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -163,8 +161,6 @@ def close(
         ortho=ortho_table,
         meet=tuple(tuple(ortho_table[join_table[a][b]] for b in ortho_table) for a in ortho_table),
         join=join_table,
-        zero_index=position[ids[zero]],
-        full_index=position[ids[full]],
     )
 
 

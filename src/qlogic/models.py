@@ -39,8 +39,6 @@ from .formulas import (
     render,
 )
 
-Signature = frozenset  # of (state, object index) pairs
-
 # A one-slot memo is (weak reference to a formula, value); the empty one's
 # reference matches no formula.
 _EMPTY_SLOT = (lambda: None, None)
@@ -214,23 +212,11 @@ class Model:
 
     # -- lookups ------------------------------------------------------------
 
-    def predicate(self, name: str) -> PredicateInfo:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        raise UnknownPredicate(name)
-
     def predicate_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.predicates)
 
     def property_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.predicates if p.is_property)
-
-    def universe_size(self, state: str) -> int:
-        try:
-            return self.universe_sizes[state]
-        except KeyError:
-            raise UnknownState(state) from None
 
 
 def _bits(indices: Collection[int]) -> int:
@@ -358,7 +344,7 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
             raise UnknownPredicate(f.name) from None
     ref, bits = m._eval_slot
     if ref() is not f:
-        bits = _mask(m.pred_masks, m.omega, f, {})  # as bytes: bit i of an int shifts a copy
+        bits = _mask(m.pred_masks, m.omega, f)  # as bytes: bit i of an int shifts a copy
         bits = bits.to_bytes(m.omega.bit_length() // 8 + 1, "little")
         object.__setattr__(m, "_eval_slot", (weakref.ref(f), bits))  # frozen: past __setattr__
     i = offset + obj
@@ -371,10 +357,11 @@ def eval_open(m: Model, f: Formula, state: str, obj: int) -> bool:
 class SignatureSpace:
     """View of a model's bit layout of all (state, object) pairs.
 
-    Signatures are manipulated as integer bitmasks internally; the public
-    API converts to frozensets of pairs.  The masks and witness maps are
-    the model's own, laid out once at its construction, so a space costs
-    a few references; what a space adds is the memo of its atoms.
+    Signatures are integer bitmasks, bit ``offset + u`` for object u of
+    the state whose block starts at ``offset``.  The masks and witness
+    maps are the model's own, laid out once at its construction, so a
+    space costs a few references; what a space adds is the memo of its
+    atoms.
     """
 
     def __init__(self, m: Model):
@@ -392,17 +379,8 @@ class SignatureSpace:
             raise ValueError(f"scope must be 'effects' or 'properties', got {scope!r}")
         return self._witnesses[scope]
 
-    def mask_of(self, f: Formula, cache: dict[Formula, int] | None = None) -> int:
-        return _mask(self.pred_masks, self.omega, f, cache)
-
-    def to_signature(self, mask: int) -> Signature:
-        digits = format(mask & self.omega, "b")[::-1]  # read once: a shift per bit is quadratic
-        return frozenset(
-            (s, u)
-            for s, (offset, n, _) in self.model.blocks.items()
-            for u, digit in enumerate(digits[offset : offset + n])
-            if digit == "1"
-        )
+    def mask_of(self, f: Formula) -> int:
+        return _mask(self.pred_masks, self.omega, f)
 
     def proposition(self, mask: int) -> frozenset[str]:
         """States whose whole universe satisfies the mask.
@@ -463,46 +441,33 @@ class SignatureSpace:
         return fixpoint(seeds, unary, binary, symmetric=True, **limits)
 
 
-def _mask(
-    pred_masks: Mapping[str, int], omega: int, f: Formula, cache: dict[Formula, int] | None
-) -> int:
+def _mask(pred_masks: Mapping[str, int], omega: int, f: Formula) -> int:
     """The mask of the classical formula over the predicate masks: set
-    operations on the children's masks, each subtree once per cache."""
-    if cache is not None and f in cache:
-        return cache[f]
+    operations on the children's masks."""
     if isinstance(f, Pred):
         try:
-            value = pred_masks[f.name]
+            return pred_masks[f.name]
         except KeyError:
             raise UnknownPredicate(f.name) from None
-    elif isinstance(f, Not):
-        value = omega & ~_mask(pred_masks, omega, f.child, cache)
-    elif isinstance(f, And):
-        value = _mask(pred_masks, omega, f.left, cache) & _mask(pred_masks, omega, f.right, cache)
-    elif isinstance(f, Or):
-        value = _mask(pred_masks, omega, f.left, cache) | _mask(pred_masks, omega, f.right, cache)
-    else:
-        raise QuantumNodeInClassicalEval(render(f))
-    if cache is not None:
-        cache[f] = value
-    return value
+    if isinstance(f, Not):
+        return omega & ~_mask(pred_masks, omega, f.child)
+    if isinstance(f, And):
+        return _mask(pred_masks, omega, f.left) & _mask(pred_masks, omega, f.right)
+    if isinstance(f, Or):
+        return _mask(pred_masks, omega, f.left) | _mask(pred_masks, omega, f.right)
+    raise QuantumNodeInClassicalEval(render(f))
 
 
 def logical_leq(m: Model, f: Formula, g: Formula) -> bool:
     """Signature inclusion: truth of f implies truth of g pointwise."""
     space = SignatureSpace(m)
-    cache: dict[Formula, int] = {}
-    mf, mg = space.mask_of(f, cache), space.mask_of(g, cache)
-    return mf & ~mg == 0
+    return space.mask_of(f) & ~space.mask_of(g) == 0
 
 
 def physical_leq(m: Model, f: Formula, g: Formula) -> bool:
     """Certain truth of f implies certain truth of g, state by state."""
     space = SignatureSpace(m)
-    cache: dict[Formula, int] = {}
-    pf = space.proposition(space.mask_of(f, cache))
-    pg = space.proposition(space.mask_of(g, cache))
-    return pf <= pg
+    return space.proposition(space.mask_of(f)) <= space.proposition(space.mask_of(g))
 
 
 # -- quotient algebra -------------------------------------------------------------
@@ -576,10 +541,6 @@ class SuiteResult:
     witnesses: list[str] = field(default_factory=list)
     info: dict = field(default_factory=dict)
     applicable: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def as_dict(self) -> dict:
         out = {

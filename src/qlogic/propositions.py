@@ -44,13 +44,6 @@ class PropositionPoset:
     is_lattice: bool
     orthocomplement: dict[int, int] | None = None
 
-    def cover_edges(self) -> list[tuple[int, int]]:
-        """Hasse edges: i covered by j with nothing strictly between."""
-        n = len(self.elements)
-        return cover_edges(
-            [sum(1 << j for j in range(n) if self.meets[(i, j)] == i) for i in range(n)]
-        )
-
 
 def _bits(mask: int):
     while mask:
@@ -81,8 +74,7 @@ def proposition_poset(m: Model, formulas: list[Formula]) -> PropositionPoset:
     the element whose down-set is down[i] & down[j], the one with exactly
     their common lower bounds, and dually for the lub."""
     space = SignatureSpace(m)
-    cache: dict[Formula, int] = {}
-    seen = dict.fromkeys(space.proposition(space.mask_of(f, cache)) for f in formulas)
+    seen = dict.fromkeys(space.proposition(space.mask_of(f)) for f in formulas)
     elements = tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
     downs = [sum(1 << k for k, q in enumerate(elements) if q <= p) for p in elements]
     ups = [sum(1 << k for k, q in enumerate(elements) if p <= q) for p in elements]

@@ -179,8 +179,6 @@ def close(
         ortho=ortho_row,
         meet=tuple(meet_rows),
         join=tuple(join_rows),
-        zero_index=index[Subspace.zero(dim)],
-        full_index=index[Subspace.full(dim)],
     )
 
 

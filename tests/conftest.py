@@ -40,13 +40,24 @@ def gr(real: int | Fraction = 0, imag: int | Fraction = 0) -> GaussianRational:
 def eval_universal(m: Model, f: Formula, state: str) -> bool:
     """Truth of the universally closed sentence, object by object: every
     object of the state satisfies f."""
-    return all(eval_open(m, f, state, u) for u in range(m.universe_size(state)))
+    return all(eval_open(m, f, state, u) for u in range(m.universe_sizes[state]))
+
+
+def to_signature(space: SignatureSpace, mask: int) -> frozenset:
+    """The (state, object) pairs whose bits the mask sets."""
+    digits = format(mask & space.omega, "b")[::-1]  # read once: a shift per bit is quadratic
+    return frozenset(
+        (s, u)
+        for s, (offset, n, _) in space.model.blocks.items()
+        for u, digit in enumerate(digits[offset : offset + n])
+        if digit == "1"
+    )
 
 
 def signature(m: Model, f: Formula) -> frozenset:
     """The set of (state, object) pairs satisfying the classical formula."""
     space = SignatureSpace(m)
-    return space.to_signature(space.mask_of(f))
+    return to_signature(space, space.mask_of(f))
 
 
 def physical_proposition(m: Model, f: Formula) -> frozenset[str]:

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from qlogic.errors import DepthLimitExceeded, FormulaSyntaxError
+from qlogic.errors import FormulaSyntaxError
 from qlogic.formulas import (
-    MAX_ENUM_DEPTH,
     MAX_NESTING,
     And,
     Formula,
@@ -223,6 +222,13 @@ def depth(f: Formula) -> int:
     return 1 + max(depth(f.left), depth(f.right))
 
 
+MAX_ENUM_DEPTH = 4  # layers grow about as the square of the one below
+
+
+class EnumerationTooDeep(ValueError):
+    """An enumeration depth above MAX_ENUM_DEPTH."""
+
+
 _FAMILIES: dict[str, tuple[tuple, tuple]] = {
     "classical": ((Not,), (And, Or)),
     "quantum": ((QNot,), (QAnd, QOr, QImp)),
@@ -242,9 +248,7 @@ def enumerate_formulas(
     if max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
     if max_depth > MAX_ENUM_DEPTH:
-        raise DepthLimitExceeded(
-            f"enumeration depth {max_depth} exceeds the cap {MAX_ENUM_DEPTH}"
-        )
+        raise EnumerationTooDeep(f"enumeration depth {max_depth} exceeds the cap {MAX_ENUM_DEPTH}")
     if connectives not in _FAMILIES:
         raise ValueError(f"connectives must be 'classical' or 'quantum', got {connectives!r}")
     unary, binary = _FAMILIES[connectives]

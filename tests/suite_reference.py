@@ -34,6 +34,7 @@ from qlogic.formulas import QAnd, QImp, QNot, QOr, render
 from qlogic.models import SignatureSpace, SuiteResult
 
 from closure_reference import reachable_elements
+from conftest import to_signature
 
 
 @dataclass
@@ -152,7 +153,7 @@ def quotient_elements(m, predicates=None, max_elements: int | None = 512) -> fro
         return frozenset()
     space = SignatureSpace(m)
     classes = space.closed_classes(names, max_elements)
-    return frozenset(space.to_signature(mask) for mask in classes)
+    return frozenset(to_signature(space, mask) for mask in classes)
 
 
 # -- the build's postconditions ---------------------------------------------------------

@@ -194,7 +194,7 @@ def test_criterion_5_qmt_and_mutation_detection(qm_corpus):
     detected = 0
     injected = 0
     for i, qm in enumerate(qm_corpus):
-        if not check_qmt(qm, SignatureSpace(qm.model)).ok:
+        if check_qmt(qm, SignatureSpace(qm.model)).violations:
             problems.append(f"model {i}: construction postconditions fail")
         rng = random.Random(f"mutate:{i}")
         for _ in range(3):
@@ -204,7 +204,7 @@ def test_criterion_5_qmt_and_mutation_detection(qm_corpus):
             corrupted = frozenset({0}) if original != frozenset({0}) else frozenset({1})
             edited = with_extension(qm, state, pred, corrupted)
             injected += 1
-            if not check_qmt(edited, SignatureSpace(edited.model)).ok:
+            if check_qmt(edited, SignatureSpace(edited.model)).violations:
                 detected += 1
     elapsed = time.perf_counter() - started
     _report(

@@ -103,7 +103,7 @@ def test_qmt_holds_by_construction(worked_qm):
     for name in worked_qm.predicate_names:
         prop = physical_proposition(worked_qm.model, Pred(name))
         assert prop == worked_qm.theta[name]
-    assert check_qmt(worked_qm, SignatureSpace(worked_qm.model)).ok
+    assert not check_qmt(worked_qm, SignatureSpace(worked_qm.model)).violations
 
 
 def test_universe_too_small_only_when_fraction_needed():
@@ -294,7 +294,7 @@ def test_qmn_signature_complement(worked_qm):
 def test_check_qmt_detects_full_extension_where_half(worked_qm):
     qm = with_extension(worked_qm, "Sx+", "Ez", range(4))
     report = check_qmt(qm, SignatureSpace(qm.model))
-    assert not report.ok
+    assert report.violations
     assert any("Sx+" in v and "Ez" in v for v in report.witnesses)
 
 
@@ -317,14 +317,14 @@ def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkey
 def test_check_qmt_detects_any_single_extension_edit(worked_qm):
     original = worked_qm.model.extensions[("Sx+", "Ex_perp")]
     qm = with_extension(worked_qm, "Sx+", "Ex_perp", original | {3})
-    assert not check_qmt(qm, SignatureSpace(qm.model)).ok
+    assert check_qmt(qm, SignatureSpace(qm.model)).violations
 
 
 def test_equiv_coincidence_on_worked_spec(worked_qm):
     report = suite_line(
         _equivalences(worked_qm, SignatureSpace(worked_qm.model)), "equivalence-coincidence"
     )
-    assert report.ok and report.checked == 15
+    assert not report.violations and report.checked == 15
 
 
 def test_equiv_coincidence_fails_without_separating_states(worked_spec):
@@ -334,14 +334,14 @@ def test_equiv_coincidence_fails_without_separating_states(worked_spec):
     space = SignatureSpace(qm.model)
     assert not states_separate(qm, space)
     report = suite_line(_equivalences(qm, space), "equivalence-coincidence")
-    assert not report.ok
+    assert report.violations
     assert lt_quotient_check(qm, space).info["status"] == "isomorphic"  # signatures still separate
 
 
 def test_quantum_equivalences_on_worked_spec(worked_qm):
     space = SignatureSpace(worked_qm.model)
     report = {suite.suite: suite for suite in _equivalences(worked_qm, space)}
-    assert all(suite.ok for suite in report.values())
+    assert not any(suite.violations for suite in report.values())
     assert report["quantum-demorgan"].checked == 36
     assert report["quantum-implication"].checked == 36
     # conjunction footnote witnessed
@@ -401,7 +401,7 @@ def test_conjunction_footnote_values(worked_qm):
 
 def test_trichotomy_on_worked_spec(worked_qm):
     report = _trichotomy(worked_qm, SignatureSpace(worked_qm.model))
-    assert report.ok
+    assert not report.violations
     assert report.checked > 0
 
 
@@ -530,9 +530,9 @@ def test_trichotomy_flags_a_state_certain_both_ways(worked_qm):
         theta = dict(worked_qm.theta)
         theta[partner] = theta[partner] | {state}
         report = _trichotomy(replace(worked_qm, theta=theta), space)
-        assert not report.ok
+        assert report.violations
         assert any(v.endswith(f"both certain in {state}") for v in report.witnesses)
-    assert _trichotomy(worked_qm, space).ok
+    assert not _trichotomy(worked_qm, space).violations
 
 
 def _corrupted_for_trichotomy(worked_qm):
@@ -585,7 +585,7 @@ def test_trichotomy_walks_only_the_states_of_a_fault(worked_qm, monkeypatch):
 
     monkeypatch.setattr(bridge, "_verdict", counting_verdict)
     for qm in (worked_qm, build_model(load_spec(DATA_DIR / "gen_qm_seed11.json"))):
-        assert _trichotomy(qm, SignatureSpace(qm.model)).ok
+        assert not _trichotomy(qm, SignatureSpace(qm.model)).violations
     assert calls == []
     qm = _corrupted_for_trichotomy(worked_qm)
     report = _trichotomy(qm, SignatureSpace(qm.model))
@@ -615,7 +615,7 @@ def test_quantum_equivalences_flag_a_corrupted_meet_entry(worked_qm):
         meet_image = next(suite for suite in report if suite.suite == "meet-image")
         names = worked_qm.predicate_names
         assert f"{names[a]} / {names[b]}" in meet_image.witnesses
-    assert all(suite.ok for suite in _equivalences(worked_qm, space))
+    assert not any(suite.violations for suite in _equivalences(worked_qm, space))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qlogic.errors import DepthLimitExceeded, FormulaSyntaxError
+from qlogic.errors import FormulaSyntaxError
 from qlogic.formulas import (
     MAX_NESTING,
     And,
@@ -29,7 +29,7 @@ from qlogic.formulas import (
 )
 
 import formula_reference as reference
-from formula_reference import depth, enumerate_formulas
+from formula_reference import EnumerationTooDeep, depth, enumerate_formulas
 
 
 def test_parse_classical():
@@ -136,7 +136,7 @@ def test_enumerate_deterministic():
 
 
 def test_enumerate_depth_guard():
-    with pytest.raises(DepthLimitExceeded):
+    with pytest.raises(EnumerationTooDeep):
         list(enumerate_formulas(["E"], 5))
 
 

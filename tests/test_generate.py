@@ -57,7 +57,7 @@ def test_qm_generator_bytes_deterministic_and_loadable():
     assert data["generator"]["attempts"] >= 1
     spec = spec_from_dict(data)
     qm = build_model(spec)
-    assert check_qmt(qm, SignatureSpace(qm.model)).ok
+    assert not check_qmt(qm, SignatureSpace(qm.model)).violations
 
 
 def test_qm_generator_dim3_within_cap():
@@ -170,11 +170,16 @@ def test_qm_generator_placement_matches_recorded_digest():
 
 
 @pytest.mark.parametrize(
-    "call", ["random_qm_spec(0, dim=0)", "random_qm_spec(0, dim=-3)", "random_qm_spec(0, dim=1)"]
+    "call",
+    [
+        "random_qm_spec(0, dim=0)", "random_qm_spec(0, dim=-3)", "random_qm_spec(0, dim=1)",
+        "random_qm_spec(0, closure_cap=1)",
+    ],
 )
 def test_qm_generator_rejects_a_shape_no_draw_fills(call):
-    # a subprocess with a timeout: no nonzero vector exists in C^0, and C^1
-    # has one line, so the default two distinct property lines never come
+    # a subprocess with a timeout: no nonzero vector exists in C^0, C^1 has
+    # one line, so the default two distinct property lines never come, and
+    # every closure holds 0 and C^dim, so none fits a cap below 2
     proc = subprocess.run(
         [sys.executable, "-c", f"from qlogic.generate import random_qm_spec; {call}"],
         capture_output=True,

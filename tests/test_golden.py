@@ -199,7 +199,7 @@ def _full_zero_extension(spec):
     proposition, its pairing, its rule; no single edit gives more) and
     join-image 7 times, past both witness caps (3 in text, 5 in JSON)."""
     qm = build_model(spec)
-    return with_extension(qm, "Sz+", qm.predicate_names[qm.lattice.zero_index], range(4))
+    return with_extension(qm, "Sz+", qm.predicate_names[0], range(4))
 
 
 ZERO = "Q_e9e6c354c1"  # worked_qm's generated name for the zero subspace

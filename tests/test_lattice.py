@@ -162,8 +162,7 @@ def test_orthomodular_law_instance_in_three_dims():
 def test_corrupted_join_table_yields_witness():
     lat = close([E1, EX])
     rows = [list(r) for r in lat.join]
-    victim = next(j for j in range(len(lat)) if j != lat.zero_index)
-    rows[lat.zero_index][victim] = lat.zero_index  # join(0, x) must be x
+    rows[0][1] = 0  # join(0, x) must be x
     corrupted = dataclasses.replace(lat, join=tuple(tuple(r) for r in rows))
     witness = orthomodularity_witness(corrupted)
     assert witness is not None
@@ -203,18 +202,18 @@ def test_table_laws_hold_exactly():
 def test_demorgan_detects_corruption():
     lat = close([E1, EX])
     rows = [list(r) for r in lat.meet]
-    rows[lat.full_index][lat.zero_index] = lat.full_index  # meet(1, 0) must be 0
+    top = len(lat) - 1
+    rows[top][0] = top  # meet(1, 0) must be 0
     corrupted = dataclasses.replace(lat, meet=tuple(tuple(r) for r in rows))
     assert demorgan_violations(corrupted)
 
 
 def test_ortho_involution_detects_corruption():
     lat = close([E1, EX])
-    victim = next(i for i in range(len(lat)) if i not in (lat.zero_index, lat.full_index))
     ortho_table = list(lat.ortho)
-    ortho_table[lat.zero_index] = victim  # 0-perp must be 1
+    ortho_table[0] = 1  # 0-perp must be 1, the last element
     corrupted = dataclasses.replace(lat, ortho=tuple(ortho_table))
-    assert lat.zero_index in ortho_involution_violations(corrupted)
+    assert 0 in ortho_involution_violations(corrupted)
 
 
 def test_absorption_laws_in_tables():
@@ -288,7 +287,7 @@ def test_mo_2_squared_tables_match_reference():
     assert len(got) == 36
     assert got.elements == want.elements
     assert (got.ortho, got.meet, got.join) == (want.ortho, want.meet, want.join)
-    assert (got.zero_index, got.full_index) == (want.zero_index, want.full_index)
+    assert (got.elements[0], got.elements[-1]) == (Subspace.zero(4), Subspace.full(4))
 
 
 def test_mo_3_squared_tables_match_reference():

@@ -49,7 +49,7 @@ from qlogic.models import (
 )
 
 import closure_reference
-from conftest import DATA_DIR, SPEC_DIR, build_cm_model, eval_universal, signature
+from conftest import DATA_DIR, SPEC_DIR, build_cm_model, eval_universal, signature, to_signature
 from formula_reference import enumerate_formulas
 
 
@@ -115,7 +115,9 @@ def test_eval_open_reads_leaves_in_order_and_raises_where_it_did(f, state, obj, 
 def walk_eval_open(m: Model, f, state: str, obj: int) -> bool:
     """Reference: eval_open as a walk of the tree at each pair, the state
     and then the object checked first, connectives short-circuiting."""
-    n = m.universe_size(state)
+    if state not in m.universe_sizes:
+        raise UnknownState(state)
+    n = m.universe_sizes[state]
     if not 0 <= obj < n:
         raise ObjectOutOfRange(f"object {obj} outside universe of size {n} in {state!r}")
     return _walk(m, f, state, obj)
@@ -215,10 +217,10 @@ def test_eval_open_forms_one_mask_and_no_space_for_a_query(monkeypatch):
     roots, spaces = [], []
     mask = models._mask
 
-    def counting(pred_masks, omega, g, cache):
+    def counting(pred_masks, omega, g):
         if g is f:
             roots.append(g)
-        return mask(pred_masks, omega, g, cache)
+        return mask(pred_masks, omega, g)
 
     monkeypatch.setattr(models, "_mask", counting)
     monkeypatch.setattr(SignatureSpace, "__init__", lambda *args: spaces.append(args))
@@ -319,7 +321,7 @@ def _quotient(m: Model, predicates) -> tuple[frozenset, frozenset]:
     algebra the predicates generate, closed to its fixpoint."""
     space = SignatureSpace(m)
     classes = space.closed_classes(predicates)
-    return space.to_signature(space.omega), frozenset(map(space.to_signature, classes))
+    return to_signature(space, space.omega), frozenset(to_signature(space, c) for c in classes)
 
 
 def test_quotient_boolean_single_proper_predicate():
@@ -394,7 +396,7 @@ def test_build_cm_model_extensions_and_partners():
     assert m.extensions[("S1", "E")] == frozenset({0, 1, 2})
     assert m.extensions[("S2", "E")] == frozenset()
     assert m.extensions[("S1", "E_perp")] == frozenset()
-    assert m.predicate("E").ortho == "E_perp"
+    assert m.predicates[0] == PredicateInfo("E", True, "E_perp")
     assert check_cms(m)
     assert eval_universal(m, Pred("E"), "S1")
     assert not eval_universal(m, Pred("E"), "S2")
@@ -438,7 +440,7 @@ def test_cmt_fails_without_conjunction_witness():
     space = SignatureSpace(m)
     report = check_cmt(space)
     assert report.info["holds"] is False
-    witness_mask = space.mask_of(parse(report.info["witness"]), {})
+    witness_mask = space.mask_of(parse(report.info["witness"]))
     assert witness_mask not in {space.pred_masks[p] for p in m.property_names()}
 
 
@@ -550,7 +552,7 @@ def test_signature_set_laws_random_models():
     for seed in range(5):
         m = random_classical_model(seed, n_states=2, n_predicates=2, universe=3)
         space = SignatureSpace(m)
-        omega = space.to_signature(space.omega)
+        omega = to_signature(space, space.omega)
         for f in [Pred("E1"), parse("E1 & E2"), parse("~E1 | E2_perp")]:
             for g in [Pred("E2"), parse("~E2")]:
                 assert signature(m, And(f, g)) == signature(m, f) & signature(m, g)
@@ -573,9 +575,7 @@ def test_signature_classes_equal_literal_enumeration_classes():
         space = SignatureSpace(m)
         names = ["E1", "E2", "E1_perp"]
         for depth_cap in (0, 1, 2):
-            literal = {
-                space.mask_of(f, {}) for f in enumerate_formulas(names, depth_cap)
-            }
+            literal = {space.mask_of(f) for f in enumerate_formulas(names, depth_cap)}
             layered = set(space.reachable_classes(names, depth_cap))
             assert layered == literal
 
@@ -647,7 +647,7 @@ def test_model_copies_the_mappings_it_is_given():
     extensions[("S", "E")] = frozenset({1})
     assert m.universe_sizes == {"S": 3}
     assert m.extensions == {("S", "E"): frozenset({0, 2})}
-    assert SignatureSpace(m).to_signature(m.pred_masks["E"]) == {("S", 0), ("S", 2)}
+    assert to_signature(SignatureSpace(m), m.pred_masks["E"]) == {("S", 0), ("S", 2)}
 
 
 def test_spaces_of_a_model_share_its_index(worked_qm):
@@ -703,11 +703,11 @@ def assert_index_matches(m: Model, predicates, states, sizes, extensions):
         assert space.state_masks[s] == ((1 << sizes[s]) - 1) << offset
         offset += sizes[s]
     assert list(space.state_masks) == list(states) and space.omega == (1 << offset) - 1
-    assert space.to_signature(space.omega) == set().union(*blocks.values())
-    assert {s: space.to_signature(mask) for s, mask in space.state_masks.items()} == blocks
-    assert {p: space.to_signature(mask) for p, mask in space.pred_masks.items()} == signatures
+    assert to_signature(space, space.omega) == set().union(*blocks.values())
+    assert {s: to_signature(space, mask) for s, mask in space.state_masks.items()} == blocks
+    assert {p: to_signature(space, mask) for p, mask in space.pred_masks.items()} == signatures
     for scope, expected in witnesses.items():
-        got = {space.to_signature(mask): name for mask, name in space.witnesses(scope).items()}
+        got = {to_signature(space, mask): name for mask, name in space.witnesses(scope).items()}
         assert got == expected
     # the atoms of each prefix of the table: the pairs grouped by which of its predicates hold
     names = [p.name for p in predicates]
@@ -715,7 +715,7 @@ def assert_index_matches(m: Model, predicates, states, sizes, extensions):
         cells: dict[tuple[bool, ...], set] = {}
         for pair in set().union(*blocks.values()):
             cells.setdefault(tuple(pair in signatures[n] for n in names[:k]), set()).add(pair)
-        atoms = [space.to_signature(mask) for mask in space.atoms(names[:k])]
+        atoms = [to_signature(space, mask) for mask in space.atoms(names[:k])]
         assert len(atoms) == len(cells) and set(atoms) == set(map(frozenset, cells.values()))
 
 

@@ -39,7 +39,8 @@ def _check_poset(poset):
             assert poset.joins[(i, j)] == reference.bound_index(elements, i, j, lower=False)
     bounds = list(poset.meets.values()) + list(poset.joins.values())
     assert poset.is_lattice == (None not in bounds)
-    assert poset.cover_edges() == reference.cover_edges(n, lambda i, j: elements[i] < elements[j])
+    ups = [sum(1 << j for j in range(n) if poset.meets[(i, j)] == i) for i in range(n)]
+    assert cover_edges(ups) == reference.cover_edges(n, lambda i, j: elements[i] < elements[j])
 
 
 def _random_family(seed: int):
