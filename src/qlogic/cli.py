@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .bridge import (
     QuantumModel,
@@ -88,44 +87,46 @@ def _at_least(least: int):
     return count
 
 
+# gen's generator by --kind, with the shape flags it reads (in its argument
+# order) and their defaults; a kind reads no other shape flag
+_GEN = {
+    "classical": (classical_model_bytes, {"states": 2, "predicates": 2, "universe": 3}),
+    "qm": (qm_spec_bytes, {"dim": 2, "properties": 2, "universe": 3, "cap": DEFAULT_CLOSURE_CAP}),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, formula=False, formats=("text", "json")):
-        if model:
-            p.add_argument("--model", help="finite model file (JSON)")
-            p.add_argument("--qm-spec", dest="qm_spec", help="Hilbert spec file (JSON)")
+    def add_command(name, about, formula=False, formats=("text", "json")):
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        p.add_argument("--model", help="finite model file (JSON)")
+        p.add_argument("--qm-spec", dest="qm_spec", help="Hilbert spec file (JSON)")
         if formula:
             p.add_argument("--formula", help="formula text")
-        if formats:
-            p.add_argument("--format", dest="fmt", choices=formats, default="text")
-        # every closure holds 0 and C^d, so no cap below 2 can be met
-        p.add_argument("--cap", type=_at_least(2), default=DEFAULT_CLOSURE_CAP, help="closure cap")
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
+        return p
 
-    p = sub.add_parser("parse", help="parse a formula and print its canonical form")
-    add_common(p, formula=True)
+    add_command("parse", "parse a formula and print its canonical form", formula=True)
+    add_command("eval", "evaluate a formula over every state and object", formula=True)
 
-    p = sub.add_parser("eval", help="evaluate a formula over every state and object")
-    add_common(p, formula=True)
-
-    p = sub.add_parser("check", help="run every applicable conformance suite")
-    add_common(p)
+    p = add_command("check", "run every applicable conformance suite")
     p.add_argument("--depth", type=int, choices=range(5), default=3, help="changes no suite")
 
-    p = sub.add_parser("lattice", help="export the proposition poset or subspace lattice")
-    add_common(p, formats=("text", "json", "dot"))
+    p = add_command(
+        "lattice", "export the proposition poset or subspace lattice", formats=("text", "json", "dot")
+    )
     p.add_argument("--out", help="write the artifact here instead of stdout")
 
-    p = sub.add_parser("gen", help="emit a seeded random model or spec file")
-    add_common(p, model=False, formats=())
+    p = sub.add_parser("gen", help="emit a seeded random model or spec file", allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0, help="generator seed (64-bit unsigned)")
-    p.add_argument("--kind", choices=("classical", "qm"), default="classical")
-    p.add_argument("--states", dest="gen_states", type=_at_least(1), default=2)
-    p.add_argument("--predicates", dest="gen_predicates", type=_at_least(0), default=2)
-    p.add_argument("--universe", dest="gen_universe", type=_at_least(1), default=3)
-    p.add_argument("--dim", dest="gen_dim", type=_at_least(1), default=2)
-    p.add_argument("--properties", dest="gen_properties", type=_at_least(0), default=2)
+    p.add_argument("--kind", choices=tuple(_GEN), default="classical")
+    # a shape flag is in the namespace only when given, so cmd_gen sees one
+    # its kind does not read; every closure holds 0 and C^d, so no cap is below 2
+    least = {"states": 1, "predicates": 0, "universe": 1, "dim": 1, "properties": 0, "cap": 2}
+    for name in least:
+        p.add_argument(f"--{name}", type=_at_least(least[name]), default=argparse.SUPPRESS)
     p.add_argument("--out", help="write the file here instead of stdout")
     return parser
 
@@ -142,8 +143,7 @@ def _load_input(args: argparse.Namespace) -> tuple[Model, QuantumModel | None]:
     if args.model:
         return load_model(args.model), None
     if args.qm_spec:
-        spec = load_spec(args.qm_spec)
-        qm = build_model(replace(spec, closure_cap=min(args.cap, spec.closure_cap)))
+        qm = build_model(load_spec(args.qm_spec))
         return qm.model, qm
     raise _UsageError("an input file is required (--model or --qm-spec)")
 
@@ -384,17 +384,14 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "classical":
-        data = classical_model_bytes(
-            args.seed, args.gen_states, args.gen_predicates, args.gen_universe
-        )
-    else:
-        try:
-            data = qm_spec_bytes(
-                args.seed, args.gen_dim, args.gen_properties, args.gen_universe, args.cap
-            )
-        except ValueError as exc:  # a shape no draw can fill
-            raise _UsageError(str(exc)) from None
+    make, shape = _GEN[args.kind]
+    unread = [name for _, flags in _GEN.values() for name in flags if name in args and name not in shape]
+    if unread:
+        raise _UsageError(f"--kind {args.kind} does not read --{unread[0]}")
+    try:
+        data = make(args.seed, *(getattr(args, name, default) for name, default in shape.items()))
+    except ValueError as exc:  # a shape no draw can fill
+        raise _UsageError(str(exc)) from None
     return _emit(args, data)
 
 

@@ -385,10 +385,24 @@ def test_parse_with_model_reports_classification(capsys):
     assert json.loads(out)["classification"] == "pure-qwff"
 
 
-def test_cap_applies_to_qm_spec(capsys):
-    code, _, err = run(capsys, "check", "--qm-spec", WORKED, "--cap", "2")
-    assert code == 2
-    assert "closure overflow" in err
+def test_the_spec_closure_cap_is_the_cap(tmp_path, capsys, monkeypatch):
+    """A spec's ``closure_cap`` reaches ``close`` unchanged, also above the
+    default: no second cap lowers it."""
+    with open(WORKED, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["closure_cap"] = 4096
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    caps = []
+    real_close = bridge.close
+
+    def close(generators, cap, dim):
+        caps.append(cap)
+        return real_close(generators, cap=cap, dim=dim)
+
+    monkeypatch.setattr(bridge, "close", close)
+    assert run(capsys, "check", "--qm-spec", str(path))[0] == 0
+    assert caps == [4096]
 
 
 @pytest.mark.parametrize("flag", ["--model", "--qm-spec"])
@@ -450,8 +464,9 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
         (["eval", "--qm-spec", WORKED], 1, "usage error: --formula is required"),
         (["gen", "--states", "0"], 1, "usage error: argument --states: must be at least 1"),
         (["check", "--qm-spec", WORKED, "--cap", "1"], 1,
-         "usage error: argument --cap: must be at least 2"),
+         "usage error: unrecognized arguments: --cap 1"),
         (["gen", "--kind", "qm", "--cap", "0"], 1, "usage error: argument --cap: must be at least 2"),
+        (["gen", "--dim", "4", "--cap", "9"], 1, "usage error: --kind classical does not read --dim"),
         (["gen", "--kind", "qm", "--dim", "3", "--properties", "3", "--cap", "2"], 2,
          "closure overflow: no adequate spec found for seed 0 within 32 attempts"),
         (["gen", "--kind", "qm", "--universe", "1000000"], 1,
@@ -469,7 +484,8 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
         "spec-universe-0", "spec-duplicate-state", "spec-duplicate-property",
         "spec-property-name", "spec-cap-1", "model-duplicate-predicate", "model-predicate-name",
         "model-duplicate-state", "model-universe-0", "model-and-spec", "parse-no-formula",
-        "eval-no-formula", "gen-no-states", "check-cap-1", "gen-qm-cap-0", "gen-no-adequate-spec",
+        "eval-no-formula", "gen-no-states", "check-cap-1", "gen-qm-cap-0", "gen-classical-dim",
+        "gen-no-adequate-spec",
         "gen-qm-over-pair-cap",
         "lattice-out-directory", "lattice-out-missing-parent", "gen-out-directory",
         "gen-out-missing-parent",
@@ -602,8 +618,24 @@ def test_eval_builds_one_signature_space(capsys, built_spaces, path, formula):
         ["check", "--qm-spec", WORKED, "--format", "dot"],
         ["eval", "--qm-spec", WORKED, "--formula", "Ez", "--format", "dot"],
         ["gen", "--format", "json"],
+        ["parse", "--formula", "E", "--cap", "64"],
+        ["eval", "--qm-spec", WORKED, "--formula", "Ez", "--cap", "64"],
+        ["check", "--qm-spec", WORKED, "--cap", "64"],
+        ["lattice", "--qm-spec", WORKED, "--cap", "64"],
+        ["gen", "--cap", "9"],
+        ["gen", "--dim", "4"],
+        ["gen", "--properties", "3"],
+        ["gen", "--kind", "qm", "--states", "5"],
+        ["gen", "--kind", "qm", "--predicates", "4"],
+        ["check", "--qm-spec", WORKED, "--form", "json"],
+        ["check", "--qm", WORKED],
+        ["gen", "--kin", "qm", "--se", "3"],
     ],
-    ids=["check-seed", "check-dot", "eval-dot", "gen-format"],
+    ids=[
+        "check-seed", "check-dot", "eval-dot", "gen-format", "parse-cap", "eval-cap", "check-cap",
+        "lattice-cap", "gen-classical-cap", "gen-classical-dim", "gen-classical-properties",
+        "gen-qm-states", "gen-qm-predicates", "check-form", "check-qm", "gen-kin-se",
+    ],
 )
 def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -10,8 +10,9 @@ counts 2**atoms with no cap: seed 0 has 10 atoms, 1024 elements, seed 1 has
 9 atoms, 512 elements, and both pass.  Seed 0's check golden is the report
 of the code that capped this suite at 512 elements, run with the cap
 lifted; its lattice goldens were recorded before the propositions were
-computed from atoms.  The only cap left, the subspace closure's, is pinned
-by ``test_cap_applies_to_qm_spec`` in ``tests/test_cli.py``.
+computed from atoms.  The only cap left, the subspace closure's, is the
+spec's ``closure_cap``: ``test_the_spec_closure_cap_is_the_cap`` and
+``test_closure_overflow_exit_two`` in ``tests/test_cli.py`` pin it.
 
 ``check --depth`` changes no suite: the classical suites count the whole
 generated algebra and the quantum suites sweep every lattice element, so

@@ -9,17 +9,19 @@ where there is one, and not shadowed by a local of the same name; a
 definition reading itself does not count, and neither does an import,
 so an export from ``__init__`` alone is no caller.
 
-Members of public classes (methods, properties and class-level fields)
-are matched by name alone: one counts as read when some ``src/qlogic``
-code loads an attribute of that name from any object.  So a member
-whose name another class also uses and reads is not seen; a
-``Model.universe_size`` method would pass because
-``QMModelSpec.universe_size`` is read.
+Members of public classes (methods, properties, class-level fields and
+the attributes a method stores as ``self.<name> = ...``) are matched by
+name alone: one counts as read when some ``src/qlogic`` code loads an
+attribute of that name from any object.  So a member whose name another
+class also uses and reads is not seen; a ``Model.universe_size`` method
+would pass because ``QMModelSpec.universe_size`` is read.
 
 Exempt are the names the benchmark tracer wraps, read from its tables
 as ``test_tracer_targets`` reads them, with the GaussianRational methods
-it counts; the orders that the proposition-poset checks are to call; and
-the fields of the poset those checks are to read.
+it counts; the orders that the proposition-poset checks are to call; the
+fields of the poset those checks are to read; and
+``FormulaSyntaxError.position``, the documented offset of a syntax error,
+which the README and the tests read.
 
 ``python -O`` strips ``assert`` statements and sets ``__debug__`` false,
 so a check written with either would vanish under it: the package must
@@ -43,6 +45,7 @@ EXEMPT |= {("models", "logical_leq"), ("models", "physical_leq"), ("bridge", "te
 EXEMPT_MEMBERS = {(c, m) for _, c, m, _ in tracer.METHODS}
 EXEMPT_MEMBERS |= {("GaussianRational", m) for m in tracer.GAUSSIAN_METHODS}
 EXEMPT_MEMBERS |= {("PropositionPoset", f.name) for f in dataclasses.fields(PropositionPoset)}
+EXEMPT_MEMBERS |= {("FormulaSyntaxError", "position")}  # the error API: 1-based offset of the fault
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -114,6 +117,18 @@ def unreferenced() -> list[tuple[str, str]]:
     return [key for key in public if key not in read and key not in EXEMPT]
 
 
+def _stored_on_self(cls: ast.ClassDef) -> list[str]:
+    """The attributes the methods of a class store as ``self.<name> = ...``."""
+    return [
+        node.attr
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and method.args.args
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == method.args.args[0].arg
+    ]
+
+
 def unread_members() -> list[tuple[str, str]]:
     """(class, member) of each public member of a public class whose name
     no code loads as an attribute."""
@@ -128,7 +143,7 @@ def unread_members() -> list[tuple[str, str]]:
     for tree in trees:
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-                names = [name for stmt in cls.body for name in _defined(stmt)]
+                names = [name for stmt in cls.body for name in _defined(stmt)] + _stored_on_self(cls)
                 unread += [
                     (cls.name, name)
                     for name in names
@@ -184,6 +199,15 @@ def test_the_guard_sees_a_member_with_no_reader(tmp_path, monkeypatch):
     method = "    def orphans(self):\n        return self.predicates\n\n"
     _copy_of_src(tmp_path, monkeypatch, "models", lambda source: source.replace(anchor, method + anchor))
     assert unread_members() == [("Model", "orphans")]
+
+
+def test_the_guard_sees_an_attribute_stored_on_self_with_no_reader(tmp_path, monkeypatch):
+    """Negative control: a copy of the package whose ClosureOverflow also
+    stores an attribute no code reads fails the guard on it alone."""
+    anchor = "        self.generators = tuple(generators)\n"
+    store = "        self.attempts = len(self.generators)\n"
+    _copy_of_src(tmp_path, monkeypatch, "errors", lambda source: source.replace(anchor, anchor + store))
+    assert unread_members() == [("ClosureOverflow", "attempts")]
 
 
 def test_the_guard_sees_an_assert(tmp_path, monkeypatch):
