@@ -312,9 +312,10 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
         PredicateInfo(names[i], True, names[lat.ortho[i]]) for i in order
     )
     model = Model(predicates, state_names, {s: n for s in state_names}, extensions)
-    for name in names:  # certain truth must coincide with theta
-        for s in state_names:
-            if (model.extensions[(s, name)] == full) != (s in theta[name]):
+    for name in names:  # certain truth, a full block of the mask, must coincide with theta
+        mask, certain = model.pred_masks[name], theta[name]
+        for s, block in model.state_masks.items():
+            if (mask & block == block) != (s in certain):
                 raise PostconditionFailed(
                     f"predicate {name!r} in state {s!r}: certain truth differs from theta"
                 )

@@ -53,6 +53,7 @@ from .lattice import (
     find_distributivity_failure,
     ortho_involution_violations,
     orthomodularity_witness,
+    up_sets,
 )
 from .models import (
     Model,
@@ -338,8 +339,7 @@ def _lattice_nodes_edges(model: Model, qm: QuantumModel | None):
                     "states": sorted(qm.theta[name]),
                 }
             )
-        ups = [sum(1 << j for j, m in enumerate(row) if m == i) for i, row in enumerate(lat.meet)]
-        return nodes, cover_edges(ups)
+        return nodes, cover_edges(up_sets(lat))
     # A union of atoms holds in exactly the states whose block misses every
     # atom it leaves out, so the propositions are all states and every
     # intersection of the per-atom sets of such states.

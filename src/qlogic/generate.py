@@ -20,7 +20,7 @@ from .bridge import QMModelSpec, _model_from_lattice, spec_to_dict
 from .errors import ClosureOverflow
 from .gaussian import GaussianRational
 from .hilbert import Subspace, _lead, _orthogonal, join, ortho
-from .lattice import close
+from .lattice import QLattice, close, up_sets
 from .models import MAX_DIM, Model, PredicateInfo, check_pair_count, model_to_dict
 
 MAX_GENERATION_ATTEMPTS = 32
@@ -88,6 +88,24 @@ def _vector_inside(
     return None
 
 
+def _maximal_not_above(lat: QLattice) -> list[list[Subspace]]:
+    """By closure element e_i, what a state placed inside e_i must lie
+    outside: the maximal elements among those not above e_i, read off the
+    up-set bitmasks.  What is not above e_i is closed downward, so a vector
+    outside its maximal elements lies outside all of it.  Empty for 0 and
+    for lines, whose states are placed without a draw."""
+    ups = up_sets(lat)
+    every = (1 << len(lat)) - 1
+    out = []
+    for element, up in zip(lat.elements, ups):
+        if element.dim < 2:
+            out.append([])
+            continue
+        down = every & ~up
+        out.append([a for k, a in enumerate(lat.elements) if ups[k] & down == 1 << k])
+    return out
+
+
 def random_qm_spec(
     seed: int,
     dim: int = 2,
@@ -143,10 +161,9 @@ def random_qm_spec(
         except ClosureOverflow:
             continue
         states = []
-        for i, element in enumerate(lat.elements):
+        for element, avoid in zip(lat.elements, _maximal_not_above(lat)):
             if element.dim == 0:
                 continue
-            avoid = [a for k, a in enumerate(lat.elements) if not lat.leq(i, k)]
             vec = _vector_inside(rng, element, avoid)
             if vec is None:
                 break

@@ -29,9 +29,6 @@ class QLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.meet[i][j] == i
-
 
 def close(
     generators: list[Subspace],
@@ -73,7 +70,8 @@ def close(
     ids: dict[Subspace, int] = {}
     above: list[int] = []  # by id: bit k set when element k is known to contain it
     of_dim = [0] * (dim + 1)  # by dimension: bit k set for each id k of it
-    perp: dict[int, int] = {}  # id -> id of its complement, once found
+    perp: list[int] = []  # by id: id of its complement, -1 until found
+    joins: list[dict[int, int]] = []  # by id i: j -> id of the join, for i <= j
 
     def intern(s: Subspace) -> int:
         i = ids.get(s)
@@ -82,6 +80,8 @@ def close(
             elements.append(s)
             dims.append(s.dim)
             above.append(0)
+            perp.append(-1)
+            joins.append({})
             of_dim[s.dim] |= 1 << i
         return i
 
@@ -97,36 +97,42 @@ def close(
     def contains(i: int, j: int) -> None:
         """Record i <= j, and j-perp <= i-perp once j's complement is known."""
         above[i] |= 1 << j | above[j]
-        if j in perp:
+        if perp[j] >= 0:
             above[perp[j]] |= 1 << perp[i] | above[perp[i]]
 
     seeds = dict.fromkeys(intern(s) for s in [zero, full, *generators])
-    joins: dict[tuple[int, int], int] = {}
-
-    def pair(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
+    full_id = ids[full]
 
     def join_id(i: int, j: int) -> int:
         """Id of the join of elements i and j, recorded in ``joins`` under
         the unordered pair; the symmetric fixpoint asks once per unordered
         pair, after both complements are known.  Only the joins the rules
         in ``close``'s docstring leave open reach the kernel."""
-        key = pair(i, j)
-        if dims[i] > dims[j]:
-            i, j = j, i
-        if i == j or not dims[i] or dims[j] == dim:  # zero and C^dim are comparable to all
-            size = dims[j]
-        elif (dual := joins.get(pair(perp[i], perp[j]))) is not None:
-            size = dims[i] + dims[j] - dim + dims[dual]  # dual is the complement of the meet
-        elif dims[i] < dims[j] and (above[i] >> j & 1 or leq(elements[i], elements[j])):
-            size = dims[j]
+        if i < j:
+            memo, key = joins[i], j
+        else:
+            memo, key = joins[j], i
+        di, dj = dims[i], dims[j]
+        if di > dj:
+            i, j, di, dj = j, i, dj, di
+        if i == j or not di or dj == dim:
+            # zero and C^dim are comparable to all; no rule reads an
+            # inclusion of an element in itself, above C^dim or from 0
+            memo[key] = j
+            return j
+        pi, pj = perp[i], perp[j]
+        dual = joins[pi].get(pj) if pi < pj else joins[pj].get(pi)
+        if dual is not None:
+            size = di + dj - dim + dims[dual]  # dual is the complement of the meet
+        elif di < dj and (above[i] >> j & 1 or leq(elements[i], elements[j])):
+            size = dj
         else:  # incomparable; a lower bound
-            size = dims[j] + 1
-        if size == dims[j]:
+            size = dj + 1
+        if size == dj:
             got = j
             contains(i, j)
-        elif size == dim or perp[i] == j:
-            got = ids[full]
+        elif size == dim or pi == j:
+            got = full_id
         else:
             known = above[i] & above[j] & of_dim[size]
             if known:
@@ -135,7 +141,7 @@ def close(
                 got = intern(join(elements[i], elements[j]))
                 contains(i, got)
                 contains(j, got)
-        joins[key] = got
+        memo[key] = got
         return got
 
     found = fixpoint(
@@ -148,20 +154,38 @@ def close(
     )
 
     ordered = sorted(found, key=lambda i: elements[i].sort_key())
-    position = {i: p for p, i in enumerate(ordered)}
+    position = [0] * len(ordered)  # by id
+    for p, i in enumerate(ordered):
+        position[i] = p
     # the fixpoint joined every unordered pair once; fill both halves from the memo
     rows = [[0] * len(ordered) for _ in ordered]
-    for (i, j), k in joins.items():
-        rows[position[i]][position[j]] = rows[position[j]][position[i]] = position[k]
+    for i, memo in enumerate(joins):
+        a = position[i]
+        row = rows[a]
+        for j, k in memo.items():
+            b = position[j]
+            row[b] = rows[b][a] = position[k]
     join_table = tuple(map(tuple, rows))
-    ortho_table = tuple(position[ids[ortho(elements[i])]] for i in ordered)
+    ortho_table = tuple(position[perp[i]] for i in ordered)
+    # a ^ b = (a-perp v b-perp)-perp: meet row a is join row a-perp read at
+    # the complements, complemented
+    meet_table = tuple([
+        tuple([ortho_table[row[b]] for b in ortho_table])
+        for row in map(join_table.__getitem__, ortho_table)
+    ])
     return QLattice(
         dim=dim,
         elements=tuple(elements[i] for i in ordered),
         ortho=ortho_table,
-        meet=tuple(tuple(ortho_table[join_table[a][b]] for b in ortho_table) for a in ortho_table),
+        meet=meet_table,
         join=join_table,
     )
+
+
+def up_sets(lat: QLattice) -> list[int]:
+    """By element: bit k set when the element lies in element k, read off
+    the meet rows (i <= k exactly when i ^ k = i)."""
+    return [sum(1 << k for k, m in enumerate(row) if m == i) for i, row in enumerate(lat.meet)]
 
 
 def orthomodularity_witness(lat: QLattice) -> tuple[Subspace, Subspace] | None:

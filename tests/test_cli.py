@@ -290,6 +290,29 @@ def test_gen_qm_universe_one_is_too_small(capsys):
 
 
 @pytest.mark.parametrize(
+    "shape",
+    [
+        ["--predicates", "0"],
+        ["--kind", "qm", "--dim", "1", "--properties", "0"],
+        ["--kind", "qm", "--dim", "1", "--properties", "1"],
+    ],
+    ids=["classical-no-predicates", "qm-c1-no-property", "qm-c1-one-property"],
+)
+def test_gen_shapes_with_nothing_to_draw_print_one_file_for_every_seed(capsys, shape):
+    """With no predicate there is no extension to draw, and C^1 has one
+    line, C^1 itself, whose state is its basis vector: the file is the same
+    for every seed apart from the generator block, which echoes the seed."""
+    files = []
+    for seed in (0, 5):
+        code, out, _ = run(capsys, "gen", "--seed", str(seed), *shape)
+        assert code == 0
+        data = json.loads(out)
+        assert data.pop("generator")["seed"] == seed
+        files.append(data)
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--kind", "qm", "--dim", "0"],

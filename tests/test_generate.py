@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import qlogic.bridge
 import qlogic.generate
+import qlogic.hilbert
 from qlogic.bridge import build_model, check_qmt, spec_from_dict, states_separate
 from qlogic.errors import ModelValidationError, QLogicError
 from qlogic.generate import (
@@ -20,8 +21,10 @@ from qlogic.generate import (
     random_qm_spec,
 )
 from qlogic.hilbert import leq
+from qlogic.lattice import close
 from qlogic.models import MAX_PAIRS, SignatureSpace, model_from_dict
 
+import placement_reference
 from conftest import DATA_DIR, REPO
 
 
@@ -167,6 +170,69 @@ def test_qm_generator_placement_matches_recorded_digest():
         for seed in range(20):
             digest.update(qm_spec_bytes(seed, dim, props, 3, 64))
     assert digest.hexdigest() == QM_PLACEMENT_SHA256
+
+
+PLACEMENT_GRID = [
+    (dim, props, seed) for dim, props in ((3, 2), (3, 3), (4, 2), (2, 2)) for seed in range(60)
+]
+
+
+def _placement_faults(monkeypatch, avoid_lists):
+    """Yield each draw of the grid (universe 3, cap 64) whose bytes, with
+    states placed against ``avoid_lists``, differ from the reference that
+    places them against every element not above, and each (draw, element)
+    whose list is not exact: it names an element above e_i, or leaves out
+    one that no listed element contains.  Over a field as large as the
+    rationals no subspace is a finite union of proper ones, so only an
+    exact list rejects the same candidates as the full one."""
+    monkeypatch.setattr(qlogic.generate, "_maximal_not_above", avoid_lists)
+    for dim, props, seed in PLACEMENT_GRID:
+        blob = qm_spec_bytes(seed, dim, props, 3, 64)
+        if blob != placement_reference.qm_spec_bytes(seed, dim, props, 3, 64):
+            yield (dim, props, seed)
+        spec = spec_from_dict(json.loads(blob))
+        lat = close([sub for _, sub in spec.properties], spec.closure_cap, spec.dim)
+        for i, (element, avoid) in enumerate(zip(lat.elements, avoid_lists(lat))):
+            if element.dim < 2:  # placed without a draw
+                continue
+            full = placement_reference.not_above(lat, i)
+            if any(a not in full for a in avoid) or not all(any(leq(b, a) for a in avoid) for b in full):
+                yield (dim, props, seed, i)
+
+
+def test_placement_against_maximal_elements_matches_the_full_avoid_list(monkeypatch):
+    faults = _placement_faults(monkeypatch, qlogic.generate._maximal_not_above)
+    assert list(faults) == []
+
+
+def test_placement_check_catches_an_avoid_list_one_maximal_element_short(monkeypatch):
+    """Negative control.  The bytes alone do not catch it: with the first or
+    the last maximal element left out, all 240 draws come out byte-identical,
+    since no candidate happened to fall inside the missing element."""
+    real = qlogic.generate._maximal_not_above
+
+    def one_short(lat):
+        return [avoid[1:] for avoid in real(lat)]
+
+    assert next(_placement_faults(monkeypatch, one_short), None) is not None
+
+
+def test_placement_orthogonality_tests_of_one_draw(monkeypatch):
+    """random_qm_spec(11, 3, 3, 3, 64), the draw of gen_qm_seed11.json: 16
+    elements, of which the 7 planes and C^3 get their states by a random
+    combination.  Placing them against every element not above took 115
+    hilbert._orthogonal tests; against the maximal ones it takes 51.  The 19
+    that hilbert.leq makes inside close are apart from these and unchanged."""
+    counts = {"close": 0, "placement": 0}
+    for module, key in ((qlogic.hilbert, "close"), (qlogic.generate, "placement")):
+
+        def counting(*args, original=module._orthogonal, key=key):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "_orthogonal", counting)
+    assert random_qm_spec(11, 3, 3, 3, 64)[1] == 1
+    assert counts == {"close": 19, "placement": 51}
 
 
 @pytest.mark.parametrize(
