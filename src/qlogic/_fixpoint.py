@@ -17,6 +17,7 @@ def fixpoint(
     cap: int | None = None,
     overflow: Exception | None = None,
     symmetric: bool = False,
+    whole: int | None = None,
 ) -> dict:
     """The seeds closed under ``unary`` and ``binary``, lists of (operation,
     make) pairs; each element maps to the representative ``make`` built from
@@ -25,7 +26,9 @@ def fixpoint(
     so elements get the representatives and order of rounds over all pairs.
     ``rounds`` bounds the rounds (None: to the fixpoint); more than ``cap``
     seeds, or the insertion that takes the count above ``cap``, raises
-    ``overflow``.
+    ``overflow``.  ``whole`` is the size of the set the operations act on:
+    once that many elements are found no pair can add one, so the closure
+    returns there, mid-round, with what the full run would return.
 
     ``symmetric`` declares every binary operation commutative, and a round
     then visits pair (i, j) only for j >= i.  The skipped mirror (j, i) of a
@@ -37,10 +40,12 @@ def fixpoint(
     found = dict(seeds)
     lo = 0  # found's items from lo on were added by the previous round
 
-    def add(element, rep) -> None:
+    def add(element, rep) -> bool:
+        """Record a new element; whether the set is now whole."""
         found[element] = rep
         if cap is not None and len(found) > cap:
             raise overflow
+        return len(found) == whole
 
     for _ in count() if rounds is None else range(rounds):
         current = list(found.items())
@@ -49,15 +54,15 @@ def fixpoint(
             key, rep = current[j]
             for op, make in unary:
                 out = op(key)
-                if out not in found:
-                    add(out, make(rep))
+                if out not in found and add(out, make(rep)):
+                    return found
         for i, (k1, r1) in enumerate(current):
             for j in range(lo if i < lo else i if symmetric else 0, n):
                 k2, r2 = current[j]
                 for op, make in binary:
                     out = op(k1, k2)
-                    if out not in found:
-                        add(out, make(r1, r2))
+                    if out not in found and add(out, make(r1, r2)):
+                        return found
         if n == len(found):
             break
         lo = n

@@ -456,7 +456,8 @@ def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
     with the representative of the first round that reaches it.  The sweep
     runs to its fixpoint, which is every element when there is a property:
     the lattice closes the same properties, 0 and 1 (P ∧ ¬P and P ∨ ¬P)
-    under the same operations."""
+    under the same operations.  So it stops as soon as it holds every
+    element of the lattice, since no later pair can add one."""
     lat = qm.lattice
     seeds: dict[int, Formula] = {}
     for name, _ in qm.spec.properties:
@@ -469,6 +470,7 @@ def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
             (lambda i, j: lat.join[i][j], QOr),
             (lambda i, j: lat.join[lat.ortho[i]][lat.meet[i][j]], QImp),
         ],
+        whole=len(lat),
     )
 
 

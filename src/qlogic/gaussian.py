@@ -1,10 +1,12 @@
-"""Gaussian rationals: exact complex scalars with Fraction parts."""
+"""Gaussian rationals: exact complex scalars, held as the lowest-terms
+integers of their real and imaginary parts."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 from .errors import ModelValidationError
 
@@ -12,29 +14,76 @@ from .errors import ModelValidationError
 # groups are the integer parts of "3/4-1/4i", or of "3/4i" and its "i"
 _LITERAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?(?:([+-]\d+)(?:/([1-9]\d*))?i|(i))?")
 
-_ZERO = Fraction(0)
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, as its lowest-terms numerator and denominator."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-@dataclass(frozen=True, slots=True)
+def _parts_of(x) -> tuple[int, int]:
+    """The lowest-terms numerator and denominator of a rational given as
+    anything Fraction accepts."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    Field operations are closed and exact; equality is decidable.  Values
-    are kept in lowest terms by Fraction itself.
+    The value is held as four integers, the numerators and denominators of
+    its real and imaginary parts in lowest terms with positive
+    denominators: its ``sort_key``.  ``real`` and ``imag`` are Fractions
+    built from them when read.  Field operations are closed and exact;
+    equality is decidable, as equality of the parts.  Immutable.
     """
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("_parts",)
 
-    def __post_init__(self):
-        if not isinstance(self.real, Fraction):
-            object.__setattr__(self, "real", Fraction(self.real))
-        if not isinstance(self.imag, Fraction):
-            object.__setattr__(self, "imag", Fraction(self.imag))
+    def __init__(self, real=0, imag=0):
+        _set(self, "_parts", _parts_of(real) + _parts_of(imag))
+
+    @classmethod
+    def _of(cls, parts: tuple[int, int, int, int]) -> GaussianRational:
+        """The scalar whose sort_key is ``parts``, taken as given."""
+        self = _new(cls)
+        _set(self, "_parts", parts)
+        return self
+
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild from the parts, not through setattr
+        return GaussianRational._of, (self._parts,)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._parts == other._parts
+
+    def __hash__(self) -> int:
+        return hash(self._parts)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(real={self.real!r}, imag={self.imag!r})"
+
+    @property
+    def real(self) -> Fraction:
+        return Fraction(self._parts[0], self._parts[1])
+
+    @property
+    def imag(self) -> Fraction:
+        return Fraction(self._parts[2], self._parts[3])
 
     @property
     def is_zero(self) -> bool:
-        return self.real == 0 and self.imag == 0
+        return not (self._parts[0] or self._parts[2])
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -71,18 +120,10 @@ class GaussianRational:
         return self.real * self.real + self.imag * self.imag
 
     def sort_key(self) -> tuple[int, int, int, int]:
-        return (
-            self.real.numerator,
-            self.real.denominator,
-            self.imag.numerator,
-            self.imag.denominator,
-        )
+        return self._parts
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-GR_ZERO = GaussianRational()
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -93,17 +134,17 @@ def parse_scalar(text: str) -> GaussianRational:
     if m is None:
         raise ModelValidationError(f"malformed scalar literal {text!r}")
     num, den, im_num, im_den, lone_i = m.groups()
-    first = Fraction(int(num), int(den or 1))
+    first = _lowest(int(num), int(den or 1))
     if lone_i:
-        return GaussianRational(_ZERO, first)
+        return GaussianRational._of((0, 1) + first)
     if im_num is None:
-        return GaussianRational(first, _ZERO)
-    return GaussianRational(first, Fraction(int(im_num), int(im_den or 1)))
+        return GaussianRational._of(first + (0, 1))
+    return GaussianRational._of(first + _lowest(int(im_num), int(im_den or 1)))
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical literal; parse_scalar(format_scalar(z)) == z."""
-    return format_parts(*z.sort_key())
+    return format_parts(*z._parts)
 
 
 def format_parts(re_num: int, re_den: int, im_num: int, im_den: int) -> str:

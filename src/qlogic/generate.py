@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from math import lcm
 
 from .bridge import QMModelSpec, _model_from_lattice, spec_to_dict
 from .errors import ClosureOverflow
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, _lowest
 from .hilbert import Subspace, _lead, _orthogonal, join, ortho
 from .lattice import QLattice, close, up_sets
 from .models import MAX_DIM, Model, PredicateInfo, check_pair_count, model_to_dict
@@ -48,21 +47,20 @@ def random_classical_model(
     return Model(tuple(preds), states, {s: universe for s in states}, extensions)
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+def _random_fraction(rng: random.Random) -> tuple[int, int]:
+    """A draw of n/d, n in -3..3 and d in 1..3, as its lowest-terms parts."""
+    return _lowest(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def _random_vector(rng: random.Random, dim: int, allow_imag: bool) -> tuple[GaussianRational, ...]:
     while True:
-        vec = tuple(
-            GaussianRational(
-                _random_fraction(rng),
-                _random_fraction(rng) if allow_imag and rng.random() < 0.5 else Fraction(0),
-            )
-            for _ in range(dim)
-        )
-        if any(not z.is_zero for z in vec):
-            return vec
+        parts = []
+        for _ in range(dim):
+            real = _random_fraction(rng)
+            imag = _random_fraction(rng) if allow_imag and rng.random() < 0.5 else (0, 1)
+            parts.append(real + imag)
+        if any(p[0] or p[2] for p in parts):
+            return tuple(map(GaussianRational._of, parts))
 
 
 def _vector_inside(
@@ -84,7 +82,8 @@ def _vector_inside(
                 vre[c] += cr * x - ci * y
                 vim[c] += cr * y + ci * x
         if (any(vre) or any(vim)) and not any(_orthogonal(p, (vre, vim)) for p in perps):
-            return tuple(GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(vre, vim))
+            parts = (_lowest(x, den) + _lowest(y, den) for x, y in zip(vre, vim))
+            return tuple(map(GaussianRational._of, parts))
     return None
 
 

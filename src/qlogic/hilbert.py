@@ -20,25 +20,26 @@ from __future__ import annotations
 import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
-from .gaussian import GR_ZERO, GaussianRational, format_parts, format_scalar, parse_scalar
+from .gaussian import GaussianRational, format_parts, parse_scalar
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO_PARTS = (0, 1, 0, 1)  # the lowest-terms parts of a zero entry
 
 Vector = tuple[GaussianRational, ...]
 Row = tuple[Sequence[int], Sequence[int]]  # real and imaginary parts of a Gaussian-integer row
 
 
 def _int_row(vec: Sequence[GaussianRational]) -> Row:
-    """A Gaussian-integer multiple of a Gaussian-rational vector."""
-    m = lcm(*(z.real.denominator for z in vec), *(z.imag.denominator for z in vec))
-    return (
-        [z.real.numerator * (m // z.real.denominator) for z in vec],
-        [z.imag.numerator * (m // z.imag.denominator) for z in vec],
-    )
+    """A Gaussian-integer multiple of a Gaussian-rational vector, read from
+    its lowest-terms parts."""
+    parts = [z._parts for z in vec]
+    m = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+    return [a * (m // b) for a, b, _, _ in parts], [c * (m // d) for _, _, c, d in parts]
 
 
 def _primitive(re: list[int], im: list[int]) -> Row:
@@ -248,14 +249,8 @@ class Subspace:
     def basis(self) -> tuple[Vector, ...]:
         """The canonical RREF basis: each reduced row divided by its pivot."""
         if self._basis is None:
-            basis = []
-            for re, im in self._rows:
-                d = re[_lead(re)]
-                basis.append(tuple(
-                    GaussianRational(Fraction(a, d), Fraction(b, d)) if a or b else GR_ZERO
-                    for a, b in zip(re, im)
-                ))
-            object.__setattr__(self, "_basis", tuple(basis))
+            basis = tuple(tuple(map(GaussianRational._of, row)) for row in _basis_parts(self))
+            object.__setattr__(self, "_basis", basis)
         return self._basis
 
     @property
@@ -265,10 +260,10 @@ class Subspace:
     def sort_key(self):
         """(dim, GaussianRational.sort_key of each basis entry, row-major),
         read from the rows without building the basis."""
-        return len(self._rows), tuple(part for row in _basis_parts(self) for part in row)
+        return len(self._rows), tuple(chain.from_iterable(_basis_parts(self)))
 
     def __repr__(self) -> str:
-        rows = "; ".join(",".join(format_scalar(z) for z in row) for row in self.basis)
+        rows = "; ".join(",".join(row) for row in subspace_to_strings(self))
         return f"Subspace(C^{self.ambient}, dim={self.dim}, [{rows}])"
 
 
@@ -277,15 +272,23 @@ def _basis_parts(a: Subspace) -> tuple[tuple[tuple[int, int, int, int], ...], ..
     once and kept: entry (x + yi)/d of a row with pivot d is
     (x/g, d/g, y/h, d/h) with g = gcd(x, d) and h = gcd(y, d), the
     numerators and denominators of its Fraction parts, so each tuple is
-    that entry's sort_key."""
+    that entry's sort_key.  No gcd is taken where it cannot change a part:
+    a row whose pivot is 1 is its own parts, and a zero entry is
+    (0, 1, 0, 1)."""
     if a._parts is None:
         parts = []
         for re, im in a._rows:
             d = re[_lead(re)]
-            row = []
-            for x, y in zip(re, im):
-                g, h = gcd(x, d), gcd(y, d)
-                row.append((x // g, d // g, y // h, d // h))
+            if d == 1:
+                row = [(x, 1, y, 1) for x, y in zip(re, im)]
+            else:
+                row = []
+                for x, y in zip(re, im):
+                    if x or y:
+                        g, h = gcd(x, d), gcd(y, d)
+                        row.append((x // g, d // g, y // h, d // h))
+                    else:
+                        row.append(_ZERO_PARTS)
             parts.append(tuple(row))
         object.__setattr__(a, "_parts", tuple(parts))
     return a._parts

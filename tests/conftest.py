@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -29,7 +30,7 @@ def load_tracer():
     return tracer
 
 
-GR_ONE = GaussianRational(Fraction(1))
+GR_ZERO, GR_ONE = GaussianRational(), GaussianRational(Fraction(1))
 
 
 def gr(real: int | Fraction = 0, imag: int | Fraction = 0) -> GaussianRational:
@@ -147,6 +148,18 @@ def closed_cm_model(states: tuple[str, ...], universe: int = 3) -> Model:
         (s, name): columns[i][s] for i, name in enumerate(names) for s in states
     }
     return build_cm_model(states, names, truth, universe)
+
+
+def qm_corpus_draws(seed: int, blocks: int) -> list[tuple[int, int, int]]:
+    """(dimension, properties, gen seed) of the first ``blocks`` blocks of
+    the benchmark's qm_corpus workload at ``seed``, drawn as
+    perfbench/workloads.py draws them: a block is one spec of each shape
+    (3, 2), (3, 3) and (4, 2)."""
+    draws = []
+    for b in range(blocks):
+        rng = random.Random(f"qm_corpus:{seed}:{b}")
+        draws += [(dim, props, rng.randrange(2**32)) for dim, props in ((3, 2), (3, 3), (4, 2))]
+    return draws
 
 
 def mo_squared_spec(k: int) -> dict:

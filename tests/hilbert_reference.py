@@ -14,9 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from qlogic.gaussian import GR_ZERO, GaussianRational
+from qlogic.gaussian import GaussianRational
 
-from conftest import GR_ONE
+from conftest import GR_ONE, GR_ZERO
 
 Rows = tuple[tuple[GaussianRational, ...], ...]
 

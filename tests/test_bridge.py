@@ -34,6 +34,7 @@ from qlogic.bridge import (
     states_separate,
 )
 from qlogic.bridge import testable_proposition_poset as proposition_poset_of
+from qlogic.cli import main
 from qlogic.errors import (
     DimensionMismatch,
     ModelValidationError,
@@ -54,6 +55,7 @@ from conftest import (
     SPEC_DIR,
     gr,
     physical_proposition,
+    qm_corpus_draws,
     signature,
     suite_line,
     tau_eval,
@@ -639,6 +641,33 @@ def test_recorded_probabilities_match_born(source):
             element = qm.lattice.elements[qm.element_index[name]]
             assert p == born(vectors[state], element)
             assert p == reference.born(vectors[state], element.basis)
+
+
+@pytest.mark.parametrize("dim,props,seed", qm_corpus_draws(1, 4))
+def test_gen_check_builds_a_fraction_only_for_each_uncertain_probability(
+    dim, props, seed, tmp_path, monkeypatch, capsys
+):
+    """Scalars go from the drawn and parsed literals to the kernel rows as
+    integer parts, so ``gen`` then ``check`` on a spec of the seed-1
+    benchmark corpus constructs one Fraction per recorded probability
+    strictly between 0 and 1, and no other (certain ones are shared
+    constants)."""
+    path = tmp_path / "spec.json"
+    made = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        assert main(["gen", "--kind", "qm", "--seed", str(seed), "--dim", str(dim),
+                     "--properties", str(props), "--cap", "64", "--out", str(path)]) == 0
+        assert main(["check", "--qm-spec", str(path), "--depth", "3"]) == 0
+    capsys.readouterr()
+    probabilities = build_model(load_spec(path)).probabilities.values()
+    assert made[0] == sum(0 < p < 1 for p in probabilities) > 0
 
 
 # -- one reduction per query -------------------------------------------------------

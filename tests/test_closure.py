@@ -10,6 +10,7 @@ from qlogic import bridge, lattice, models
 from qlogic._fixpoint import fixpoint
 from qlogic.bridge import _reachable_elements, build_model, load_spec, spec_from_dict
 from qlogic.errors import ClosureOverflow
+from qlogic.formulas import render
 from qlogic.gaussian import GaussianRational
 from qlogic.generate import random_qm_spec
 from qlogic.hilbert import Subspace, ortho
@@ -17,7 +18,7 @@ from qlogic.lattice import close
 from qlogic.models import Model, PredicateInfo, SignatureSpace
 
 import closure_reference as reference
-from conftest import DATA_DIR, SPEC_DIR, mo_squared_spec
+from conftest import DATA_DIR, SPEC_DIR, mo_squared_spec, qm_corpus_draws
 
 
 def _outcome(fn, *args):
@@ -48,11 +49,10 @@ def _all_pairs(seeds, unary, binary, rounds):
     return found
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
+def _random_tables(data):
     """Random operation tables on range(n), neither commutative nor
-    idempotent; representatives record how each element was first made."""
+    idempotent, with seeds; representatives record how each element was
+    first made."""
     n = data.draw(st.integers(1, 12))
     element = st.integers(0, n - 1)
     negate = data.draw(st.lists(element, min_size=n, max_size=n))
@@ -64,12 +64,29 @@ def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
         (lambda a, b, t=t: t[a][b], lambda r1, r2, i=i: f"({r1} {i} {r2})")
         for i, t in enumerate(tables)
     ]
+    return n, seeds, unary, binary
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
+    n, seeds, unary, binary = _random_tables(data)
     rounds = data.draw(st.integers(0, 5))
     got = fixpoint(seeds, unary, binary, rounds=rounds)
     assert list(got.items()) == list(_all_pairs(seeds, unary, binary, rounds).items())
     assert list(fixpoint(seeds, unary, binary).items()) == list(
         _all_pairs(seeds, unary, binary, n).items()
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fixpoint_stopped_at_the_whole_set_matches_all_pairs_rounds(data):
+    """Told that the operations act on n elements, the closure returns
+    once it holds n of them, with the items and order of the full run."""
+    n, seeds, unary, binary = _random_tables(data)
+    got = fixpoint(seeds, unary, binary, whole=n)
+    assert list(got.items()) == list(_all_pairs(seeds, unary, binary, n).items())
 
 
 @st.composite
@@ -142,6 +159,58 @@ def test_the_qwff_sweep_reaches_every_element(source):
     got = _reachable_elements(qm)
     assert sorted(got) == list(range(len(qm.lattice)))
     assert list(got.items()) == list(reference.reachable_elements(qm).items())
+
+
+def _logging(ops, log: list) -> list:
+    """The (operation, make) pairs, each operation appending what it
+    returns to ``log``."""
+
+    def logged(op):
+        def call(*args):
+            out = op(*args)
+            log.append(out)
+            return out
+
+        return call
+
+    return [(logged(op), make) for op, make in ops]
+
+
+def _sweep(qm, monkeypatch, stop: bool) -> tuple[dict, list]:
+    """``_reachable_elements(qm)`` and what its operation calls returned,
+    in call order: stopped at the whole lattice, or run to its fixpoint."""
+    log: list = []
+
+    def engine(seeds, unary, binary, whole):
+        whole = whole if stop else None
+        return fixpoint(seeds, _logging(unary, log), _logging(binary, log), whole=whole)
+
+    monkeypatch.setattr(bridge, "fixpoint", engine)
+    return _reachable_elements(qm), log
+
+
+@pytest.mark.parametrize(
+    "source", ["worked_qm.json", 2, *qm_corpus_draws(1, 4)], ids=lambda source: str(source)
+)
+def test_the_qwff_sweep_stops_once_it_holds_every_element(source, monkeypatch):
+    """The sweep returns at the call that finds the last lattice element,
+    with the items, order and rendered representatives of the same sweep
+    run to its fixpoint (worked_qm, MO_2 x MO_2 and the seed-1 benchmark
+    corpus); its calls are a strict prefix of the full run's."""
+    if source == "worked_qm.json":
+        spec = load_spec(SPEC_DIR / source)
+    elif isinstance(source, int):
+        spec = spec_from_dict(mo_squared_spec(source))
+    else:
+        dim, props, seed = source
+        spec, _ = random_qm_spec(seed, dim, props, closure_cap=64)
+    qm = build_model(spec)
+    stopped, calls = _sweep(qm, monkeypatch, stop=True)
+    full, all_calls = _sweep(qm, monkeypatch, stop=False)
+    assert [(k, render(f)) for k, f in stopped.items()] == [(k, render(f)) for k, f in full.items()]
+    assert sorted(stopped) == list(range(len(qm.lattice)))
+    assert len(calls) < len(all_calls) and calls == all_calls[: len(calls)]
+    assert calls[-1] == list(stopped)[-1]
 
 
 _fracs = st.fractions(min_value=-2, max_value=2, max_denominator=2)

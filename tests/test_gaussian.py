@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from unittest import mock
 
@@ -71,6 +74,65 @@ def test_inverse_and_conjugate(z):
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         gr(1) / gr(0)
+
+
+# -- the four lowest-terms parts -----------------------------------------------------
+
+
+@given(_fracs, _fracs)
+def test_parts_are_the_lowest_terms_of_the_fraction_parts(real, imag):
+    z = GaussianRational(real, imag)
+    assert z.sort_key() == (real.numerator, real.denominator, imag.numerator, imag.denominator)
+    assert (z.real, z.imag) == (real, imag)
+    assert z.is_zero == (real == imag == 0)
+
+
+def test_constructor_reduces_ints_and_fractions_alike():
+    half = GaussianRational(Fraction(2, 4), Fraction(-6, -3))
+    assert half.sort_key() == (1, 2, 2, 1)
+    twin = GaussianRational(Fraction(1, 2), 2)
+    assert half == twin and hash(half) == hash(twin)
+    assert GaussianRational().sort_key() == (0, 1, 0, 1) and not GaussianRational()
+    assert GaussianRational(imag=3) == parse_scalar("3i")
+    assert GaussianRational(1) != (1, 1, 0, 1)
+    assert repr(half) == "GaussianRational(real=Fraction(1, 2), imag=Fraction(2, 1))"
+
+
+@pytest.mark.parametrize(
+    "text,parts",
+    [
+        ("2/4-6/8i", (1, 2, -3, 4)),
+        ("0/5", (0, 1, 0, 1)),
+        ("-0/3+0/7i", (0, 1, 0, 1)),
+        ("-4/2i", (0, 1, -2, 1)),
+    ],
+)
+def test_parse_scalar_stores_lowest_terms(text, parts):
+    assert parse_scalar(text).sort_key() == parts
+
+
+@pytest.mark.parametrize("bad,error", [("x", ValueError), (None, TypeError), (1j, TypeError)])
+def test_constructor_rejects_what_fraction_rejects(bad, error):
+    with pytest.raises(error):
+        GaussianRational(bad)
+    with pytest.raises(error):
+        GaussianRational(0, bad)
+
+
+def test_scalars_are_immutable():
+    z = parse_scalar("1/2-3i")
+    for name in ("real", "imag", "_parts", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(z, name, Fraction(1))
+        with pytest.raises(FrozenInstanceError):
+            delattr(z, name)
+    assert z.sort_key() == (1, 2, -3, 1)
+
+
+def test_copy_and_pickle_keep_the_parts():
+    z = parse_scalar("-5/6+7/9i")
+    for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+        assert twin == z and hash(twin) == hash(z) and twin.sort_key() == (-5, 6, 7, 9)
 
 
 # -- the literal parser against its three-regex form ---------------------------------

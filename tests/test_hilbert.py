@@ -7,6 +7,7 @@ import pickle
 import weakref
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from qlogic import hilbert
 from qlogic.bridge import _generated_name
 from qlogic.errors import DimensionMismatch, ModelValidationError, ZeroVector
-from qlogic.gaussian import GR_ZERO, GaussianRational, format_scalar
+from qlogic.gaussian import GaussianRational, format_scalar
 from qlogic.hilbert import (
     Subspace,
     _state_row,
@@ -28,7 +29,7 @@ from qlogic.hilbert import (
 )
 
 import hilbert_reference as reference
-from conftest import GR_ONE, gr
+from conftest import GR_ONE, GR_ZERO, gr
 
 E1 = Subspace.span([(gr(1), gr(0))])
 E2 = Subspace.span([(gr(0), gr(1))])
@@ -336,12 +337,57 @@ def _reader_spaces(draw, dim):
     return line if kind == "line" else ortho(line)
 
 
+def _fraction_basis(a: Subspace) -> tuple:
+    """The canonical basis through Fractions: each entry x + yi of a
+    reduced row over its pivot d, as GaussianRational(x/d, y/d)."""
+    basis = []
+    for re, im in a._rows:
+        d = re[hilbert._lead(re)]
+        row = (GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im))
+        basis.append(tuple(row))
+    return tuple(basis)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sort_key_matches_the_fraction_basis(data):
     dim = data.draw(st.integers(1, 5))
     a = data.draw(_reader_spaces(dim))
-    assert a.sort_key() == (len(a.basis), tuple(z.sort_key() for row in a.basis for z in row))
+    basis = _fraction_basis(a)
+    assert a.basis == basis
+    assert a.sort_key() == (len(basis), tuple(z.sort_key() for row in basis for z in row))
+
+
+def _parts_by_gcd_on_every_entry(a: Subspace) -> tuple:
+    """The canonical basis parts by the formula with two gcds on every
+    entry: (x + yi)/d is (x/g, d/g, y/h, d/h), g = gcd(x, d), h = gcd(y, d)."""
+    parts = []
+    for re, im in a._rows:
+        d = next(x for x in re if x)
+        parts.append(tuple(
+            (x // gcd(x, d), d // gcd(x, d), y // gcd(y, d), d // gcd(y, d)) for x, y in zip(re, im)
+        ))
+    return tuple(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_basis_parts_match_the_gcd_on_every_entry(data):
+    """The parts skip the gcds of zero entries and of rows whose pivot is
+    1; they must equal the formula that takes every gcd."""
+    dim = data.draw(st.integers(1, 5))
+    a = data.draw(_reader_spaces(dim))
+    assert hilbert._basis_parts(a) == _parts_by_gcd_on_every_entry(a)
+
+
+def test_basis_parts_cover_both_kinds_of_row():
+    """A row whose pivot is 1 next to rows with pivot 3 and zero entries."""
+    a = Subspace.span([(gr(1), gr(0), gr(0)), (gr(0), gr(1), gr(Fraction(1, 3), 2))])
+    assert [re[hilbert._lead(re)] for re, _ in a._rows] == [1, 3]
+    assert hilbert._basis_parts(a) == _parts_by_gcd_on_every_entry(a) == (
+        ((1, 1, 0, 1), (0, 1, 0, 1), (0, 1, 0, 1)),
+        ((0, 1, 0, 1), (1, 1, 0, 1), (1, 3, 2, 1)),
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -349,7 +395,7 @@ def test_sort_key_matches_the_fraction_basis(data):
 def test_subspace_literals_match_the_fraction_basis(data):
     dim = data.draw(st.integers(1, 5))
     a = data.draw(_reader_spaces(dim))
-    assert subspace_to_strings(a) == [[format_scalar(z) for z in row] for row in a.basis]
+    assert subspace_to_strings(a) == [[format_scalar(z) for z in row] for row in _fraction_basis(a)]
 
 
 def _literal(z: GaussianRational) -> str:
