@@ -14,38 +14,35 @@ def fixpoint(
     unary: Sequence[tuple[Callable, Callable]] = (),
     binary: Sequence[tuple[Callable, Callable]] = (),
     rounds: int | None = None,
-    cap: int | None = None,
-    overflow: Exception | None = None,
+    limit: int | None = None,
     symmetric: bool = False,
-    whole: int | None = None,
 ) -> dict:
     """The seeds closed under ``unary`` and ``binary``, lists of (operation,
     make) pairs; each element maps to the representative ``make`` built from
     its operands' representatives when the element first appeared.  Unary
     operations run first, then binary ones over ordered pairs, left-major,
     so elements get the representatives and order of rounds over all pairs.
-    ``rounds`` bounds the rounds (None: to the fixpoint); more than ``cap``
-    seeds, or the insertion that takes the count above ``cap``, raises
-    ``overflow``.  ``whole`` is the size of the set the operations act on:
-    once that many elements are found no pair can add one, so the closure
-    returns there, mid-round, with what the full run would return.
+    ``rounds`` bounds the rounds (None: to the fixpoint).  The closure
+    returns as soon as it holds ``limit`` elements, seeds included, even
+    mid-round, with the items the unlimited run holds at that point: a
+    caller that knows the size of the whole closure passes it, since no
+    later pair can add an element, and a caller with a cap passes one more
+    than the cap and reads an overflow off the size of the result.
 
     ``symmetric`` declares every binary operation commutative, and a round
     then visits pair (i, j) only for j >= i.  The skipped mirror (j, i) of a
     visited pair comes later in the same round, where the operation yields
     the element the visit already found, so the keys, representatives,
-    insertion order and overflow point are those of the ordered loop."""
-    if cap is not None and len(seeds) > cap:
-        raise overflow
+    insertion order and stopping point are those of the ordered loop."""
     found = dict(seeds)
+    if limit is not None and len(found) >= limit:
+        return found
     lo = 0  # found's items from lo on were added by the previous round
 
     def add(element, rep) -> bool:
-        """Record a new element; whether the set is now whole."""
+        """Record a new element; whether the set has reached the limit."""
         found[element] = rep
-        if cap is not None and len(found) > cap:
-            raise overflow
-        return len(found) == whole
+        return len(found) == limit
 
     for _ in count() if rounds is None else range(rounds):
         current = list(found.items())

@@ -470,7 +470,7 @@ def _reachable_elements(qm: QuantumModel) -> dict[int, Formula]:
             (lambda i, j: lat.join[i][j], QOr),
             (lambda i, j: lat.join[lat.ortho[i]][lat.meet[i][j]], QImp),
         ],
-        whole=len(lat),
+        limit=len(lat),
     )
 
 

@@ -172,13 +172,13 @@ class Subspace:
     ``_rows`` are the kernel's reduced rows, each primitive with a positive
     integer pivot, a form unique to each subspace; equality and hashing
     compare ``(ambient, _rows)``.  The canonical echelon ``basis`` is built
-    from them on first read.  The constructor validates and reduces what it
+    from them on each read.  The constructor validates and reduces what it
     is given; kernel results are built already reduced.  Immutable.
     """
 
-    # _basis and _parts are None until first read; _ortho, once computed, is a
-    # weak reference set on both ends, so a subspace and its complement form no cycle
-    __slots__ = ("ambient", "_rows", "_hash", "_basis", "_parts", "_ortho", "__weakref__")
+    # _parts is None until first read; _ortho, once computed, is a weak
+    # reference set on both ends, so a subspace and its complement form no cycle
+    __slots__ = ("ambient", "_rows", "_hash", "_parts", "_ortho", "__weakref__")
 
     def __init__(self, ambient: int, basis: Iterable[Sequence[GaussianRational]] = ()):
         object.__setattr__(self, "ambient", ambient)
@@ -207,7 +207,6 @@ class Subspace:
         rows = tuple((tuple(re), tuple(im)) for re, im in rows)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash((self.ambient, rows)))
-        object.__setattr__(self, "_basis", None)
         object.__setattr__(self, "_parts", None)
         object.__setattr__(self, "_ortho", None)
 
@@ -248,10 +247,7 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vector, ...]:
         """The canonical RREF basis: each reduced row divided by its pivot."""
-        if self._basis is None:
-            basis = tuple(tuple(map(GaussianRational._of, row)) for row in _basis_parts(self))
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
+        return tuple(tuple(map(GaussianRational._of, row)) for row in _basis_parts(self))
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ from .hilbert import Subspace, join, leq, ortho
 DEFAULT_CLOSURE_CAP = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class QLattice:
     dim: int
     elements: tuple[Subspace, ...]  # by Subspace.sort_key, dimension first: 0 first, C^dim last
@@ -61,9 +61,6 @@ def close(
         if g.ambient != dim:
             raise DimensionMismatch(f"generator in C^{g.ambient}, lattice in C^{dim}")
 
-    overflow = ClosureOverflow(
-        f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators)
-    )
     zero, full = Subspace.zero(dim), Subspace.full(dim)
     elements: list[Subspace] = []  # by id, in the order first found
     dims: list[int] = []  # by id
@@ -148,10 +145,11 @@ def close(
         seeds,
         unary=[(complement, lambda _: None)],
         binary=[(join_id, lambda *_: None)],
-        cap=cap,
-        overflow=overflow,
+        limit=cap + 1,
         symmetric=True,
     )
+    if len(found) > cap:
+        raise ClosureOverflow(f"closure exceeded cap {cap} in C^{dim}", generators=tuple(generators))
 
     ordered = sorted(found, key=lambda i: elements[i].sort_key())
     position = [0] * len(ordered)  # by id

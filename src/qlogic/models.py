@@ -407,15 +407,17 @@ class SignatureSpace:
     ) -> dict[int, Formula]:
         """Fixpoint of reachable_classes: the full generated subalgebra.
 
-        The subalgebra has up to 2**a elements for a partition with a
-        atoms, so callers that cannot bound the generator count should
-        pass a cap; exceeding it raises ClosureOverflow.
+        It has quotient_size = 2**a elements for a partition with a atoms:
+        a cap below that raises ClosureOverflow before any sweep, and the
+        sweep stops once it holds them all.
         """
         names = tuple(generator_names)
-        overflow = ClosureOverflow(
-            f"signature algebra exceeded {max_elements} elements", generators=names
-        )
-        return self._closure(names, cap=max_elements, overflow=overflow)
+        size = quotient_size(self, names)
+        if max_elements is not None and size > max_elements:
+            raise ClosureOverflow(
+                f"signature algebra exceeded {max_elements} elements", generators=names
+            )
+        return self._closure(names, limit=size)
 
     def atoms(self, generator_names: Iterable[str]) -> tuple[int, ...]:
         """Masks of the cells of bits lying in exactly the same generators,

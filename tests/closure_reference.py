@@ -190,22 +190,17 @@ def ordered_fixpoint(
     unary=(),
     binary=(),
     rounds: int | None = None,
-    cap: int | None = None,
-    overflow: Exception | None = None,
+    limit: int | None = None,
     symmetric: bool = False,
 ) -> dict:
     """``_fixpoint.fixpoint`` visiting every ordered pair whatever
     ``symmetric`` says: a round combines the elements the previous round
-    added with every known element, on both sides."""
-    if cap is not None and len(seeds) > cap:
-        raise overflow
+    added with every known element, on both sides, and the loop returns
+    as soon as the set holds ``limit`` elements."""
     found = dict(seeds)
+    if limit is not None and len(found) >= limit:
+        return found
     lo = 0
-
-    def add(element, rep) -> None:
-        found[element] = rep
-        if cap is not None and len(found) > cap:
-            raise overflow
 
     for _ in count() if rounds is None else range(rounds):
         current = list(found.items())
@@ -214,13 +209,17 @@ def ordered_fixpoint(
             for op, make in unary:
                 out = op(key)
                 if out not in found:
-                    add(out, make(rep))
+                    found[out] = make(rep)
+                    if len(found) == limit:
+                        return found
         for i, (k1, r1) in enumerate(current):
             for k2, r2 in added if i < lo else current:
                 for op, make in binary:
                     out = op(k1, k2)
                     if out not in found:
-                        add(out, make(r1, r2))
+                        found[out] = make(r1, r2)
+                        if len(found) == limit:
+                            return found
         if len(found) == len(current):
             break
         lo = len(current)

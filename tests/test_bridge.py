@@ -9,7 +9,7 @@ import random
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import count
 
@@ -775,6 +775,23 @@ def test_an_untestable_formula_raises_on_every_call(worked_qm):
         with pytest.raises(NotTestable):
             tau_eval(worked_qm, f, "Sz+", 0)
     assert worked_qm._element_slot[0]() is not f
+
+
+def test_the_lattice_under_a_model_cannot_be_edited_in_place(worked_qm):
+    """QLattice is frozen like the model that holds it: setting the (Ex, Ez)
+    meet entry to C^d in place would leave the element slot answering
+    Ex &q Ez from the old table, so the assignment raises; replace builds
+    an edited copy."""
+    f = QAnd(Pred("Ex"), Pred("Ez"))
+    name = reduce_qwff(worked_qm, f)
+    lat = worked_qm.lattice
+    rows = [list(row) for row in lat.meet]
+    rows[worked_qm.element_index["Ex"]][worked_qm.element_index["Ez"]] = len(lat) - 1
+    meet = tuple(map(tuple, rows))
+    with pytest.raises(FrozenInstanceError):
+        lat.meet = meet
+    assert lat.meet != meet and reduce_qwff(worked_qm, parse(render(f))) == name
+    assert replace(lat, meet=meet).meet == meet
 
 
 def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):

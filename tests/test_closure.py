@@ -70,6 +70,9 @@ def _random_tables(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
+    """Also under a limit (None, or 0 to n + 1, so that the seeds may be
+    at or past it): the engine and its ordered twin return the first
+    ``limit`` items of the unlimited run, or the seeds when they reach it."""
     n, seeds, unary, binary = _random_tables(data)
     rounds = data.draw(st.integers(0, 5))
     got = fixpoint(seeds, unary, binary, rounds=rounds)
@@ -77,6 +80,12 @@ def test_fixpoint_matches_all_pairs_rounds_on_random_tables(data):
     assert list(fixpoint(seeds, unary, binary).items()) == list(
         _all_pairs(seeds, unary, binary, n).items()
     )
+    rounds = data.draw(st.none() | st.just(rounds))
+    limit = data.draw(st.none() | st.integers(0, n + 1))
+    full = list(_all_pairs(seeds, unary, binary, n if rounds is None else rounds).items())
+    stopped = list(fixpoint(seeds, unary, binary, rounds, limit).items())
+    assert stopped == list(reference.ordered_fixpoint(seeds, unary, binary, rounds, limit).items())
+    assert stopped == (full if limit is None else full[: max(limit, len(seeds))])
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,7 +94,7 @@ def test_fixpoint_stopped_at_the_whole_set_matches_all_pairs_rounds(data):
     """Told that the operations act on n elements, the closure returns
     once it holds n of them, with the items and order of the full run."""
     n, seeds, unary, binary = _random_tables(data)
-    got = fixpoint(seeds, unary, binary, whole=n)
+    got = fixpoint(seeds, unary, binary, limit=n)
     assert list(got.items()) == list(_all_pairs(seeds, unary, binary, n).items())
 
 
@@ -131,6 +140,48 @@ def test_closed_classes_count_seeds_against_the_cap():
     assert _outcome(space.closed_classes, ("P", "Q"), 1) == overflow
     assert _outcome(reference.closed_classes, space, ("P", "Q"), 1) == overflow
     assert len(space.closed_classes(("P", "Q"), 2)) == 2
+
+
+def test_closed_classes_over_the_cap_raise_before_any_sweep(monkeypatch):
+    """The algebra's size is known before the sweep (2**atoms), so a cap
+    below it raises the reference's overflow before any operation call;
+    under a cap it fits, the sweep returns all the classes."""
+    spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
+    space = SignatureSpace(build_model(spec).model)
+    names = tuple(name for name, _ in spec.properties)
+    size = 2 ** len(space.atoms(names))
+    calls = [0]
+    monkeypatch.setattr(models, "fixpoint", _counted(fixpoint, calls))
+    for cap in (1, size - 1):
+        got = _outcome(space.closed_classes, names, cap)
+        assert got == _outcome(reference.closed_classes, space, names, cap)
+        assert got == ("overflow", f"signature algebra exceeded {cap} elements", names)
+    assert calls == [0]
+    got = list(space.closed_classes(names, size).items())
+    assert got == list(reference.closed_classes(space, names).items()) and len(got) == size
+    assert calls[0] > 0
+
+
+def test_close_within_its_cap_constructs_no_overflow(monkeypatch):
+    """close builds its ClosureOverflow only when the closure passes the
+    cap: none for worked_qm under its own cap, one, with the reference's
+    message and generators, under a cap one below its size."""
+    built: list[ClosureOverflow] = []
+
+    class Counted(ClosureOverflow):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(lattice, "ClosureOverflow", Counted)
+    spec = load_spec(SPEC_DIR / "worked_qm.json")
+    generators = [sub for _, sub in spec.properties]
+    n = len(close(generators, spec.closure_cap, spec.dim))
+    assert built == []
+    got = _outcome(close, generators, n - 1, spec.dim)
+    assert got == _outcome(reference.close, generators, n - 1, spec.dim)
+    assert got[:2] == ("overflow", f"closure exceeded cap {n - 1} in C^{spec.dim}")
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("dim,properties", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -181,9 +232,9 @@ def _sweep(qm, monkeypatch, stop: bool) -> tuple[dict, list]:
     in call order: stopped at the whole lattice, or run to its fixpoint."""
     log: list = []
 
-    def engine(seeds, unary, binary, whole):
-        whole = whole if stop else None
-        return fixpoint(seeds, _logging(unary, log), _logging(binary, log), whole=whole)
+    def engine(seeds, unary, binary, limit):
+        limit = limit if stop else None
+        return fixpoint(seeds, _logging(unary, log), _logging(binary, log), limit=limit)
 
     monkeypatch.setattr(bridge, "fixpoint", engine)
     return _reachable_elements(qm), log
@@ -265,7 +316,7 @@ def test_close_matches_reference(generated, cap):
 @given(st.data())
 def test_symmetric_fixpoint_matches_ordered_pairs_on_commutative_tables(data):
     """Random commutative operation tables on range(n), not idempotent;
-    the outcome includes the overflow point under a random cap."""
+    the outcome includes the stopping point under a random limit."""
     n = data.draw(st.integers(1, 12))
     element = st.integers(0, n - 1)
     negate = data.draw(st.lists(element, min_size=n, max_size=n))
@@ -280,14 +331,10 @@ def test_symmetric_fixpoint_matches_ordered_pairs_on_commutative_tables(data):
         for i, t in enumerate(tables)
     ]
     rounds = data.draw(st.none() | st.integers(0, 5))
-    cap = data.draw(st.none() | st.integers(0, n))
-    overflow = ClosureOverflow("cap", generators=())
+    limit = data.draw(st.none() | st.integers(0, n + 1))
 
     def outcome(engine, **symmetric):
-        try:
-            return list(engine(seeds, unary, binary, rounds, cap, overflow, **symmetric).items())
-        except ClosureOverflow:
-            return "overflow"
+        return list(engine(seeds, unary, binary, rounds, limit, **symmetric).items())
 
     assert outcome(fixpoint, symmetric=True) == outcome(reference.ordered_fixpoint)
 
