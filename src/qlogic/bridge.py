@@ -65,7 +65,12 @@ from .models import (
 from .propositions import proposition_poset
 
 
-def _check_dim_cap(dim: int) -> None:
+_ZERO, _ONE = Fraction(0), Fraction(1)  # the certain probabilities, shared by every build
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ModelValidationError("dimension must be positive")
     if dim > MAX_DIM:
         raise ModelValidationError(f"dimension {dim}, over the cap {MAX_DIM}")
 
@@ -81,9 +86,7 @@ class QMModelSpec:
     closure_cap: int = DEFAULT_CLOSURE_CAP
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ModelValidationError("dimension must be positive")
-        _check_dim_cap(self.dim)
+        _check_dim(self.dim)
         if self.universe_size < 1:
             raise ModelValidationError("universe size must be positive")
         if not self.states:
@@ -124,7 +127,7 @@ def spec_from_dict(data: Mapping) -> QMModelSpec:
     try:
         data = expect_json(data, dict, "a spec")
         dim = expect_json(data["dim"], int, "dim")
-        _check_dim_cap(dim)  # before any elimination on the property bases
+        _check_dim(dim)  # before any basis is parsed
         states = []
         for s in expect_json(data["states"], list, "states"):
             s = expect_json(s, dict, "a state")
@@ -239,11 +242,12 @@ def _primary_pairs(lat: QLattice, order: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _rule_count(p: Fraction, n: int, predicate: str, state: str) -> int:
-    """The size k of the probability rule's extension, the prefix range(k):
-    n at 1, 0 at 0, and floor(n p + 1/2) clamped to [1, n - 1] otherwise,
-    read off p's integer parts."""
-    num, den = p.numerator, p.denominator  # in lowest terms, den > 0
+def _rule_count(num: int, den: int, n: int, predicate: str, state: str) -> int:
+    """The size k of the probability rule's extension, the prefix range(k),
+    for the probability p = num/den, 0 <= num <= den, den > 0: n at 1, 0 at
+    0, and floor(n p + 1/2) = (2 n num + den) // (2 den) clamped to
+    [1, n - 1] otherwise.  That floor is the same in any terms of p, so
+    the parts need not be in lowest terms."""
     if num == den:
         return n
     if num == 0:
@@ -290,22 +294,27 @@ def _model_from_lattice(spec: QMModelSpec, lat: QLattice) -> QuantumModel:
     inside: list[list[str]] = [[] for _ in lat.elements]  # theta, element order
     extensions: dict[tuple[str, str], frozenset[int]] = {}
     probabilities: dict[tuple[str, str], Fraction] = {}
-    rows = [(sname, *_state_row(vec, spec.dim)) for sname, vec in spec.states]
+    rows = [_state_row(vec, spec.dim) for _, vec in spec.states]
     for i, j in _primary_pairs(lat, order):
-        born = _born_of(lat.elements[i], lat.elements[j])
-        for sname, v, norm2 in rows:
-            p = born(v, norm2)  # the atom lies in i at 1, in j at 0
-            probabilities[(sname, names[i])] = p
-            if p == 1:
+        name_i, name_j = names[i], names[j]
+        born = _born_of(lat.elements[i], lat.elements[j], rows)
+        for sname, (num, den) in zip(state_names, born):  # the atom lies in i at 1, in j at 0
+            if num == den:
+                p = _ONE
                 inside[i].append(sname)
-            elif p == 0:
+            elif num == 0:
+                p = _ZERO
                 inside[j].append(sname)
-            k = _rule_count(p, n, names[i], sname)
+            else:
+                p = Fraction(num, den)
+            key = (sname, name_i)
+            probabilities[key] = p
+            k = _rule_count(num, den, n, name_i, sname)
             pair = shared.get(k)
             if pair is None:  # made on first use: a table over every k could be huge
                 prefix = frozenset(range(k))
                 pair = shared[k] = (prefix, full - prefix)
-            extensions[(sname, names[i])], extensions[(sname, names[j])] = pair
+            extensions[key], extensions[(sname, name_j)] = pair
     theta = {name: frozenset(states) for name, states in zip(names, inside)}
 
     predicates = tuple(
@@ -441,7 +450,8 @@ def check_qmt(qm: QuantumModel, space: SignatureSpace) -> SuiteResult:
                     f"complement of its partner {name_i}"
                 )
             checked += 1
-            k = _rule_count(qm.probabilities[(sname, name_i)], n, name_i, sname)
+            p = qm.probabilities[(sname, name_i)]
+            k = _rule_count(p.numerator, p.denominator, n, name_i, sname)
             if mask_i & block != ((1 << k) - 1) << offset:  # range(k) in the state's block
                 ext_i = model.extensions[(sname, name_i)]
                 violations.append(

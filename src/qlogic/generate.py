@@ -47,9 +47,16 @@ def random_classical_model(
     return Model(tuple(preds), states, {s: universe for s in states}, extensions)
 
 
+# A scalar draw is one Random call, whose _randbelow draw is randint's:
+# n in -3..3 (7 values), then d in 1..3 (3 values).
+_NUMERATORS = tuple(range(-3, 4))
+_SIXTHS = tuple(6 // d for d in range(1, 4))  # 6/d, so that 6 n/d is an integer
+_FRACTIONS = tuple(tuple(_lowest(n, d) for d in range(1, 4)) for n in _NUMERATORS)
+
+
 def _random_fraction(rng: random.Random) -> tuple[int, int]:
     """A draw of n/d, n in -3..3 and d in 1..3, as its lowest-terms parts."""
-    return _lowest(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.choice(rng.choice(_FRACTIONS))
 
 
 def _random_vector(rng: random.Random, dim: int, allow_imag: bool) -> tuple[GaussianRational, ...]:
@@ -76,8 +83,8 @@ def _vector_inside(
         vre, vim = [0] * element.ambient, [0] * element.ambient
         for re, im in element._rows:  # basis row re/pivot times a _random_fraction pair, in 1/den
             k = den // (6 * re[_lead(re)])  # each draw times 6 is an integer
-            cr = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * k
-            ci = rng.randint(-3, 3) * (6 // rng.randint(1, 3)) * k
+            cr = rng.choice(_NUMERATORS) * rng.choice(_SIXTHS) * k
+            ci = rng.choice(_NUMERATORS) * rng.choice(_SIXTHS) * k
             for c, (x, y) in enumerate(zip(re, im)):
                 vre[c] += cr * x - ci * y
                 vim[c] += cr * y + ci * x

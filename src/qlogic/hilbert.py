@@ -22,12 +22,11 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ModelValidationError, ZeroVector
 from .gaussian import GaussianRational, format_parts, parse_scalar
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 _ZERO_PARTS = (0, 1, 0, 1)  # the lowest-terms parts of a zero entry
 
 Vector = tuple[GaussianRational, ...]
@@ -93,9 +92,10 @@ def _reduce(rows: Iterable[Row], ncols: int) -> list[Row]:
     return rows[:r]
 
 
-def _lead(re: list[int]) -> int:
-    """Pivot column of a reduced row (its pivot is real, earlier entries 0)."""
-    return next(c for c, x in enumerate(re) if x)
+def _lead(re: Sequence[int]) -> int:
+    """Pivot column of a reduced row (its pivot is real, earlier entries 0):
+    where the first nonzero entry first occurs."""
+    return re.index(next(filter(None, re)))
 
 
 def _nullspace(rows: list[Row], ncols: int) -> list[Row]:
@@ -181,7 +181,7 @@ class Subspace:
     __slots__ = ("ambient", "_rows", "_hash", "_parts", "_ortho", "__weakref__")
 
     def __init__(self, ambient: int, basis: Iterable[Sequence[GaussianRational]] = ()):
-        object.__setattr__(self, "ambient", ambient)
+        _set_ambient(self, ambient)
         self.__post_init__(tuple(basis))
 
     # kept as a separate hook on the class: perfbench's tracer wraps it by name
@@ -199,16 +199,16 @@ class Subspace:
     def _from_reduced(cls, ambient: int, rows: list[Row]) -> Subspace:
         """The subspace spanned by rows the kernel returned."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ambient", ambient)
+        _set_ambient(self, ambient)
         self._set_rows(rows)
         return self
 
     def _set_rows(self, rows: list[Row]) -> None:
-        rows = tuple((tuple(re), tuple(im)) for re, im in rows)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", hash((self.ambient, rows)))
-        object.__setattr__(self, "_parts", None)
-        object.__setattr__(self, "_ortho", None)
+        rows = tuple([(tuple(re), tuple(im)) for re, im in rows])
+        _set_rows_slot(self, rows)
+        _set_hash(self, hash((self.ambient, rows)))
+        _set_parts(self, None)
+        _set_ortho(self, None)
 
     def __setattr__(self, name, *_):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -237,7 +237,8 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> Subspace:
-        return cls(ambient, ())
+        # no rows, so nothing to reduce; the constructor refuses ambient < 1
+        return cls._from_reduced(ambient, []) if ambient > 0 else cls(ambient)
 
     @classmethod
     def full(cls, ambient: int) -> Subspace:
@@ -263,6 +264,14 @@ class Subspace:
         return f"Subspace(C^{self.ambient}, dim={self.dim}, [{rows}])"
 
 
+# the slots are set through their descriptors: Subspace.__setattr__ refuses
+_set_ambient = Subspace.ambient.__set__
+_set_rows_slot = Subspace._rows.__set__
+_set_hash = Subspace._hash.__set__
+_set_parts = Subspace._parts.__set__
+_set_ortho = Subspace._ortho.__set__
+
+
 def _basis_parts(a: Subspace) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """The canonical basis as lowest-terms integer parts, read from the rows
     once and kept: entry (x + yi)/d of a row with pivot d is
@@ -286,7 +295,7 @@ def _basis_parts(a: Subspace) -> tuple[tuple[tuple[int, int, int, int], ...], ..
                     else:
                         row.append(_ZERO_PARTS)
             parts.append(tuple(row))
-        object.__setattr__(a, "_parts", tuple(parts))
+        _set_parts(a, tuple(parts))
     return a._parts
 
 
@@ -302,8 +311,8 @@ def ortho(a: Subspace) -> Subspace:
     o = a._ortho() if a._ortho is not None else None
     if o is None:
         o = Subspace._from_reduced(a.ambient, _complement(a._rows, a.ambient))
-        object.__setattr__(a, "_ortho", weakref.ref(o))
-        object.__setattr__(o, "_ortho", weakref.ref(a))
+        _set_ortho(a, weakref.ref(o))
+        _set_ortho(o, weakref.ref(a))
     return o
 
 
@@ -354,13 +363,14 @@ def born(psi: Sequence[GaussianRational], a: Subspace) -> Fraction:
     It is computed from integer multiples of psi and of the basis, which
     leave the value unchanged.
     """
-    v, norm2 = _state_row(tuple(psi), a.ambient)
-    return _born_of(a, ortho(a))(v, norm2)
+    [(num, den)] = _born_of(a, ortho(a), [_state_row(tuple(psi), a.ambient)])
+    return Fraction(num, den)
 
 
-def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
-    """born(., a) as a function of a state's integer row v and squared norm,
-    with the work that depends on ``a`` alone done once.
+def _born_of(a: Subspace, perp: Subspace, states: Sequence[tuple[Row, int]]) -> list[tuple[int, int]]:
+    """born(., a) of each state, given by its integer row v and squared
+    norm, as integer parts (num, den) with 0 <= num <= den and den > 0, not
+    in lowest terms: num == den exactly at 1 and num == 0 exactly at 0.
 
     ``perp`` is ortho(a).  P_a + P_perp = I exactly, so when perp has the
     smaller dimension the value is read as 1 - born(psi, perp), from the
@@ -385,18 +395,15 @@ def _born_of(a: Subspace, perp: Subspace) -> Callable[[Row, int], Fraction]:
         ws.append((w, _conj_dot(w, w)[0]))
     total = lcm(*(n for _, n in ws))
     weighted = [(w, total // n) for w, n in ws]
-
-    def value(v: Row, norm2: int) -> Fraction:
+    values = []
+    for v, norm2 in states:
         num = 0
         for w, k in weighted:
             cr, ci = _conj_dot(w, v)
             num += (cr * cr + ci * ci) * k
         den = total * norm2
-        if num == 0 or num == den:  # certain: a shared constant, no Fraction built
-            return _ONE if (num == 0) == complement else _ZERO
-        return Fraction(den - num, den) if complement else Fraction(num, den)
-
-    return value
+        values.append((den - num, den) if complement else (num, den))
+    return values
 
 
 def subspace_from_strings(rows: list[list[str]], ambient: int) -> Subspace:

@@ -146,17 +146,20 @@ class Model:
         blocks = {}
         largest = max(self.universe_sizes.values(), default=0)  # bounds every _bits buffer
         found = 0  # keys of ``given`` met; if fewer than it holds, one names no listed pair
+        names = [p.name for p in self.predicates]
         for s in self.states:
             offset, n = total, self.universe_sizes[s]
             total += n
             by_predicate = {}
-            for k, p in enumerate(self.predicates):
-                ext = given.get((s, p.name))
+            for k, name in enumerate(names):
+                key = (s, name)
+                ext = given.get(key)
                 if ext is None:
                     ext = frozenset()
                 else:
                     found += 1
-                    ext = frozenset(ext)
+                    if type(ext) is not frozenset:
+                        ext = frozenset(ext)
                 bits = ext_bits.get(ext)
                 if bits is None:
                     if ext and (min(ext) < 0 or max(ext) >= largest):
@@ -164,7 +167,7 @@ class Model:
                     bits = ext_bits[ext] = _bits(ext)
                 if bits >> n:
                     raise self._extension_error(given)
-                normalized[(s, p.name)] = by_predicate[p.name] = ext
+                normalized[key] = by_predicate[name] = ext
                 masks[k] |= bits << offset
             blocks[s] = (offset, n, MappingProxyType(by_predicate))
         if found != len(given):

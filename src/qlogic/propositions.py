@@ -146,17 +146,24 @@ def _plain_joins(groups: list[int]) -> int:
     # Bits 3k..3k+2 of a state are group k's: bit 0 set by an atom in the
     # first set only, bit 1 by one in the second only, all three by one in
     # neither, so the group is filled by the pair alone when they read 3.
-    counts, done = {0: 1}, 0
+    counts, left = {0: 1}, list(groups)  # left: each group's atoms yet to come
     for atom in order:
-        done |= 1 << atom
-        step = sum(1 << 3 * k for k, g in enumerate(groups) if g >> atom & 1)
-        last = sum(1 << 3 * k for k, g in enumerate(groups) if g >> atom & 1 and not g & ~done)
-        keep = ~(7 * last)
+        bit, step, last = 1 << atom, 0, 0
+        for k, g in enumerate(left):
+            if g & bit:
+                step |= 1 << 3 * k
+                left[k] = g = g ^ bit
+                if not g:
+                    last |= 1 << 3 * k
+        keep, neither = ~(7 * last), 7 * step
         after: dict[int, int] = {}
         for state, n in counts.items():
-            for put in (0, step, 2 * step, 7 * step):  # in both, first only, second only, neither
-                new = state | put
+            for new in (state, state | step, state | 2 * step):  # both, first only, second only
                 if not new & (new >> 1) & ~(new >> 2) & last:
-                    after[new & keep] = after.get(new & keep, 0) + n
+                    new &= keep
+                    after[new] = after.get(new, 0) + n
+            # in neither: every group of the atom reads 7, so none is filled alone
+            new = (state | neither) & keep
+            after[new] = after.get(new, 0) + n
         counts = after
     return counts[0]

@@ -191,7 +191,8 @@ def qmt(qm) -> SuiteResult:
                     f"complement of its partner {name_i}"
                 )
             checked += 1
-            k = _rule_count(qm.probabilities[(sname, name_i)], n, name_i, sname)
+            p = qm.probabilities[(sname, name_i)]
+            k = _rule_count(p.numerator, p.denominator, n, name_i, sname)
             if ext_i != frozenset(range(k)):
                 violations.append(
                     f"state {sname}, predicate {name_i}: extension {sorted(ext_i)} "

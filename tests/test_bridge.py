@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlogic import bridge, hilbert, lattice
 from qlogic.bridge import (
@@ -189,13 +190,49 @@ def test_rule_extension_rounds_half_up_exactly():
             for a in range(b + 1):
                 p = Fraction(a, b)
                 if p in (0, 1):
-                    assert bridge._rule_count(p, n, "E", "S") == int(n * p)
+                    assert bridge._rule_count(a, b, n, "E", "S") == int(n * p)
                 elif n < 2:
                     with pytest.raises(UniverseTooSmall):
-                        bridge._rule_count(p, n, "E", "S")
+                        bridge._rule_count(a, b, n, "E", "S")
                 else:
                     k = min(max(math.floor(n * p + Fraction(1, 2)), 1), n - 1)
-                    assert bridge._rule_count(p, n, "E", "S") == k
+                    assert bridge._rule_count(a, b, n, "E", "S") == k
+
+
+@st.composite
+def _rule_inputs(draw):
+    """(n, p) with n in 1..12 and p in [0, 1] in lowest terms; half of the
+    draws put n p + 1/2 on an integer, where the rule rounds half up."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return n, Fraction(2 * draw(st.integers(0, n - 1)) + 1, 2 * n)
+    den = draw(st.integers(1, 60))
+    return n, Fraction(draw(st.integers(0, den)), den)
+
+
+def _lowest_terms_rule(p: Fraction, n: int) -> int | None:
+    """The rule on p itself, None where it needs a proper extension that
+    a universe of n < 2 cannot host."""
+    if p in (0, 1):
+        return int(n * p)
+    if n < 2:
+        return None
+    return min(max(math.floor(n * p + Fraction(1, 2)), 1), n - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_inputs(), st.integers(1, 10**6))
+def test_rule_count_in_any_terms_is_the_lowest_terms_rule(inputs, c):
+    """_rule_count on (c num, c den) for any c >= 1 equals the rule on the
+    lowest-terms p = num/den: the build passes Born parts unreduced."""
+    n, p = inputs
+    num, den = c * p.numerator, c * p.denominator
+    want = _lowest_terms_rule(p, n)
+    if want is None:
+        with pytest.raises(UniverseTooSmall):
+            bridge._rule_count(num, den, n, "E", "S")
+    else:
+        assert bridge._rule_count(num, den, n, "E", "S") == want
 
 
 def test_spec_validation():
@@ -304,8 +341,8 @@ def test_build_postcondition_raises_on_a_corrupted_extension(worked_spec, monkey
     original = bridge._rule_count
     calls = []
 
-    def corrupt_first(p, n, predicate, state):
-        k = original(p, n, predicate, state)
+    def corrupt_first(num, den, n, predicate, state):
+        k = original(num, den, n, predicate, state)
         calls.append(predicate)
         if len(calls) == 1:  # flip certain truth of one extension
             return n - 1 if k == n else n
@@ -670,6 +707,34 @@ def test_gen_check_builds_a_fraction_only_for_each_uncertain_probability(
     assert made[0] == sum(0 < p < 1 for p in probabilities) > 0
 
 
+def test_gen_check_compares_no_fraction(tmp_path, monkeypatch, capsys):
+    """The build decides certainty and each rule count from the integer
+    parts of the Born values, and check_qmt derives each count again from
+    the recorded Fraction's numerator and denominator, so ``gen`` then
+    ``check`` on the 12 specs of the first four seed-1 benchmark blocks
+    makes no ``Fraction.__eq__`` call (1 936 when the build compared each
+    value with 0 and 1).  The specs record certain and uncertain values."""
+    path = tmp_path / "spec.json"
+    calls = [0]
+    eq = Fraction.__eq__
+
+    def counting(a, b):
+        calls[0] += 1
+        return eq(a, b)
+
+    values = []
+    for dim, props, seed in qm_corpus_draws(1, 4):
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__eq__", counting)
+            assert main(["gen", "--kind", "qm", "--seed", str(seed), "--dim", str(dim),
+                         "--properties", str(props), "--cap", "64", "--out", str(path)]) == 0
+            assert main(["check", "--qm-spec", str(path), "--depth", "3"]) == 0
+        values += build_model(load_spec(path)).probabilities.values()
+    capsys.readouterr()
+    assert calls[0] == 0
+    assert {p.denominator == 1 for p in values} == {True, False}
+
+
 # -- one reduction per query -------------------------------------------------------
 
 
@@ -802,15 +867,16 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     and a plane; ortho writes the complements of 0, C^3 and lines in
     closed form, so only the 4 pairs close meets from the plane take a null space
     (8, one per pair, before the closed forms).  So it makes
-    5 + 4 + 1 = 10 eliminations (14 before), the 1 for the zero subspace
-    it starts from (the full one is built from identity rows, which are
-    already reduced).  The build makes 127
+    5 + 4 = 9 eliminations (14 before, and 10 while the zero subspace it
+    starts from still ran one; the full one is built from identity rows,
+    which are already reduced).  The build makes 127
     Gaussian-integer inner products and no elimination: one squared norm
-    per state, one <u|u> per line primary and one per (line, state); the
-    partner planes read 1 - born of their line, and the zero/full pair
-    needs none.  Born values read once per (pair, state) took 225."""
+    per state, one <u|u> per line primary and one per (line, state), the
+    last read by one batched Born call per pair; the partner planes read
+    1 - born of their line, and the zero/full pair needs none.  Born
+    values read once per (pair, state) took 225."""
     spec = load_spec(DATA_DIR / "gen_qm_seed11.json")
-    counts = {"dot": 0, "reduce": 0, "nullspace": 0, "join": 0}
+    counts = {"dot": 0, "reduce": 0, "nullspace": 0, "join": 0, "born": 0}
 
     def counting(module, name, key):
         original = getattr(module, name)
@@ -825,12 +891,14 @@ def test_exact_work_counts_of_gen_check_on_seed11(monkeypatch):
     counting(hilbert, "_reduce", "reduce")
     counting(hilbert, "_nullspace", "nullspace")
     counting(lattice, "join", "join")
+    counting(bridge, "_born_of", "born")
     lat = lattice.close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
-    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 4, 10)
+    assert (len(lat), counts["join"], counts["nullspace"], counts["reduce"]) == (16, 5, 4, 9)
     for key in counts:
         counts[key] = 0
     qm = bridge._model_from_lattice(spec, lat)
     order = bridge._table_order(spec, lat, qm.element_index)
     primary_dims = [lat.elements[i].dim for i, _ in bridge._primary_pairs(lat, order)]
     assert (len(spec.states), primary_dims.count(1)) == (15, 7)
-    assert counts == {"dot": 15 + 7 + 7 * 15, "reduce": 0, "nullspace": 0, "join": 0}
+    assert len(bridge._primary_pairs(lat, order)) == 8
+    assert counts == {"dot": 15 + 7 + 7 * 15, "reduce": 0, "nullspace": 0, "join": 0, "born": 8}

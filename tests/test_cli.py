@@ -473,6 +473,10 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
          1, "error: ModelValidationError: property name '1bad' is not an identifier"),
         (["check", "--qm-spec", (WORKED, lambda d: d.update(closure_cap=1))], 1,
          "error: ModelValidationError: closure cap 1, below 2"),
+        (["check", "--qm-spec", (WORKED, lambda d: d.update(dim=0))], 1,
+         "error: ModelValidationError: dimension must be positive"),
+        (["check", "--qm-spec", (WORKED, lambda d: d.update(dim=-1))], 1,
+         "error: ModelValidationError: dimension must be positive"),
         (["check", "--model", (CM, lambda d: d["predicates"].append(d["predicates"][0]))], 1,
          "error: ModelValidationError: duplicate predicate names"),
         (["check", "--model", (CM, lambda d: d["predicates"][0].update(name="9x"))], 1,
@@ -505,7 +509,7 @@ def test_non_integer_field_is_one_error_line(tmp_path, capsys, flag):
     ],
     ids=[
         "spec-universe-0", "spec-duplicate-state", "spec-duplicate-property",
-        "spec-property-name", "spec-cap-1", "model-duplicate-predicate", "model-predicate-name",
+        "spec-property-name", "spec-cap-1", "spec-dim-0", "spec-dim-negative", "model-duplicate-predicate", "model-predicate-name",
         "model-duplicate-state", "model-universe-0", "model-and-spec", "parse-no-formula",
         "eval-no-formula", "gen-no-states", "check-cap-1", "gen-qm-cap-0", "gen-classical-dim",
         "gen-no-adequate-spec",

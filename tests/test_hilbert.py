@@ -422,10 +422,12 @@ def _born_of_matches_reference(data):
     cases in C^1 to C^5."""
     dim = data.draw(st.integers(1, 5))
     a = data.draw(_reader_spaces(dim))
-    reader = hilbert._born_of(a, ortho(a))
-    for _ in range(3):
-        psi = data.draw(st.tuples(*[_diff_scalars] * dim).filter(lambda v: any(v)))
-        assert reader(*_state_row(psi, dim)) == reference.born(psi, a.basis)
+    psis = [data.draw(st.tuples(*[_diff_scalars] * dim).filter(lambda v: any(v))) for _ in range(3)]
+    values = hilbert._born_of(a, ortho(a), [_state_row(psi, dim) for psi in psis])
+    assert len(values) == len(psis)
+    for psi, (num, den) in zip(psis, values):
+        assert 0 <= num <= den and den > 0
+        assert Fraction(num, den) == reference.born(psi, a.basis)
 
 
 test_born_of_matches_reference = settings(max_examples=100, deadline=None)(
@@ -438,8 +440,8 @@ def test_born_of_differential_catches_a_flipped_complement_rule(monkeypatch):
     rule reads 1 - born(psi, a-perp) fails the differential above."""
     born_of = hilbert._born_of
 
-    def flipped(a, perp):
-        return born_of(perp, a) if perp.dim < a.dim else born_of(a, perp)
+    def flipped(a, perp, states):
+        return born_of(perp, a, states) if perp.dim < a.dim else born_of(a, perp, states)
 
     monkeypatch.setattr(hilbert, "_born_of", flipped)
     with pytest.raises(AssertionError):

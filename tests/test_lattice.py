@@ -127,8 +127,10 @@ def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
     hyperplanes settled a join.  Of the 32 complement pairs only the 19 of
     planes reach a null space: close meets each of the other 13 from 0,
     C^4 or a line, whose complements ortho writes in closed form (all 32
-    took one before).  So elimination runs 332 + 19 + 1 = 352 times, the 1 for
-    the zero subspace (365 before)."""
+    took one before).  So elimination runs 332 + 19 = 351 times: the zero
+    subspace it starts from has no rows to reduce, and the full one is
+    built from identity rows, which are already reduced (365 before, and
+    352 while the zero subspace still ran elimination)."""
     spec = spec_from_dict(mo_squared_spec(3))
     counts = {"join": 0, "leq": 0, "_nullspace": 0, "_reduce": 0}
     targets = (
@@ -144,7 +146,7 @@ def test_exact_kernel_work_of_close_on_mo3_squared(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     lat = close([sub for _, sub in spec.properties], cap=spec.closure_cap, dim=spec.dim)
     assert (len(spec.properties), len(lat)) == (12, 64)
-    assert counts == {"join": 332, "leq": 430, "_nullspace": 19, "_reduce": 352}
+    assert counts == {"join": 332, "leq": 430, "_nullspace": 19, "_reduce": 351}
 
 
 def test_orthomodularity_of_closures():

@@ -3,14 +3,24 @@ from __future__ import annotations
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlogic import propositions
+from qlogic.bridge import build_model, load_spec
+from qlogic.cli import main
 from qlogic.formulas import And, Not, Or, Pred
 from qlogic.models import Model, PredicateInfo, SignatureSpace
 from qlogic.propositions import check_connective_relations, cover_edges, proposition_poset
 from qlogic.propositions import testable as find_witness
 
 import suite_reference as reference
-from conftest import build_cm_model, eval_universal, physical_proposition, signature
+from conftest import (
+    build_cm_model,
+    eval_universal,
+    physical_proposition,
+    qm_corpus_draws,
+    signature,
+)
 from formula_reference import enumerate_formulas
 
 
@@ -226,3 +236,65 @@ def test_relations_agree_with_literal_enumeration():
                 p_or = space.proposition(space.mask_of(Or(f, g)))
                 assert p_and == pf & pg
                 assert p_or >= pf | pg
+
+
+# -- the census step against brute force -------------------------------------------
+
+
+def _brute_plain_joins(groups: list[int]) -> int:
+    """Ordered pairs (x, y) of sets of the groups' atoms, all 4**atoms of
+    them, such that every group x | y holds is held by x or by y."""
+    atoms = 0
+    for g in groups:
+        atoms |= g
+    subsets = [x for x in range(atoms + 1) if not x & ~atoms]
+    return sum(
+        all(g & x == g or g & y == g for g in groups if g & (x | y) == g)
+        for x in subsets
+        for y in subsets
+    )
+
+
+@st.composite
+def _group_families(draw):
+    """2 to 6 distinct groups of 2 to 4 atoms over at most 6 atoms."""
+    atoms = draw(st.integers(2, 6))
+    group = st.lists(st.integers(0, atoms - 1), min_size=2, max_size=4, unique=True).map(
+        lambda members: sum(1 << a for a in members)
+    )
+    return draw(st.lists(group, min_size=2, max_size=6, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_group_families())
+def test_plain_joins_match_brute_force_on_random_group_families(groups):
+    assert propositions._plain_joins(groups) == _brute_plain_joins(groups)
+
+
+def test_plain_joins_match_brute_force_on_a_benchmark_spec(tmp_path, monkeypatch, capsys):
+    """The census step on the groups of the first (3, 3) spec of the seed-1
+    qm_corpus benchmark (8 atoms in 11 groups, one component), as the check
+    of its three properties meets them, against the 4**8 pairs."""
+    dim, props, seed = qm_corpus_draws(1, 1)[1]
+    path = tmp_path / "spec.json"
+    assert main(["gen", "--kind", "qm", "--seed", str(seed), "--dim", str(dim),
+                 "--properties", str(props), "--cap", "64", "--out", str(path)]) == 0
+    capsys.readouterr()
+    spec = load_spec(path)
+    calls = []
+    plain_joins = propositions._plain_joins
+
+    def recording(groups):
+        calls.append(list(groups))
+        return plain_joins(groups)
+
+    monkeypatch.setattr(propositions, "_plain_joins", recording)
+    check_connective_relations(
+        SignatureSpace(build_model(spec).model), tuple(name for name, _ in spec.properties)
+    )
+    [groups] = calls
+    atoms = 0
+    for g in groups:
+        atoms |= g
+    assert (atoms.bit_count(), len(groups)) == (8, 11)
+    assert plain_joins(groups) == _brute_plain_joins(groups) == 25_882
